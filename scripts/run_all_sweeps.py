@@ -8,7 +8,8 @@ Writes CSVs under results/ (created next to the working directory):
   variance.csv                        kernel variance scaling with the
                                       reduced-form constant
   identities_<scenario>.csv           z-scores of the exact identities
-  lln_gaussian.csv                    direct-estimator standard error vs N
+  lln_gaussian_n{N}.csv               direct estimator at x = 0, one file per
+                                      sample size N (standard error vs N)
   mse_vs_n.csv                        reported error table: kernel estimators
                                       at their best bandwidth vs the direct
                                       formula (no pass/fail attached)

@@ -22,7 +22,6 @@ from .estimators import (
     centered_direct_density,
     conditional_expectation,
     direct_density,
-    gaussian_kernel,
     plain_kernel_density,
     regularized_density,
     shifted_kernel_density,
@@ -50,7 +49,7 @@ __all__ = [
     "PoissonFunctionalSpec", "poisson_identity_check", "poisson_mc_unit",
     "sample_poisson_quad", "ConditionalEstimate", "DensityEstimate", "QuadBatch",
     "TripleBatch", "centered_direct_density", "conditional_expectation",
-    "direct_density", "gaussian_kernel", "plain_kernel_density",
+    "direct_density", "plain_kernel_density",
     "regularized_density", "shifted_kernel_density", "law_integral",
     "quadrature_expectation", "SCENARIOS", "Scenario", "get_scenario",
     "SweepConfig", "SweepRow", "compare_estimators", "fit_loglog_slope",

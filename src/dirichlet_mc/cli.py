@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -110,21 +111,25 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _apply_overrides(args: argparse.Namespace) -> None:
-    """Config file beats flags; DIRICHLET_MC_SEED beats both."""
+    """Config file beats flags; DIRICHLET_MC_SEED beats both.  The resolved
+    worker count must be at least 1."""
     if getattr(args, "config", None):
         overrides = _load_config(args.config)
         for key, val in overrides.items():
             if not hasattr(args, key):
                 raise ValidationError(f"unknown config key {key!r}")
             current = getattr(args, key)
-            if isinstance(current, bool):
-                setattr(args, key, val.lower() in ("1", "true", "yes", "on"))
-            elif isinstance(current, int) and not isinstance(current, bool):
-                setattr(args, key, int(val))
-            elif isinstance(current, float):
-                setattr(args, key, float(val))
-            else:
-                setattr(args, key, val)
+            try:
+                if isinstance(current, bool):
+                    setattr(args, key, val.lower() in ("1", "true", "yes", "on"))
+                elif isinstance(current, int):
+                    setattr(args, key, int(val))
+                elif isinstance(current, float):
+                    setattr(args, key, float(val))
+                else:
+                    setattr(args, key, val)
+            except ValueError:
+                raise ValidationError(f"config key {key!r}: cannot parse {val!r}") from None
     env_seed = os.environ.get("DIRICHLET_MC_SEED")
     if env_seed is not None and hasattr(args, "seed"):
         try:
@@ -133,6 +138,8 @@ def _apply_overrides(args: argparse.Namespace) -> None:
             raise ValidationError(
                 f"DIRICHLET_MC_SEED={env_seed!r} is not an integer"
             ) from None
+    if getattr(args, "workers", 1) < 1:
+        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
 
 
 def _scenario_or_fail(name: str):
@@ -158,11 +165,14 @@ def _samples(args) -> int | str:
     if args.samples == "quadrature":
         return "quadrature"
     try:
-        return int(args.samples)
+        n = int(args.samples)
     except ValueError:
         raise ValidationError(
             f"--samples must be an integer or 'quadrature', got {args.samples!r}"
         ) from None
+    if n < 1:
+        raise ValidationError(f"--samples must be positive, got {n}")
+    return n
 
 
 # -- subcommands -------------------------------------------------------------
@@ -228,8 +238,9 @@ def _cmd_density(args) -> int:
             ests = regularized_density(batch, epsilon, list(points))
         else:
             ests = centered_direct_density(batch, list(points))
-        for e in ests:
-            ref = float(ref_fn(np.array([e.x]))[0]) if ref_fn is not None else None
+        refs = ref_fn(np.array([e.x for e in ests])) if ref_fn is not None else [None] * len(ests)
+        for e, ref in zip(ests, refs):
+            ref = None if ref is None else float(ref)
             rows.append((e.x, e.value, e.std_error, ref))
             if ref is not None and e.std_error > 0:
                 worst_z = max(worst_z, abs(e.value - ref) / e.std_error)
@@ -414,20 +425,39 @@ _DISPATCH = {
 }
 
 
+# options whose values are number lists, which may start with '-'
+_LIST_OPTIONS = ("--points", "--epsilons", "--epsilon", "--samples")
+
+
+def _glue_list_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite '--points -1,0,1' as '--points=-1,0,1'.
+
+    argparse reads a token that starts with '-' and is not a plain number
+    as an option, so a list of numbers starting with a negative one would
+    otherwise be an error.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _LIST_OPTIONS and re.match(r"-\.?\d", tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_list_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; normalise other codes
         return EXIT_VALIDATION if exc.code not in (0,) else 0
     try:
         _apply_overrides(args)
         return _DISPATCH[args.command](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NoUsableSamplesError as exc:
+    except (ValidationError, ValueError) as exc:
+        # estimators raise ValueError for inputs they cannot use (a
+        # non-finite query point, no usable samples)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

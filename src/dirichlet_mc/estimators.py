@@ -16,8 +16,13 @@ Two families:
   centered, which both drives the far-tail behaviour and enables a
   split-sample control variate.
 
-Reductions are plain numpy sums over arrays assembled in canonical chunk
-order, so every estimate is bit-reproducible for any worker count.
+Cost per query point.  Kernels compute everything that does not depend on
+x (mask, normaliser, precision) once per (batch, ε), leaving one pass over
+the samples per query.  The sign formulas bin the samples once against the
+sorted distinct queries (one vectorised comparison per query) and take one
+bincount per weight column; no per-query pass forms signs or moments.
+All reductions run over arrays in canonical chunk order, so every estimate
+is bit-reproducible for any worker count.
 """
 from __future__ import annotations
 
@@ -29,10 +34,6 @@ import numpy as np
 
 DEGENERATE_DET = 1e-30
 RIDGE_SCALE = 1e-8
-
-
-class DegenerateCovarianceError(ValueError):
-    """Kernel covariance is numerically singular and the policy is to skip."""
 
 
 class NoUsableSamplesError(ValueError):
@@ -192,91 +193,102 @@ class ConditionalEstimate:
 
 # -- Gaussian kernel -------------------------------------------------------
 
-def gaussian_kernel(y, cov, ridge: bool = False) -> float:
-    """Centered Gaussian density (2π)^{-d/2} det(Σ)^{-1/2} exp(-½ yᵀΣ⁻¹y).
+def _as_queries(xs, d: int) -> np.ndarray:
+    """Query points as a (Q, d) array; a non-finite point is a ValueError."""
+    q = np.asarray(xs, dtype=float)
+    if d == 1:
+        q = np.atleast_1d(q).reshape(-1, 1)
+    else:
+        if q.ndim == 1:
+            q = q[None, :]
+        if q.shape[1] != d:
+            raise ValueError(f"query points have dimension {q.shape[1]}, batch has {d}")
+    bad = ~np.isfinite(q).all(axis=1)
+    if bad.any():
+        point = q[np.argmax(bad)]
+        shown = float(point[0]) if d == 1 else point.tolist()
+        raise ValueError(f"query point {shown!r} is not finite")
+    return q
 
-    A covariance with det below 1e-30 is degenerate: by default that is an
-    error for the caller to count and skip; with ridge=True, δ·I with
-    δ = 1e-8·trace is added instead.
+
+def _mean_se(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; overwrites vals."""
+    n = vals.shape[0]
+    mean = float(vals.mean())
+    if n < 2:
+        return mean, float("inf")
+    vals -= mean
+    vals *= vals
+    return mean, math.sqrt(float(vals.sum()) / (n - 1)) / math.sqrt(n)
+
+
+# Gaussian terms below exp(-700) ≈ 1e-304 count as exactly 0: np.exp leaves
+# its vectorised path for arguments below about -708, where the far tails of
+# narrow kernels put most samples, and runs up to 100 times slower there.
+_EXP_CUT = -700.0
+
+
+def _cut_exp(z: np.ndarray) -> np.ndarray:
+    """exp(z) in place, with exp(z) = 0 for z < _EXP_CUT."""
+    keep = z >= _EXP_CUT
+    np.maximum(z, _EXP_CUT, out=z)
+    np.exp(z, out=z)
+    return np.multiply(z, keep, out=z)
+
+
+def _kernel_1d(center: np.ndarray, var: np.ndarray, ridge: bool):
+    """x ↦ g(x - c_n, var_n) over the usable samples, for d = 1.
+
+    Mask, normaliser and -½/var are computed once; each call fills and
+    returns the same buffer.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    d = y.shape[0]
-    if cov.shape != (d, d):
-        raise ValueError(f"covariance shape {cov.shape} does not match y of length {d}")
-    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
-        raise ValueError("covariance must be symmetric")
-    eig = np.linalg.eigvalsh(cov)
-    if eig.min() < -1e-12 * max(1.0, float(np.trace(cov))):
-        raise ValueError("covariance is not positive semidefinite")
-    det = float(np.linalg.det(cov))
-    if det < DEGENERATE_DET:
-        if not ridge:
-            raise DegenerateCovarianceError(
-                f"covariance determinant {det:.3e} below {DEGENERATE_DET:g}"
-            )
-        cov = cov + RIDGE_SCALE * max(float(np.trace(cov)), DEGENERATE_DET) * np.eye(d)
-        det = float(np.linalg.det(cov))
-    quad = float(y @ np.linalg.solve(cov, y))
-    return (2.0 * math.pi) ** (-d / 2.0) * det**-0.5 * math.exp(-0.5 * quad)
-
-
-def _kernel_values_1d(y: np.ndarray, var: np.ndarray, ridge: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised d=1 kernel with the degenerate policy applied per sample.
-
-    Returns (values, usable_mask); skipped entries hold 0 in values.
-    """
-    var = np.asarray(var, dtype=float)
-    usable = np.isfinite(var) & np.isfinite(y)
+    usable = np.isfinite(var) & np.isfinite(center)
     if ridge:
         var = np.where(var < DEGENERATE_DET, var + RIDGE_SCALE * np.maximum(var, DEGENERATE_DET), var)
         var = np.maximum(var, DEGENERATE_DET)
     else:
-        usable = usable & (var >= DEGENERATE_DET)
-    safe = np.where(usable, var, 1.0)
-    vals = np.exp(-0.5 * y * y / safe) / np.sqrt(2.0 * math.pi * safe)
-    return np.where(usable, vals, 0.0), usable
+        usable &= var >= DEGENERATE_DET
+    c, var = center[usable], var[usable]
+    neg_half_prec = -0.5 / var
+    norm = 1.0 / np.sqrt(2.0 * math.pi * var)
+    vals = np.empty_like(c)
+
+    def values(q: np.ndarray) -> np.ndarray:
+        np.subtract(q[0], c, out=vals)
+        np.multiply(vals, vals, out=vals)
+        np.multiply(vals, neg_half_prec, out=vals)
+        return np.multiply(_cut_exp(vals), norm, out=vals)
+
+    return values
 
 
-def _kernel_values_nd(y: np.ndarray, cov: np.ndarray, ridge: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised kernel for (N, d) offsets against (N, d, d) covariances."""
-    n, d = y.shape
+def _kernel_nd(center: np.ndarray, cov: np.ndarray, ridge: bool):
+    """x ↦ g(x - c_n, Σ_n) over the usable samples, for d ≥ 2.
+
+    Mask, ridge bump, det-based normaliser and precision matrices are
+    computed once, so each query costs one quadratic form and one exp.
+    """
+    d = center.shape[1]
     det = np.linalg.det(cov)
-    usable = np.isfinite(det) & np.isfinite(y).all(axis=1)
+    usable = np.isfinite(det) & np.isfinite(center).all(axis=1)
     if ridge:
         tr = np.einsum("nii->n", cov)
         bump = np.where(det < DEGENERATE_DET, RIDGE_SCALE * np.maximum(tr, DEGENERATE_DET), 0.0)
         cov = cov + bump[:, None, None] * np.eye(d)[None, :, :]
         det = np.linalg.det(cov)
     else:
-        usable = usable & (det >= DEGENERATE_DET)
-    safe_cov = np.where(usable[:, None, None], cov, np.eye(d)[None, :, :])
-    z = np.linalg.solve(safe_cov, y[:, :, None])[:, :, 0]
-    quad = np.einsum("nd,nd->n", y, z)
-    safe_det = np.where(usable, det, 1.0)
-    vals = (2.0 * math.pi) ** (-d / 2.0) * safe_det**-0.5 * np.exp(-0.5 * quad)
-    return np.where(usable, vals, 0.0), usable
+        usable &= det >= DEGENERATE_DET
+    # (d, d, n) and (d, n) layouts keep the per-query loops contiguous in n
+    neg_half_prec = np.ascontiguousarray(-0.5 * np.linalg.inv(cov[usable]).transpose(1, 2, 0))
+    c = np.ascontiguousarray(center[usable].T)
+    norm = (2.0 * math.pi) ** (-d / 2.0) * det[usable] ** -0.5
 
+    def values(q: np.ndarray) -> np.ndarray:
+        y = q[:, None] - c
+        vals = np.einsum("ijn,in,jn->n", neg_half_prec, y, y)
+        return np.multiply(_cut_exp(vals), norm, out=vals)
 
-def _mean_estimate(x_query, vals: np.ndarray, usable: np.ndarray, epsilon) -> DensityEstimate:
-    n_used = int(usable.sum())
-    if n_used == 0:
-        raise NoUsableSamplesError("no usable samples at this query point")
-    used = vals[usable]
-    mean = float(np.mean(used))
-    se = float(np.std(used, ddof=1)) / math.sqrt(n_used) if n_used > 1 else float("inf")
-    return DensityEstimate(x_query, mean, se, n_used, epsilon)
-
-
-def _as_queries(xs, d: int) -> np.ndarray:
-    q = np.asarray(xs, dtype=float)
-    if d == 1:
-        return np.atleast_1d(q).reshape(-1, 1)
-    if q.ndim == 1:
-        q = q[None, :]
-    if q.shape[1] != d:
-        raise ValueError(f"query points have dimension {q.shape[1]}, batch has {d}")
-    return q
+    return values
 
 
 def shifted_kernel_density(
@@ -307,29 +319,30 @@ def _kernel_density(
         raise NoUsableSamplesError("empty batch")
     if degenerate not in ("skip", "ridge"):
         raise ValueError("degenerate policy must be 'skip' or 'ridge'")
-    ridge = degenerate == "ridge"
     queries = _as_queries(xs, b.d)
     center = b.x + epsilon * b.a if shift else b.x
-    out = []
+    cov = epsilon * (np.broadcast_to(np.eye(b.d), b.gamma.shape) if identity_cov else b.gamma)
     if b.d == 1:
-        var = np.full(b.n, epsilon) if identity_cov else epsilon * b.gamma[:, 0, 0]
-        c = center[:, 0]
-        for q in queries:
-            vals, usable = _kernel_values_1d(q[0] - c, var, ridge)
-            out.append(_mean_estimate(float(q[0]), vals, usable, epsilon))
+        values = _kernel_1d(center[:, 0], cov[:, 0, 0], degenerate == "ridge")
     else:
-        cov = (
-            np.broadcast_to(epsilon * np.eye(b.d), (b.n, b.d, b.d))
-            if identity_cov
-            else epsilon * b.gamma
-        )
-        for q in queries:
-            vals, usable = _kernel_values_nd(q[None, :] - center, cov, ridge)
-            out.append(_mean_estimate(q.copy(), vals, usable, epsilon))
+        values = _kernel_nd(center, cov, degenerate == "ridge")
+    out = []
+    for q in queries:
+        vals = values(q)
+        if vals.shape[0] == 0:
+            raise NoUsableSamplesError("no usable samples")
+        mean, se = _mean_se(vals)
+        x = float(q[0]) if b.d == 1 else q.copy()
+        out.append(DensityEstimate(x, mean, se, vals.shape[0], epsilon))
     return out
 
 
 # -- sign formulas ---------------------------------------------------------
+
+# sign(x - X) on the sides {X < x}, {X = x}, {X > x}
+_SIGN = np.array([1.0, 0.0, -1.0])
+_HALF_SIGN = 0.5 * _SIGN
+
 
 def direct_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
     """W = -Γ[X,Γ[X]]/Γ² + 2A/Γ and the Γ > 0 usability mask."""
@@ -358,14 +371,63 @@ def conditional_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
     return np.where(usable, w, 0.0), usable
 
 
-def _sign_estimate(x: float, xs_samples, weights, usable, epsilon=None) -> DensityEstimate:
-    n_used = int(usable.sum())
-    if n_used == 0:
+def _side_sums(xs_samples: np.ndarray, queries: np.ndarray, columns) -> np.ndarray:
+    """Σ of each column over {X < x}, {X = x} and {X > x}, for every query.
+
+    The samples are binned once against the sorted distinct queries: bin 2j
+    holds q_{j-1} < X < q_j and bin 2j+1 holds X = q_j, so ties keep
+    sign(0) = 0.  Each column takes one bincount; running sums over the
+    bins from either end give the two sides, so neither side is formed by
+    cancelling against the total.  Returns shape (len(columns), Q, 3).
+    """
+    grid, pos = np.unique(queries, return_inverse=True)
+    k = grid.shape[0]
+    below = np.zeros(xs_samples.shape[0], dtype=np.min_scalar_type(k))
+    for v in grid:
+        below += (xs_samples > v).view(np.uint8)
+    bins = below.astype(np.intp)
+    tie = np.append(grid, np.nan)[bins] == xs_samples
+    bins *= 2
+    bins += tie
+    out = np.empty((len(columns), k, 3))
+    for c, col in enumerate(columns):
+        s = np.bincount(bins, weights=col, minlength=2 * k + 1)
+        out[c, :, 0] = np.cumsum(s)[0:-1:2]
+        out[c, :, 1] = s[1::2]
+        out[c, :, 2] = np.cumsum(s[::-1])[-3::-2]
+    return out[:, pos]
+
+
+def _side_moments(coef, sum_a, sum_b, sum_ab, n: int):
+    """Means of v_a = coef·W_a and v_b = coef·W_b and their sample
+    covariance, per query, from the per-side sums of W_a, W_b and W_a·W_b.
+
+    coef holds the factor on each side, ½(sign(x - X) - c); with a = b
+    this is the mean and the sample variance.
+    """
+    mean_a = (coef * sum_a).sum(axis=-1) / n
+    mean_b = (coef * sum_b).sum(axis=-1) / n
+    if n < 2:
+        return mean_a, mean_b, np.full_like(mean_a, np.inf)
+    cov = ((coef * coef * sum_ab).sum(axis=-1) - n * mean_a * mean_b) / (n - 1)
+    return mean_a, mean_b, cov
+
+
+def _estimates(queries, mean, var, n: int, epsilon=None) -> list[DensityEstimate]:
+    se = np.sqrt(np.maximum(var, 0.0)) / math.sqrt(n)
+    return [
+        DensityEstimate(float(x), float(m), float(e), n, epsilon)
+        for x, m, e in zip(queries, mean, se)
+    ]
+
+
+def _sign_density(b: QuadBatch, w, n: int, xs, epsilon=None) -> list[DensityEstimate]:
+    queries = _as_queries(xs, 1)[:, 0]
+    if n == 0:
         raise NoUsableSamplesError("no samples with positive square field")
-    vals = 0.5 * np.sign(x - xs_samples[usable]) * weights[usable]
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1)) / math.sqrt(n_used) if n_used > 1 else float("inf")
-    return DensityEstimate(x, mean, se, n_used, epsilon)
+    s, ss = _side_sums(b.x, queries, (w, w * w))
+    mean, _, var = _side_moments(_HALF_SIGN, s, s, ss, n)
+    return _estimates(queries, mean, var, n, epsilon)
 
 
 def direct_density(b: QuadBatch, xs) -> list[DensityEstimate]:
@@ -376,16 +438,14 @@ def direct_density(b: QuadBatch, xs) -> list[DensityEstimate]:
     law of Γ touches 0).
     """
     w, usable = direct_weights(b)
-    return [_sign_estimate(float(x), b.x, w, usable) for x in np.atleast_1d(xs)]
+    return _sign_density(b, w, int(usable.sum()), xs)
 
 
 def regularized_density(b: QuadBatch, epsilon: float, xs) -> list[DensityEstimate]:
     """Monotone-in-ε lower approximation; no positivity needed on Γ."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    w = regularized_weights(b, epsilon)
-    usable = np.ones(b.n, dtype=bool)
-    return [_sign_estimate(float(x), b.x, w, usable, epsilon) for x in np.atleast_1d(xs)]
+    return _sign_density(b, regularized_weights(b, epsilon), b.n, xs, epsilon)
 
 
 def conditional_expectation(b: QuadBatch, xs) -> list[ConditionalEstimate]:
@@ -395,37 +455,29 @@ def conditional_expectation(b: QuadBatch, xs) -> list[ConditionalEstimate]:
     carries a delta-method standard error and is flagged unreliable when
     the denominator is within two standard errors of zero.
     """
-    wn, usable_n = conditional_weights(b)
-    wd, usable_d = direct_weights(b)
-    usable = usable_n & usable_d
-    n_used = int(usable.sum())
-    if n_used < 2:
+    queries = _as_queries(xs, 1)[:, 0]
+    wn, usable = conditional_weights(b)
+    wd, _ = direct_weights(b)
+    n = int(usable.sum())
+    if n < 2:
         raise NoUsableSamplesError("not enough samples with positive square field")
+    sn, sd, snn, sdd, snd = _side_sums(b.x, queries, (wn, wd, wn * wn, wd * wd, wn * wd))
+    mean_n, mean_d, cov_nd = _side_moments(_HALF_SIGN, sn, sd, snd, n)
+    var_n = _side_moments(_HALF_SIGN, sn, sn, snn, n)[2]
+    var_d = _side_moments(_HALF_SIGN, sd, sd, sdd, n)[2]
     out = []
-    for x in np.atleast_1d(xs):
-        x = float(x)
-        s = np.sign(x - b.x[usable])
-        num_vals = 0.5 * s * wn[usable]
-        den_vals = 0.5 * s * wd[usable]
-        num = DensityEstimate(
-            x, float(np.mean(num_vals)),
-            float(np.std(num_vals, ddof=1)) / math.sqrt(n_used), n_used,
-        )
-        den = DensityEstimate(
-            x, float(np.mean(den_vals)),
-            float(np.std(den_vals, ddof=1)) / math.sqrt(n_used), n_used,
-        )
+    for j, (num, den) in enumerate(zip(_estimates(queries, mean_n, var_n, n),
+                                       _estimates(queries, mean_d, var_d, n))):
         reliable = abs(den.value) > 2.0 * den.std_error
         if den.value != 0.0:
             ratio = num.value / den.value
-            cov = np.cov(num_vals, den_vals, ddof=1)
             var_r = (
-                cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]
-            ) / (den.value**2 * n_used)
-            se_r = math.sqrt(max(var_r, 0.0))
+                var_n[j] - 2.0 * ratio * cov_nd[j] + ratio**2 * var_d[j]
+            ) / (den.value**2 * n)
+            se_r = math.sqrt(max(float(var_r), 0.0))
         else:
             ratio, se_r, reliable = float("nan"), float("inf"), False
-        out.append(ConditionalEstimate(x, num, den, ratio, se_r, reliable))
+        out.append(ConditionalEstimate(num.x, num, den, ratio, se_r, reliable))
     return out
 
 
@@ -438,24 +490,23 @@ def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None) -
     unbiased.  force_c pins the constant (c = 0 reproduces direct_density
     on half 2).
     """
+    queries = _as_queries(xs, 1)[:, 0]
     h1, h2 = b.halves()
-    w1, u1 = direct_weights(h1)
+    w1, _ = direct_weights(h1)
     w2, u2 = direct_weights(h2)
-    if int(u2.sum()) == 0:
+    n = int(u2.sum())
+    if n == 0:
         raise NoUsableSamplesError("no usable samples in the estimation half")
-    out = []
-    for x in np.atleast_1d(xs):
-        x = float(x)
-        if force_c is not None:
-            c = float(force_c)
-        else:
-            denom = float(np.sum(w1[u1] ** 2))
-            c = float(np.sum(np.sign(x - h1.x[u1]) * w1[u1] ** 2)) / denom if denom > 0 else 0.0
-        vals = 0.5 * (np.sign(x - h2.x[u2]) - c) * w2[u2]
-        n_used = int(u2.sum())
-        se = float(np.std(vals, ddof=1)) / math.sqrt(n_used) if n_used > 1 else float("inf")
-        out.append(DensityEstimate(x, float(np.mean(vals)), se, n_used))
-    return out
+    c = np.zeros(queries.shape[0])
+    if force_c is not None:
+        c[:] = float(force_c)
+    else:
+        (s1,) = _side_sums(h1.x, queries, (w1 * w1,))
+        denom = s1.sum(axis=1)
+        np.divide(s1[:, 0] - s1[:, 2], denom, out=c, where=denom > 0)
+    s, ss = _side_sums(h2.x, queries, (w2, w2 * w2))
+    mean, _, var = _side_moments(0.5 * (_SIGN - c[:, None]), s, s, ss, n)
+    return _estimates(queries, mean, var, n)
 
 
 # -- identity statistics ----------------------------------------------------

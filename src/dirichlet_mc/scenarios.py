@@ -19,7 +19,7 @@ import numpy as np
 from .coords import CoordinateSpec, mc_unit, ou_gaussian
 from .estimators import QuadBatch, TripleBatch
 from .poisson import poisson_mc_unit, sample_poisson_arrays
-from .quadrature import law_integral, normal_pdf, quadrature_expectation
+from .quadrature import law_integral, normal_pdf, quadrature_expectation  # noqa: F401  (re-exported)
 from .streams import sample_chunked
 from .wiener import (
     additive_coefficients,
@@ -184,29 +184,33 @@ def _triangular_density(x):
 _PAIR_SPECS = (ou_gaussian(1.0),)
 
 
-@lru_cache(maxsize=4096)
-def _pair_density_scalar(x: float) -> float:
-    return quadrature_expectation(
-        lambda u: normal_pdf(x - np.sin(u[:, 0])), _PAIR_SPECS, order=96
-    )
+@lru_cache(maxsize=1)
+def _pair_rule() -> tuple[np.ndarray, np.ndarray]:
+    """sin of the 96 Hermite nodes of U₂, and their weights."""
+    nodes, weights = _PAIR_SPECS[0].quad_rule(96)
+    return np.sin(nodes), weights
+
+
+def _pair_moments(x) -> tuple[np.ndarray, np.ndarray]:
+    """E[φ(x - sin U₂)] and E[sin U₂ φ(x - sin U₂)] at every x.
+
+    The first coordinate is Gaussian given the second, so its density
+    enters in closed form and the expectation over the second is a 96-node
+    Hermite rule, evaluated as one (points × nodes) product."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    sin_u, w = _pair_rule()
+    phi = normal_pdf(x[:, None] - sin_u[None, :])
+    return (w * phi).sum(axis=1), (w * (sin_u * phi)).sum(axis=1)
 
 
 def _pair_density(x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.array([_pair_density_scalar(float(v)) for v in x])
+    return _pair_moments(x)[0]
 
 
-@lru_cache(maxsize=4096)
 def pair_conditional_oracle(x: float) -> float:
-    """E[sin(U₂) | U₁ + sin(U₂) = x] for independent standard Gaussians.
-
-    The first coordinate is Gaussian given the second, so its density
-    enters in closed form and the remaining expectation is a Hermite rule
-    over the second coordinate."""
-    num = quadrature_expectation(
-        lambda u: np.sin(u[:, 0]) * normal_pdf(x - np.sin(u[:, 0])), _PAIR_SPECS, order=96
-    )
-    return num / _pair_density_scalar(x)
+    """E[sin(U₂) | U₁ + sin(U₂) = x] for independent standard Gaussians."""
+    density, numerator = _pair_moments(x)
+    return float(numerator[0] / density[0])
 
 
 def _lognormal_gamma(x):

@@ -3,6 +3,10 @@
 These never touch a jet's gradient or Hessian: they re-derive Γ, A and
 Γ[X, Γ[X]] from plain scalar evaluations of the functional, so agreement
 with the operators module is a genuine two-route check.
+
+The scalar estimator references at the end (one Gaussian kernel at a
+time, one full pass over the samples per sign-formula query) are what the
+vectorised estimators are checked against.
 """
 from __future__ import annotations
 
@@ -12,6 +16,14 @@ from typing import Callable
 import numpy as np
 
 from dirichlet_mc.coords import BasePoint
+from dirichlet_mc.estimators import (
+    DEGENERATE_DET,
+    RIDGE_SCALE,
+    DensityEstimate,
+    conditional_weights,
+    direct_weights,
+    regularized_weights,
+)
 
 FD_STEP = 1e-4
 
@@ -78,3 +90,98 @@ def fd_gamma_x_gammax(
 
 def rel_err(a: float, b: float, floor: float = 1.0) -> float:
     return abs(a - b) / max(floor, abs(a), abs(b))
+
+
+# -- scalar estimator references --------------------------------------------
+
+class DegenerateCovarianceError(ValueError):
+    """Kernel covariance is numerically singular and the policy is to skip."""
+
+
+def gaussian_kernel(y, cov, ridge: bool = False) -> float:
+    """Centered Gaussian density (2π)^{-d/2} det(Σ)^{-1/2} exp(-½ yᵀΣ⁻¹y).
+
+    A covariance with det below 1e-30 is degenerate: by default that is an
+    error for the caller to count and skip; with ridge=True, δ·I with
+    δ = 1e-8·trace is added instead.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    d = y.shape[0]
+    if cov.shape != (d, d):
+        raise ValueError(f"covariance shape {cov.shape} does not match y of length {d}")
+    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
+        raise ValueError("covariance must be symmetric")
+    eig = np.linalg.eigvalsh(cov)
+    if eig.min() < -1e-12 * max(1.0, float(np.trace(cov))):
+        raise ValueError("covariance is not positive semidefinite")
+    det = float(np.linalg.det(cov))
+    if det < DEGENERATE_DET:
+        if not ridge:
+            raise DegenerateCovarianceError(
+                f"covariance determinant {det:.3e} below {DEGENERATE_DET:g}"
+            )
+        cov = cov + RIDGE_SCALE * max(float(np.trace(cov)), DEGENERATE_DET) * np.eye(d)
+        det = float(np.linalg.det(cov))
+    quad = float(y @ np.linalg.solve(cov, y))
+    return (2.0 * math.pi) ** (-d / 2.0) * det**-0.5 * math.exp(-0.5 * quad)
+
+
+def _sign_loop(x: float, xs_samples, weights, usable, epsilon=None) -> DensityEstimate:
+    n_used = int(usable.sum())
+    vals = 0.5 * np.sign(x - xs_samples[usable]) * weights[usable]
+    se = float(np.std(vals, ddof=1)) / math.sqrt(n_used) if n_used > 1 else float("inf")
+    return DensityEstimate(x, float(np.mean(vals)), se, n_used, epsilon)
+
+
+def direct_loop(b, xs) -> list[DensityEstimate]:
+    """direct_density as one full pass over the samples per query point."""
+    w, usable = direct_weights(b)
+    return [_sign_loop(float(x), b.x, w, usable) for x in np.atleast_1d(xs)]
+
+
+def regularized_loop(b, epsilon: float, xs) -> list[DensityEstimate]:
+    w = regularized_weights(b, epsilon)
+    usable = np.ones(b.n, dtype=bool)
+    return [_sign_loop(float(x), b.x, w, usable, epsilon) for x in np.atleast_1d(xs)]
+
+
+def conditional_loop(b, xs) -> list[tuple[DensityEstimate, DensityEstimate, float, float]]:
+    """(numerator, denominator, ratio, ratio_std_error) per query point."""
+    wn, usable = conditional_weights(b)
+    wd, _ = direct_weights(b)
+    n_used = int(usable.sum())
+    out = []
+    for x in np.atleast_1d(xs):
+        x = float(x)
+        s = np.sign(x - b.x[usable])
+        num_vals = 0.5 * s * wn[usable]
+        den_vals = 0.5 * s * wd[usable]
+        num = DensityEstimate(x, float(np.mean(num_vals)),
+                              float(np.std(num_vals, ddof=1)) / math.sqrt(n_used), n_used)
+        den = DensityEstimate(x, float(np.mean(den_vals)),
+                              float(np.std(den_vals, ddof=1)) / math.sqrt(n_used), n_used)
+        ratio = num.value / den.value
+        cov = np.cov(num_vals, den_vals, ddof=1)
+        var_r = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]) / (den.value**2 * n_used)
+        out.append((num, den, ratio, math.sqrt(max(var_r, 0.0))))
+    return out
+
+
+def centered_loop(b, xs, force_c=None) -> list[DensityEstimate]:
+    h1, h2 = b.halves()
+    w1, u1 = direct_weights(h1)
+    w2, u2 = direct_weights(h2)
+    out = []
+    for x in np.atleast_1d(xs):
+        x = float(x)
+        if force_c is not None:
+            c = float(force_c)
+        else:
+            denom = float(np.sum(w1[u1] ** 2))
+            c = float(np.sum(np.sign(x - h1.x[u1]) * w1[u1] ** 2)) / denom if denom > 0 else 0.0
+        vals = 0.5 * (np.sign(x - h2.x[u2]) - c) * w2[u2]
+        n_used = int(u2.sum())
+        se = float(np.std(vals, ddof=1)) / math.sqrt(n_used) if n_used > 1 else float("inf")
+        out.append(DensityEstimate(x, float(np.mean(vals)), se, n_used))
+    return out

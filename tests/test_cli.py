@@ -37,6 +37,42 @@ class TestValidation:
     def test_unknown_subcommand(self, capsys):
         assert cli_main(["frobnicate"]) == EXIT_VALIDATION
 
+    def test_negative_samples_exits_2(self, capsys):
+        rc = cli_main(["density", "--scenario", "gaussian", "--samples", "-5"])
+        assert rc == EXIT_VALIDATION
+        assert "--samples must be positive" in capsys.readouterr().err
+
+    def test_zero_workers_exits_2(self, capsys):
+        rc = cli_main(["density", "--scenario", "gaussian", "--samples", "2000", "--workers", "0"])
+        assert rc == EXIT_VALIDATION
+        assert "--workers" in capsys.readouterr().err
+
+    def test_unparsable_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = abc\n")
+        rc = cli_main(["density", "--scenario", "gaussian", "--config", str(cfg)])
+        assert rc == EXIT_VALIDATION
+        assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator", ["direct", "shifted"])
+    def test_non_finite_point_exits_2(self, estimator, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        rc = cli_main(["density", "--scenario", "gaussian", "--estimator", estimator,
+                       "--epsilons", "0.1", "--points", "0,nan", "--samples", "2000",
+                       "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "query point nan is not finite" in err and "no usable samples" not in err
+        assert not out.exists()
+
+    def test_negative_point_list_is_a_value(self, tmp_path):
+        out = tmp_path / "d.csv"
+        rc = cli_main(["density", "--scenario", "gaussian", "--points", "-1,0,1",
+                       "--samples", "2000", "--out", str(out)])
+        assert rc == EXIT_OK
+        xs = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert xs == [-1.0, 0.0, 1.0]
+
 
 class TestDensityCommand:
     def test_direct_density_csv(self, tmp_path, capsys):

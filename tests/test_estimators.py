@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from dirichlet_mc.estimators import (
-    DegenerateCovarianceError,
     NoUsableSamplesError,
     QuadBatch,
     TripleBatch,
     centered_direct_density,
     conditional_expectation,
     direct_density,
-    gaussian_kernel,
     generator_centering_z,
     ibp_residual_z,
     plain_kernel_density,
@@ -20,6 +18,15 @@ from dirichlet_mc.estimators import (
     weight_centering_z,
 )
 from dirichlet_mc.streams import chunk_rng
+
+from oracles import (
+    DegenerateCovarianceError,
+    centered_loop,
+    conditional_loop,
+    direct_loop,
+    gaussian_kernel,
+    regularized_loop,
+)
 
 
 def gaussian_quads(n, seed, chunk_offset=0):
@@ -323,6 +330,110 @@ class TestIdentityStatistics:
             shifted, lambda x: np.ones_like(x), lambda x: np.zeros_like(x)
         )
         assert abs(z) > 4.0
+
+
+def _close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+class TestSignReductions:
+    """The binned reductions against one full pass per query point."""
+
+    QUERIES = [1.0, 0.5, 1.0, 3.0, 0.2, 60.0, -5.0]
+
+    def _batch(self):
+        b = lognormal_quads(6000, 31)
+        x, gam = b.x.copy(), b.gamma.copy()
+        x[[10, 11, 4000]] = 1.0  # samples exactly at a query, in both halves
+        x[12] = 0.5
+        gam[[20, 3500]] = 0.0  # Γ ≤ 0: excluded from the direct formulas
+        gam[21] = -1.0
+        return QuadBatch(x, gam, b.a, b.gamma_x_gammax, g=np.cos(x), gamma_x_g=-np.sin(x) * gam)
+
+    def _assert_same(self, got, want):
+        assert len(got) == len(want)
+        for e, r in zip(got, want):
+            assert e.x == r.x and e.n_used == r.n_used
+            assert _close(e.value, r.value), (e.x, e.value, r.value)
+            assert _close(e.std_error, r.std_error), (e.x, e.std_error, r.std_error)
+
+    @pytest.mark.parametrize("queries", [QUERIES, [1.0], list(np.linspace(0.05, 6.0, 300))],
+                             ids=["mixed", "single", "dense"])
+    def test_direct(self, queries):
+        b = self._batch()
+        self._assert_same(direct_density(b, queries), direct_loop(b, queries))
+        assert direct_density(b, queries)[0].n_used == b.n - 3
+
+    @pytest.mark.parametrize("queries", [QUERIES, [1.0]], ids=["mixed", "single"])
+    def test_regularized(self, queries):
+        b = self._batch()
+        self._assert_same(regularized_density(b, 0.05, queries), regularized_loop(b, 0.05, queries))
+
+    @pytest.mark.parametrize("queries", [QUERIES, [1.0]], ids=["mixed", "single"])
+    def test_centered(self, queries):
+        b = self._batch()
+        self._assert_same(centered_direct_density(b, queries), centered_loop(b, queries))
+        self._assert_same(centered_direct_density(b, queries, force_c=0.3),
+                          centered_loop(b, queries, force_c=0.3))
+
+    @pytest.mark.parametrize("queries", [QUERIES, [1.0]], ids=["mixed", "single"])
+    def test_conditional(self, queries):
+        b = self._batch()
+        for ce, (num, den, ratio, se_r) in zip(conditional_expectation(b, queries),
+                                               conditional_loop(b, queries)):
+            self._assert_same([ce.numerator, ce.denominator], [num, den])
+            assert _close(ce.ratio, ratio) and _close(ce.ratio_std_error, se_r)
+
+    def test_large_n_centered_weight_against_exact_sums(self):
+        # W = -U is centered, so in the tails the signed terms cancel down to
+        # a small mean; the error of a sum is measured against the mean |term|
+        b = gaussian_quads(1_000_000, 32)
+        w = -b.x
+        for est in direct_density(b, [0.0, 2.5, -4.0]):
+            vals = (0.5 * np.sign(est.x - b.x) * w).tolist()
+            n = len(vals)
+            mean = math.fsum(vals) / n
+            scale = math.fsum(abs(v) for v in vals) / n
+            var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+            assert abs(est.value - mean) <= 1e-12 * scale, (est.x, est.value, mean)
+            assert _close(est.std_error, math.sqrt(var / n)), est.x
+
+    def test_non_finite_query_rejected(self):
+        b = gaussian_quads(100, 33)
+        for xs in ([0.0, math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="not finite"):
+                direct_density(b, xs)
+            with pytest.raises(ValueError, match="not finite"):
+                shifted_kernel_density(b.triple_batch(), 0.1, xs)
+
+
+class TestKernel2d:
+    """The factored d = 2 kernel against the scalar reference kernel."""
+
+    def _batch(self):
+        rng = chunk_rng(34, 0)
+        n = 40
+        m = rng.normal(size=(n, 2, 2))
+        gam = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(2)
+        gam[7] = np.diag([1.3, 0.0])  # rank one: determinant below the threshold
+        return TripleBatch(rng.normal(size=(n, 2)), gam, rng.normal(size=(n, 2)))
+
+    @pytest.mark.parametrize("degenerate", ["skip", "ridge"])
+    def test_matches_scalar_kernel(self, degenerate):
+        tb = self._batch()
+        eps = 0.3
+        queries = np.array([[0.1, -0.2], [1.5, 0.7], [-2.0, 3.0]])
+        for est, q in zip(shifted_kernel_density(tb, eps, queries, degenerate=degenerate), queries):
+            vals = []
+            for x, g, a in zip(tb.x, tb.gamma, tb.a):
+                try:
+                    vals.append(gaussian_kernel(q - x - eps * a, eps * g, ridge=degenerate == "ridge"))
+                except DegenerateCovarianceError:
+                    pass
+            assert est.n_used == len(vals) == (tb.n if degenerate == "ridge" else tb.n - 1)
+            assert _close(est.value, float(np.mean(vals))), (q, est.value)
+            se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
+            assert _close(est.std_error, se), (q, est.std_error, se)
 
 
 class TestBatches:

@@ -11,6 +11,7 @@ from dirichlet_mc.coords import BasePoint, mc_unit, ou_gaussian
 from dirichlet_mc.estimators import QuadBatch, direct_density, regularized_density
 from dirichlet_mc.jets import jet_const, jet_exp, jet_sin, lift
 from dirichlet_mc.operators import quad_of
+from dirichlet_mc.quadrature import normal_pdf, quadrature_expectation
 from dirichlet_mc.scenarios import SCENARIOS, get_scenario, pair_conditional_oracle
 from dirichlet_mc.streams import chunk_rng
 
@@ -154,6 +155,19 @@ class TestDensityRecovery:
 
 
 class TestConditionalOracle:
+    def test_vectorised_pair_rule_matches_quadrature_route(self):
+        sc = get_scenario("gaussian_pair")
+        xs = np.array([-2.5, -0.3, 0.0, 1.1])
+        dens = sc.exact_density(xs)
+        for x, f in zip(xs, dens):
+            specs = sc.oracle_specs[:1]
+            ref = quadrature_expectation(lambda u: normal_pdf(x - np.sin(u[:, 0])), specs, order=96)
+            num = quadrature_expectation(
+                lambda u: np.sin(u[:, 0]) * normal_pdf(x - np.sin(u[:, 0])), specs, order=96
+            )
+            assert f == pytest.approx(ref, rel=1e-14)
+            assert pair_conditional_oracle(float(x)) == pytest.approx(num / ref, rel=1e-13, abs=1e-15)
+
     def test_oracle_is_antisymmetric(self):
         assert pair_conditional_oracle(0.0) == pytest.approx(0.0, abs=1e-12)
         assert pair_conditional_oracle(0.8) == pytest.approx(-pair_conditional_oracle(-0.8), abs=1e-10)
