@@ -6,13 +6,7 @@ converge at the law-of-large-numbers rate."""
 from .coords import BasePoint, CoordinateSpec, custom, mc_unit, opaque, ou_gaussian, sample_base
 from .jets import Jet2, jet_add, jet_apply_unary, jet_const, jet_mul, jet_scale, lift
 from .operators import ErrorQuad, ErrorTriple, a_of, gamma_grad, gamma_of, quad_of, triple_of
-from .wiener import (
-    EulerState,
-    SdeCoefficients,
-    euler_triple_step,
-    jet_oracle_triple,
-    simulate_triple,
-)
+from .wiener import SdeCoefficients, jet_oracle_triple, simulate_triple
 from .poisson import PoissonFunctionalSpec, poisson_identity_check, poisson_mc_unit, sample_poisson_quad
 from .estimators import (
     ConditionalEstimate,
@@ -44,8 +38,8 @@ __all__ = [
     "BasePoint", "CoordinateSpec", "custom", "mc_unit", "opaque", "ou_gaussian",
     "sample_base", "Jet2", "jet_add", "jet_apply_unary", "jet_const", "jet_mul",
     "jet_scale", "lift", "ErrorQuad", "ErrorTriple", "a_of", "gamma_grad",
-    "gamma_of", "quad_of", "triple_of", "EulerState", "SdeCoefficients",
-    "euler_triple_step", "jet_oracle_triple", "simulate_triple",
+    "gamma_of", "quad_of", "triple_of", "SdeCoefficients",
+    "jet_oracle_triple", "simulate_triple",
     "PoissonFunctionalSpec", "poisson_identity_check", "poisson_mc_unit",
     "sample_poisson_quad", "ConditionalEstimate", "DensityEstimate", "QuadBatch",
     "TripleBatch", "centered_direct_density", "conditional_expectation",

@@ -80,7 +80,10 @@ class TripleBatch:
 
     @classmethod
     def from_raw(cls, x, gamma, a) -> "TripleBatch":
-        """Build a batch, silently dropping (but counting) non-finite rows."""
+        """Build a batch, silently dropping (but counting) non-finite rows.
+
+        When every row is finite the given arrays are kept, not copied.
+        """
         x = np.asarray(x, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
         a = np.asarray(a, dtype=float)
@@ -90,7 +93,9 @@ class TripleBatch:
             & np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
         )
         bad = int((~ok).sum())
-        return cls(x[ok], gamma[ok], a[ok], invalid_count=bad)
+        if bad:
+            x, gamma, a = x[ok], gamma[ok], a[ok]
+        return cls(x, gamma, a, invalid_count=bad)
 
 
 @dataclass(frozen=True)
@@ -140,15 +145,20 @@ class QuadBatch:
 
     @classmethod
     def from_raw(cls, x, gamma, a, gamma_x_gammax, g=None, gamma_x_g=None) -> "QuadBatch":
+        """Build a batch, dropping (but counting) rows with a non-finite entry.
+
+        When every row is finite the given arrays are kept, not copied.
+        """
         cols = [np.asarray(c, dtype=float) for c in (x, gamma, a, gamma_x_gammax)]
         aux = [np.asarray(c, dtype=float) for c in (g, gamma_x_g) if c is not None]
         ok = np.ones(cols[0].shape[0], dtype=bool)
         for c in cols + aux:
             ok &= np.isfinite(c)
         bad = int((~ok).sum())
-        kept = [c[ok] for c in cols]
-        kept_aux = [c[ok] for c in aux] if aux else [None, None]
-        return cls(*kept, *kept_aux, invalid_count=bad)
+        if bad:
+            cols = [c[ok] for c in cols]
+            aux = [c[ok] for c in aux]
+        return cls(*cols, *(aux or [None, None]), invalid_count=bad)
 
     def triple_batch(self) -> TripleBatch:
         return TripleBatch(self.x, self.gamma, self.a, invalid_count=self.invalid_count)
@@ -313,6 +323,13 @@ def plain_kernel_density(
 def _kernel_density(
     b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool, degenerate: str
 ) -> list[DensityEstimate]:
+    return [est for est, _ in _kernel_estimates(b, epsilon, xs, shift, identity_cov, degenerate)]
+
+
+def _kernel_estimates(b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool,
+                      degenerate: str):
+    """Per query: the estimate and the squared deviations of the kernel values
+    from their mean (a buffer reused by the next query)."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if b.n == 0:
@@ -326,14 +343,32 @@ def _kernel_density(
         values = _kernel_1d(center[:, 0], cov[:, 0, 0], degenerate == "ridge")
     else:
         values = _kernel_nd(center, cov, degenerate == "ridge")
-    out = []
     for q in queries:
         vals = values(q)
         if vals.shape[0] == 0:
             raise NoUsableSamplesError("no usable samples")
         mean, se = _mean_se(vals)
         x = float(q[0]) if b.d == 1 else q.copy()
-        out.append(DensityEstimate(x, mean, se, vals.shape[0], epsilon))
+        yield DensityEstimate(x, mean, se, vals.shape[0], epsilon), vals
+
+
+def shifted_kernel_variance(b: TripleBatch, epsilon: float, xs) -> list[tuple[float, float, int]]:
+    """Sample variance s² of the shifted-kernel values per query, its
+    standard error and the number of samples used.
+
+    The standard error is √((m₄ − s⁴(n−3)/(n−1))/n), with m₄ the fourth
+    central moment of the kernel values; it assumes nothing about their
+    law (near-singular kernels have heavy-tailed values).
+    """
+    out = []
+    for est, sq_dev in _kernel_estimates(b, epsilon, xs, True, False, "skip"):
+        n = est.n_used
+        var = est.std_error**2 * n
+        if n < 2:
+            out.append((var, math.inf, n))
+            continue
+        m4 = float(np.dot(sq_dev, sq_dev)) / n
+        out.append((var, math.sqrt(max(m4 - var * var * (n - 3) / (n - 1), 0.0) / n), n))
     return out
 
 

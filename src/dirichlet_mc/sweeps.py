@@ -26,6 +26,7 @@ from .estimators import (
     plain_kernel_density,
     regularized_density,
     shifted_kernel_density,
+    shifted_kernel_variance,
     weight_centering_z,
 )
 from .quadrature import kernel_moment_integral
@@ -205,7 +206,9 @@ def run_variance_sweep(cfg: SweepConfig) -> VarianceSweepResult:
 
     Needs a scenario whose (Γ, A) are deterministic functions of X, where
     that reduced constant is the exact small-ε limit.  The slope is fitted
-    on the unscaled variance, whose theoretical order is -1/2.
+    on the unscaled variance, whose theoretical order is -1/2.  Monte Carlo
+    rows carry the standard error of the sample variance, taken from the
+    fourth central moment of the kernel values; quadrature rows carry 0.
     """
     sc = get_scenario(cfg.scenario)
     _require_reduced(sc, "variance sweep")
@@ -235,10 +238,7 @@ def run_variance_sweep(cfg: SweepConfig) -> VarianceSweepResult:
                 se = 0.0
                 n = 0
             else:
-                est = shifted_kernel_density(mc_batch, eps, [x])[0]
-                n = est.n_used
-                var = est.std_error**2 * n  # sample variance of the kernel values
-                se = var * math.sqrt(2.0 / max(n - 1, 1))
+                ((var, se, n),) = shifted_kernel_variance(mc_batch, eps, [x])
             rows.append(SweepRow.make(eps, n, x, math.sqrt(eps) * var, ref, math.sqrt(eps) * se))
             var_by_eps.setdefault(eps, []).append(var)
 

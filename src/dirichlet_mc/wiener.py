@@ -14,6 +14,17 @@ the two agree in mean to O(h²), but only the exact square commutes
 pathwise with the functional calculus applied to the scheme, which is
 what jet_oracle_triple verifies to roundoff.  It also keeps Γ ≥ 0 on
 every path.
+
+One recursion implements the scheme: simulate_triple_batch (increments
+drawn step by step), euler_triple_paths (given increments) and
+simulate_triple (one path) all run it.  It allocates its state and
+scratch arrays once per call and updates them in place.
+
+Coefficient contract.  σ, r and their x-derivatives are called as f(x, t)
+with x a float64 array of the current states (a float in the derivative
+probe) and t a float.  Each returns a scalar or an array that broadcasts
+against x.  It may return x itself but never mutates it.  A constant
+coefficient should return the bare scalar, which costs no array per step.
 """
 from __future__ import annotations
 
@@ -77,45 +88,116 @@ class SdeCoefficients:
         _check_derivative(self.r, self.r_xx, "r_xx", 2, xs, ts)
 
 
-@dataclass(frozen=True)
-class EulerState:
-    """State of the extended scheme after `step` steps."""
+# -- the extended Euler recursion --------------------------------------------
 
-    x: float
-    gamma: float
-    a: float
-    t: float
-    step: int
-    flagged: bool = False
-
-    def __post_init__(self):
-        if not self.flagged and math.isfinite(self.gamma) and self.gamma < 0.0:
-            raise ValueError(
-                f"negative square field {self.gamma:g} at step {self.step}; "
-                "this indicates inconsistent coefficients"
-            )
+def _mul(p, q, out: np.ndarray):
+    """p * q, written into out when either factor is an array."""
+    if isinstance(p, np.ndarray) or isinstance(q, np.ndarray):
+        return np.multiply(p, q, out=out)
+    return p * q
 
 
-def euler_triple_step(s: EulerState, db: float, h: float, c: SdeCoefficients) -> EulerState:
-    """One extended Euler step of mesh h with Brownian increment db."""
-    if not h > 0:
-        raise ValueError("step size must be positive")
-    x, g, a, t = s.x, s.gamma, s.a, s.t
-    sig = c.sigma(x, t)
-    sig1 = c.sigma_x(x, t)
-    sig2 = c.sigma_xx(x, t)
-    r1 = c.r_x(x, t)
-    r2 = c.r_xx(x, t)
+def _mesh(T: float, n: int) -> float:
+    """Step size T/n of an n-step scheme on [0, T]."""
+    if n < 1:
+        raise ValueError("need at least one step")
+    if not T > 0:
+        raise ValueError("horizon must be positive")
+    return T / n
 
-    x_new = x + sig * db + c.r(x, t) * h
-    lin = 1.0 + sig1 * db + r1 * h
-    g_new = lin * lin * g + sig * sig * h
-    a_new = a + (-0.5 * sig + 0.5 * sig2 * g + sig1 * a) * db + (0.5 * r2 * g + r1 * a) * h
 
-    vals = (x_new, g_new, a_new)
-    if not all(math.isfinite(v) for v in vals):
-        return EulerState(x_new, g_new, a_new, t + h, s.step + 1, flagged=True)
-    return EulerState(x_new, g_new, a_new, t + h, s.step + 1)
+def _euler(
+    x0: float,
+    h: float,
+    n: int,
+    c: SdeCoefficients,
+    n_paths: int,
+    draw: Callable[[int], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """n extended Euler steps of mesh h over n_paths paths from (x0, 0, 0).
+
+    draw(k) returns the k-th Brownian increments, one per path.  State and
+    scratch arrays are allocated once and updated in place, each update in
+    the operand order of the formulas in the module docstring, so the
+    result does not depend on whether a coefficient returns a scalar or an
+    array.  X is double-buffered because a coefficient may return x itself.
+    """
+    x = np.full(n_paths, float(x0))
+    x_next = np.empty(n_paths)
+    g = np.zeros(n_paths)
+    a = np.zeros(n_paths)
+    lin, u, v, w = (np.empty(n_paths) for _ in range(4))
+    t = 0.0
+    # overflow surfaces in the finite mask, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            db = draw(k)
+            sig = c.sigma(x, t)
+            sig1 = c.sigma_x(x, t)
+            sig2 = c.sigma_xx(x, t)
+            r0 = c.r(x, t)
+            r1 = c.r_x(x, t)
+            r2 = c.r_xx(x, t)
+            # lin = 1 + σ' db + r' h
+            np.multiply(sig1, db, out=lin)
+            np.add(1.0, lin, out=lin)
+            np.add(lin, _mul(r1, h, u), out=lin)
+            # X⁺ = X + σ db + r h
+            np.multiply(sig, db, out=x_next)
+            np.add(x, x_next, out=x_next)
+            np.add(x_next, _mul(r0, h, u), out=x_next)
+            # A⁺ = A + [-σ/2 + σ'' Γ/2 + σ' A] db + [r'' Γ/2 + r' A] h, on the old Γ
+            np.multiply(_mul(0.5, sig2, w), g, out=w)
+            np.add(_mul(-0.5, sig, v), w, out=w)
+            np.add(w, np.multiply(sig1, a, out=v), out=w)
+            np.multiply(w, db, out=w)
+            np.multiply(_mul(0.5, r2, v), g, out=v)
+            np.add(v, np.multiply(r1, a, out=u), out=v)
+            np.multiply(v, h, out=v)
+            np.add(a, w, out=a)
+            np.add(a, v, out=a)
+            # Γ⁺ = lin² Γ + σ² h
+            np.multiply(lin, lin, out=lin)
+            np.multiply(lin, g, out=g)
+            np.add(g, _mul(_mul(sig, sig, u), h, u), out=g)
+            x, x_next = x_next, x
+            t += h
+    finite = np.isfinite(x) & np.isfinite(g) & np.isfinite(a)
+    return x, g, a, finite
+
+
+def simulate_triple_batch(
+    x0: float,
+    T: float,
+    n: int,
+    c: SdeCoefficients,
+    n_paths: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Extended Euler over n_paths paths; db_k ~ N(0, T/n) drawn step by step.
+
+    Returns (x, gamma, a, finite_mask) arrays of length n_paths.  The k-th
+    increment of every path is drawn in one batch, so path j here follows
+    a different increment stream than j calls of simulate_triple.
+    """
+    h = _mesh(T, n)
+    sqh = math.sqrt(h)
+    return _euler(x0, h, n, c, n_paths, lambda k: rng.normal(0.0, sqh, size=n_paths))
+
+
+def euler_triple_paths(
+    x0: float, T: float, n: int, c: SdeCoefficients, increments: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Extended Euler driven by given increments of shape (n, n_paths).
+
+    Returns (x, gamma, a, finite_mask) like simulate_triple_batch; the same
+    recursion, so an oracle can replay any of its paths.
+    """
+    h = _mesh(T, n)
+    increments = np.asarray(increments, dtype=float)
+    if increments.ndim != 2 or increments.shape[0] != n:
+        raise ValueError(f"expected increments of shape ({n}, n_paths), got {increments.shape}")
+    return _euler(x0, h, n, c, increments.shape[1], increments.__getitem__)
 
 
 def simulate_triple(
@@ -125,27 +207,18 @@ def simulate_triple(
     c: SdeCoefficients,
     rng: np.random.Generator,
 ) -> tuple[Optional[ErrorTriple], np.ndarray]:
-    """Run n steps of mesh T/n from (x0, 0, 0); db_k ~ N(0, T/n).
+    """One path of n steps of mesh T/n from (x0, 0, 0); db_k ~ N(0, T/n).
 
     Returns the terminal scalar triple and the increments used, so an
-    oracle can replay the same path.  A flagged (non-finite) state yields
+    oracle can replay the same path.  A non-finite terminal state (the
+    recursion never turns a non-finite component finite again) yields
     triple None with the increments still reported.
     """
-    if n < 1:
-        raise ValueError("need at least one step")
-    if not T > 0:
-        raise ValueError("horizon must be positive")
-    h = T / n
-    increments = rng.normal(0.0, math.sqrt(h), size=n)
-    state = EulerState(x0, 0.0, 0.0, 0.0, 0)
-    for k in range(n):
-        state = euler_triple_step(state, float(increments[k]), h, c)
-        if state.flagged:
-            return None, increments
-    triple = ErrorTriple(
-        np.array([state.x]), np.array([[state.gamma]]), np.array([state.a])
-    )
-    return triple, increments
+    increments = rng.normal(0.0, math.sqrt(_mesh(T, n)), size=n)
+    x, g, a, finite = euler_triple_paths(x0, T, n, c, increments[:, None])
+    if not finite[0]:
+        return None, increments
+    return ErrorTriple(x, g[:, None], a), increments
 
 
 def jet_oracle_triple(
@@ -185,49 +258,10 @@ def _coef_jet(f: CoefFn, fx: CoefFn, fxx: CoefFn, jx: Jet2, t: float) -> Jet2:
     return Jet2(p, p1 * jx.grad, p2 * np.outer(jx.grad, jx.grad) + p1 * jx.hess)
 
 
-def simulate_triple_batch(
-    x0: float,
-    T: float,
-    n: int,
-    c: SdeCoefficients,
-    n_paths: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised extended Euler over many paths.
-
-    Returns (x, gamma, a, finite_mask) arrays of length n_paths.  The k-th
-    increment of every path is drawn in one batch, so path j here follows
-    a different increment stream than j calls of simulate_triple.
-    """
-    h = T / n
-    sqh = math.sqrt(h)
-    x = np.full(n_paths, float(x0))
-    g = np.zeros(n_paths)
-    a = np.zeros(n_paths)
-    t = 0.0
-    for _ in range(n):
-        db = rng.normal(0.0, sqh, size=n_paths)
-        sig = c.sigma(x, t)
-        sig1 = c.sigma_x(x, t)
-        sig2 = c.sigma_xx(x, t)
-        r0 = c.r(x, t)
-        r1 = c.r_x(x, t)
-        r2 = c.r_xx(x, t)
-        lin = 1.0 + sig1 * db + r1 * h
-        x, g, a = (
-            x + sig * db + r0 * h,
-            lin * lin * g + sig * sig * h,
-            a + (-0.5 * sig + 0.5 * sig2 * g + sig1 * a) * db + (0.5 * r2 * g + r1 * a) * h,
-        )
-        t += h
-    finite = np.isfinite(x) & np.isfinite(g) & np.isfinite(a)
-    return x, g, a, finite
-
-
 # -- named coefficient sets ----------------------------------------------
 
 def _const(v: float) -> CoefFn:
-    return lambda x, t: v * np.ones_like(x) if isinstance(x, np.ndarray) else v
+    return lambda x, t: v
 
 
 def _linear(slope: float) -> CoefFn:

@@ -4,9 +4,10 @@ These never touch a jet's gradient or Hessian: they re-derive Γ, A and
 Γ[X, Γ[X]] from plain scalar evaluations of the functional, so agreement
 with the operators module is a genuine two-route check.
 
-The scalar estimator references at the end (one Gaussian kernel at a
-time, one full pass over the samples per sign-formula query) are what the
-vectorised estimators are checked against.
+The scalar estimator references (one Gaussian kernel at a time, one full
+pass over the samples per sign-formula query) are what the vectorised
+estimators are checked against.  The expression-form Euler batch at the
+end is the reference the in-place Euler recursion must match bit for bit.
 """
 from __future__ import annotations
 
@@ -185,3 +186,42 @@ def centered_loop(b, xs, force_c=None) -> list[DensityEstimate]:
         se = float(np.std(vals, ddof=1)) / math.sqrt(n_used) if n_used > 1 else float("inf")
         out.append(DensityEstimate(x, float(np.mean(vals)), se, n_used))
     return out
+
+
+def euler_batch_reference(x0: float, T: float, n: int, c, n_paths: int, rng):
+    """Extended Euler over many paths as one fresh array expression per step.
+
+    Every coefficient is broadcast to a full array (constants as v·1), so
+    this is the vectorised scheme with no scalar shortcut and no buffer
+    reuse.  Returns (x, gamma, a, finite_mask).
+    """
+
+    def full(f):
+        return lambda x, t: f(x, t) * np.ones_like(x)
+
+    sigma, sigma_x, sigma_xx = full(c.sigma), full(c.sigma_x), full(c.sigma_xx)
+    r, r_x, r_xx = full(c.r), full(c.r_x), full(c.r_xx)
+    h = T / n
+    sqh = math.sqrt(h)
+    x = np.full(n_paths, float(x0))
+    g = np.zeros(n_paths)
+    a = np.zeros(n_paths)
+    t = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            db = rng.normal(0.0, sqh, size=n_paths)
+            sig = sigma(x, t)
+            sig1 = sigma_x(x, t)
+            sig2 = sigma_xx(x, t)
+            r0 = r(x, t)
+            r1 = r_x(x, t)
+            r2 = r_xx(x, t)
+            lin = 1.0 + sig1 * db + r1 * h
+            x, g, a = (
+                x + sig * db + r0 * h,
+                lin * lin * g + sig * sig * h,
+                a + (-0.5 * sig + 0.5 * sig2 * g + sig1 * a) * db + (0.5 * r2 * g + r1 * a) * h,
+            )
+            t += h
+    finite = np.isfinite(x) & np.isfinite(g) & np.isfinite(a)
+    return x, g, a, finite

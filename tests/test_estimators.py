@@ -15,6 +15,7 @@ from dirichlet_mc.estimators import (
     plain_kernel_density,
     regularized_density,
     shifted_kernel_density,
+    shifted_kernel_variance,
     weight_centering_z,
 )
 from dirichlet_mc.streams import chunk_rng
@@ -101,6 +102,18 @@ class TestKernelEstimators:
         a = shifted_kernel_density(tb, 0.2, [0.1, 0.4])
         b = plain_kernel_density(tb, 0.2, [0.1, 0.4], variant="gamma_cov")
         assert all(x.value == y.value and x.std_error == y.std_error for x, y in zip(a, b))
+
+    def test_variance_and_its_error_from_explicit_moments(self):
+        rng = chunk_rng(12, 0)
+        x, g, a = rng.normal(size=300), rng.uniform(0.5, 2.0, 300), rng.normal(size=300)
+        eps, q = 0.05, 0.3
+        ((var, se, n),) = shifted_kernel_variance(TripleBatch(x, g, a), eps, [q])
+        vals = np.array([gaussian_kernel(q - xi - eps * ai, eps * gi) for xi, gi, ai in zip(x, g, a)])
+        s2 = float(np.var(vals, ddof=1))
+        m4 = float(np.mean((vals - vals.mean()) ** 4))
+        assert n == 300
+        assert var == pytest.approx(s2, rel=1e-12)
+        assert se == pytest.approx(math.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n), rel=1e-10)
 
     def test_identity_cov_spot_value(self):
         tb = TripleBatch(np.array([0.0]), np.array([2.0]), np.array([5.0]))
@@ -441,6 +454,20 @@ class TestBatches:
         x = np.array([0.0, math.nan, 1.0])
         b = QuadBatch.from_raw(x, np.ones(3), np.zeros(3), np.zeros(3))
         assert b.n == 2 and b.invalid_count == 1
+
+    def test_from_raw_keeps_clean_arrays(self):
+        cols = [np.arange(4.0), np.ones(4), np.zeros(4), np.zeros(4)]
+        qb = QuadBatch.from_raw(*cols, g=np.ones(4), gamma_x_g=np.zeros(4))
+        assert all(got is given for got, given in zip((qb.x, qb.gamma, qb.a, qb.gamma_x_gammax), cols))
+        assert qb.invalid_count == 0 and qb.has_aux
+        tb = TripleBatch.from_raw(*cols[:3])
+        assert all(np.shares_memory(got, given) for got, given in zip((tb.x, tb.gamma, tb.a), cols))
+        assert tb.invalid_count == 0
+
+    def test_triple_from_raw_counts_invalid(self):
+        tb = TripleBatch.from_raw(np.array([0.0, 1.0, 2.0]), np.array([1.0, math.inf, 1.0]),
+                                  np.array([math.nan, 0.0, 0.0]))
+        assert tb.n == 1 and tb.invalid_count == 2 and tb.x[0, 0] == 2.0
 
     def test_aux_must_come_in_pairs(self):
         with pytest.raises(ValueError, match="together"):

@@ -103,6 +103,19 @@ class TestVarianceSweep:
         assert res.constant_reference == pytest.approx(0.112540, abs=5e-6)
         assert abs(res.constant - res.constant_reference) <= 0.05 * res.constant_reference
 
+    def test_monte_carlo_std_error_matches_seed_spread(self):
+        # kernel values at ε = 1e-3 are heavy-tailed: a Gaussian-value error
+        # bar (s²·√(2/(n−1))) understates the seed-to-seed spread ~3.6×
+        rows = [
+            run_variance_sweep(
+                SweepConfig("lognormal", "shifted", (2e-3, 1e-3), 20_000, (1.0,), seed=s)
+            ).rows[-1]
+            for s in range(24)
+        ]
+        spread = float(np.std([r.estimate for r in rows], ddof=1))
+        reported = float(np.mean([r.std_error for r in rows]))
+        assert 0.6 < spread / reported < 1.6, (spread, reported)
+
     def test_scenario_without_reduced_form_rejected(self):
         cfg = SweepConfig("triangular", "shifted", (0.01,), "quadrature", (1.0,))
         with pytest.raises(ValueError, match="cannot drive"):

@@ -5,16 +5,18 @@ import pytest
 
 from dirichlet_mc.streams import chunk_rng
 from dirichlet_mc.wiener import (
-    EulerState,
+    COEFFICIENT_SETS,
     SdeCoefficients,
     additive_coefficients,
-    euler_triple_step,
+    euler_triple_paths,
     gbm_coefficients,
     jet_oracle_triple,
     simulate_triple,
     simulate_triple_batch,
     zero_noise_coefficients,
 )
+
+from oracles import euler_batch_reference
 
 
 def _rel(a, b):
@@ -53,49 +55,84 @@ class TestCoefficients:
             assert isinstance(make(), SdeCoefficients)
 
 
+def _aliasing():
+    # σ(x) = r(x) = x, both returning the state array itself
+    return SdeCoefficients(
+        sigma=lambda x, t: x, sigma_x=lambda x, t: 1.0, sigma_xx=lambda x, t: 0.0,
+        r=lambda x, t: x, r_x=lambda x, t: 1.0, r_xx=lambda x, t: 0.0, name="sigma=r=x",
+    )
+
+
+def _exploding(k=5.0, vol=2.0):
+    # r(x) = k·x² overflows to inf on most paths within 16 steps from x0 = 1
+    return SdeCoefficients(
+        sigma=lambda x, t: vol * x, sigma_x=lambda x, t: vol, sigma_xx=lambda x, t: 0.0,
+        r=lambda x, t: k * x * x, r_x=lambda x, t: 2.0 * k * x, r_xx=lambda x, t: 2.0 * k,
+        name="exploding", probe_xs=(0.25, 0.5, 1.0),
+    )
+
+
 class TestEulerStep:
     def test_single_step_linear_sigma(self):
         # from (1, 0, 0) with h = 1 and increment b: (1+b, 1, -b/2)
-        c = _linear_sigma()
-        for b in (-0.7, 0.0, 0.4, 2.0):
-            s = euler_triple_step(EulerState(1.0, 0.0, 0.0, 0.0, 0), b, 1.0, c)
-            assert s.x == pytest.approx(1.0 + b)
-            assert s.gamma == pytest.approx(1.0)
-            assert s.a == pytest.approx(-b / 2.0)
+        b = np.array([-0.7, 0.0, 0.4, 2.0])
+        x, g, a, ok = euler_triple_paths(1.0, 1.0, 1, _linear_sigma(), b[None, :])
+        assert ok.all()
+        np.testing.assert_allclose(x, 1.0 + b, rtol=1e-15)
+        np.testing.assert_allclose(g, 1.0, rtol=1e-15)
+        np.testing.assert_allclose(a, -b / 2.0, rtol=1e-15)
 
     def test_zero_noise_is_deterministic_euler(self):
-        c = zero_noise_coefficients(drift=1.0)
-        s = EulerState(1.0, 0.0, 0.0, 0.0, 0)
         h = 0.25
-        for _ in range(4):
-            s = euler_triple_step(s, 0.33, h, c)  # increments must not matter
-        assert s.gamma == 0.0 and s.a == 0.0
-        assert s.x == pytest.approx((1 + h) ** 4)
+        inc = np.full((4, 1), 0.33)  # increments must not matter
+        x, g, a, _ = euler_triple_paths(1.0, 1.0, 4, zero_noise_coefficients(drift=1.0), inc)
+        assert g[0] == 0.0 and a[0] == 0.0
+        assert x[0] == pytest.approx((1 + h) ** 4)
 
     def test_constant_sigma_gamma_grows_linearly(self):
         c = additive_coefficients(vol=1.0, drift=0.0)
-        s = EulerState(0.0, 0.0, 0.0, 0.0, 0)
         h = 0.125
-        for k in range(8):
-            s = euler_triple_step(s, 0.1 * k, h, c)
-        assert s.gamma == pytest.approx(8 * h)
+        inc = 0.1 * np.arange(8.0)[:, None]
+        _, g, _, _ = euler_triple_paths(0.0, 1.0, 8, c, inc)
+        assert g[0] == pytest.approx(8 * h)
 
     def test_bad_step_size(self):
-        with pytest.raises(ValueError):
-            euler_triple_step(EulerState(0, 0, 0, 0, 0), 0.0, 0.0, _linear_sigma())
+        with pytest.raises(ValueError, match="horizon"):
+            euler_triple_paths(0.0, 0.0, 1, _linear_sigma(), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="step"):
+            simulate_triple_batch(0.0, 1.0, 0, _linear_sigma(), 4, chunk_rng(0, 0))
 
-    def test_negative_gamma_state_rejected(self):
-        with pytest.raises(ValueError, match="square field"):
-            EulerState(0.0, -1.0, 0.0, 0.0, 0)
+    def test_increment_shape_must_match(self):
+        with pytest.raises(ValueError, match="increments"):
+            euler_triple_paths(0.0, 1.0, 4, _linear_sigma(), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="increments"):
+            euler_triple_paths(0.0, 1.0, 4, _linear_sigma(), np.zeros(4))
 
 
 class TestSimulateTriple:
     def test_one_step_reduces_to_euler_step(self):
+        # one step of the module-docstring formulas from (1, 0, 0), in floats
+        vol, drift = 0.3, 0.05
+        triple, inc = simulate_triple(1.0, 1.0, 1, gbm_coefficients(vol, drift), chunk_rng(0, 0))
+        db = float(inc[0])
+        lin = 1.0 + vol * db + drift * 1.0
+        assert triple.x[0] == 1.0 + vol * db + drift * 1.0
+        assert triple.gamma[0, 0] == lin * lin * 0.0 + vol * vol * 1.0
+        assert triple.a[0] == -0.5 * vol * db
+
+    def test_path_is_a_column_of_the_batch(self):
+        # simulate_triple is the batch recursion run on one path
         c = gbm_coefficients()
-        rng = chunk_rng(0, 0)
-        triple, inc = simulate_triple(1.0, 1.0, 1, c, rng)
-        s = euler_triple_step(EulerState(1.0, 0.0, 0.0, 0.0, 0), float(inc[0]), 1.0, c)
-        assert triple.x[0] == s.x and triple.gamma[0, 0] == s.gamma and triple.a[0] == s.a
+        triple, inc = simulate_triple(1.0, 1.0, 16, c, chunk_rng(4, 0))
+        others = chunk_rng(4, 1).normal(0.0, 0.25, size=(16, 7))
+        x, g, a, _ = euler_triple_paths(1.0, 1.0, 16, c, np.column_stack([others, inc]))
+        assert (triple.x[0], triple.gamma[0, 0], triple.a[0]) == (x[-1], g[-1], a[-1])
+
+    def test_non_finite_path_yields_none(self):
+        rng = chunk_rng(3, 0)
+        results = [simulate_triple(1.0, 1.0, 16, _exploding(), rng)[0] for _ in range(40)]
+        assert any(r is None for r in results)
+        assert all(r.is_finite for r in results if r is not None)
 
     def test_gamma_nonnegative_along_paths(self):
         c = _linear_sigma()
@@ -114,10 +151,31 @@ class TestSimulateTriple:
         assert triple.a[0] == pytest.approx(-bt / 2.0, rel=1e-14)
 
     def test_batch_matches_invariants(self):
-        c = gbm_coefficients()
-        x, g, a, ok = simulate_triple_batch(1.0, 1.0, 16, c, 2000, chunk_rng(2, 0))
-        assert ok.all()
-        assert (g >= 0).all()
+        # Γ = lin²·Γ + σ²h stays ≥ 0 on every finite path, for every preset
+        for name, make in COEFFICIENT_SETS.items():
+            x, g, a, ok = simulate_triple_batch(1.0, 1.0, 16, make(), 2000, chunk_rng(2, 0))
+            assert ok.all(), name
+            assert (g >= 0).all(), name
+        _, g, _, ok = simulate_triple_batch(1.0, 1.0, 16, _exploding(), 2000, chunk_rng(2, 0))
+        assert (g[ok] >= 0).all()
+
+
+class TestBitwiseReference:
+    """The in-place recursion against the expression-form batch, bit for bit."""
+
+    @pytest.mark.parametrize("n_paths", [1, 16384])
+    @pytest.mark.parametrize("make", [
+        gbm_coefficients, additive_coefficients, zero_noise_coefficients, _aliasing, _exploding,
+    ])
+    def test_matches_expression_form(self, make, n_paths):
+        c = make()
+        got = simulate_triple_batch(1.0, 1.0, 16, c, n_paths, chunk_rng(77, 3))
+        want = euler_batch_reference(1.0, 1.0, 16, c, n_paths, chunk_rng(77, 3))
+        for name, u, v in zip(("x", "gamma", "a", "finite"), got, want):
+            assert np.array_equal(u, v, equal_nan=True), name
+            assert np.array_equal(np.signbit(u), np.signbit(v)), name
+        if make is _exploding and n_paths > 1:
+            assert 0 < got[3].sum() < n_paths  # both finite and overflowed paths
 
 
 class TestJetOracleCommutation:
@@ -144,14 +202,17 @@ class TestJetOracleCommutation:
 
     @pytest.mark.parametrize("coeffs", [gbm_coefficients(), additive_coefficients(), _linear_sigma()])
     def test_commutation_to_roundoff(self, coeffs):
+        # the production recursion on 64 paths, each replayed by the jet oracle
         rng = chunk_rng(31, 0)
         for n in (1, 4, 16, 32):
-            for _ in range(25):
-                t, inc = simulate_triple(1.0, 1.0, n, coeffs, rng)
-                o = jet_oracle_triple(1.0, 1.0, n, coeffs, inc)
-                assert _rel(t.x[0], o.x[0]) < 1e-10
-                assert _rel(t.gamma[0, 0], o.gamma[0, 0]) < 1e-10
-                assert _rel(t.a[0], o.a[0]) < 1e-10
+            inc = rng.normal(0.0, math.sqrt(1.0 / n), size=(n, 64))
+            x, g, a, ok = euler_triple_paths(1.0, 1.0, n, coeffs, inc)
+            assert ok.all()
+            for j in range(64):
+                o = jet_oracle_triple(1.0, 1.0, n, coeffs, inc[:, j])
+                assert _rel(x[j], o.x[0]) < 1e-10
+                assert _rel(g[j], o.gamma[0, 0]) < 1e-10
+                assert _rel(a[j], o.a[0]) < 1e-10
 
 
 class TestExactSolutionCrossCheck:
