@@ -7,7 +7,7 @@ from .coords import BasePoint, CoordinateSpec, custom, mc_unit, opaque, ou_gauss
 from .jets import Jet2, jet_add, jet_apply_unary, jet_const, jet_mul, jet_scale, lift
 from .operators import ErrorQuad, ErrorTriple, a_of, gamma_grad, gamma_of, quad_of, triple_of
 from .wiener import SdeCoefficients, jet_oracle_triple, simulate_triple
-from .poisson import PoissonFunctionalSpec, poisson_identity_check, poisson_mc_unit, sample_poisson_quad
+from .poisson import PoissonFunctionalSpec, poisson_identity_check, poisson_mc_unit
 from .estimators import (
     ConditionalEstimate,
     DensityEstimate,
@@ -41,7 +41,7 @@ __all__ = [
     "gamma_of", "quad_of", "triple_of", "SdeCoefficients",
     "jet_oracle_triple", "simulate_triple",
     "PoissonFunctionalSpec", "poisson_identity_check", "poisson_mc_unit",
-    "sample_poisson_quad", "ConditionalEstimate", "DensityEstimate", "QuadBatch",
+    "ConditionalEstimate", "DensityEstimate", "QuadBatch",
     "TripleBatch", "centered_direct_density", "conditional_expectation",
     "direct_density", "plain_kernel_density",
     "regularized_density", "shifted_kernel_density", "law_integral",

@@ -17,6 +17,7 @@ variable DIRICHLET_MC_SEED overrides the seed from either source.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -348,7 +349,10 @@ def _cmd_check_identities(args) -> int:
 def _cmd_compare(args) -> int:
     sc = _scenario_or_fail(args.scenario)
     estimators = [e for e in args.estimators.split(",") if e]
-    sizes = [int(v) for v in _parse_floats(args.samples)]
+    sizes = _parse_floats(args.samples)
+    if not all(math.isfinite(v) and v >= 1 for v in sizes):
+        raise ValidationError(f"--samples must be positive sample counts, got {args.samples!r}")
+    sizes = [int(v) for v in sizes]
     eps = _epsilons(args, (0.2, 0.1, 0.05, 0.025))
     try:
         rows = compare_estimators(

@@ -23,12 +23,18 @@ sorted distinct queries (one vectorised comparison per query) and take one
 bincount per weight column; no per-query pass forms signs or moments.
 All reductions run over arrays in canonical chunk order, so every estimate
 is bit-reproducible for any worker count.
+
+Cost per call.  Batches, 1-d kernel set-up and the direct weights build a
+row mask and copy the kept rows only when some sample is unusable (a
+finite column sum proves every entry finite); skipping the copy changes
+no bit.  The identity statistics take φ'(X) and φ''(X) as arrays, so a
+suite evaluates each φ once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,6 +44,15 @@ RIDGE_SCALE = 1e-8
 
 class NoUsableSamplesError(ValueError):
     """Every sample of a batch was excluded (degenerate or invalid)."""
+
+
+def _sums_finite(*arrays: np.ndarray) -> bool:
+    """True when the sum of each array is finite, which proves every entry
+    finite: NaN and ±inf propagate through a sum.  A sum that overflows
+    from finite entries reads False, so callers fall back to the exact
+    per-entry test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return all(math.isfinite(np.sum(arr)) for arr in arrays)
 
 
 @dataclass(frozen=True)
@@ -87,6 +102,8 @@ class TripleBatch:
         x = np.asarray(x, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
         a = np.asarray(a, dtype=float)
+        if _sums_finite(x, gamma, a):
+            return cls(x, gamma, a)
         ok = (
             np.isfinite(x).reshape(x.shape[0], -1).all(axis=1)
             & np.isfinite(gamma).reshape(gamma.shape[0], -1).all(axis=1)
@@ -151,6 +168,8 @@ class QuadBatch:
         """
         cols = [np.asarray(c, dtype=float) for c in (x, gamma, a, gamma_x_gammax)]
         aux = [np.asarray(c, dtype=float) for c in (g, gamma_x_g) if c is not None]
+        if _sums_finite(*cols, *aux):
+            return cls(*cols, *(aux or [None, None]))
         ok = np.ones(cols[0].shape[0], dtype=bool)
         for c in cols + aux:
             ok &= np.isfinite(c)
@@ -246,25 +265,29 @@ def _cut_exp(z: np.ndarray) -> np.ndarray:
     return np.multiply(z, keep, out=z)
 
 
-def _kernel_1d(center: np.ndarray, var: np.ndarray, ridge: bool):
+def _kernel_1d(center: np.ndarray, var, ridge: bool):
     """x ↦ g(x - c_n, var_n) over the usable samples, for d = 1.
 
-    Mask, normaliser and -½/var are computed once; each call fills and
-    returns the same buffer.
+    var is one variance per sample, or a scalar shared by all of them.
+    The usable rows are copied out only when some sample is unusable.
+    Normaliser and -½/var are computed once; each call fills and returns
+    the same buffer.
     """
-    usable = np.isfinite(var) & np.isfinite(center)
+    if not (_sums_finite(center, var) and (ridge or np.min(var) >= DEGENERATE_DET)):
+        usable = np.isfinite(var) & np.isfinite(center)
+        if not ridge:
+            usable &= var >= DEGENERATE_DET
+        center = center[usable]
+        var = var[usable] if np.ndim(var) else var
     if ridge:
         var = np.where(var < DEGENERATE_DET, var + RIDGE_SCALE * np.maximum(var, DEGENERATE_DET), var)
         var = np.maximum(var, DEGENERATE_DET)
-    else:
-        usable &= var >= DEGENERATE_DET
-    c, var = center[usable], var[usable]
     neg_half_prec = -0.5 / var
     norm = 1.0 / np.sqrt(2.0 * math.pi * var)
-    vals = np.empty_like(c)
+    vals = np.empty_like(center)
 
     def values(q: np.ndarray) -> np.ndarray:
-        np.subtract(q[0], c, out=vals)
+        np.subtract(q[0], center, out=vals)
         np.multiply(vals, vals, out=vals)
         np.multiply(vals, neg_half_prec, out=vals)
         return np.multiply(_cut_exp(vals), norm, out=vals)
@@ -337,12 +360,16 @@ def _kernel_estimates(b: TripleBatch, epsilon: float, xs, shift: bool, identity_
     if degenerate not in ("skip", "ridge"):
         raise ValueError("degenerate policy must be 'skip' or 'ridge'")
     queries = _as_queries(xs, b.d)
-    center = b.x + epsilon * b.a if shift else b.x
-    cov = epsilon * (np.broadcast_to(np.eye(b.d), b.gamma.shape) if identity_cov else b.gamma)
+    ridge = degenerate == "ridge"
     if b.d == 1:
-        values = _kernel_1d(center[:, 0], cov[:, 0, 0], degenerate == "ridge")
+        x = b.x[:, 0]
+        center = x + epsilon * b.a[:, 0] if shift else x
+        var = float(epsilon) if identity_cov else epsilon * b.gamma[:, 0, 0]
+        values = _kernel_1d(center, var, ridge)
     else:
-        values = _kernel_nd(center, cov, degenerate == "ridge")
+        center = b.x + epsilon * b.a if shift else b.x
+        cov = epsilon * (np.broadcast_to(np.eye(b.d), b.gamma.shape) if identity_cov else b.gamma)
+        values = _kernel_nd(center, cov, ridge)
     for q in queries:
         vals = values(q)
         if vals.shape[0] == 0:
@@ -379,12 +406,19 @@ _SIGN = np.array([1.0, 0.0, -1.0])
 _HALF_SIGN = 0.5 * _SIGN
 
 
+def _positive_gamma(b: QuadBatch) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The Γ > 0 mask, Γ with 1 on the masked-out samples, and whether
+    every sample is usable (then Γ itself is returned, not a copy)."""
+    usable = b.gamma > 0.0
+    every = bool(usable.all())
+    return usable, (b.gamma if every else np.where(usable, b.gamma, 1.0)), every
+
+
 def direct_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
     """W = -Γ[X,Γ[X]]/Γ² + 2A/Γ and the Γ > 0 usability mask."""
-    usable = b.gamma > 0.0
-    gam = np.where(usable, b.gamma, 1.0)
+    usable, gam, every = _positive_gamma(b)
     w = -b.gamma_x_gammax / gam**2 + 2.0 * b.a / gam
-    return np.where(usable, w, 0.0), usable
+    return (w if every else np.where(usable, w, 0.0)), usable
 
 
 def regularized_weights(b: QuadBatch, epsilon: float) -> np.ndarray:
@@ -400,10 +434,9 @@ def conditional_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
     """
     if not b.has_aux:
         raise ValueError("batch carries no auxiliary G data")
-    usable = b.gamma > 0.0
-    gam = np.where(usable, b.gamma, 1.0)
+    usable, gam, every = _positive_gamma(b)
     w = b.gamma_x_g / gam - b.g * b.gamma_x_gammax / gam**2 + 2.0 * b.g * b.a / gam
-    return np.where(usable, w, 0.0), usable
+    return (w if every else np.where(usable, w, 0.0)), usable
 
 
 def _side_sums(xs_samples: np.ndarray, queries: np.ndarray, columns) -> np.ndarray:
@@ -546,37 +579,38 @@ def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None) -
 
 # -- identity statistics ----------------------------------------------------
 
-def generator_centering_z(
-    b: QuadBatch,
-    phi_prime: Callable[[np.ndarray], np.ndarray],
-    phi_second: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """z-score of mean[φ'(X) A + ½ φ''(X) Γ] against 0.
+def z_score(stat: np.ndarray) -> float:
+    """Mean of stat over its standard error, 0 when that error is 0 or
+    undefined (fewer than two values); overwrites stat."""
+    if stat.shape[0] < 2:
+        return 0.0
+    mean, se = _mean_se(stat)
+    return mean / se if se > 0 else 0.0
+
+
+def generator_centering_z(b: QuadBatch, phi_prime: np.ndarray, phi_second: np.ndarray) -> float:
+    """z-score of mean[φ'(X) A + ½ φ''(X) Γ] against 0, given φ'(X) and φ''(X).
 
     The statistic is the generator applied to φ(X), whose expectation
     vanishes under the invariant law; a shifted A or wrong Γ breaks it.
     """
-    stat = phi_prime(b.x) * b.a + 0.5 * phi_second(b.x) * b.gamma
-    se = float(np.std(stat, ddof=1)) / math.sqrt(b.n)
-    return float(np.mean(stat)) / se if se > 0 else 0.0
+    return z_score(phi_prime * b.a + 0.5 * phi_second * b.gamma)
 
 
 def ibp_residual_z(
-    b: QuadBatch,
-    phi_prime: Callable[[np.ndarray], np.ndarray],
-    phi_second: Callable[[np.ndarray], np.ndarray],
-    epsilon: float,
+    b: QuadBatch, phi_prime: np.ndarray, phi_second: np.ndarray, epsilon: float
 ) -> float:
-    """z-score of the regularised integration-by-parts residual.
+    """z-score of the regularised integration-by-parts residual, given
+    φ'(X) and φ''(X).
 
     E[φ''(X) Γ/(ε+Γ)] + E[φ'(X)(Γ[X, 1/(ε+Γ)] + 2A/(ε+Γ))] = 0 for any
     smooth bounded φ and every ε > 0.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    resid = phi_second(b.x) * b.gamma / (epsilon + b.gamma) + phi_prime(b.x) * regularized_weights(b, epsilon)
-    se = float(np.std(resid, ddof=1)) / math.sqrt(b.n)
-    return float(np.mean(resid)) / se if se > 0 else 0.0
+    return z_score(
+        phi_second * b.gamma / (epsilon + b.gamma) + phi_prime * regularized_weights(b, epsilon)
+    )
 
 
 def weight_centering_z(b: QuadBatch) -> float:
@@ -590,6 +624,4 @@ def weight_centering_z(b: QuadBatch) -> float:
     n_used = int(usable.sum())
     if n_used < 2:
         raise NoUsableSamplesError("not enough samples with positive square field")
-    used = w[usable]
-    se = float(np.std(used, ddof=1)) / math.sqrt(n_used)
-    return float(np.mean(used)) / se if se > 0 else 0.0
+    return z_score(w if n_used == b.n else w[usable])

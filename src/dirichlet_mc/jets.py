@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -116,11 +116,6 @@ def lift(base: BasePoint, i: int) -> Jet2:
     return Jet2(float(base.coords[i - 1]), g, np.zeros((base.m, base.m)))
 
 
-def lift_all(base: BasePoint) -> list[Jet2]:
-    """Jets of every non-opaque coordinate, in coordinate order."""
-    return [lift(base, i) for i in range(1, base.m + 1) if not base.specs[i - 1].is_opaque]
-
-
 def jet_add(j1: Jet2, j2: Jet2) -> Jet2:
     if j1.m != j2.m:
         raise ValueError(f"coordinate dimension mismatch: {j1.m} vs {j2.m}")
@@ -172,5 +167,34 @@ def jet_cos(j: Jet2) -> Jet2:
     return jet_apply_unary(j, math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v))
 
 
-def jet_log(j: Jet2) -> Jet2:
-    return jet_apply_unary(j, math.log, lambda v: 1.0 / v, lambda v: -1.0 / v**2)
+# -- finite-difference check of stated derivatives ---------------------------
+
+_FD_STEP = 1e-5
+_FD_TOL = 1e-5
+
+
+def fd_mismatch(
+    f: Callable, df: Callable, order: int, x: float, *args
+) -> Optional[tuple[float, float]]:
+    """(stated, measured) when df(x, *args) disagrees with a central
+    difference of f(·, *args) at the point x, else None.
+
+    The bound is _FD_TOL relative to the larger of 1, |stated| and
+    |measured|, plus the rounding error of the difference quotient:
+    2⁻⁵²·max|f| times the summed weights of the stencil (2 for order 1, 4
+    for order 2) over its divisor (2h or h²).  Without that term an
+    order-2 check rejects correct derivatives once |f| ≳ 10.
+    """
+    h = _FD_STEP
+    fp, fm = float(f(x + h, *args)), float(f(x - h, *args))
+    if order == 1:
+        fd = (fp - fm) / (2.0 * h)
+        rounding = 2.0**-52 * 2.0 * max(abs(fp), abs(fm)) / (2.0 * h)
+    else:
+        f0 = float(f(x, *args))
+        fd = (fp - 2.0 * f0 + fm) / h**2
+        rounding = 2.0**-52 * 4.0 * max(abs(fp), abs(f0), abs(fm)) / h**2
+    stated = float(df(x, *args))
+    if abs(fd - stated) > _FD_TOL * max(1.0, abs(stated), abs(fd)) + rounding:
+        return stated, fd
+    return None

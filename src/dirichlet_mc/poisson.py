@@ -11,7 +11,7 @@ operators act point by point:
 where (γ, a) is the underlying one-dimensional structure.  Sampling is a
 two-stage draw: K ~ Poisson(μ(total)) then K i.i.d. points from μ/μ(total).
 With the bilinear extension applied to g = γ[h] this also yields
-Γ[X, Γ[X]], so full ErrorQuad samples are simulatable.
+Γ[X, Γ[X]], so full quad samples are simulatable.
 
 The law of N(h) has an atom at the empty configuration, so the direct
 density formulas' hypotheses fail here; the module's role is triple/quad
@@ -26,12 +26,10 @@ from typing import Callable
 import numpy as np
 
 from .coords import CoordinateSpec, mc_unit
-from .operators import ErrorQuad, ErrorTriple
+from .estimators import z_score
+from .jets import fd_mismatch
 
 PointFn = Callable[[np.ndarray], np.ndarray]
-
-_FD_STEP = 1e-5
-_FD_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -57,14 +55,10 @@ class PoissonFunctionalSpec:
     def __post_init__(self):
         if not (self.total_mass > 0 and math.isfinite(self.total_mass)):
             raise ValueError("total_mass must be positive and finite")
-        ps = np.asarray(self.probe_points, dtype=float)
-        fd1 = (self.h(ps + _FD_STEP) - self.h(ps - _FD_STEP)) / (2.0 * _FD_STEP)
-        fd2 = (self.h(ps + _FD_STEP) - 2.0 * self.h(ps) + self.h(ps - _FD_STEP)) / _FD_STEP**2
-        for fd, stated, nm in ((fd1, self.h1(ps), "h1"), (fd2, self.h2(ps), "h2")):
-            bad = np.abs(fd - stated) > _FD_TOL * np.maximum(1.0, np.maximum(np.abs(stated), np.abs(fd)))
-            if bad.any():
-                p = ps[bad][0]
-                raise ValueError(f"{nm} disagrees with finite differences of h at p={p:g}")
+        for order, dh, nm in ((1, self.h1, "h1"), (2, self.h2, "h2")):
+            for p in np.asarray(self.probe_points, dtype=float):
+                if fd_mismatch(self.h, dh, order, p) is not None:
+                    raise ValueError(f"{nm} disagrees with finite differences of h at p={p:g}")
 
     # per-point integrands of the lifted operators
     def gamma_h(self, p: np.ndarray) -> np.ndarray:
@@ -83,22 +77,6 @@ class PoissonFunctionalSpec:
     def gamma_x_gammax_term(self, p: np.ndarray) -> np.ndarray:
         """Per-point term of Γ[X, Γ[X]]: γ(p) h'(p) (γ[h])'(p)."""
         return self.base_gamma(p) * self.h1(p) * self.gamma_h_prime(p)
-
-
-def sample_poisson_quad(spec: PoissonFunctionalSpec, rng: np.random.Generator) -> ErrorQuad:
-    """One draw of (X, Γ[X], A[X], Γ[X, Γ[X]]) for X = N(h).
-
-    An empty configuration (K = 0) gives the zero quad.
-    """
-    k = int(rng.poisson(spec.total_mass))
-    if k == 0:
-        return ErrorQuad(ErrorTriple(np.zeros(1), np.zeros((1, 1)), np.zeros(1)), 0.0)
-    p = np.asarray(spec.point_sampler(rng, k), dtype=float)
-    x = float(np.sum(spec.h(p)))
-    g = float(np.sum(spec.gamma_h(p)))
-    a = float(np.sum(spec.a_h(p)))
-    gxx = float(np.sum(spec.gamma_x_gammax_term(p)))
-    return ErrorQuad(ErrorTriple(np.array([x]), np.array([[g]]), np.array([a])), gxx)
 
 
 def sample_poisson_arrays(
@@ -183,9 +161,7 @@ def poisson_identity_check(
             abs(a[i] - ar) / max(1.0, abs(ar)),
         )
 
-    stat = phi_prime(x) * a + 0.5 * phi_second(x) * g
-    se = float(np.std(stat, ddof=1)) / math.sqrt(n)
-    z = float(np.mean(stat)) / se if se > 0 else 0.0
+    z = z_score(phi_prime(x) * a + 0.5 * phi_second(x) * g)
     return PoissonIdentityReport(worst, z, n)
 
 

@@ -101,14 +101,17 @@ def _build_triangular(n: int, seed: int, workers: int) -> QuadBatch:
         u = rng.uniform(size=(k, 2))
         return u[:, 0], u[:, 1]
 
+    def terms(u):
+        # per coordinate: γ = (u(1-u))², a = u(1-u)(1-2u), γ' = 2a, and γ·γ'
+        w = u * (1.0 - u)
+        gam = w**2
+        a = w * (1.0 - 2.0 * u)
+        return gam, a, (2.0 * a) * gam
+
     u0, u1 = sample_chunked(n, seed, draw, workers)
-    u = np.stack([u0, u1], axis=1)
-    gam_i = (u * (1.0 - u)) ** 2
-    a_i = u * (1.0 - u) * (1.0 - 2.0 * u)
-    gp_i = 2.0 * a_i
-    return QuadBatch.from_raw(
-        u.sum(axis=1), gam_i.sum(axis=1), a_i.sum(axis=1), (gp_i * gam_i).sum(axis=1)
-    )
+    g0, a0, q0 = terms(u0)
+    g1, a1, q1 = terms(u1)
+    return QuadBatch.from_raw(u0 + u1, g0 + g1, a0 + a1, q0 + q1)
 
 
 _GBM_VOL, _GBM_DRIFT, _GBM_T, _GBM_X0 = 0.3, 0.05, 1.0, 1.0

@@ -35,29 +35,24 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coords import ou_gaussian
-from .jets import Jet2, jet_const, lift
+from .jets import Jet2, fd_mismatch, jet_const, lift
 from .operators import ErrorTriple, a_of, gamma_of
 from .coords import BasePoint, MAX_ACTIVE_COORDS
 
 CoefFn = Callable[[float, float], float]
 
-_FD_STEP = 1e-5
-_FD_TOL = 1e-5
-
 
 def _check_derivative(f: CoefFn, df: CoefFn, name: str, order: int,
                       xs: np.ndarray, ts: np.ndarray) -> None:
-    """Central finite differences of f against the stated derivative df."""
+    """Central finite differences of f against the stated derivative df,
+    one float probe (x, t) at a time."""
     for x, t in zip(xs, ts):
-        if order == 1:
-            fd = (f(x + _FD_STEP, t) - f(x - _FD_STEP, t)) / (2.0 * _FD_STEP)
-        else:
-            fd = (f(x + _FD_STEP, t) - 2.0 * f(x, t) + f(x - _FD_STEP, t)) / _FD_STEP**2
-        stated = df(x, t)
-        if abs(fd - stated) > _FD_TOL * max(1.0, abs(stated), abs(fd)):
+        bad = fd_mismatch(f, df, order, x, t)
+        if bad is not None:
+            stated, measured = bad
             raise ValueError(
                 f"{name} disagrees with finite differences at x={x:g}, t={t:g}: "
-                f"stated {stated:.6g}, measured {fd:.6g}"
+                f"stated {stated:.6g}, measured {measured:.6g}"
             )
 
 

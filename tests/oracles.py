@@ -6,8 +6,10 @@ with the operators module is a genuine two-route check.
 
 The scalar estimator references (one Gaussian kernel at a time, one full
 pass over the samples per sign-formula query) are what the vectorised
-estimators are checked against.  The expression-form Euler batch at the
-end is the reference the in-place Euler recursion must match bit for bit.
+estimators are checked against.  The expression-form Euler batch is the
+reference the in-place Euler recursion must match bit for bit; the
+identity z-scores and the stacked triangular builder below are the
+references for the identity suite and the column-wise builder.
 """
 from __future__ import annotations
 
@@ -21,10 +23,14 @@ from dirichlet_mc.estimators import (
     DEGENERATE_DET,
     RIDGE_SCALE,
     DensityEstimate,
+    QuadBatch,
     conditional_weights,
     direct_weights,
     regularized_weights,
 )
+from dirichlet_mc.operators import ErrorQuad, ErrorTriple
+from dirichlet_mc.poisson import PoissonFunctionalSpec
+from dirichlet_mc.streams import sample_chunked
 
 FD_STEP = 1e-4
 
@@ -225,3 +231,69 @@ def euler_batch_reference(x0: float, T: float, n: int, c, n_paths: int, rng):
             t += h
     finite = np.isfinite(x) & np.isfinite(g) & np.isfinite(a)
     return x, g, a, finite
+
+
+def sample_poisson_quad(spec: PoissonFunctionalSpec, rng: np.random.Generator) -> ErrorQuad:
+    """One draw of (X, Γ[X], A[X], Γ[X, Γ[X]]) for X = N(h).
+
+    An empty configuration (K = 0) gives the zero quad.
+    """
+    k = int(rng.poisson(spec.total_mass))
+    if k == 0:
+        return ErrorQuad(ErrorTriple(np.zeros(1), np.zeros((1, 1)), np.zeros(1)), 0.0)
+    p = np.asarray(spec.point_sampler(rng, k), dtype=float)
+    x = float(np.sum(spec.h(p)))
+    g = float(np.sum(spec.gamma_h(p)))
+    a = float(np.sum(spec.a_h(p)))
+    gxx = float(np.sum(spec.gamma_x_gammax_term(p)))
+    return ErrorQuad(ErrorTriple(np.array([x]), np.array([[g]]), np.array([a])), gxx)
+
+
+def z_reference(stat: np.ndarray) -> float:
+    """z-score as np.mean over np.std(ddof=1)/√n, 0 when that error is not
+    positive (which includes the NaN of a single value)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        se = float(np.std(stat, ddof=1)) / math.sqrt(stat.shape[0])
+    return float(np.mean(stat)) / se if se > 0 else 0.0
+
+
+def identity_z_reference(b: QuadBatch) -> dict[str, float]:
+    """The identity suite's z-scores, in report order, from fresh φ
+    evaluations per statistic and the masked weights."""
+    phis = {
+        "x": (lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
+        "x2": (lambda x: 2.0 * x, lambda x: 2.0 * np.ones_like(x)),
+        "cos": (lambda x: -np.sin(x), lambda x: -np.cos(x)),
+    }
+    z = {}
+    for name, (p1, p2) in phis.items():
+        z[f"generator_{name}"] = z_reference(p1(b.x) * b.a + 0.5 * p2(b.x) * b.gamma)
+    for name in ("cos", "x2"):
+        p1, p2 = phis[name]
+        for eps in (0.5, 0.1):
+            gam = eps + b.gamma
+            w = -b.gamma_x_gammax / gam**2 + 2.0 * b.a / gam
+            z[f"ibp_{name}_eps{eps:g}"] = z_reference(
+                p2(b.x) * b.gamma / (eps + b.gamma) + p1(b.x) * w
+            )
+    usable = b.gamma > 0.0
+    gam = np.where(usable, b.gamma, 1.0)
+    w = np.where(usable, -b.gamma_x_gammax / gam**2 + 2.0 * b.a / gam, 0.0)
+    z["weight_centering"] = z_reference(w[usable])
+    return z
+
+
+def triangular_reference(n: int, seed: int, workers: int = 1):
+    """Columns (X, Γ, A, Γ[X, Γ[X]]) of the triangular scenario from the
+    stacked (n, 2) per-coordinate arrays, summed over the coordinate axis."""
+
+    def draw(rng, k):
+        u = rng.uniform(size=(k, 2))
+        return u[:, 0], u[:, 1]
+
+    u0, u1 = sample_chunked(n, seed, draw, workers)
+    u = np.stack([u0, u1], axis=1)
+    gam_i = (u * (1.0 - u)) ** 2
+    a_i = u * (1.0 - u) * (1.0 - 2.0 * u)
+    gp_i = 2.0 * a_i
+    return u.sum(axis=1), gam_i.sum(axis=1), a_i.sum(axis=1), (gp_i * gam_i).sum(axis=1)

@@ -1,9 +1,21 @@
+import contextlib
+import io
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from dirichlet_mc.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_VALIDATION, cli_main
+from dirichlet_mc.cli import (
+    DENSITY_ESTIMATORS,
+    EXIT_OK,
+    EXIT_THRESHOLD,
+    EXIT_VALIDATION,
+    cli_main,
+)
+from dirichlet_mc.scenarios import SCENARIOS
 
 
 def _read(path):
@@ -235,3 +247,81 @@ class TestDeterminism:
             assert rc == EXIT_OK
             outs.append(_read(out))
         assert outs[0] == outs[1] == outs[2]
+
+
+# -- fuzzed command lines ------------------------------------------------------
+
+_JUNK = st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "-1", "1e-300", "1e300", "abc", ""])
+_NUMBER = st.one_of(st.floats(-3.0, 3.0).map(repr), _JUNK)
+# mostly lists a run accepts (ε decreasing in (0, 1)), sometimes anything
+_EPSILONS = st.one_of(
+    st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=4, unique=True).map(
+        lambda v: ",".join(repr(e) for e in sorted(v, reverse=True))),
+    st.lists(_NUMBER, max_size=4).map(",".join),
+)
+_POINTS = st.one_of(
+    st.lists(st.floats(-3.0, 3.0).map(repr), min_size=1, max_size=4).map(",".join),
+    st.lists(_NUMBER, max_size=4).map(",".join),
+)
+_SAMPLE_COUNT = st.one_of(
+    st.integers(1000, 2000).map(str),
+    st.integers(-5, 999).map(str),
+    st.sampled_from(["quadrature", "many", "1e3", "nan", "inf", "1500.5"]),
+)
+_OPTIONS = {
+    "--scenario": st.sampled_from(sorted(SCENARIOS) + ["nosuch"]),
+    "--estimator": st.sampled_from(list(DENSITY_ESTIMATORS) + ["nope"]),
+    "--estimators": st.lists(
+        st.sampled_from(["shifted", "plain_gamma", "plain_id", "direct", "regularized", "nope"]),
+        max_size=3,
+    ).map(",".join),
+    "--epsilons": _EPSILONS,
+    "--points": _POINTS,
+    "--seed": st.one_of(st.integers(0, 99), st.integers(-5, 2**70), st.just("x")).map(str),
+    "--workers": st.sampled_from(["1", "2"]),
+    "--corrupt-a": _NUMBER,
+}
+
+
+@st.composite
+def _argv(draw):
+    argv = [draw(st.sampled_from(
+        ["density", "sweep-bias", "sweep-variance", "check-identities", "compare", "bogus"]
+    ))]
+    for flag in draw(st.lists(st.sampled_from(sorted(_OPTIONS)), max_size=5, unique=True)):
+        argv += [flag, draw(_OPTIONS[flag])]
+    # a sample count on every call keeps each run at 2000 samples or fewer
+    if argv[0] == "compare":
+        argv += ["--samples", draw(st.lists(_SAMPLE_COUNT, min_size=1, max_size=2).map(",".join))]
+    else:
+        argv += ["--samples", draw(_SAMPLE_COUNT)]
+    if draw(st.booleans()):
+        argv.append("--strict")
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "-x", "--points", "extra"])))
+    return argv
+
+
+class TestFuzzedArgv:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_argv())
+    @example(["compare", "--samples", "inf,1000"])  # once an OverflowError traceback
+    def test_exit_code_contract(self, argv):
+        """Any command line exits 0, 2 or 3 without raising, and a failed
+        run leaves --out alone: nothing on exit 2, the complete report on
+        exit 3 (a --strict threshold failure still writes what it measured)."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out.csv")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli_main(argv + ["--out", out])
+            assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_THRESHOLD), (argv, rc)
+            if rc == EXIT_VALIDATION:
+                assert not os.path.exists(out), argv
+                return
+            assert os.path.exists(out), argv
+            with open(out, encoding="ascii") as fh:
+                lines = fh.read().split("\n")
+            assert lines[-1] == "", argv
+            width = lines[0].count(",")
+            assert all(row.count(",") == width for row in lines[1:-1]), argv

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_mc.coords import BasePoint, mc_unit, opaque, ou_gaussian, sample_base
+from dirichlet_mc.coords import BasePoint, custom, mc_unit, opaque, ou_gaussian, sample_base
+from dirichlet_mc.quadrature import quadrature_expectation
 from dirichlet_mc.streams import chunk_rng, sample_chunked
 
 
@@ -45,6 +46,36 @@ class TestCoordinateSpecs:
         assert np.allclose(spec.gamma(u), 0.0)
         assert np.allclose(spec.gen_a(u), 0.0)
         assert spec.is_opaque
+
+    def test_custom_carries_the_given_structure(self):
+        def rule(order):
+            x, w = np.polynomial.legendre.leggauss(order)
+            return x, w / 2.0
+
+        spec = custom(
+            lambda rng, n: rng.uniform(-1.0, 1.0, size=n),
+            gamma=lambda u: 1.0 - np.asarray(u) ** 2,
+            gamma_prime=lambda u: -2.0 * np.asarray(u),
+            gen_a=lambda u: -np.asarray(u),
+            quad_rule=rule,
+            label="jacobi",
+        )
+        u = np.array([-0.5, 0.0, 0.5])
+        assert spec.kind == "custom" and spec.label == "jacobi" and not spec.is_opaque
+        assert np.array_equal(spec.gamma(u), 1.0 - u**2)
+        assert np.array_equal(spec.gamma_prime(u), -2.0 * u)
+        assert np.array_equal(spec.gen_a(u), -u)
+        # its rule drives the quadrature oracle: E[u²] = 1/3 on [-1, 1]
+        assert quadrature_expectation(lambda p: p[:, 0] ** 2, (spec,), order=8) == pytest.approx(1 / 3)
+        draws = spec.sample_n(chunk_rng(4, 0), 1000)
+        assert draws.dtype == float and ((draws >= -1.0) & (draws <= 1.0)).all()
+
+    def test_custom_without_rule_is_rejected_by_quadrature(self):
+        spec = custom(lambda rng, n: rng.normal(size=n), gamma=np.ones_like,
+                      gamma_prime=np.zeros_like, gen_a=lambda u: -0.5 * u)
+        assert spec.label == "custom" and spec.quad_rule is None
+        with pytest.raises(ValueError, match="custom"):
+            quadrature_expectation(lambda p: p[:, 0], (spec,))
 
 
 class TestBasePoint:

@@ -160,6 +160,39 @@ class TestKernelEstimators:
         est = shifted_kernel_density(tb, 0.5, [0.5], degenerate="ridge")[0]
         assert est.n_used == 3
 
+    @pytest.mark.parametrize("kernel", [
+        lambda tb, xs: shifted_kernel_density(tb, 0.1, xs),
+        lambda tb, xs: plain_kernel_density(tb, 0.1, xs, variant="gamma_cov"),
+    ])
+    def test_unusable_rows_take_the_masked_route(self, kernel):
+        # a NaN row and a Γ = 0 row send the set-up to the row mask; the
+        # estimates must equal those over the clean rows, bit for bit
+        rng = chunk_rng(19, 0)
+        x, gam, a = rng.normal(size=400), rng.uniform(0.5, 2.0, 400), rng.normal(size=400)
+        x[7], gam[250] = math.nan, 0.0
+        keep = np.ones(400, dtype=bool)
+        keep[[7, 250]] = False
+        xs = [-0.5, 0.0, 1.2]
+        got = kernel(TripleBatch(x, gam, a), xs)
+        ref = kernel(TripleBatch(x[keep], gam[keep], a[keep]), xs)
+        assert got == ref
+        assert got[0].n_used == 398
+
+    def test_identity_cov_equals_broadcast_reference(self):
+        # the scalar variance ε against ε·Γ with Γ ≡ 1: per-sample variances
+        # ε·1 = ε, i.e. the ε·I broadcast, must give the same bits
+        rng = chunk_rng(20, 0)
+        x, gam, a = rng.normal(size=500), rng.uniform(0.5, 2.0, 500), rng.normal(size=500)
+        xs = [-1.0, 0.3, 2.0]
+        for eps in (0.3, 1e-3, 7.0):
+            got = plain_kernel_density(TripleBatch(x, gam, a), eps, xs, variant="identity_cov")
+            ref = plain_kernel_density(TripleBatch(x, np.ones(500), a), eps, xs, variant="gamma_cov")
+            assert got == ref
+        x[3] = math.inf  # and through the masked route
+        got = plain_kernel_density(TripleBatch(x, gam, a), 0.3, xs, variant="identity_cov")
+        ref = plain_kernel_density(TripleBatch(x, np.ones(500), a), 0.3, xs, variant="gamma_cov")
+        assert got == ref and got[0].n_used == 499
+
     def test_vectorised_matches_scalar_kernel(self):
         rng = chunk_rng(12, 0)
         x = rng.normal(size=50)
@@ -315,12 +348,12 @@ class TestIdentityStatistics:
         side = float(np.mean(lhs))
         se = float(np.std(lhs, ddof=1)) / math.sqrt(b.n)
         assert abs(side - (-math.exp(-0.5) / 1.5)) < 4 * se
-        z = ibp_residual_z(b, lambda x: -np.sin(x), lambda x: -np.cos(x), eps)
+        z = ibp_residual_z(b, -np.sin(b.x), -np.cos(b.x), eps)
         assert abs(z) < 4.0
 
     def test_ibp_affine_phi_reduces_to_centering(self):
         b = lognormal_quads(100_000, 13)
-        z = ibp_residual_z(b, lambda x: np.ones_like(x), lambda x: np.zeros_like(x), 0.5)
+        z = ibp_residual_z(b, np.ones_like(b.x), np.zeros_like(b.x), 0.5)
         assert abs(z) < 4.0
 
     def test_ibp_triangular_quadratic_phi(self):
@@ -329,7 +362,7 @@ class TestIdentityStatistics:
         gam_i = (u * (1 - u)) ** 2
         a_i = u * (1 - u) * (1 - 2 * u)
         b = QuadBatch(u.sum(1), gam_i.sum(1), a_i.sum(1), (2 * a_i * gam_i).sum(1))
-        z = ibp_residual_z(b, lambda x: 2 * x, lambda x: 2 * np.ones_like(x), 0.1)
+        z = ibp_residual_z(b, 2 * b.x, 2 * np.ones_like(b.x), 0.1)
         assert abs(z) < 4.0
 
     def test_weight_centering_every_quad_scenario(self):
@@ -339,9 +372,7 @@ class TestIdentityStatistics:
     def test_generator_centering_catches_shifted_a(self):
         b = gaussian_quads(100_000, 17)
         shifted = QuadBatch(b.x, b.gamma, b.a + 0.1, b.gamma_x_gammax)
-        z = generator_centering_z(
-            shifted, lambda x: np.ones_like(x), lambda x: np.zeros_like(x)
-        )
+        z = generator_centering_z(shifted, np.ones_like(b.x), np.zeros_like(b.x))
         assert abs(z) > 4.0
 
 
@@ -463,6 +494,20 @@ class TestBatches:
         tb = TripleBatch.from_raw(*cols[:3])
         assert all(np.shares_memory(got, given) for got, given in zip((tb.x, tb.gamma, tb.a), cols))
         assert tb.invalid_count == 0
+
+    def test_from_raw_overflowing_sum_keeps_finite_rows(self):
+        # the column sums overflow to inf, but every entry is finite
+        x = np.array([1e308, 1e308])
+        qb = QuadBatch.from_raw(x, np.ones(2), np.zeros(2), np.zeros(2))
+        assert qb.invalid_count == 0 and qb.x is x
+        tb = TripleBatch.from_raw(x, np.array([1e308, 1e308]), np.zeros(2))
+        assert tb.invalid_count == 0 and tb.n == 2
+
+    def test_from_raw_drops_one_nan_row(self):
+        cols = [np.arange(5.0), np.ones(5), np.zeros(5), np.zeros(5)]
+        cols[3][2] = math.nan
+        qb = QuadBatch.from_raw(*cols)
+        assert qb.invalid_count == 1 and qb.x.tolist() == [0.0, 1.0, 3.0, 4.0]
 
     def test_triple_from_raw_counts_invalid(self):
         tb = TripleBatch.from_raw(np.array([0.0, 1.0, 2.0]), np.array([1.0, math.inf, 1.0]),

@@ -9,10 +9,11 @@ from dirichlet_mc.poisson import (
     poisson_identity_check,
     poisson_mc_unit,
     sample_poisson_arrays,
-    sample_poisson_quad,
 )
 from dirichlet_mc.quadrature import law_integral
 from dirichlet_mc.streams import chunk_rng
+
+from oracles import sample_poisson_quad
 
 
 class TestSpecValidation:
@@ -28,6 +29,27 @@ class TestSpecValidation:
                 base_gamma_prime=mc_unit().gamma_prime,
                 base_a=mc_unit().gen_a,
             )
+
+    @staticmethod
+    def _offset_square(h2):
+        # h = 100 + p²: its second difference carries ~1e-4 of rounding error
+        return PoissonFunctionalSpec(
+            total_mass=2.0,
+            point_sampler=lambda rng, k: rng.uniform(size=k),
+            h=lambda p: 100.0 + p**2,
+            h1=lambda p: 2.0 * p,
+            h2=h2,
+            base_gamma=mc_unit().gamma,
+            base_gamma_prime=mc_unit().gamma_prime,
+            base_a=mc_unit().gen_a,
+        )
+
+    def test_large_h_with_correct_derivatives_accepted(self):
+        self._offset_square(lambda p: 2.0 * np.ones_like(p))
+
+    def test_large_h_with_h2_one_percent_off_rejected(self):
+        with pytest.raises(ValueError, match="h2"):
+            self._offset_square(lambda p: 2.02 * np.ones_like(p))
 
     def test_infinite_mass_rejected(self):
         with pytest.raises(ValueError, match="total_mass"):

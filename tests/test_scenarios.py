@@ -15,6 +15,8 @@ from dirichlet_mc.quadrature import normal_pdf, quadrature_expectation
 from dirichlet_mc.scenarios import SCENARIOS, get_scenario, pair_conditional_oracle
 from dirichlet_mc.streams import chunk_rng
 
+from oracles import triangular_reference
+
 N_CHECK = 300
 
 
@@ -124,6 +126,14 @@ class TestRegistry:
             b = sc.build(2000, 7, 1)
             assert np.allclose(sc.gamma_of_x(b.x), b.gamma, rtol=1e-10), name
             assert np.allclose(sc.a_of_x(b.x), b.a, rtol=1e-9, atol=1e-9), name
+
+    def test_triangular_builder_equals_stacked_reference(self):
+        # column-wise adds against the (n, 2) stack summed over its width
+        for n, workers in ((1, 1), (40_000, 2)):
+            b = get_scenario("triangular").build(n, 6, workers)
+            ref = triangular_reference(n, 6, workers)
+            for got, want in zip((b.x, b.gamma, b.a, b.gamma_x_gammax), ref):
+                assert np.array_equal(got, want)
 
     def test_oracle_dims_within_cap(self):
         for sc in SCENARIOS.values():

@@ -3,13 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from dirichlet_mc.estimators import QuadBatch
+from dirichlet_mc.scenarios import corrupt_quad_batch, get_scenario
 from dirichlet_mc.sweeps import (
+    IDENTITY_Z_THRESHOLD,
     SweepConfig,
     compare_estimators,
     fit_loglog_slope,
+    identity_z_scores,
     run_bias_sweep,
     run_identity_suite,
     run_variance_sweep,
+)
+
+from oracles import identity_z_reference
+
+QUAD_SCENARIOS = (
+    "gaussian", "lognormal", "gaussian_pair", "triangular", "gbm_exact", "poisson_mc_unit",
 )
 
 
@@ -144,6 +154,72 @@ class TestIdentitySuite:
         keys = set(rep.z_scores)
         assert {"generator_x", "generator_x2", "generator_cos", "weight_centering"} <= keys
         assert {"ibp_cos_eps0.5", "ibp_cos_eps0.1", "ibp_x2_eps0.5", "ibp_x2_eps0.1"} <= keys
+
+    @pytest.mark.parametrize("name", QUAD_SCENARIOS)
+    @pytest.mark.parametrize("corrupt_a", [0.0, 0.05])
+    def test_z_scores_equal_reference_formulas(self, name, corrupt_a):
+        # one φ evaluation per suite and the shared mean/SE helper must give
+        # the np.mean / np.std(ddof=1) z-scores bit for bit, in report order
+        rep = run_identity_suite(name, 30_000, seed=12, corrupt_a=corrupt_a)
+        b = get_scenario(name).build(30_000, 12, 1)
+        if corrupt_a:
+            b = corrupt_quad_batch(b, corrupt_a)
+        ref = identity_z_reference(b)
+        assert list(rep.z_scores) == list(ref)
+        for key, z in ref.items():
+            assert rep.z_scores[key] == z, key
+            assert math.copysign(1.0, rep.z_scores[key]) == math.copysign(1.0, z), key
+
+    def test_report_order(self):
+        rep = run_identity_suite("gaussian", 2000, seed=0)
+        assert list(rep.z_scores) == [
+            "generator_x", "generator_x2", "generator_cos",
+            "ibp_cos_eps0.5", "ibp_cos_eps0.1", "ibp_x2_eps0.5", "ibp_x2_eps0.1",
+            "weight_centering",
+        ]
+
+
+def _replace(b: QuadBatch, **cols) -> QuadBatch:
+    fields = dict(x=b.x, gamma=b.gamma, a=b.a, gamma_x_gammax=b.gamma_x_gammax,
+                  g=b.g, gamma_x_g=b.gamma_x_g)
+    fields.update(cols)
+    return QuadBatch(**fields)
+
+
+class TestNegativeControls:
+    """Corruptions of Γ and Γ[X, Γ[X]] that the identity suite must see,
+    and the statistics that cannot see them by construction."""
+
+    N = 100_000
+
+    def _scores(self, name, corrupt):
+        b = get_scenario(name).build(self.N, 21, 1)
+        return identity_z_scores(b), identity_z_scores(corrupt(b))
+
+    @pytest.mark.parametrize("name", QUAD_SCENARIOS)
+    def test_scaled_gamma_breaks_a_z_score(self, name):
+        clean, bad = self._scores(name, lambda b: _replace(b, gamma=1.5 * b.gamma))
+        assert max(abs(z) for z in bad.values()) > IDENTITY_Z_THRESHOLD
+        # φ(x) = x puts no weight on Γ: its statistic is A alone
+        assert bad["generator_x"] == clean["generator_x"]
+
+    @pytest.mark.parametrize("name", ["lognormal", "gaussian_pair", "triangular", "gbm_exact"])
+    def test_scaled_gamma_x_gammax_breaks_an_ibp_residual(self, name):
+        clean, bad = self._scores(
+            name, lambda b: _replace(b, gamma_x_gammax=1.5 * b.gamma_x_gammax)
+        )
+        ibp = [z for key, z in bad.items() if key.startswith("ibp_")]
+        assert max(abs(z) for z in ibp) > IDENTITY_Z_THRESHOLD
+        # the generator statistics never read Γ[X, Γ[X]]
+        for key in ("generator_x", "generator_x2", "generator_cos"):
+            assert bad[key] == clean[key]
+
+    def test_scaled_gamma_x_gammax_is_no_corruption_on_gaussian(self):
+        # Γ[X, Γ[X]] ≡ 0 there, so scaling it changes no input at all
+        clean, bad = self._scores(
+            "gaussian", lambda b: _replace(b, gamma_x_gammax=1.5 * b.gamma_x_gammax)
+        )
+        assert bad == clean
 
 
 class TestCompare:

@@ -42,6 +42,23 @@ class TestCoefficients:
                 r=lambda x, t: 0.0, r_x=lambda x, t: 0.0, r_xx=lambda x, t: 0.0,
             )
 
+    def test_quadratic_drift_constructs_at_default_probes(self):
+        # at x = 4 the second difference of x² carries ~5e-5 of rounding
+        # error, which the check must allow for
+        for k in (1.0, 5.0):
+            SdeCoefficients(
+                sigma=lambda x, t: 0.0, sigma_x=lambda x, t: 0.0, sigma_xx=lambda x, t: 0.0,
+                r=lambda x, t: k * x * x, r_x=lambda x, t: 2.0 * k * x,
+                r_xx=lambda x, t: 2.0 * k,
+            )
+
+    def test_second_derivative_one_percent_off_rejected(self):
+        with pytest.raises(ValueError, match="r_xx"):
+            SdeCoefficients(
+                sigma=lambda x, t: 0.0, sigma_x=lambda x, t: 0.0, sigma_xx=lambda x, t: 0.0,
+                r=lambda x, t: x * x, r_x=lambda x, t: 2.0 * x, r_xx=lambda x, t: 2.02,
+            )
+
     def test_presets_validate(self):
         gbm_coefficients()
         additive_coefficients()
@@ -68,7 +85,7 @@ def _exploding(k=5.0, vol=2.0):
     return SdeCoefficients(
         sigma=lambda x, t: vol * x, sigma_x=lambda x, t: vol, sigma_xx=lambda x, t: 0.0,
         r=lambda x, t: k * x * x, r_x=lambda x, t: 2.0 * k * x, r_xx=lambda x, t: 2.0 * k,
-        name="exploding", probe_xs=(0.25, 0.5, 1.0),
+        name="exploding",
     )
 
 
