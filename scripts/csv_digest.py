@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Print one sha256 per (command, workers) for a fixed list of CLI runs.
+
+The list holds the criterion-10 commands of the acceptance suite, `density`
+for every scenario × estimator, `compare`, and the quadrature and Monte
+Carlo `sweep-bias`/`sweep-variance` runs.  Each command runs in-process at
+`--workers 1` and `--workers 2`; a line reads
+
+    <sha256 of the CSV, or "-" when none was written>  <exit code>  w<workers>  <tag>
+
+so an exit-2 rejection is a pinned outcome too.  Two trees produce the same
+CSVs exactly when their outputs diff empty:
+
+    PYTHONPATH=src python scripts/csv_digest.py > new.txt
+    PYTHONPATH=/path/to/other/src python scripts/csv_digest.py > old.txt
+    diff old.txt new.txt
+
+The names below are spelled out rather than read from the package, so the
+script runs unchanged against an older tree.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from dirichlet_mc.cli import cli_main
+from dirichlet_mc.scenarios import SCENARIOS
+
+ESTIMATOR_NAMES = (
+    "shifted", "plain_gamma", "plain_id", "direct", "regularized", "centered", "conditional",
+)
+KERNEL_NAMES = ESTIMATOR_NAMES[:3]
+
+# the criterion-10 commands (tests/test_acceptance.py)
+CRITERION_10 = {
+    "c3_gaussian": ["density", "--scenario", "gaussian", "--estimator", "direct",
+                    "--points=-1,0,1", "--samples", "100000", "--seed", "31"],
+    "c3_lognormal": ["density", "--scenario", "lognormal", "--estimator", "direct",
+                     "--points", "0.5,1,2", "--samples", "100000", "--seed", "32"],
+    "c4_n3": ["density", "--scenario", "gaussian", "--estimator", "direct",
+              "--points", "0", "--samples", "1000", "--seed", "41"],
+    "c4_n5": ["density", "--scenario", "gaussian", "--estimator", "direct",
+              "--points", "0", "--samples", "100000", "--seed", "43"],
+    "c5_sweep": ["sweep-bias", "--scenario", "lognormal", "--estimator", "shifted",
+                 "--points", "1.0", "--samples", "quadrature"],
+    "c6_sweep": ["sweep-variance", "--scenario", "lognormal", "--points", "1.0",
+                 "--samples", "quadrature"],
+    "c7_identities_gaussian": ["check-identities", "--scenario", "gaussian",
+                               "--samples", "100000", "--seed", "71"],
+    "c7_identities_poisson": ["check-identities", "--scenario", "poisson_mc_unit",
+                              "--samples", "100000", "--seed", "72"],
+    "c8_regularized": ["density", "--scenario", "triangular", "--estimator", "regularized",
+                       "--epsilons", "0.01", "--points", "1.0", "--samples", "100000",
+                       "--seed", "81"],
+    "c9_conditional": ["density", "--scenario", "gaussian_pair", "--estimator", "conditional",
+                       "--points", "0", "--samples", "100000", "--seed", "91"],
+}
+
+
+def commands() -> dict[str, list[str]]:
+    cmds = dict(CRITERION_10)
+    for sc in sorted(SCENARIOS):
+        for est in ESTIMATOR_NAMES:
+            cmds[f"density_{sc}_{est}"] = [
+                "density", "--scenario", sc, "--estimator", est, "--epsilons", "0.05",
+                "--samples", "20000", "--seed", "5",
+            ]
+    compare = ["compare", "--samples", "1000,10000", "--epsilons", "0.4,0.2,0.1,0.05",
+               "--seed", "11"]
+    cmds["compare_lognormal_kernels_direct"] = compare + [
+        "--scenario", "lognormal", "--estimators", "shifted,plain_gamma,plain_id,direct",
+        "--points", "0.5,1.0,2.0"]
+    cmds["compare_gaussian_regularized_shifted"] = compare + [
+        "--scenario", "gaussian", "--estimators", "regularized,shifted,direct"]
+    cmds["compare_lognormal_centered"] = compare + [
+        "--scenario", "lognormal", "--estimators", "centered", "--points", "0.5,1.0,2.0"]
+    cmds["compare_gaussian_conditional"] = compare + [
+        "--scenario", "gaussian", "--estimators", "conditional"]
+    for est in KERNEL_NAMES:
+        for samples in ("quadrature", "20000"):
+            cmds[f"sweep_bias_{est}_{samples}"] = [
+                "sweep-bias", "--scenario", "lognormal", "--estimator", est,
+                "--points", "0.5,1.0", "--samples", samples, "--seed", "6"]
+    for samples in ("quadrature", "20000"):
+        cmds[f"sweep_variance_{samples}"] = [
+            "sweep-variance", "--scenario", "lognormal", "--points", "1.0",
+            "--epsilons", "0.1,0.05,0.025", "--samples", samples, "--seed", "6"]
+    return cmds
+
+
+def digest(argv: list[str], workdir: str) -> tuple[str, int]:
+    out = os.path.join(workdir, "out.csv")
+    if os.path.exists(out):
+        os.remove(out)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli_main(argv + ["--out", out])
+    if not os.path.exists(out):
+        return "-", rc
+    with open(out, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest(), rc
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as workdir:
+        for tag, argv in commands().items():
+            for workers in ("1", "2"):
+                sha, rc = digest(argv + ["--workers", workers], workdir)
+                print(f"{sha}  {rc}  w{workers}  {tag}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,10 @@ Subcommands
   compare          error table across estimators and sample sizes;
                    CSV estimator,epsilon,n,x,estimate,reference,abs_error,std_error
 
+Estimator names come from the one table estimators.ESTIMATORS: density
+takes all seven, compare all but conditional (not a density), sweep-bias
+the three kernels.
+
 Exit codes: 0 success, 2 validation error, 3 threshold failure under --strict.
 A --config file of flat key=value lines overrides flags; the environment
 variable DIRICHLET_MC_SEED overrides the seed from either source.
@@ -25,28 +29,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import (
-    NoUsableSamplesError,
-    QuadBatch,
-    centered_direct_density,
-    conditional_expectation,
-    direct_density,
-    plain_kernel_density,
-    regularized_density,
-    shifted_kernel_density,
-)
+from .estimators import ESTIMATORS, NoUsableSamplesError, get_estimator, run_estimator
 from .scenarios import SCENARIOS, get_scenario
 from .sweeps import (
-    KERNEL_ESTIMATORS,
     SweepConfig,
     compare_estimators,
     run_bias_sweep,
     run_identity_suite,
     run_variance_sweep,
-)
-
-DENSITY_ESTIMATORS = (
-    "shifted", "plain_gamma", "plain_id", "direct", "regularized", "centered", "conditional",
 )
 
 # strict-mode windows for the fitted convergence orders
@@ -195,62 +185,38 @@ def _cmd_list_scenarios(args) -> int:
 
 def _cmd_density(args) -> int:
     sc = _scenario_or_fail(args.scenario)
-    if args.estimator not in DENSITY_ESTIMATORS:
-        raise ValidationError(
-            f"unknown estimator {args.estimator!r}; valid: {', '.join(DENSITY_ESTIMATORS)}"
-        )
+    entry = get_estimator(args.estimator)
     n = _samples(args)
     if n == "quadrature":
         raise ValidationError("density runs are Monte Carlo; give --samples N")
     points = _points(args, sc)
-    batch = sc.build(n, args.seed, args.workers)
-    needs_quad = args.estimator in ("direct", "regularized", "centered", "conditional")
-    if needs_quad and not isinstance(batch, QuadBatch):
-        raise ValidationError(
-            f"scenario {sc.name!r} provides no quad data; {args.estimator!r} needs it"
-        )
     eps_list = _epsilons(args, ())
     epsilon = min(eps_list) if eps_list else None
-    kernel_like = args.estimator in ("shifted", "plain_gamma", "plain_id", "regularized")
-    if kernel_like and epsilon is None:
+    if entry.takes_epsilon and epsilon is None:
         raise ValidationError(f"estimator {args.estimator!r} needs --epsilons")
+    batch = sc.build(n, args.seed, args.workers)
+    ests = run_estimator(args.estimator, batch, epsilon, list(points), sc.name)
 
+    # conditional rows hold the ratio E[G | X = x] against the conditional oracle
     ref_fn = sc.exact_density
-    rows = []
-    worst_z = 0.0
-    if args.estimator == "conditional":
-        if not batch.has_aux:
-            raise ValidationError(f"scenario {sc.name!r} carries no auxiliary G data")
-        for ce in conditional_expectation(batch, list(points)):
-            ref = sc.cond_oracle(ce.x) if sc.cond_oracle is not None else None
-            rows.append((ce.x, ce.ratio, ce.ratio_std_error, ref))
-            if ref is not None and ce.ratio_std_error > 0:
-                worst_z = max(worst_z, abs(ce.ratio - ref) / ce.ratio_std_error)
+    conditional = args.estimator == "conditional"
+    if conditional:
+        rows = [(ce.x, ce.ratio, ce.ratio_std_error,
+                 sc.cond_oracle(ce.x) if sc.cond_oracle is not None else None) for ce in ests]
     else:
-        tb = batch.triple_batch() if isinstance(batch, QuadBatch) else batch
-        if args.estimator == "shifted":
-            ests = shifted_kernel_density(tb, epsilon, list(points))
-        elif args.estimator in ("plain_gamma", "plain_id"):
-            variant = "gamma_cov" if args.estimator == "plain_gamma" else "identity_cov"
-            ests = plain_kernel_density(tb, epsilon, list(points), variant=variant)
-        elif args.estimator == "direct":
-            ests = direct_density(batch, list(points))
-        elif args.estimator == "regularized":
-            ests = regularized_density(batch, epsilon, list(points))
-        else:
-            ests = centered_direct_density(batch, list(points))
         refs = ref_fn(np.array([e.x for e in ests])) if ref_fn is not None else [None] * len(ests)
-        for e, ref in zip(ests, refs):
-            ref = None if ref is None else float(ref)
-            rows.append((e.x, e.value, e.std_error, ref))
-            if ref is not None and e.std_error > 0:
-                worst_z = max(worst_z, abs(e.value - ref) / e.std_error)
+        rows = [(e.x, e.value, e.std_error, None if ref is None else float(ref))
+                for e, ref in zip(ests, refs)]
+    worst_z = 0.0
+    for _, value, se, ref in rows:
+        if ref is not None and se > 0:
+            worst_z = max(worst_z, abs(value - ref) / se)
 
     _write_csv(args.out, ("x", "estimate", "std_error", "reference"), rows)
     print(
         f"density {sc.name}/{args.estimator}: n={n} points={len(points)} "
         f"worst |estimate-reference|/se = {worst_z:.2f}"
-        if ref_fn is not None or args.estimator == "conditional"
+        if ref_fn is not None or conditional
         else f"density {sc.name}/{args.estimator}: n={n} points={len(points)} (no reference)"
     )
     if args.strict and worst_z > 4.0:
@@ -398,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="run one estimator at query points")
     _add_common(p)
-    p.add_argument("--estimator", default="direct", help=", ".join(DENSITY_ESTIMATORS))
+    p.add_argument("--estimator", default="direct", help=", ".join(ESTIMATORS))
 
     p = sub.add_parser("sweep-bias", help="bias vs epsilon with fitted order")
     _add_common(p, samples_default="quadrature")
-    p.add_argument("--estimator", default="shifted", help=", ".join(KERNEL_ESTIMATORS))
+    p.add_argument("--estimator", default="shifted", help=", ".join(BIAS_SLOPE_WINDOWS))
 
     p = sub.add_parser("sweep-variance", help="kernel variance scaling vs epsilon")
     _add_common(p, samples_default="quadrature")
@@ -414,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="error table across estimators and sample sizes")
     _add_common(p, samples_default="1000,10000,100000")
-    p.add_argument("--estimators", default="shifted,plain_gamma,direct")
+    p.add_argument("--estimators", default="shifted,plain_gamma,direct",
+                   help="comma separated; any estimator but conditional")
 
     return parser
 

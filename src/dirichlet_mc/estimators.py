@@ -16,6 +16,12 @@ Two families:
   centered, which both drives the far-tail behaviour and enables a
   split-sample control variate.
 
+Dispatch.  ESTIMATORS maps each of the seven estimator names to its call,
+whether it needs quad data, whether it takes ε and, for a kernel, its
+(A-shift, identity covariance) pair; run_estimator runs a name on a batch
+as a scenario builds it.  The CLI and the sweeps choose estimators only
+through this table.
+
 Cost per query point.  Kernels compute everything that does not depend on
 x (mask, normaliser, precision) once per (batch, ε), leaving one pass over
 the samples per query.  The sign formulas bin the samples once against the
@@ -34,12 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 DEGENERATE_DET = 1e-30
-RIDGE_SCALE = 1e-8
 
 
 class NoUsableSamplesError(ValueError):
@@ -265,7 +270,7 @@ def _cut_exp(z: np.ndarray) -> np.ndarray:
     return np.multiply(z, keep, out=z)
 
 
-def _kernel_1d(center: np.ndarray, var, ridge: bool):
+def _kernel_1d(center: np.ndarray, var):
     """x ↦ g(x - c_n, var_n) over the usable samples, for d = 1.
 
     var is one variance per sample, or a scalar shared by all of them.
@@ -273,15 +278,10 @@ def _kernel_1d(center: np.ndarray, var, ridge: bool):
     Normaliser and -½/var are computed once; each call fills and returns
     the same buffer.
     """
-    if not (_sums_finite(center, var) and (ridge or np.min(var) >= DEGENERATE_DET)):
-        usable = np.isfinite(var) & np.isfinite(center)
-        if not ridge:
-            usable &= var >= DEGENERATE_DET
+    if not (_sums_finite(center, var) and np.min(var) >= DEGENERATE_DET):
+        usable = np.isfinite(var) & np.isfinite(center) & (var >= DEGENERATE_DET)
         center = center[usable]
         var = var[usable] if np.ndim(var) else var
-    if ridge:
-        var = np.where(var < DEGENERATE_DET, var + RIDGE_SCALE * np.maximum(var, DEGENERATE_DET), var)
-        var = np.maximum(var, DEGENERATE_DET)
     neg_half_prec = -0.5 / var
     norm = 1.0 / np.sqrt(2.0 * math.pi * var)
     vals = np.empty_like(center)
@@ -295,22 +295,15 @@ def _kernel_1d(center: np.ndarray, var, ridge: bool):
     return values
 
 
-def _kernel_nd(center: np.ndarray, cov: np.ndarray, ridge: bool):
+def _kernel_nd(center: np.ndarray, cov: np.ndarray):
     """x ↦ g(x - c_n, Σ_n) over the usable samples, for d ≥ 2.
 
-    Mask, ridge bump, det-based normaliser and precision matrices are
-    computed once, so each query costs one quadratic form and one exp.
+    Mask, det-based normaliser and precision matrices are computed once,
+    so each query costs one quadratic form and one exp.
     """
     d = center.shape[1]
     det = np.linalg.det(cov)
-    usable = np.isfinite(det) & np.isfinite(center).all(axis=1)
-    if ridge:
-        tr = np.einsum("nii->n", cov)
-        bump = np.where(det < DEGENERATE_DET, RIDGE_SCALE * np.maximum(tr, DEGENERATE_DET), 0.0)
-        cov = cov + bump[:, None, None] * np.eye(d)[None, :, :]
-        det = np.linalg.det(cov)
-    else:
-        usable &= det >= DEGENERATE_DET
+    usable = np.isfinite(det) & np.isfinite(center).all(axis=1) & (det >= DEGENERATE_DET)
     # (d, d, n) and (d, n) layouts keep the per-query loops contiguous in n
     neg_half_prec = np.ascontiguousarray(-0.5 * np.linalg.inv(cov[usable]).transpose(1, 2, 0))
     c = np.ascontiguousarray(center[usable].T)
@@ -324,52 +317,43 @@ def _kernel_nd(center: np.ndarray, cov: np.ndarray, ridge: bool):
     return values
 
 
-def shifted_kernel_density(
-    b: TripleBatch, epsilon: float, xs, degenerate: str = "skip"
-) -> list[DensityEstimate]:
+def shifted_kernel_density(b: TripleBatch, epsilon: float, xs) -> list[DensityEstimate]:
     """Bias-reduced kernel estimate: mean of g(x - X_n - εA_n, εΓ_n)."""
-    return _kernel_density(b, epsilon, xs, shift=True, identity_cov=False, degenerate=degenerate)
+    return _kernel_density(b, epsilon, xs, shift=True, identity_cov=False)
 
 
 def plain_kernel_density(
-    b: TripleBatch, epsilon: float, xs, variant: str = "gamma_cov", degenerate: str = "skip"
+    b: TripleBatch, epsilon: float, xs, variant: str = "gamma_cov"
 ) -> list[DensityEstimate]:
     """Baselines without the A-shift: g(x - X_n, εI) or g(x - X_n, εΓ_n)."""
     if variant not in ("identity_cov", "gamma_cov"):
         raise ValueError("variant must be 'identity_cov' or 'gamma_cov'")
-    return _kernel_density(
-        b, epsilon, xs, shift=False, identity_cov=(variant == "identity_cov"),
-        degenerate=degenerate,
-    )
+    return _kernel_density(b, epsilon, xs, shift=False, identity_cov=(variant == "identity_cov"))
 
 
 def _kernel_density(
-    b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool, degenerate: str
+    b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool
 ) -> list[DensityEstimate]:
-    return [est for est, _ in _kernel_estimates(b, epsilon, xs, shift, identity_cov, degenerate)]
+    return [est for est, _ in _kernel_estimates(b, epsilon, xs, shift, identity_cov)]
 
 
-def _kernel_estimates(b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool,
-                      degenerate: str):
+def _kernel_estimates(b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool):
     """Per query: the estimate and the squared deviations of the kernel values
     from their mean (a buffer reused by the next query)."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if b.n == 0:
         raise NoUsableSamplesError("empty batch")
-    if degenerate not in ("skip", "ridge"):
-        raise ValueError("degenerate policy must be 'skip' or 'ridge'")
     queries = _as_queries(xs, b.d)
-    ridge = degenerate == "ridge"
     if b.d == 1:
         x = b.x[:, 0]
         center = x + epsilon * b.a[:, 0] if shift else x
         var = float(epsilon) if identity_cov else epsilon * b.gamma[:, 0, 0]
-        values = _kernel_1d(center, var, ridge)
+        values = _kernel_1d(center, var)
     else:
         center = b.x + epsilon * b.a if shift else b.x
         cov = epsilon * (np.broadcast_to(np.eye(b.d), b.gamma.shape) if identity_cov else b.gamma)
-        values = _kernel_nd(center, cov, ridge)
+        values = _kernel_nd(center, cov)
     for q in queries:
         vals = values(q)
         if vals.shape[0] == 0:
@@ -388,7 +372,7 @@ def shifted_kernel_variance(b: TripleBatch, epsilon: float, xs) -> list[tuple[fl
     law (near-singular kernels have heavy-tailed values).
     """
     out = []
-    for est, sq_dev in _kernel_estimates(b, epsilon, xs, True, False, "skip"):
+    for est, sq_dev in _kernel_estimates(b, epsilon, xs, True, False):
         n = est.n_used
         var = est.std_error**2 * n
         if n < 2:
@@ -575,6 +559,63 @@ def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None) -
     s, ss = _side_sums(h2.x, queries, (w2, w2 * w2))
     mean, _, var = _side_moments(0.5 * (_SIGN - c[:, None]), s, s, ss, n)
     return _estimates(queries, mean, var, n)
+
+
+# -- the estimator table ---------------------------------------------------
+
+@dataclass(frozen=True)
+class Estimator:
+    """How to run one named estimator.
+
+    call(batch, ε, xs) looks its function up in this module when called,
+    so a wrapper set on the module attribute sees every call.  kernel is
+    the (A-shift, identity covariance) pair of a kernel estimator, else
+    None; kernels read the (X, Γ, A) triples of the batch.
+    """
+
+    call: Callable
+    needs_quad: bool
+    takes_epsilon: bool
+    kernel: Optional[tuple[bool, bool]] = None
+
+
+ESTIMATORS: dict[str, Estimator] = {
+    "shifted": Estimator(
+        lambda b, eps, xs: shifted_kernel_density(b, eps, xs), False, True, (True, False)),
+    "plain_gamma": Estimator(
+        lambda b, eps, xs: plain_kernel_density(b, eps, xs, variant="gamma_cov"),
+        False, True, (False, False)),
+    "plain_id": Estimator(
+        lambda b, eps, xs: plain_kernel_density(b, eps, xs, variant="identity_cov"),
+        False, True, (False, True)),
+    "direct": Estimator(lambda b, eps, xs: direct_density(b, xs), True, False),
+    "regularized": Estimator(lambda b, eps, xs: regularized_density(b, eps, xs), True, True),
+    "centered": Estimator(lambda b, eps, xs: centered_direct_density(b, xs), True, False),
+    "conditional": Estimator(lambda b, eps, xs: conditional_expectation(b, xs), True, False),
+}
+
+
+def get_estimator(name: str) -> Estimator:
+    """The table entry of name; an unknown name is a ValueError listing the valid ones."""
+    try:
+        return ESTIMATORS[name]
+    except KeyError:
+        raise ValueError(f"unknown estimator {name!r}; valid: {', '.join(ESTIMATORS)}") from None
+
+
+def run_estimator(name: str, batch, epsilon: Optional[float], xs, scenario: str = "") -> list:
+    """Run the named estimator on a batch as a scenario builds it.
+
+    Kernels take the triples of a quad batch; the other estimators need
+    quad data, and the error for a triple batch names scenario.  Estimators
+    that take no ε ignore epsilon.
+    """
+    entry = get_estimator(name)
+    if entry.needs_quad and not isinstance(batch, QuadBatch):
+        raise ValueError(f"scenario {scenario!r} provides no quad data; {name!r} needs it")
+    if entry.kernel is not None and isinstance(batch, QuadBatch):
+        batch = batch.triple_batch()
+    return entry.call(batch, epsilon, xs)
 
 
 # -- identity statistics ----------------------------------------------------

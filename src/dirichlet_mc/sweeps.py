@@ -18,26 +18,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimators import (
+    ESTIMATORS,
+    DensityEstimate,
     QuadBatch,
     TripleBatch,
-    direct_density,
     generator_centering_z,
+    get_estimator,
     ibp_residual_z,
-    plain_kernel_density,
-    regularized_density,
-    shifted_kernel_density,
+    run_estimator,
     shifted_kernel_variance,
     weight_centering_z,
 )
 from .quadrature import kernel_moment_integral
 from .scenarios import Scenario, corrupt_quad_batch, get_scenario
-
-# kernel estimator name -> (apply A-shift, use identity covariance)
-KERNEL_ESTIMATORS: dict[str, tuple[bool, bool]] = {
-    "shifted": (True, False),
-    "plain_gamma": (False, False),
-    "plain_id": (False, True),
-}
 
 IDENTITY_Z_THRESHOLD = 4.0
 
@@ -106,11 +99,6 @@ def _require_reduced(sc: Scenario, purpose: str) -> None:
         )
 
 
-def _mc_batch_for_kernels(sc: Scenario, n: int, seed: int, workers: int) -> TripleBatch:
-    b = sc.build(n, seed, workers)
-    return b.triple_batch() if isinstance(b, QuadBatch) else b
-
-
 @dataclass(frozen=True)
 class BiasSweepResult:
     rows: tuple[SweepRow, ...]
@@ -126,12 +114,13 @@ def run_bias_sweep(cfg: SweepConfig) -> BiasSweepResult:
     resolvable: quadrature-mode rows with |bias| below ten times the
     estimated quadrature tolerance are dropped from the fit with a notice.
     """
-    if cfg.estimator not in KERNEL_ESTIMATORS:
+    kernel = get_estimator(cfg.estimator).kernel
+    if kernel is None:
         raise ValueError(
-            f"bias sweeps cover the kernel estimators {sorted(KERNEL_ESTIMATORS)}, "
-            f"not {cfg.estimator!r}"
+            "bias sweeps cover the kernel estimators "
+            f"{sorted(n for n, e in ESTIMATORS.items() if e.kernel)}, not {cfg.estimator!r}"
         )
-    shift, identity_cov = KERNEL_ESTIMATORS[cfg.estimator]
+    shift, identity_cov = kernel
     sc = get_scenario(cfg.scenario)
     points = cfg.query_points or sc.default_points
     rows: list[SweepRow] = []
@@ -158,12 +147,9 @@ def run_bias_sweep(cfg: SweepConfig) -> BiasSweepResult:
                 per_eps_bias.setdefault(eps, []).append(abs(est - ref))
             tol_by_eps[eps] = max(tols)
     else:
-        n = int(cfg.sample_size)
-        batch = _mc_batch_for_kernels(sc, n, cfg.seed, cfg.workers)
-        fn = shifted_kernel_density if shift else plain_kernel_density
-        kw = {} if shift else {"variant": "identity_cov" if identity_cov else "gamma_cov"}
+        batch = sc.build(int(cfg.sample_size), cfg.seed, cfg.workers)
         for eps in cfg.epsilons:
-            ests = fn(batch, eps, list(points), **kw)
+            ests = run_estimator(cfg.estimator, batch, eps, list(points), sc.name)
             for x, e in zip(points, ests):
                 ref = (
                     float(sc.exact_density(np.array([x]))[0])
@@ -217,7 +203,9 @@ def run_variance_sweep(cfg: SweepConfig) -> VarianceSweepResult:
     var_by_eps: dict[float, list[float]] = {}
     mc_batch: Optional[TripleBatch] = None
     if cfg.sample_size != "quadrature":
-        mc_batch = _mc_batch_for_kernels(sc, int(cfg.sample_size), cfg.seed, cfg.workers)
+        mc_batch = sc.build(int(cfg.sample_size), cfg.seed, cfg.workers)
+        if isinstance(mc_batch, QuadBatch):
+            mc_batch = mc_batch.triple_batch()
 
     for eps in cfg.epsilons:
         for x in points:
@@ -345,9 +333,13 @@ def compare_estimators(
 
     Kernel estimators grid-search their ε over the given list and report
     the best root-mean-square error across the query points per sample
-    size; sign-formula estimators have no bandwidth and report as-is.
-    No pass/fail is attached: the output is a reported table.
+    size; the other estimators report as-is, at the smallest ε if they
+    take one.  conditional estimates no density and is rejected.  No
+    pass/fail is attached: the output is a reported table.
     """
+    entries = [get_estimator(name) for name in estimators]
+    if not epsilons and any(e.takes_epsilon for e in entries):
+        raise ValueError("the estimators compared need at least one epsilon")
     sc = get_scenario(scenario)
     points = tuple(query_points) or sc.default_points
     if sc.exact_density is None:
@@ -356,43 +348,24 @@ def compare_estimators(
     out: list[CompareRow] = []
     for n in sample_sizes:
         batch = sc.build(int(n), seed, workers)
-        tb = batch.triple_batch() if isinstance(batch, QuadBatch) else batch
-        for name in estimators:
-            if name in KERNEL_ESTIMATORS:
-                shift, identity_cov = KERNEL_ESTIMATORS[name]
-                fn = shifted_kernel_density if shift else plain_kernel_density
-                kw = {} if shift else {"variant": "identity_cov" if identity_cov else "gamma_cov"}
+        for name, entry in zip(estimators, entries):
+            if entry.kernel is not None:
                 best = None
                 for eps in epsilons:
-                    ests = fn(tb, eps, list(points), **kw)
+                    ests = run_estimator(name, batch, eps, list(points), scenario)
                     rmse = math.sqrt(
                         float(np.mean([(e.value - refs[x]) ** 2 for x, e in zip(points, ests)]))
                     )
                     if best is None or rmse < best[0]:
                         best = (rmse, eps, ests)
                 _, eps, ests = best
-                for x, e in zip(points, ests):
-                    out.append(CompareRow(
-                        name, eps, e.n_used, x, e.value, refs[x],
-                        abs(e.value - refs[x]), e.std_error,
-                    ))
-            elif name == "direct":
-                if not isinstance(batch, QuadBatch):
-                    raise ValueError(f"scenario {scenario!r} has no quad data for 'direct'")
-                for x, e in zip(points, direct_density(batch, list(points))):
-                    out.append(CompareRow(
-                        name, None, e.n_used, x, e.value, refs[x],
-                        abs(e.value - refs[x]), e.std_error,
-                    ))
-            elif name == "regularized":
-                if not isinstance(batch, QuadBatch):
-                    raise ValueError(f"scenario {scenario!r} has no quad data for 'regularized'")
-                eps = min(epsilons)
-                for x, e in zip(points, regularized_density(batch, eps, list(points))):
-                    out.append(CompareRow(
-                        name, eps, e.n_used, x, e.value, refs[x],
-                        abs(e.value - refs[x]), e.std_error,
-                    ))
             else:
-                raise ValueError(f"unknown estimator {name!r} in comparison")
+                eps = min(epsilons) if entry.takes_epsilon else None
+                ests = run_estimator(name, batch, eps, list(points), scenario)
+                if not all(isinstance(e, DensityEstimate) for e in ests):
+                    raise ValueError(f"estimator {name!r} does not estimate a density")
+            for x, e in zip(points, ests):
+                out.append(CompareRow(
+                    name, eps, e.n_used, x, e.value, refs[x], abs(e.value - refs[x]), e.std_error,
+                ))
     return out

@@ -21,7 +21,6 @@ import numpy as np
 from dirichlet_mc.coords import BasePoint
 from dirichlet_mc.estimators import (
     DEGENERATE_DET,
-    RIDGE_SCALE,
     DensityEstimate,
     QuadBatch,
     conditional_weights,
@@ -102,15 +101,14 @@ def rel_err(a: float, b: float, floor: float = 1.0) -> float:
 # -- scalar estimator references --------------------------------------------
 
 class DegenerateCovarianceError(ValueError):
-    """Kernel covariance is numerically singular and the policy is to skip."""
+    """Kernel covariance is numerically singular; the caller counts and skips it."""
 
 
-def gaussian_kernel(y, cov, ridge: bool = False) -> float:
+def gaussian_kernel(y, cov) -> float:
     """Centered Gaussian density (2π)^{-d/2} det(Σ)^{-1/2} exp(-½ yᵀΣ⁻¹y).
 
-    A covariance with det below 1e-30 is degenerate: by default that is an
-    error for the caller to count and skip; with ridge=True, δ·I with
-    δ = 1e-8·trace is added instead.
+    A covariance with det below 1e-30 is degenerate: an error for the
+    caller to count and skip.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -124,12 +122,9 @@ def gaussian_kernel(y, cov, ridge: bool = False) -> float:
         raise ValueError("covariance is not positive semidefinite")
     det = float(np.linalg.det(cov))
     if det < DEGENERATE_DET:
-        if not ridge:
-            raise DegenerateCovarianceError(
-                f"covariance determinant {det:.3e} below {DEGENERATE_DET:g}"
-            )
-        cov = cov + RIDGE_SCALE * max(float(np.trace(cov)), DEGENERATE_DET) * np.eye(d)
-        det = float(np.linalg.det(cov))
+        raise DegenerateCovarianceError(
+            f"covariance determinant {det:.3e} below {DEGENERATE_DET:g}"
+        )
     quad = float(y @ np.linalg.solve(cov, y))
     return (2.0 * math.pi) ** (-d / 2.0) * det**-0.5 * math.exp(-0.5 * quad)
 

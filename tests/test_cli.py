@@ -9,13 +9,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dirichlet_mc.cli import (
-    DENSITY_ESTIMATORS,
+    BIAS_SLOPE_WINDOWS,
     EXIT_OK,
     EXIT_THRESHOLD,
     EXIT_VALIDATION,
     cli_main,
 )
-from dirichlet_mc.scenarios import SCENARIOS
+from dirichlet_mc.estimators import ESTIMATORS, centered_direct_density
+from dirichlet_mc.scenarios import SCENARIOS, get_scenario
 
 
 def _read(path):
@@ -186,6 +187,44 @@ class TestCompareCommand:
         assert lines[0] == "estimator,epsilon,n,x,estimate,reference,abs_error,std_error"
         assert len(lines) == 5
 
+    def test_centered_rows_equal_the_estimator(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        rc = cli_main([
+            "compare", "--scenario", "lognormal", "--estimators", "centered",
+            "--samples", "3000", "--points", "0.5,1.0,2.0", "--seed", "6", "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        batch = get_scenario("lognormal").build(3000, 6, 1)
+        ests = centered_direct_density(batch, [0.5, 1.0, 2.0])
+        assert len(rows) == len(ests) == 3
+        for row, e in zip(rows, ests):
+            assert row[:3] == ["centered", "", str(e.n_used)]
+            assert (float(row[3]), float(row[4]), float(row[7])) == (e.x, e.value, e.std_error)
+
+    def test_conditional_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        rc = cli_main(["compare", "--scenario", "gaussian_pair", "--estimators", "conditional",
+                       "--samples", "2000", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "does not estimate a density" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEstimatorNames:
+    def test_unknown_name_message_is_shared(self, capsys):
+        messages = []
+        for argv in (["density", "--estimator", "nope", "--samples", "2000"],
+                     ["compare", "--estimators", "direct,nope", "--samples", "2000"],
+                     ["sweep-bias", "--estimator", "nope"]):
+            assert cli_main(argv + ["--scenario", "lognormal"]) == EXIT_VALIDATION
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1] == messages[2]
+        assert f"valid: {', '.join(ESTIMATORS)}" in messages[0]
+
+    def test_bias_windows_cover_the_kernels(self):
+        assert set(BIAS_SLOPE_WINDOWS) == {n for n, e in ESTIMATORS.items() if e.kernel}
+
 
 class TestConfigAndEnvironment:
     def test_config_file_overrides_flags(self, tmp_path):
@@ -270,11 +309,9 @@ _SAMPLE_COUNT = st.one_of(
 )
 _OPTIONS = {
     "--scenario": st.sampled_from(sorted(SCENARIOS) + ["nosuch"]),
-    "--estimator": st.sampled_from(list(DENSITY_ESTIMATORS) + ["nope"]),
-    "--estimators": st.lists(
-        st.sampled_from(["shifted", "plain_gamma", "plain_id", "direct", "regularized", "nope"]),
-        max_size=3,
-    ).map(",".join),
+    "--estimator": st.sampled_from(list(ESTIMATORS) + ["nope"]),
+    "--estimators": st.lists(st.sampled_from(list(ESTIMATORS) + ["nope"]), max_size=3).map(
+        ",".join),
     "--epsilons": _EPSILONS,
     "--points": _POINTS,
     "--seed": st.one_of(st.integers(0, 99), st.integers(-5, 2**70), st.just("x")).map(str),
@@ -307,6 +344,7 @@ class TestFuzzedArgv:
               suppress_health_check=[HealthCheck.too_slow])
     @given(_argv())
     @example(["compare", "--samples", "inf,1000"])  # once an OverflowError traceback
+    @example(["compare", "--estimators", "shifted", "--epsilons", ",", "--samples", "1000"])
     def test_exit_code_contract(self, argv):
         """Any command line exits 0, 2 or 3 without raising, and a failed
         run leaves --out alone: nothing on exit 2, the complete report on

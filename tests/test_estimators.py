@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dirichlet_mc.estimators import (
+    ESTIMATORS,
     NoUsableSamplesError,
     QuadBatch,
     TripleBatch,
@@ -14,10 +15,12 @@ from dirichlet_mc.estimators import (
     ibp_residual_z,
     plain_kernel_density,
     regularized_density,
+    run_estimator,
     shifted_kernel_density,
     shifted_kernel_variance,
     weight_centering_z,
 )
+from dirichlet_mc.scenarios import get_scenario
 from dirichlet_mc.streams import chunk_rng
 
 from oracles import (
@@ -62,10 +65,6 @@ class TestGaussianKernel:
     def test_degenerate_raises_by_default(self):
         with pytest.raises(DegenerateCovarianceError):
             gaussian_kernel(0.0, 1e-31)
-
-    def test_degenerate_ridge_policy(self):
-        v = gaussian_kernel(0.0, 0.0, ridge=True)
-        assert math.isfinite(v) and v > 0
 
     def test_normalisation_1d(self):
         # ∫ g(x - μ, σ²) dx = 1 by trapezoid over ±8 standard deviations
@@ -153,12 +152,6 @@ class TestKernelEstimators:
         tb = TripleBatch(np.zeros(4), np.zeros(4), np.zeros(4))
         with pytest.raises(NoUsableSamplesError):
             shifted_kernel_density(tb, 0.5, [0.0])
-
-    def test_ridge_policy_uses_all_samples(self):
-        x = np.array([0.0, 1.0, 2.0])
-        tb = TripleBatch(x, np.array([1.0, 0.0, 1.0]), np.zeros(3))
-        est = shifted_kernel_density(tb, 0.5, [0.5], degenerate="ridge")[0]
-        assert est.n_used == 3
 
     @pytest.mark.parametrize("kernel", [
         lambda tb, xs: shifted_kernel_density(tb, 0.1, xs),
@@ -462,22 +455,56 @@ class TestKernel2d:
         gam[7] = np.diag([1.3, 0.0])  # rank one: determinant below the threshold
         return TripleBatch(rng.normal(size=(n, 2)), gam, rng.normal(size=(n, 2)))
 
-    @pytest.mark.parametrize("degenerate", ["skip", "ridge"])
-    def test_matches_scalar_kernel(self, degenerate):
+    def test_matches_scalar_kernel(self):
         tb = self._batch()
         eps = 0.3
         queries = np.array([[0.1, -0.2], [1.5, 0.7], [-2.0, 3.0]])
-        for est, q in zip(shifted_kernel_density(tb, eps, queries, degenerate=degenerate), queries):
+        for est, q in zip(shifted_kernel_density(tb, eps, queries), queries):
             vals = []
             for x, g, a in zip(tb.x, tb.gamma, tb.a):
                 try:
-                    vals.append(gaussian_kernel(q - x - eps * a, eps * g, ridge=degenerate == "ridge"))
+                    vals.append(gaussian_kernel(q - x - eps * a, eps * g))
                 except DegenerateCovarianceError:
                     pass
-            assert est.n_used == len(vals) == (tb.n if degenerate == "ridge" else tb.n - 1)
+            assert est.n_used == len(vals) == tb.n - 1
             assert _close(est.value, float(np.mean(vals))), (q, est.value)
             se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
             assert _close(est.std_error, se), (q, est.std_error, se)
+
+
+class TestEstimatorTable:
+    """run_estimator is the named function applied to the batch, bit for bit."""
+
+    _DIRECT = {
+        "shifted": lambda b, eps, xs: shifted_kernel_density(b.triple_batch(), eps, xs),
+        "plain_gamma": lambda b, eps, xs: plain_kernel_density(
+            b.triple_batch(), eps, xs, variant="gamma_cov"),
+        "plain_id": lambda b, eps, xs: plain_kernel_density(
+            b.triple_batch(), eps, xs, variant="identity_cov"),
+        "direct": lambda b, eps, xs: direct_density(b, xs),
+        "regularized": regularized_density,
+        "centered": lambda b, eps, xs: centered_direct_density(b, xs),
+        "conditional": lambda b, eps, xs: conditional_expectation(b, xs),
+    }
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_matches_direct_call(self, name):
+        batch = get_scenario("gaussian_pair").build(3000, 12, 1)
+        xs = [-0.5, 0.0, 0.5]
+        got = run_estimator(name, batch, 0.1, xs)
+        assert repr(got) == repr(self._DIRECT[name](batch, 0.1, xs))
+
+    def test_kernels_take_triple_batches(self):
+        tb = get_scenario("gbm_euler").build(2000, 3, 1)
+        assert isinstance(tb, TripleBatch)
+        got = run_estimator("plain_id", tb, 0.1, [1.0])
+        assert repr(got) == repr(plain_kernel_density(tb, 0.1, [1.0], variant="identity_cov"))
+
+    def test_missing_quad_data_names_the_scenario(self):
+        tb = get_scenario("gbm_euler").build(2000, 3, 1)
+        with pytest.raises(ValueError, match="scenario 'gbm_euler' provides no quad data; "
+                                             "'direct' needs it"):
+            run_estimator("direct", tb, None, [1.0], "gbm_euler")
 
 
 class TestBatches:
