@@ -2,8 +2,9 @@
 """Print one sha256 per (command, workers) for a fixed list of CLI runs.
 
 The list holds the criterion-10 commands of the acceptance suite, `density`
-for every scenario × estimator, `compare`, and the quadrature and Monte
-Carlo `sweep-bias`/`sweep-variance` runs.  Each command runs in-process at
+for every scenario × estimator, `compare`, `density` and `check-identities`
+at sizes that cross reduction-block boundaries, and the quadrature and
+Monte Carlo `sweep-bias`/`sweep-variance` runs.  Each command runs in-process at
 `--workers 1` and `--workers 2`; a line reads
 
     <sha256 of the CSV, or "-" when none was written>  <exit code>  w<workers>  <tag>
@@ -85,6 +86,15 @@ def commands() -> dict[str, list[str]]:
             cmds[f"sweep_bias_{est}_{samples}"] = [
                 "sweep-bias", "--scenario", "lognormal", "--estimator", est,
                 "--points", "0.5,1.0", "--samples", samples, "--seed", "6"]
+    # one row past a block boundary and three blocks plus a partial one:
+    # the per-block partials are merged across block boundaries
+    for samples in ("16385", "50001"):
+        for est in ("direct", "centered", "shifted"):
+            cmds[f"blocks_{est}_{samples}"] = [
+                "density", "--scenario", "lognormal", "--estimator", est, "--epsilons", "0.05",
+                "--points", "0.5,1.0,2.0", "--samples", samples, "--seed", "7"]
+        cmds[f"blocks_identities_{samples}"] = [
+            "check-identities", "--scenario", "lognormal", "--samples", samples, "--seed", "7"]
     for samples in ("quadrature", "20000"):
         cmds[f"sweep_variance_{samples}"] = [
             "sweep-variance", "--scenario", "lognormal", "--points", "1.0",

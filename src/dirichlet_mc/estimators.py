@@ -23,26 +23,36 @@ as a scenario builds it.  The CLI and the sweeps choose estimators only
 through this table.
 
 Cost per query point.  Kernels compute everything that does not depend on
-x (mask, normaliser, precision) once per (batch, ε), leaving one pass over
-the samples per query.  The sign formulas bin the samples once against the
-sorted distinct queries (one vectorised comparison per query) and take one
-bincount per weight column; no per-query pass forms signs or moments.
-All reductions run over arrays in canonical chunk order, so every estimate
-is bit-reproducible for any worker count.
+x (mask, normaliser, precision) once per (block, ε), leaving one pass over
+the block's samples per query.  The sign formulas bin each block once
+against the sorted distinct queries (one vectorised comparison per query)
+and take one bincount per weight column; no per-query pass forms signs or
+moments.
+
+Block reductions.  Every reduction over samples walks the batch in
+CHUNK_SIZE-row blocks and merges per-block partials in block order: the
+sign formulas add per-side sums block by block, the kernels and the
+identity statistics merge (count, mean, M2[, M3, M4]) partials with the
+pairwise update of Chan, Golub and LeVeque (1983).  Weights, kernel values
+and statistics exist one block at a time, so no estimator holds more than
+the batch plus O(CHUNK_SIZE·Q) scratch, and every estimate is
+bit-reproducible for any worker count.
 
 Cost per call.  Batches, 1-d kernel set-up and the direct weights build a
 row mask and copy the kept rows only when some sample is unusable (a
 finite column sum proves every entry finite); skipping the copy changes
-no bit.  The identity statistics take φ'(X) and φ''(X) as arrays, so a
-suite evaluates each φ once.
+no bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
+
+from .streams import CHUNK_SIZE
 
 DEGENERATE_DET = 1e-30
 
@@ -187,19 +197,23 @@ class QuadBatch:
     def triple_batch(self) -> TripleBatch:
         return TripleBatch(self.x, self.gamma, self.a, invalid_count=self.invalid_count)
 
+    def rows(self, sl: slice) -> "QuadBatch":
+        """The rows in sl, as views."""
+        def cut(arr):
+            return None if arr is None else arr[sl]
+        return QuadBatch(self.x[sl], self.gamma[sl], self.a[sl], self.gamma_x_gammax[sl],
+                         cut(self.g), cut(self.gamma_x_g))
+
+    def blocks(self):
+        """The batch as CHUNK_SIZE-row blocks (views), in canonical order."""
+        return (self.rows(sl) for sl in _row_blocks(self.n))
+
     def halves(self) -> tuple["QuadBatch", "QuadBatch"]:
         """First-half / second-half split in canonical sample order."""
         if self.n < 2:
             raise ValueError("batch too small to split")
         m = self.n // 2
-        def cut(arr, lo, hi):
-            return None if arr is None else arr[lo:hi]
-        return (
-            QuadBatch(self.x[:m], self.gamma[:m], self.a[:m], self.gamma_x_gammax[:m],
-                      cut(self.g, 0, m), cut(self.gamma_x_g, 0, m)),
-            QuadBatch(self.x[m:], self.gamma[m:], self.a[m:], self.gamma_x_gammax[m:],
-                      cut(self.g, m, self.n), cut(self.gamma_x_g, m, self.n)),
-        )
+        return self.rows(slice(0, m)), self.rows(slice(m, self.n))
 
 
 @dataclass(frozen=True)
@@ -245,15 +259,89 @@ def _as_queries(xs, d: int) -> np.ndarray:
     return q
 
 
-def _mean_se(vals: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error; overwrites vals."""
+# -- block reductions ------------------------------------------------------
+
+def _row_blocks(n: int) -> list[slice]:
+    """The CHUNK_SIZE-row slices covering n rows, in canonical order."""
+    return [slice(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Count n, mean and central sums M2 = Σ(v - mean)², M3 and M4 of a set
+    of values.  mean and the sums are scalars or one entry per query; M3
+    and M4 are None unless the fourth moment was asked for."""
+
+    n: int = 0
+    mean: float | np.ndarray = 0.0
+    m2: float | np.ndarray = 0.0
+    m3: float | np.ndarray | None = None
+    m4: float | np.ndarray | None = None
+
+
+def _moments(vals: np.ndarray, fourth: bool = False) -> Moments:
+    """Moments of one block of values (two passes); overwrites vals."""
     n = vals.shape[0]
-    mean = float(vals.mean())
-    if n < 2:
-        return mean, float("inf")
-    vals -= mean
-    vals *= vals
-    return mean, math.sqrt(float(vals.sum()) / (n - 1)) / math.sqrt(n)
+    if n == 0:
+        return Moments()
+    mean = vals.sum() / n
+    dev = np.subtract(vals, mean, out=vals)
+    if not fourth:
+        return Moments(n, mean, np.multiply(dev, dev, out=dev).sum())
+    sq = dev * dev
+    m2 = sq.sum()
+    m3 = np.multiply(sq, dev, out=dev).sum()
+    return Moments(n, mean, m2, m3, np.multiply(sq, sq, out=sq).sum())
+
+
+def _merge(a: Moments, b: Moments) -> Moments:
+    """Moments of the union of two disjoint sets of values, by the pairwise
+    update of Chan, Golub and LeVeque (1983); an empty set is the identity."""
+    if b.n == 0:
+        return a
+    if a.n == 0:
+        return b
+    na, nb = a.n, b.n
+    n = na + nb
+    d = b.mean - a.mean
+    dn = d / n
+    m2 = a.m2 + b.m2 + d * dn * na * nb
+    m3 = m4 = None
+    if a.m4 is not None:
+        m3 = a.m3 + b.m3 + d * dn * dn * na * nb * (na - nb) + 3.0 * dn * (na * b.m2 - nb * a.m2)
+        m4 = (a.m4 + b.m4 + d * dn**3 * na * nb * (na * na - na * nb + nb * nb)
+              + 6.0 * dn * dn * (na * na * b.m2 + nb * nb * a.m2)
+              + 4.0 * dn * (na * b.m3 - nb * a.m3))
+    return Moments(n, a.mean + dn * nb, m2, m3, m4)
+
+
+def _stacked(n: int, parts: list[Moments], fourth: bool) -> Moments:
+    """Per-query Moments of the same n values as one Moments of arrays."""
+    def col(name):
+        return np.array([getattr(p, name) for p in parts], dtype=float)
+    return Moments(n, col("mean"), col("m2"), *((col("m3"), col("m4")) if fourth else ()))
+
+
+def _mean_se(m: Moments):
+    """Mean and its standard error; the error is inf below two values."""
+    if m.n < 2:
+        return m.mean, np.full_like(m.mean, np.inf, dtype=float)
+    return m.mean, np.sqrt(m.m2 / (m.n - 1)) / math.sqrt(m.n)
+
+
+def _z(m: Moments) -> float:
+    """Mean over its standard error, 0 when that error is 0 or undefined
+    (fewer than two values)."""
+    if m.n < 2:
+        return 0.0
+    mean, se = _mean_se(m)
+    return float(mean / se) if se > 0 else 0.0
+
+
+def z_score(stat: np.ndarray) -> float:
+    """z-score of the values stat against 0 (see _z), reduced block by
+    block; overwrites stat."""
+    return _z(reduce(_merge, (_moments(stat[sl]) for sl in _row_blocks(stat.shape[0])), Moments()))
 
 
 # Gaussian terms below exp(-700) ≈ 1e-304 count as exactly 0: np.exp leaves
@@ -271,7 +359,8 @@ def _cut_exp(z: np.ndarray) -> np.ndarray:
 
 
 def _kernel_1d(center: np.ndarray, var):
-    """x ↦ g(x - c_n, var_n) over the usable samples, for d = 1.
+    """The number of usable samples and x ↦ g(x - c_n, var_n) over them,
+    for d = 1.
 
     var is one variance per sample, or a scalar shared by all of them.
     The usable rows are copied out only when some sample is unusable.
@@ -292,11 +381,12 @@ def _kernel_1d(center: np.ndarray, var):
         np.multiply(vals, neg_half_prec, out=vals)
         return np.multiply(_cut_exp(vals), norm, out=vals)
 
-    return values
+    return center.shape[0], values
 
 
 def _kernel_nd(center: np.ndarray, cov: np.ndarray):
-    """x ↦ g(x - c_n, Σ_n) over the usable samples, for d ≥ 2.
+    """The number of usable samples and x ↦ g(x - c_n, Σ_n) over them,
+    for d ≥ 2.
 
     Mask, det-based normaliser and precision matrices are computed once,
     so each query costs one quadratic form and one exp.
@@ -314,7 +404,20 @@ def _kernel_nd(center: np.ndarray, cov: np.ndarray):
         vals = np.einsum("ijn,in,jn->n", neg_half_prec, y, y)
         return np.multiply(_cut_exp(vals), norm, out=vals)
 
-    return values
+    return c.shape[1], values
+
+
+def _kernel_block(b: TripleBatch, rows: slice, epsilon: float, shift: bool, identity_cov: bool):
+    """_kernel_1d or _kernel_nd over the samples in rows."""
+    if b.d == 1:
+        x = b.x[rows, 0]
+        center = x + epsilon * b.a[rows, 0] if shift else x
+        var = float(epsilon) if identity_cov else epsilon * b.gamma[rows, 0, 0]
+        return _kernel_1d(center, var)
+    x, gamma = b.x[rows], b.gamma[rows]
+    center = x + epsilon * b.a[rows] if shift else x
+    cov = epsilon * (np.broadcast_to(np.eye(b.d), gamma.shape) if identity_cov else gamma)
+    return _kernel_nd(center, cov)
 
 
 def shifted_kernel_density(b: TripleBatch, epsilon: float, xs) -> list[DensityEstimate]:
@@ -334,33 +437,33 @@ def plain_kernel_density(
 def _kernel_density(
     b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool
 ) -> list[DensityEstimate]:
-    return [est for est, _ in _kernel_estimates(b, epsilon, xs, shift, identity_cov)]
+    queries, m = _kernel_moments(b, epsilon, xs, shift, identity_cov)
+    mean, se = _mean_se(m)
+    return [
+        DensityEstimate(float(q[0]) if b.d == 1 else q.copy(), float(v), float(e), m.n, epsilon)
+        for q, v, e in zip(queries, mean, se)
+    ]
 
 
-def _kernel_estimates(b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool):
-    """Per query: the estimate and the squared deviations of the kernel values
-    from their mean (a buffer reused by the next query)."""
+def _kernel_moments(
+    b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool, fourth: bool = False
+) -> tuple[np.ndarray, Moments]:
+    """The queries and, per query, the moments of the kernel values over
+    the usable samples, merged block by block."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if b.n == 0:
         raise NoUsableSamplesError("empty batch")
     queries = _as_queries(xs, b.d)
-    if b.d == 1:
-        x = b.x[:, 0]
-        center = x + epsilon * b.a[:, 0] if shift else x
-        var = float(epsilon) if identity_cov else epsilon * b.gamma[:, 0, 0]
-        values = _kernel_1d(center, var)
-    else:
-        center = b.x + epsilon * b.a if shift else b.x
-        cov = epsilon * (np.broadcast_to(np.eye(b.d), b.gamma.shape) if identity_cov else b.gamma)
-        values = _kernel_nd(center, cov)
-    for q in queries:
-        vals = values(q)
-        if vals.shape[0] == 0:
-            raise NoUsableSamplesError("no usable samples")
-        mean, se = _mean_se(vals)
-        x = float(q[0]) if b.d == 1 else q.copy()
-        yield DensityEstimate(x, mean, se, vals.shape[0], epsilon), vals
+    total = Moments()
+    for rows in _row_blocks(b.n):
+        n, values = _kernel_block(b, rows, epsilon, shift, identity_cov)
+        if n:
+            parts = [_moments(values(q), fourth) for q in queries]
+            total = _merge(total, _stacked(n, parts, fourth))
+    if total.n == 0:
+        raise NoUsableSamplesError("no usable samples")
+    return queries, total
 
 
 def shifted_kernel_variance(b: TripleBatch, epsilon: float, xs) -> list[tuple[float, float, int]]:
@@ -371,16 +474,13 @@ def shifted_kernel_variance(b: TripleBatch, epsilon: float, xs) -> list[tuple[fl
     central moment of the kernel values; it assumes nothing about their
     law (near-singular kernels have heavy-tailed values).
     """
-    out = []
-    for est, sq_dev in _kernel_estimates(b, epsilon, xs, True, False):
-        n = est.n_used
-        var = est.std_error**2 * n
-        if n < 2:
-            out.append((var, math.inf, n))
-            continue
-        m4 = float(np.dot(sq_dev, sq_dev)) / n
-        out.append((var, math.sqrt(max(m4 - var * var * (n - 3) / (n - 1), 0.0) / n), n))
-    return out
+    queries, m = _kernel_moments(b, epsilon, xs, True, False, fourth=True)
+    n = m.n
+    if n < 2:
+        return [(math.inf, math.inf, n)] * len(queries)
+    var = m.m2 / (n - 1)
+    se = np.sqrt(np.maximum(m.m4 / n - var * var * (n - 3) / (n - 1), 0.0) / n)
+    return [(float(v), float(e), n) for v, e in zip(var, se)]
 
 
 # -- sign formulas ---------------------------------------------------------
@@ -398,17 +498,21 @@ def _positive_gamma(b: QuadBatch) -> tuple[np.ndarray, np.ndarray, bool]:
     return usable, (b.gamma if every else np.where(usable, b.gamma, 1.0)), every
 
 
+def _weight(b: QuadBatch, gam: np.ndarray) -> np.ndarray:
+    """-Γ[X,Γ[X]]/gam² + 2A/gam, for gam = Γ or ε + Γ."""
+    return -b.gamma_x_gammax / gam**2 + 2.0 * b.a / gam
+
+
 def direct_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
     """W = -Γ[X,Γ[X]]/Γ² + 2A/Γ and the Γ > 0 usability mask."""
     usable, gam, every = _positive_gamma(b)
-    w = -b.gamma_x_gammax / gam**2 + 2.0 * b.a / gam
+    w = _weight(b, gam)
     return (w if every else np.where(usable, w, 0.0)), usable
 
 
 def regularized_weights(b: QuadBatch, epsilon: float) -> np.ndarray:
     """W_ε = -Γ[X,Γ[X]]/(ε+Γ)² + 2A/(ε+Γ); defined for every sample."""
-    gam = epsilon + b.gamma
-    return -b.gamma_x_gammax / gam**2 + 2.0 * b.a / gam
+    return _weight(b, epsilon + b.gamma)
 
 
 def conditional_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -423,31 +527,42 @@ def conditional_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
     return (w if every else np.where(usable, w, 0.0)), usable
 
 
-def _side_sums(xs_samples: np.ndarray, queries: np.ndarray, columns) -> np.ndarray:
-    """Σ of each column over {X < x}, {X = x} and {X > x}, for every query.
+def _side_sums(b: QuadBatch, queries: np.ndarray, columns) -> tuple[int, np.ndarray]:
+    """The number of usable samples and the Σ of each weight column over
+    {X < x}, {X = x} and {X > x}, for every query.
 
-    The samples are binned once against the sorted distinct queries: bin 2j
-    holds q_{j-1} < X < q_j and bin 2j+1 holds X = q_j, so ties keep
-    sign(0) = 0.  Each column takes one bincount; running sums over the
+    columns(block) gives a block's usable count and its weight columns
+    (0 on unusable rows).  Each block is binned once against the sorted
+    distinct queries: bin 2j holds q_{j-1} < X < q_j and bin 2j+1 holds
+    X = q_j, so ties keep sign(0) = 0.  Each column takes one bincount per
+    block and the bin sums are added block by block; running sums over the
     bins from either end give the two sides, so neither side is formed by
-    cancelling against the total.  Returns shape (len(columns), Q, 3).
+    cancelling against the total.  The sums have shape (columns, Q, 3) and
+    are None when the batch is empty.
     """
     grid, pos = np.unique(queries, return_inverse=True)
     k = grid.shape[0]
-    below = np.zeros(xs_samples.shape[0], dtype=np.min_scalar_type(k))
-    for v in grid:
-        below += (xs_samples > v).view(np.uint8)
-    bins = below.astype(np.intp)
-    tie = np.append(grid, np.nan)[bins] == xs_samples
-    bins *= 2
-    bins += tie
-    out = np.empty((len(columns), k, 3))
-    for c, col in enumerate(columns):
-        s = np.bincount(bins, weights=col, minlength=2 * k + 1)
-        out[c, :, 0] = np.cumsum(s)[0:-1:2]
-        out[c, :, 1] = s[1::2]
-        out[c, :, 2] = np.cumsum(s[::-1])[-3::-2]
-    return out[:, pos]
+    ends = np.append(grid, np.nan)
+    n_used, total = 0, None
+    for blk in b.blocks():
+        used, cols = columns(blk)
+        below = np.zeros(blk.n, dtype=np.min_scalar_type(k))
+        for v in grid:
+            below += (blk.x > v).view(np.uint8)
+        bins = below.astype(np.intp)
+        tie = ends[bins] == blk.x
+        bins *= 2
+        bins += tie
+        sums = np.stack([np.bincount(bins, weights=col, minlength=2 * k + 1) for col in cols])
+        n_used += used
+        total = sums if total is None else np.add(total, sums, out=total)
+    if total is None:
+        return 0, None
+    out = np.empty((total.shape[0], k, 3))
+    out[:, :, 0] = np.cumsum(total, axis=1)[:, 0:-1:2]
+    out[:, :, 1] = total[:, 1::2]
+    out[:, :, 2] = np.cumsum(total[:, ::-1], axis=1)[:, -3::-2]
+    return n_used, out[:, pos]
 
 
 def _side_moments(coef, sum_a, sum_b, sum_ab, n: int):
@@ -473,11 +588,17 @@ def _estimates(queries, mean, var, n: int, epsilon=None) -> list[DensityEstimate
     ]
 
 
-def _sign_density(b: QuadBatch, w, n: int, xs, epsilon=None) -> list[DensityEstimate]:
+def _direct_columns(blk: QuadBatch):
+    w, usable = direct_weights(blk)
+    return int(usable.sum()), (w, w * w)
+
+
+def _sign_density(b: QuadBatch, columns, xs, epsilon=None) -> list[DensityEstimate]:
     queries = _as_queries(xs, 1)[:, 0]
+    n, sums = _side_sums(b, queries, columns)
     if n == 0:
         raise NoUsableSamplesError("no samples with positive square field")
-    s, ss = _side_sums(b.x, queries, (w, w * w))
+    s, ss = sums
     mean, _, var = _side_moments(_HALF_SIGN, s, s, ss, n)
     return _estimates(queries, mean, var, n, epsilon)
 
@@ -489,15 +610,19 @@ def direct_density(b: QuadBatch, xs) -> list[DensityEstimate]:
     excluded and visible through n_used (use regularized_density when the
     law of Γ touches 0).
     """
-    w, usable = direct_weights(b)
-    return _sign_density(b, w, int(usable.sum()), xs)
+    return _sign_density(b, _direct_columns, xs)
 
 
 def regularized_density(b: QuadBatch, epsilon: float, xs) -> list[DensityEstimate]:
     """Monotone-in-ε lower approximation; no positivity needed on Γ."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return _sign_density(b, regularized_weights(b, epsilon), b.n, xs, epsilon)
+
+    def columns(blk):
+        w = regularized_weights(blk, epsilon)
+        return blk.n, (w, w * w)
+
+    return _sign_density(b, columns, xs, epsilon)
 
 
 def conditional_expectation(b: QuadBatch, xs) -> list[ConditionalEstimate]:
@@ -507,13 +632,16 @@ def conditional_expectation(b: QuadBatch, xs) -> list[ConditionalEstimate]:
     carries a delta-method standard error and is flagged unreliable when
     the denominator is within two standard errors of zero.
     """
+    def columns(blk):
+        wn, usable = conditional_weights(blk)
+        wd, _ = direct_weights(blk)
+        return int(usable.sum()), (wn, wd, wn * wn, wd * wd, wn * wd)
+
     queries = _as_queries(xs, 1)[:, 0]
-    wn, usable = conditional_weights(b)
-    wd, _ = direct_weights(b)
-    n = int(usable.sum())
+    n, sums = _side_sums(b, queries, columns)
     if n < 2:
         raise NoUsableSamplesError("not enough samples with positive square field")
-    sn, sd, snn, sdd, snd = _side_sums(b.x, queries, (wn, wd, wn * wn, wd * wd, wn * wd))
+    sn, sd, snn, sdd, snd = sums
     mean_n, mean_d, cov_nd = _side_moments(_HALF_SIGN, sn, sd, snd, n)
     var_n = _side_moments(_HALF_SIGN, sn, sn, snn, n)[2]
     var_d = _side_moments(_HALF_SIGN, sd, sd, sdd, n)[2]
@@ -540,23 +668,24 @@ def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None) -
     variance minimiser of (sign - c)W when E[W] = 0); half 2 averages
     ½(sign(x-X) - c*)W.  Keeping the halves disjoint keeps the estimator
     unbiased.  force_c pins the constant (c = 0 reproduces direct_density
-    on half 2).
+    on half 2).  Each half is reduced in blocks from its own first row.
     """
     queries = _as_queries(xs, 1)[:, 0]
     h1, h2 = b.halves()
-    w1, _ = direct_weights(h1)
-    w2, u2 = direct_weights(h2)
-    n = int(u2.sum())
+    n, (s, ss) = _side_sums(h2, queries, _direct_columns)
     if n == 0:
         raise NoUsableSamplesError("no usable samples in the estimation half")
     c = np.zeros(queries.shape[0])
     if force_c is not None:
         c[:] = float(force_c)
     else:
-        (s1,) = _side_sums(h1.x, queries, (w1 * w1,))
+        def squares(blk):
+            w, _ = direct_weights(blk)
+            return 0, (w * w,)
+
+        _, (s1,) = _side_sums(h1, queries, squares)
         denom = s1.sum(axis=1)
         np.divide(s1[:, 0] - s1[:, 2], denom, out=c, where=denom > 0)
-    s, ss = _side_sums(h2.x, queries, (w2, w2 * w2))
     mean, _, var = _side_moments(0.5 * (_SIGN - c[:, None]), s, s, ss, n)
     return _estimates(queries, mean, var, n)
 
@@ -620,49 +749,55 @@ def run_estimator(name: str, batch, epsilon: Optional[float], xs, scenario: str 
 
 # -- identity statistics ----------------------------------------------------
 
-def z_score(stat: np.ndarray) -> float:
-    """Mean of stat over its standard error, 0 when that error is 0 or
-    undefined (fewer than two values); overwrites stat."""
-    if stat.shape[0] < 2:
-        return 0.0
-    mean, se = _mean_se(stat)
-    return mean / se if se > 0 else 0.0
+# test functions φ of the identity suite, as (φ', φ'')
+_PHIS = {
+    "x": (lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
+    "x2": (lambda x: 2.0 * x, lambda x: 2.0 * np.ones_like(x)),
+    "cos": (lambda x: -np.sin(x), lambda x: -np.cos(x)),
+}
+_IBP_PHIS = ("cos", "x2")
+_IBP_EPSILONS = (0.5, 0.1)
 
 
-def generator_centering_z(b: QuadBatch, phi_prime: np.ndarray, phi_second: np.ndarray) -> float:
-    """z-score of mean[φ'(X) A + ½ φ''(X) Γ] against 0, given φ'(X) and φ''(X).
+def identity_z_scores(b: QuadBatch) -> dict[str, float]:
+    """z-scores against 0, in report order, of the statistics whose
+    expectation vanishes under the law the batch samples:
 
-    The statistic is the generator applied to φ(X), whose expectation
-    vanishes under the invariant law; a shifted A or wrong Γ breaks it.
+    * generator_φ, φ ∈ {x, x², cos}: φ'(X) A + ½ φ''(X) Γ, the generator
+      applied to φ(X); a shifted A or a wrong Γ breaks it;
+    * ibp_φ_epsε, φ ∈ {cos, x²}, ε ∈ {0.5, 0.1}: the regularised
+      integration-by-parts residual φ''(X) Γ/(ε+Γ) + φ'(X) W_ε, whose
+      expectation is 0 for any smooth bounded φ and every ε > 0;
+    * weight_centering: W over the samples with Γ > 0.  W is exactly
+      centered whenever the direct formula's hypotheses hold;
+      configurations at Γ = 0 (e.g. the empty-configuration atom of point
+      process functionals) carry zero weight and are excluded.
+
+    One pass over the blocks: per block, φ'(X) and φ''(X) are evaluated
+    once per φ and ε + Γ and W_ε once per ε, and every statistic shares
+    them.
     """
-    return z_score(phi_prime * b.a + 0.5 * phi_second * b.gamma)
-
-
-def ibp_residual_z(
-    b: QuadBatch, phi_prime: np.ndarray, phi_second: np.ndarray, epsilon: float
-) -> float:
-    """z-score of the regularised integration-by-parts residual, given
-    φ'(X) and φ''(X).
-
-    E[φ''(X) Γ/(ε+Γ)] + E[φ'(X)(Γ[X, 1/(ε+Γ)] + 2A/(ε+Γ))] = 0 for any
-    smooth bounded φ and every ε > 0.
-    """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    return z_score(
-        phi_second * b.gamma / (epsilon + b.gamma) + phi_prime * regularized_weights(b, epsilon)
+    stats = dict.fromkeys(
+        [f"generator_{name}" for name in _PHIS]
+        + [f"ibp_{name}_eps{eps:g}" for name in _IBP_PHIS for eps in _IBP_EPSILONS]
+        + ["weight_centering"],
+        Moments(),
     )
 
+    def add(key, vals):
+        stats[key] = _merge(stats[key], _moments(vals))
 
-def weight_centering_z(b: QuadBatch) -> float:
-    """z-score of mean W against 0 over the samples with Γ > 0.
-
-    W is exactly centered whenever the direct formula's hypotheses hold;
-    configurations at Γ = 0 (e.g. the empty-configuration atom of point
-    process functionals) carry zero weight and are excluded.
-    """
-    w, usable = direct_weights(b)
-    n_used = int(usable.sum())
-    if n_used < 2:
+    for blk in b.blocks():
+        gam = {eps: eps + blk.gamma for eps in _IBP_EPSILONS}
+        w_eps = {eps: _weight(blk, g) for eps, g in gam.items()}
+        for name, (p1, p2) in _PHIS.items():
+            d1, d2 = p1(blk.x), p2(blk.x)
+            add(f"generator_{name}", d1 * blk.a + 0.5 * d2 * blk.gamma)
+            if name in _IBP_PHIS:
+                for eps in _IBP_EPSILONS:
+                    add(f"ibp_{name}_eps{eps:g}", d2 * blk.gamma / gam[eps] + d1 * w_eps[eps])
+        w, usable = direct_weights(blk)
+        add("weight_centering", w if usable.all() else w[usable])
+    if stats["weight_centering"].n < 2:
         raise NoUsableSamplesError("not enough samples with positive square field")
-    return z_score(w if n_used == b.n else w[usable])
+    return {key: _z(m) for key, m in stats.items()}

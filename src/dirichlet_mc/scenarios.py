@@ -3,9 +3,10 @@
 Each scenario knows how to build a batch from a seeded chunk stream, and
 optionally carries an exact density, the deterministic reduced forms
 γ(x), a(x) used by the kernel sweeps, and a conditional-expectation
-oracle.  Builders are vectorised closed forms of the jet calculus; the
-test suite re-derives them through jets on subsamples, so the fast path
-cannot drift from the operators silently.
+oracle.  Builders are vectorised closed forms of the jet calculus,
+evaluated chunk by chunk inside the draw, so a build holds the batch and
+O(CHUNK_SIZE) scratch; the test suite re-derives them through jets on
+subsamples, so the fast path cannot drift from the operators silently.
 """
 from __future__ import annotations
 
@@ -70,37 +71,37 @@ class Scenario:
 # -- builders ---------------------------------------------------------------
 
 def _build_gaussian(n: int, seed: int, workers: int) -> QuadBatch:
-    (g,) = sample_chunked(n, seed, lambda rng, k: rng.normal(size=k), workers)
-    return QuadBatch.from_raw(g, np.ones(n), -0.5 * g, np.zeros(n))
+    def draw(rng, k):
+        g = rng.normal(size=k)
+        return g, np.ones(k), -0.5 * g, np.zeros(k)
+
+    return QuadBatch.from_raw(*sample_chunked(n, seed, draw, workers))
 
 
 def _build_lognormal(n: int, seed: int, workers: int) -> QuadBatch:
-    (g,) = sample_chunked(n, seed, lambda rng, k: rng.normal(size=k), workers)
-    x = np.exp(g)
-    # X = e^u: Γ = X², A = X(1-u)/2, Γ[X,Γ[X]] = 2X³
-    return QuadBatch.from_raw(x, x * x, 0.5 * x * (1.0 - g), 2.0 * x**3)
+    def draw(rng, k):
+        g = rng.normal(size=k)
+        x = np.exp(g)
+        # X = e^u: Γ = X², A = X(1-u)/2, Γ[X,Γ[X]] = 2X³
+        return x, x * x, 0.5 * x * (1.0 - g), 2.0 * x**3
+
+    return QuadBatch.from_raw(*sample_chunked(n, seed, draw, workers))
 
 
 def _build_gaussian_pair(n: int, seed: int, workers: int) -> QuadBatch:
     def draw(rng, k):
         z = rng.normal(size=(k, 2))
-        return z[:, 0], z[:, 1]
+        g1, g2 = np.ascontiguousarray(z.T)
+        c, s = np.cos(g2), np.sin(g2)
+        # Γ-field = 1 + cos²(u₂): ∂₂Γ = -sin(2u₂), so Γ[X,Γ[X]] = cos(u₂)·(-sin 2u₂)
+        return (g1 + s, 1.0 + c * c, -0.5 * g1 - 0.5 * g2 * c - 0.5 * s,
+                -c * np.sin(2.0 * g2), s, c * c)
 
-    g1, g2 = sample_chunked(n, seed, draw, workers)
-    c, s = np.cos(g2), np.sin(g2)
-    x = g1 + s
-    gam = 1.0 + c * c
-    a = -0.5 * g1 - 0.5 * g2 * c - 0.5 * s
-    # Γ-field = 1 + cos²(u₂): ∂₂Γ = -sin(2u₂), so Γ[X,Γ[X]] = cos(u₂)·(-sin 2u₂)
-    gxx = -c * np.sin(2.0 * g2)
-    return QuadBatch.from_raw(x, gam, a, gxx, g=s, gamma_x_g=c * c)
+    x, gam, a, gxx, g, gxg = sample_chunked(n, seed, draw, workers)
+    return QuadBatch.from_raw(x, gam, a, gxx, g=g, gamma_x_g=gxg)
 
 
 def _build_triangular(n: int, seed: int, workers: int) -> QuadBatch:
-    def draw(rng, k):
-        u = rng.uniform(size=(k, 2))
-        return u[:, 0], u[:, 1]
-
     def terms(u):
         # per coordinate: γ = (u(1-u))², a = u(1-u)(1-2u), γ' = 2a, and γ·γ'
         w = u * (1.0 - u)
@@ -108,10 +109,14 @@ def _build_triangular(n: int, seed: int, workers: int) -> QuadBatch:
         a = w * (1.0 - 2.0 * u)
         return gam, a, (2.0 * a) * gam
 
-    u0, u1 = sample_chunked(n, seed, draw, workers)
-    g0, a0, q0 = terms(u0)
-    g1, a1, q1 = terms(u1)
-    return QuadBatch.from_raw(u0 + u1, g0 + g1, a0 + a1, q0 + q1)
+    def draw(rng, k):
+        u = rng.uniform(size=(k, 2))
+        u0, u1 = u[:, 0], u[:, 1]
+        g0, a0, q0 = terms(u0)
+        g1, a1, q1 = terms(u1)
+        return u0 + u1, g0 + g1, a0 + a1, q0 + q1
+
+    return QuadBatch.from_raw(*sample_chunked(n, seed, draw, workers))
 
 
 _GBM_VOL, _GBM_DRIFT, _GBM_T, _GBM_X0 = 0.3, 0.05, 1.0, 1.0
@@ -128,10 +133,10 @@ def _gbm_exact_from_bt(bt: np.ndarray):
 
 
 def _build_gbm_exact(n: int, seed: int, workers: int) -> QuadBatch:
-    (bt,) = sample_chunked(
-        n, seed, lambda rng, k: rng.normal(0.0, math.sqrt(_GBM_T), size=k), workers
-    )
-    return QuadBatch.from_raw(*_gbm_exact_from_bt(bt))
+    def draw(rng, k):
+        return _gbm_exact_from_bt(rng.normal(0.0, math.sqrt(_GBM_T), size=k))
+
+    return QuadBatch.from_raw(*sample_chunked(n, seed, draw, workers))
 
 
 def _euler_builder(coeffs):
@@ -139,8 +144,7 @@ def _euler_builder(coeffs):
         def draw(rng, k):
             return simulate_triple_batch(_GBM_X0, _GBM_T, _GBM_STEPS, coeffs, k, rng)[:3]
 
-        x, g, a = sample_chunked(n, seed, draw, workers)
-        return TripleBatch.from_raw(x, g, a)
+        return TripleBatch.from_raw(*sample_chunked(n, seed, draw, workers))
 
     return build
 
@@ -160,8 +164,7 @@ def _build_poisson(n: int, seed: int, workers: int) -> QuadBatch:
         x, g, a, q, _ = sample_poisson_arrays(spec, rng, k)
         return x, g, a, q
 
-    x, g, a, q = sample_chunked(n, seed, draw, workers)
-    return QuadBatch.from_raw(x, g, a, q)
+    return QuadBatch.from_raw(*sample_chunked(n, seed, draw, workers))
 
 
 # -- densities and oracles ---------------------------------------------------

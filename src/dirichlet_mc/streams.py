@@ -8,8 +8,9 @@ number of workers or the order in which chunks finish.
 """
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -47,9 +48,11 @@ def sample_chunked(
 
     draw(rng, count) produces one chunk as an array, or a tuple of arrays
     that share the leading axis.  Chunks are computed independently
-    (possibly by several workers) and concatenated in chunk order, so the
-    result is bit-identical for any worker count.  chunk_offset shifts the
-    chunk keys, letting a caller carve disjoint substreams out of one seed.
+    (possibly by several workers) and copied in chunk order into arrays
+    allocated once, so the result is bit-identical for any worker count
+    and no chunk outlives its copy.  At most 2·workers chunks are in
+    flight.  chunk_offset shifts the chunk keys, letting a caller carve
+    disjoint substreams out of one seed.
     """
     sizes = chunk_sizes(n)
     if not sizes:
@@ -58,17 +61,32 @@ def sample_chunked(
             return tuple(np.asarray(p) for p in probe)
         return (np.asarray(probe),)
 
-    def one(i_size):
-        i, size = i_size
-        out = draw(chunk_rng(seed, chunk_offset + i), size)
+    def one(i: int):
+        out = draw(chunk_rng(seed, chunk_offset + i), sizes[i])
         return out if isinstance(out, tuple) else (out,)
 
-    jobs = list(enumerate(sizes))
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts: Sequence[tuple[np.ndarray, ...]] = list(pool.map(one, jobs))
-    else:
-        parts = [one(j) for j in jobs]
+    out: list[np.ndarray] = []
+    lo = 0
 
-    width = len(parts[0])
-    return tuple(np.concatenate([p[k] for p in parts]) for k in range(width))
+    def place(part: tuple[np.ndarray, ...]) -> None:
+        nonlocal lo
+        if not out:
+            out.extend(np.empty((n,) + p.shape[1:], dtype=p.dtype) for p in part)
+        hi = lo + part[0].shape[0]
+        for dst, p in zip(out, part):
+            dst[lo:hi] = p
+        lo = hi
+
+    if workers > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pending: deque = deque()
+            for i in range(len(sizes)):
+                pending.append(pool.submit(one, i))
+                if len(pending) > 2 * workers:
+                    place(pending.popleft().result())
+            while pending:
+                place(pending.popleft().result())
+    else:
+        for i in range(len(sizes)):
+            place(one(i))
+    return tuple(out)

@@ -22,12 +22,10 @@ from .estimators import (
     DensityEstimate,
     QuadBatch,
     TripleBatch,
-    generator_centering_z,
     get_estimator,
-    ibp_residual_z,
+    identity_z_scores,
     run_estimator,
     shifted_kernel_variance,
-    weight_centering_z,
 )
 from .quadrature import kernel_moment_integral
 from .scenarios import Scenario, corrupt_quad_batch, get_scenario
@@ -249,39 +247,6 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         return all(abs(z) <= self.threshold for z in self.z_scores.values())
-
-
-# test functions φ of the identity suite, as (φ', φ'')
-_PHIS = {
-    "x": (lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
-    "x2": (lambda x: 2.0 * x, lambda x: 2.0 * np.ones_like(x)),
-    "cos": (lambda x: -np.sin(x), lambda x: -np.cos(x)),
-}
-_IBP_PHIS = ("cos", "x2")
-_IBP_EPSILONS = (0.5, 0.1)
-
-
-def identity_z_scores(b: QuadBatch) -> dict[str, float]:
-    """Generator centering (φ ∈ {x, x², cos}), regularised IBP residuals
-    (φ ∈ {cos, x²}, ε ∈ {0.5, 0.1}) and weight centering of one batch, as
-    z-scores in report order.
-
-    φ'(X) and φ''(X) are evaluated once per φ and serve every statistic
-    of that φ; each pair is released before the next is evaluated.
-    """
-    z: dict[str, float] = dict.fromkeys(
-        [f"generator_{name}" for name in _PHIS]
-        + [f"ibp_{name}_eps{eps:g}" for name in _IBP_PHIS for eps in _IBP_EPSILONS]
-    )
-    for name, (p1, p2) in _PHIS.items():
-        d1, d2 = p1(b.x), p2(b.x)
-        z[f"generator_{name}"] = generator_centering_z(b, d1, d2)
-        if name in _IBP_PHIS:
-            for eps in _IBP_EPSILONS:
-                z[f"ibp_{name}_eps{eps:g}"] = ibp_residual_z(b, d1, d2, eps)
-        del d1, d2
-    z["weight_centering"] = weight_centering_z(b)
-    return z
 
 
 def run_identity_suite(

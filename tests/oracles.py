@@ -104,15 +104,18 @@ class DegenerateCovarianceError(ValueError):
     """Kernel covariance is numerically singular; the caller counts and skips it."""
 
 
-def gaussian_kernel(y, cov) -> float:
+def gaussian_kernel(y, cov):
     """Centered Gaussian density (2π)^{-d/2} det(Σ)^{-1/2} exp(-½ yᵀΣ⁻¹y).
 
-    A covariance with det below 1e-30 is degenerate: an error for the
-    caller to count and skip.
+    y is one point (a scalar when d = 1, else a length-d vector), giving a
+    float, or an (m, d) array of points, giving m values.  A covariance
+    with det below 1e-30 is degenerate: an error for the caller to count
+    and skip.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = np.asarray(y, dtype=float)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    d = y.shape[0]
+    points = y if y.ndim == 2 else np.atleast_1d(y)[None, :]
+    d = points.shape[1]
     if cov.shape != (d, d):
         raise ValueError(f"covariance shape {cov.shape} does not match y of length {d}")
     if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
@@ -125,8 +128,9 @@ def gaussian_kernel(y, cov) -> float:
         raise DegenerateCovarianceError(
             f"covariance determinant {det:.3e} below {DEGENERATE_DET:g}"
         )
-    quad = float(y @ np.linalg.solve(cov, y))
-    return (2.0 * math.pi) ** (-d / 2.0) * det**-0.5 * math.exp(-0.5 * quad)
+    quad = np.einsum("ij,ji->i", points, np.linalg.solve(cov, points.T))
+    vals = (2.0 * math.pi) ** (-d / 2.0) * det**-0.5 * np.exp(-0.5 * quad)
+    return vals if y.ndim == 2 else float(vals[0])
 
 
 def _sign_loop(x: float, xs_samples, weights, usable, epsilon=None) -> DensityEstimate:
@@ -244,17 +248,23 @@ def sample_poisson_quad(spec: PoissonFunctionalSpec, rng: np.random.Generator) -
     return ErrorQuad(ErrorTriple(np.array([x]), np.array([[g]]), np.array([a])), gxx)
 
 
-def z_reference(stat: np.ndarray) -> float:
-    """z-score as np.mean over np.std(ddof=1)/√n, 0 when that error is not
-    positive (which includes the NaN of a single value)."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        se = float(np.std(stat, ddof=1)) / math.sqrt(stat.shape[0])
-    return float(np.mean(stat)) / se if se > 0 else 0.0
+def z_exact(stat: np.ndarray) -> float:
+    """z-score from math.fsum sums: the mean and Σ(v - mean)² carry no
+    summation error, so no order of summation is built in.  0 below two
+    values or when the error is 0."""
+    vals = stat.tolist()
+    n = len(vals)
+    if n < 2:
+        return 0.0
+    mean = math.fsum(vals) / n
+    se = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (n - 1)) / math.sqrt(n)
+    return mean / se if se > 0 else 0.0
 
 
 def identity_z_reference(b: QuadBatch) -> dict[str, float]:
     """The identity suite's z-scores, in report order, from fresh φ
-    evaluations per statistic and the masked weights."""
+    evaluations per statistic over the whole batch, the masked weights and
+    exact sums."""
     phis = {
         "x": (lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
         "x2": (lambda x: 2.0 * x, lambda x: 2.0 * np.ones_like(x)),
@@ -262,19 +272,19 @@ def identity_z_reference(b: QuadBatch) -> dict[str, float]:
     }
     z = {}
     for name, (p1, p2) in phis.items():
-        z[f"generator_{name}"] = z_reference(p1(b.x) * b.a + 0.5 * p2(b.x) * b.gamma)
+        z[f"generator_{name}"] = z_exact(p1(b.x) * b.a + 0.5 * p2(b.x) * b.gamma)
     for name in ("cos", "x2"):
         p1, p2 = phis[name]
         for eps in (0.5, 0.1):
             gam = eps + b.gamma
             w = -b.gamma_x_gammax / gam**2 + 2.0 * b.a / gam
-            z[f"ibp_{name}_eps{eps:g}"] = z_reference(
+            z[f"ibp_{name}_eps{eps:g}"] = z_exact(
                 p2(b.x) * b.gamma / (eps + b.gamma) + p1(b.x) * w
             )
     usable = b.gamma > 0.0
     gam = np.where(usable, b.gamma, 1.0)
     w = np.where(usable, -b.gamma_x_gammax / gam**2 + 2.0 * b.a / gam, 0.0)
-    z["weight_centering"] = z_reference(w[usable])
+    z["weight_centering"] = z_exact(w[usable])
     return z
 
 

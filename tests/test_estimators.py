@@ -11,14 +11,14 @@ from dirichlet_mc.estimators import (
     centered_direct_density,
     conditional_expectation,
     direct_density,
-    generator_centering_z,
-    ibp_residual_z,
+    identity_z_scores,
     plain_kernel_density,
     regularized_density,
+    regularized_weights,
     run_estimator,
     shifted_kernel_density,
     shifted_kernel_variance,
-    weight_centering_z,
+    z_score,
 )
 from dirichlet_mc.scenarios import get_scenario
 from dirichlet_mc.streams import chunk_rng
@@ -78,7 +78,8 @@ class TestGaussianKernel:
         lim = 8.0
         xs = np.linspace(-lim, lim, 201)
         ys = np.linspace(-lim, lim, 201)
-        grid = np.array([[gaussian_kernel([x, y], cov) for y in ys] for x in xs])
+        points = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        grid = gaussian_kernel(points, cov).reshape(201, 201)
         inner = np.trapezoid(grid, ys, axis=1)
         assert np.trapezoid(inner, xs) == pytest.approx(1.0, abs=1e-6)
 
@@ -341,13 +342,12 @@ class TestIdentityStatistics:
         side = float(np.mean(lhs))
         se = float(np.std(lhs, ddof=1)) / math.sqrt(b.n)
         assert abs(side - (-math.exp(-0.5) / 1.5)) < 4 * se
-        z = ibp_residual_z(b, -np.sin(b.x), -np.cos(b.x), eps)
-        assert abs(z) < 4.0
+        assert abs(identity_z_scores(b)["ibp_cos_eps0.5"]) < 4.0
 
     def test_ibp_affine_phi_reduces_to_centering(self):
+        # φ(x) = x leaves the residual W_ε alone
         b = lognormal_quads(100_000, 13)
-        z = ibp_residual_z(b, np.ones_like(b.x), np.zeros_like(b.x), 0.5)
-        assert abs(z) < 4.0
+        assert abs(z_score(regularized_weights(b, 0.5))) < 4.0
 
     def test_ibp_triangular_quadratic_phi(self):
         rng = chunk_rng(14, 0)
@@ -355,18 +355,16 @@ class TestIdentityStatistics:
         gam_i = (u * (1 - u)) ** 2
         a_i = u * (1 - u) * (1 - 2 * u)
         b = QuadBatch(u.sum(1), gam_i.sum(1), a_i.sum(1), (2 * a_i * gam_i).sum(1))
-        z = ibp_residual_z(b, 2 * b.x, 2 * np.ones_like(b.x), 0.1)
-        assert abs(z) < 4.0
+        assert abs(identity_z_scores(b)["ibp_x2_eps0.1"]) < 4.0
 
     def test_weight_centering_every_quad_scenario(self):
         for make, seed in ((gaussian_quads, 15), (lognormal_quads, 16)):
-            assert abs(weight_centering_z(make(100_000, seed))) < 4.0
+            assert abs(identity_z_scores(make(100_000, seed))["weight_centering"]) < 4.0
 
     def test_generator_centering_catches_shifted_a(self):
         b = gaussian_quads(100_000, 17)
         shifted = QuadBatch(b.x, b.gamma, b.a + 0.1, b.gamma_x_gammax)
-        z = generator_centering_z(shifted, np.ones_like(b.x), np.zeros_like(b.x))
-        assert abs(z) > 4.0
+        assert abs(identity_z_scores(shifted)["generator_x"]) > 4.0
 
 
 def _close(a, b, rel=1e-12):
@@ -423,7 +421,10 @@ class TestSignReductions:
 
     def test_large_n_centered_weight_against_exact_sums(self):
         # W = -U is centered, so in the tails the signed terms cancel down to
-        # a small mean; the error of a sum is measured against the mean |term|
+        # a small mean; the error of a sum is measured against the mean |term|.
+        # Per-block bin sums added block by block stay within 5.2e-16 of it
+        # (seeds 32-34, also at N = 10^7); one sequential sum over the batch
+        # reached 1.3e-14
         b = gaussian_quads(1_000_000, 32)
         w = -b.x
         for est in direct_density(b, [0.0, 2.5, -4.0]):
@@ -432,7 +433,7 @@ class TestSignReductions:
             mean = math.fsum(vals) / n
             scale = math.fsum(abs(v) for v in vals) / n
             var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
-            assert abs(est.value - mean) <= 1e-12 * scale, (est.x, est.value, mean)
+            assert abs(est.value - mean) <= 2e-15 * scale, (est.x, est.value, mean)
             assert _close(est.std_error, math.sqrt(var / n)), est.x
 
     def test_non_finite_query_rejected(self):
