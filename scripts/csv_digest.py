@@ -9,8 +9,14 @@ Monte Carlo `sweep-bias`/`sweep-variance` runs.  Each command runs in-process at
 
     <sha256 of the CSV, or "-" when none was written>  <exit code>  w<workers>  <tag>
 
-so an exit-2 rejection is a pinned outcome too.  Two trees produce the same
-CSVs exactly when their outputs diff empty:
+so an exit-2 rejection is a pinned outcome too.  No CLI command reaches a
+kernel in d ≥ 2, so library calls pin those: `shifted`, `plain_gamma` and
+`plain_id` on seeded d = 2 and d = 3 batches with full covariances and one
+rank-one row, one line each,
+
+    <sha256 of the repr of the estimates>  -  lib  <tag>
+
+Two trees produce the same outputs exactly when their outputs diff empty:
 
     PYTHONPATH=src python scripts/csv_digest.py > new.txt
     PYTHONPATH=/path/to/other/src python scripts/csv_digest.py > old.txt
@@ -28,7 +34,10 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from dirichlet_mc.cli import cli_main
+from dirichlet_mc.estimators import TripleBatch, plain_kernel_density, shifted_kernel_density
 from dirichlet_mc.scenarios import SCENARIOS
 
 ESTIMATOR_NAMES = (
@@ -102,6 +111,35 @@ def commands() -> dict[str, list[str]]:
     return cmds
 
 
+LIBRARY_KERNELS = {
+    "shifted": lambda tb, eps, xs: shifted_kernel_density(tb, eps, xs),
+    "plain_gamma": lambda tb, eps, xs: plain_kernel_density(tb, eps, xs, variant="gamma_cov"),
+    "plain_id": lambda tb, eps, xs: plain_kernel_density(tb, eps, xs, variant="identity_cov"),
+}
+
+
+def kernel_batch(d: int, n: int = 20_000, seed: int = 12):
+    """Seeded (X, Γ, A) in dimension d: covariances M Mᵀ + 0.1 I with M
+    standard normal, and row 3 the rank-one v vᵀ, v = (1, -1[, 2]), whose
+    factorisation meets an exact 0.  n crosses a reduction-block boundary."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, d, d))
+    gamma = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    v = np.array([1.0, -1.0, 2.0][:d])
+    gamma[3] = np.outer(v, v)
+    return TripleBatch(rng.normal(size=(n, d)), gamma, rng.normal(size=(n, d)))
+
+
+def library_digests():
+    """(sha256 of the repr of the estimates, tag) per d ≥ 2 kernel call."""
+    for d in (2, 3):
+        tb = kernel_batch(d)
+        xs = np.array([np.zeros(d), np.linspace(0.5, -0.5, d), np.linspace(-1.5, 1.0, d)])
+        for name, call in LIBRARY_KERNELS.items():
+            got = repr(call(tb, 0.1, xs))
+            yield hashlib.sha256(got.encode()).hexdigest(), f"kernel_d{d}_{name}"
+
+
 def digest(argv: list[str], workdir: str) -> tuple[str, int]:
     out = os.path.join(workdir, "out.csv")
     if os.path.exists(out):
@@ -120,6 +158,8 @@ def main() -> int:
             for workers in ("1", "2"):
                 sha, rc = digest(argv + ["--workers", workers], workdir)
                 print(f"{sha}  {rc}  w{workers}  {tag}", flush=True)
+    for sha, tag in library_digests():
+        print(f"{sha}  -  lib  {tag}", flush=True)
     return 0
 
 

@@ -22,12 +22,16 @@ whether it needs quad data, whether it takes ε and, for a kernel, its
 as a scenario builds it.  The CLI and the sweeps choose estimators only
 through this table.
 
-Cost per query point.  Kernels compute everything that does not depend on
-x (mask, normaliser, precision) once per (block, ε), leaving one pass over
-the block's samples per query.  The sign formulas bin each block once
-against the sorted distinct queries (one vectorised comparison per query)
-and take one bincount per weight column; no per-query pass forms signs or
-moments.
+Cost per query point.  Kernels factor each block's covariances once per
+(block, ε) with a square-root-free Cholesky Σ = L D Lᵀ written as O(d³)
+numpy passes over the samples (for d = 1, D is the variance itself), and
+evaluate the queries in groups of eight as one (group, block) array: a
+query costs a forward substitution, d squares and one exp per sample.
+A covariance that is not positive definite (a pivot ≤ 0) or whose
+determinant is below DEGENERATE_DET is skipped and counted.  The sign
+formulas bin each block once against the sorted distinct queries (one
+vectorised comparison per query) and take one bincount per weight
+column; no per-query pass forms signs or moments.
 
 Block reductions.  Every reduction over samples walks the batch in
 CHUNK_SIZE-row blocks and merges per-block partials in block order: the
@@ -35,10 +39,10 @@ sign formulas add per-side sums block by block, the kernels and the
 identity statistics merge (count, mean, M2[, M3, M4]) partials with the
 pairwise update of Chan, Golub and LeVeque (1983).  Weights, kernel values
 and statistics exist one block at a time, so no estimator holds more than
-the batch plus O(CHUNK_SIZE·Q) scratch, and every estimate is
-bit-reproducible for any worker count.
+the batch plus O(CHUNK_SIZE·Q) scratch (kernels O(CHUNK_SIZE·8·d)), and
+every estimate is bit-reproducible for any worker count.
 
-Cost per call.  Batches, 1-d kernel set-up and the direct weights build a
+Cost per call.  Batches, kernel set-up and the direct weights build a
 row mask and copy the kept rows only when some sample is unusable (a
 finite column sum proves every entry finite); skipping the copy changes
 no bit.
@@ -280,18 +284,19 @@ class Moments:
 
 
 def _moments(vals: np.ndarray, fourth: bool = False) -> Moments:
-    """Moments of one block of values (two passes); overwrites vals."""
-    n = vals.shape[0]
+    """Moments of the values along the last axis of vals, one set per row
+    of a 2-d array (two passes); overwrites vals."""
+    n = vals.shape[-1]
     if n == 0:
         return Moments()
-    mean = vals.sum() / n
-    dev = np.subtract(vals, mean, out=vals)
+    mean = vals.sum(axis=-1) / n
+    dev = np.subtract(vals, mean[..., None], out=vals)
     if not fourth:
-        return Moments(n, mean, np.multiply(dev, dev, out=dev).sum())
+        return Moments(n, mean, np.multiply(dev, dev, out=dev).sum(axis=-1))
     sq = dev * dev
-    m2 = sq.sum()
-    m3 = np.multiply(sq, dev, out=dev).sum()
-    return Moments(n, mean, m2, m3, np.multiply(sq, sq, out=sq).sum())
+    m2 = sq.sum(axis=-1)
+    m3 = np.multiply(sq, dev, out=dev).sum(axis=-1)
+    return Moments(n, mean, m2, m3, np.multiply(sq, sq, out=sq).sum(axis=-1))
 
 
 def _merge(a: Moments, b: Moments) -> Moments:
@@ -313,13 +318,6 @@ def _merge(a: Moments, b: Moments) -> Moments:
               + 6.0 * dn * dn * (na * na * b.m2 + nb * nb * a.m2)
               + 4.0 * dn * (na * b.m3 - nb * a.m3))
     return Moments(n, a.mean + dn * nb, m2, m3, m4)
-
-
-def _stacked(n: int, parts: list[Moments], fourth: bool) -> Moments:
-    """Per-query Moments of the same n values as one Moments of arrays."""
-    def col(name):
-        return np.array([getattr(p, name) for p in parts], dtype=float)
-    return Moments(n, col("mean"), col("m2"), *((col("m3"), col("m4")) if fourth else ()))
 
 
 def _mean_se(m: Moments):
@@ -358,66 +356,95 @@ def _cut_exp(z: np.ndarray) -> np.ndarray:
     return np.multiply(z, keep, out=z)
 
 
-def _kernel_1d(center: np.ndarray, var):
-    """The number of usable samples and x ↦ g(x - c_n, var_n) over them,
-    for d = 1.
+# queries whose kernel values a block evaluates together: scratch stays
+# O(CHUNK_SIZE·_GROUP·d)
+_GROUP = 8
 
-    var is one variance per sample, or a scalar shared by all of them.
-    The usable rows are copied out only when some sample is unusable.
-    Normaliser and -½/var are computed once; each call fills and returns
-    the same buffer.
+
+def _ldl(entry, d: int):
+    """Square-root-free Cholesky Σ = L D Lᵀ, L unit lower triangular, of
+    every sample's covariance at once (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10).
+
+    entry(i, j), i ≥ j, is Σ_ij with one value per sample.  The loops run
+    over the d × d entries; each operation is one pass over the samples.
+    Returns the pivots D_i and the rows [L_i0, …, L_i,i-1] of L.  A
+    covariance that is not positive definite has a pivot ≤ 0 or NaN.
     """
-    if not (_sums_finite(center, var) and np.min(var) >= DEGENERATE_DET):
-        usable = np.isfinite(var) & np.isfinite(center) & (var >= DEGENERATE_DET)
-        center = center[usable]
-        var = var[usable] if np.ndim(var) else var
-    neg_half_prec = -0.5 / var
-    norm = 1.0 / np.sqrt(2.0 * math.pi * var)
-    vals = np.empty_like(center)
-
-    def values(q: np.ndarray) -> np.ndarray:
-        np.subtract(q[0], center, out=vals)
-        np.multiply(vals, vals, out=vals)
-        np.multiply(vals, neg_half_prec, out=vals)
-        return np.multiply(_cut_exp(vals), norm, out=vals)
-
-    return center.shape[0], values
-
-
-def _kernel_nd(center: np.ndarray, cov: np.ndarray):
-    """The number of usable samples and x ↦ g(x - c_n, Σ_n) over them,
-    for d ≥ 2.
-
-    Mask, det-based normaliser and precision matrices are computed once,
-    so each query costs one quadratic form and one exp.
-    """
-    d = center.shape[1]
-    det = np.linalg.det(cov)
-    usable = np.isfinite(det) & np.isfinite(center).all(axis=1) & (det >= DEGENERATE_DET)
-    # (d, d, n) and (d, n) layouts keep the per-query loops contiguous in n
-    neg_half_prec = np.ascontiguousarray(-0.5 * np.linalg.inv(cov[usable]).transpose(1, 2, 0))
-    c = np.ascontiguousarray(center[usable].T)
-    norm = (2.0 * math.pi) ** (-d / 2.0) * det[usable] ** -0.5
-
-    def values(q: np.ndarray) -> np.ndarray:
-        y = q[:, None] - c
-        vals = np.einsum("ijn,in,jn->n", neg_half_prec, y, y)
-        return np.multiply(_cut_exp(vals), norm, out=vals)
-
-    return c.shape[1], values
+    piv: list = []
+    low: list[list] = []
+    for i in range(d):
+        row: list = []
+        for j in range(i + 1):
+            other = row if j == i else low[j]
+            s = entry(i, j)
+            for k in range(j):
+                s = s - row[k] * other[k] * piv[k]
+            if j == i:
+                piv.append(s)
+            else:
+                row.append(s / piv[j])
+        low.append(row)
+    return piv, low
 
 
 def _kernel_block(b: TripleBatch, rows: slice, epsilon: float, shift: bool, identity_cov: bool):
-    """_kernel_1d or _kernel_nd over the samples in rows."""
-    if b.d == 1:
-        x = b.x[rows, 0]
-        center = x + epsilon * b.a[rows, 0] if shift else x
-        var = float(epsilon) if identity_cov else epsilon * b.gamma[rows, 0, 0]
-        return _kernel_1d(center, var)
-    x, gamma = b.x[rows], b.gamma[rows]
-    center = x + epsilon * b.a[rows] if shift else x
-    cov = epsilon * (np.broadcast_to(np.eye(b.d), gamma.shape) if identity_cov else gamma)
-    return _kernel_nd(center, cov)
+    """The number of usable samples in rows and (queries, buffer) ↦ the
+    kernel values g(x - c_n, Σ_n) of a group of queries over them, as a
+    (group, samples) array in the buffer.
+
+    c_n = X_n + εA_n with the A-shift, else X_n; Σ_n = εΓ_n, or εI with
+    identity_cov.  A sample is usable when c_n is finite, every pivot of
+    Σ_n is > 0 and det Σ_n = Π D_i ≥ DEGENERATE_DET; the usable rows are
+    copied out only when some sample is not.  The factors, -½/D_i and the
+    normaliser are computed once, so a query costs the forward
+    substitution r = L⁻¹(x - c_n), Σ r_i²·(-½/D_i) and one exp per sample.
+    For d = 1, D_0 is the variance and L is empty, so the values are
+    (x - c_n)²·(-½/var_n) times the normaliser.
+    """
+    d = b.d
+    center = [np.ascontiguousarray(b.x[rows, i] + epsilon * b.a[rows, i] if shift else b.x[rows, i])
+              for i in range(d)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if identity_cov:
+            piv, low = [float(epsilon)] * d, [[]] * d
+        else:
+            piv, low = _ldl(lambda i, j: epsilon * b.gamma[rows, i, j], d)
+        det = reduce(np.multiply, piv)
+        # the last pivot is > 0 when the others are and det ≥ DEGENERATE_DET
+        if not (_sums_finite(*center, det) and np.min(det) >= DEGENERATE_DET
+                and all(np.min(p) > 0 for p in piv[:-1])):
+            usable = np.isfinite(det) & (det >= DEGENERATE_DET)
+            for v in center:
+                usable &= np.isfinite(v)
+            for p in piv[:-1]:
+                usable &= p > 0
+
+            def keep(v):
+                return v[usable] if np.ndim(v) else v
+
+            center = [keep(v) for v in center]
+            piv, det = [keep(p) for p in piv], keep(det)
+            low = [[keep(v) for v in row] for row in low]
+    neg_half_prec = [-0.5 / p for p in piv]
+    norm = 1.0 / np.sqrt((2.0 * math.pi) ** d * det)
+    n = center[0].shape[0]
+
+    def values(q: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        r = buf[:d * q.shape[0] * n].reshape(d, q.shape[0], n)
+        for i in range(d):
+            np.subtract(q[:, i, None], center[i], out=r[i])
+            for k, lik in enumerate(low[i]):
+                r[i] -= lik * r[k]
+        z = r[0]
+        for i in range(d):
+            np.multiply(r[i], r[i], out=r[i])
+            np.multiply(r[i], neg_half_prec[i], out=r[i])
+            if i:
+                z += r[i]
+        return np.multiply(_cut_exp(z), norm, out=z)
+
+    return n, values
 
 
 def shifted_kernel_density(b: TripleBatch, epsilon: float, xs) -> list[DensityEstimate]:
@@ -449,18 +476,25 @@ def _kernel_moments(
     b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool, fourth: bool = False
 ) -> tuple[np.ndarray, Moments]:
     """The queries and, per query, the moments of the kernel values over
-    the usable samples, merged block by block."""
+    the usable samples, merged block by block.  Each block evaluates its
+    queries in groups of _GROUP, one (group, block) array at a time."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if b.n == 0:
         raise NoUsableSamplesError("empty batch")
     queries = _as_queries(xs, b.d)
+    nq = queries.shape[0]
+    buf = np.empty(b.d * min(nq, _GROUP) * min(b.n, CHUNK_SIZE))
     total = Moments()
     for rows in _row_blocks(b.n):
         n, values = _kernel_block(b, rows, epsilon, shift, identity_cov)
         if n:
-            parts = [_moments(values(q), fourth) for q in queries]
-            total = _merge(total, _stacked(n, parts, fourth))
+            cols = [np.empty(nq) for _ in range(4 if fourth else 2)]
+            for lo in range(0, nq, _GROUP):
+                m = _moments(values(queries[lo:lo + _GROUP], buf), fourth)
+                for col, v in zip(cols, (m.mean, m.m2, m.m3, m.m4)):
+                    col[lo:lo + _GROUP] = v
+            total = _merge(total, Moments(n, *cols))
     if total.n == 0:
         raise NoUsableSamplesError("no usable samples")
     return queries, total

@@ -15,7 +15,7 @@ With the bilinear extension applied to g = γ[h] this also yields
 
 The law of N(h) has an atom at the empty configuration, so the direct
 density formulas' hypotheses fail here; the module's role is triple/quad
-simulation and identity checking.
+simulation.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 from .coords import CoordinateSpec, mc_unit
-from .estimators import z_score
 from .jets import fd_mismatch
 
 PointFn = Callable[[np.ndarray], np.ndarray]
@@ -114,55 +113,6 @@ def sample_poisson_arrays(
     if return_points:
         return x, g, a, q, ks, pts, offsets
     return x, g, a, q, ks
-
-
-@dataclass(frozen=True)
-class PoissonIdentityReport:
-    """Worst per-sample additivity violation plus the centering z-score."""
-
-    max_identity_violation: float
-    centering_z: float
-    n: int
-
-
-def poisson_identity_check(
-    spec: PoissonFunctionalSpec,
-    n: int,
-    rng: np.random.Generator,
-    phi_prime: PointFn = lambda x: np.ones_like(x),
-    phi_second: PointFn = lambda x: np.zeros_like(x),
-) -> PoissonIdentityReport:
-    """Check Γ[N(h)] = N(γ[h]) and A[N(h)] = N(a[h]) sample by sample, and
-    the centering E[φ'(X) A[X] + ½ φ''(X) Γ[X]] = 0 for the given test φ.
-
-    The additivity check recomputes every configuration by exact per-point
-    summation (math.fsum over base-function evaluations) against the batch
-    segment sums, so vectorisation refactorings that break the point-by-point
-    action are caught.  The violation must be roundoff-sized.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
-    x, g, a, _, ks, pts, offsets = sample_poisson_arrays(spec, rng, n, return_points=True)
-
-    # reference route: raw base functions per point, exact summation
-    h_ref = spec.h(pts)
-    g_ref = spec.base_gamma(pts) * spec.h1(pts) ** 2
-    a_ref = 0.5 * spec.base_gamma(pts) * spec.h2(pts) + spec.base_a(pts) * spec.h1(pts)
-    worst = 0.0
-    for i in range(n):
-        lo, hi = offsets[i], offsets[i] + ks[i]
-        xr = math.fsum(h_ref[lo:hi])
-        gr = math.fsum(g_ref[lo:hi])
-        ar = math.fsum(a_ref[lo:hi])
-        worst = max(
-            worst,
-            abs(x[i] - xr) / max(1.0, abs(xr)),
-            abs(g[i] - gr) / max(1.0, abs(gr)),
-            abs(a[i] - ar) / max(1.0, abs(ar)),
-        )
-
-    z = z_score(phi_prime(x) * a + 0.5 * phi_second(x) * g)
-    return PoissonIdentityReport(worst, z, n)
 
 
 def poisson_mc_unit(

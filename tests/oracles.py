@@ -4,9 +4,11 @@ These never touch a jet's gradient or Hessian: they re-derive Γ, A and
 Γ[X, Γ[X]] from plain scalar evaluations of the functional, so agreement
 with the operators module is a genuine two-route check.
 
-The scalar estimator references (one Gaussian kernel at a time, one full
-pass over the samples per sign-formula query) are what the vectorised
-estimators are checked against.  The expression-form Euler batch is the
+The scalar estimator references (one Gaussian kernel at a time through
+np.linalg, one full pass over the samples per sign-formula query, the 1-d
+kernel values one query at a time) are what the vectorised estimators
+are checked against.  The Poisson identity check recomputes each
+configuration by exact per-point sums.  The expression-form Euler batch is the
 reference the in-place Euler recursion must match bit for bit; the
 identity z-scores and the stacked triangular builder below are the
 references for the identity suite and the column-wise builder.
@@ -14,6 +16,7 @@ references for the identity suite and the column-wise builder.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,14 +25,17 @@ from dirichlet_mc.coords import BasePoint
 from dirichlet_mc.estimators import (
     DEGENERATE_DET,
     DensityEstimate,
+    Moments,
     QuadBatch,
+    _merge,
     conditional_weights,
     direct_weights,
     regularized_weights,
+    z_score,
 )
 from dirichlet_mc.operators import ErrorQuad, ErrorTriple
-from dirichlet_mc.poisson import PoissonFunctionalSpec
-from dirichlet_mc.streams import sample_chunked
+from dirichlet_mc.poisson import PointFn, PoissonFunctionalSpec, sample_poisson_arrays
+from dirichlet_mc.streams import CHUNK_SIZE, sample_chunked
 
 FD_STEP = 1e-4
 
@@ -131,6 +137,42 @@ def gaussian_kernel(y, cov):
     quad = np.einsum("ij,ji->i", points, np.linalg.solve(cov, points.T))
     vals = (2.0 * math.pi) ** (-d / 2.0) * det**-0.5 * np.exp(-0.5 * quad)
     return vals if y.ndim == 2 else float(vals[0])
+
+
+def kernel_moments_per_query(tb, epsilon: float, xs, shift: bool, identity_cov: bool) -> list[Moments]:
+    """Per query, the Moments (count, mean, M2, M3, M4) of the 1-d kernel
+    values g(x - c_n, var_n) over the usable samples, one pass over a
+    block's samples per query.
+
+    Per CHUNK_SIZE-row block: the rows with finite centre and
+    var ≥ DEGENERATE_DET, then per query (x - c)²·(-½/var), exp cut to 0
+    below -700, times 1/√(2π var), and two-pass moments; the blocks are
+    merged in order by the estimators' own merge.  The same arithmetic in
+    the same order, so the grouped kernel must match it bit for bit.
+    """
+    out = []
+    for q in np.atleast_1d(np.asarray(xs, dtype=float)):
+        total = Moments()
+        for lo in range(0, tb.n, CHUNK_SIZE):
+            rows = slice(lo, min(lo + CHUNK_SIZE, tb.n))
+            center = tb.x[rows, 0] + epsilon * tb.a[rows, 0] if shift else tb.x[rows, 0]
+            var = (np.full(center.shape, float(epsilon)) if identity_cov
+                   else epsilon * tb.gamma[rows, 0, 0])
+            usable = np.isfinite(var) & np.isfinite(center) & (var >= DEGENERATE_DET)
+            center, var = center[usable], var[usable]
+            n = center.shape[0]
+            if n == 0:
+                continue
+            y = q - center
+            z = y * y * (-0.5 / var)
+            vals = np.where(z >= -700.0, np.exp(np.maximum(z, -700.0)), 0.0)
+            vals = vals * (1.0 / np.sqrt(2.0 * math.pi * var))
+            mean = vals.sum() / n
+            dev = vals - mean
+            sq = dev * dev
+            total = _merge(total, Moments(n, mean, sq.sum(), (sq * dev).sum(), (sq * sq).sum()))
+        out.append(total)
+    return out
 
 
 def _sign_loop(x: float, xs_samples, weights, usable, epsilon=None) -> DensityEstimate:
@@ -302,3 +344,52 @@ def triangular_reference(n: int, seed: int, workers: int = 1):
     a_i = u * (1.0 - u) * (1.0 - 2.0 * u)
     gp_i = 2.0 * a_i
     return u.sum(axis=1), gam_i.sum(axis=1), a_i.sum(axis=1), (gp_i * gam_i).sum(axis=1)
+
+
+@dataclass(frozen=True)
+class PoissonIdentityReport:
+    """Worst per-sample additivity violation plus the centering z-score."""
+
+    max_identity_violation: float
+    centering_z: float
+    n: int
+
+
+def poisson_identity_check(
+    spec: PoissonFunctionalSpec,
+    n: int,
+    rng: np.random.Generator,
+    phi_prime: PointFn = lambda x: np.ones_like(x),
+    phi_second: PointFn = lambda x: np.zeros_like(x),
+) -> PoissonIdentityReport:
+    """Check Γ[N(h)] = N(γ[h]) and A[N(h)] = N(a[h]) sample by sample, and
+    the centering E[φ'(X) A[X] + ½ φ''(X) Γ[X]] = 0 for the given test φ.
+
+    The additivity check recomputes every configuration by exact per-point
+    summation (math.fsum over base-function evaluations) against the batch
+    segment sums, so vectorisation refactorings that break the point-by-point
+    action are caught.  The violation must be roundoff-sized.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1 samples")
+    x, g, a, _, ks, pts, offsets = sample_poisson_arrays(spec, rng, n, return_points=True)
+
+    # reference route: raw base functions per point, exact summation
+    h_ref = spec.h(pts)
+    g_ref = spec.base_gamma(pts) * spec.h1(pts) ** 2
+    a_ref = 0.5 * spec.base_gamma(pts) * spec.h2(pts) + spec.base_a(pts) * spec.h1(pts)
+    worst = 0.0
+    for i in range(n):
+        lo, hi = offsets[i], offsets[i] + ks[i]
+        xr = math.fsum(h_ref[lo:hi])
+        gr = math.fsum(g_ref[lo:hi])
+        ar = math.fsum(a_ref[lo:hi])
+        worst = max(
+            worst,
+            abs(x[i] - xr) / max(1.0, abs(xr)),
+            abs(g[i] - gr) / max(1.0, abs(gr)),
+            abs(a[i] - ar) / max(1.0, abs(ar)),
+        )
+
+    z = z_score(phi_prime(x) * a + 0.5 * phi_second(x) * g)
+    return PoissonIdentityReport(worst, z, n)

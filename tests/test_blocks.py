@@ -3,7 +3,11 @@
 Every reduction walks its batch in CHUNK_SIZE-row blocks and merges the
 per-block partials in block order.  These cases put the batch size, the
 unusable rows and the centered split on either side of a block boundary;
-the references reduce the whole batch at once (tests/oracles.py).
+the references reduce the whole batch at once (tests/oracles.py).  The
+kernels are also checked in d = 3 with full and rank-deficient
+covariances, with covariances that are not positive definite, and, for
+d = 1, bit for bit against one pass per query however the queries are
+grouped.
 """
 import math
 
@@ -32,6 +36,7 @@ from oracles import (
     direct_loop,
     gaussian_kernel,
     identity_z_reference,
+    kernel_moments_per_query,
     regularized_loop,
 )
 
@@ -113,20 +118,36 @@ class TestSignFormulas:
             assert _close(ce.ratio_std_error, se_r, rel=1e-12 * max(_cond(num), _cond(den)))
 
 
+# d = 3: three full covariances, then rank one and rank two.  Their entries
+# are small dyadic numbers, so with a dyadic ε every factorisation meets an
+# exact 0 pivot or determinant.
+COVS_3D = [
+    np.array([[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 0.5]]),
+    np.array([[2.0, -0.7, 0.4], [-0.7, 1.1, -0.3], [0.4, -0.3, 0.9]]),
+    np.array([[0.6, 0.2, 0.25], [0.2, 1.4, -0.5], [0.25, -0.5, 0.7]]),
+    np.outer([1.0, -1.0, 2.0], [1.0, -1.0, 2.0]),
+    np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+]
+
+
 def triples(n: int, d: int):
     """(X, Γ, A) with Γ cycling through a few covariances, a non-finite
-    row, a degenerate Γ = 0 row and, from n = 2C, the block [C, 2C)
-    wholly degenerate.  Also returns the covariances and which one each
-    row has."""
+    row, a degenerate Γ = 0 row (for d = 3 a rank-one row, and a rank-two
+    row from n = 5) and, from n = 2C, the block [C, 2C) wholly degenerate.
+    Also returns the covariances and which one each row has."""
     rng = chunk_rng(41, d)
     if d == 1:
         covs = [np.array([[v]]) for v in (0.5, 1.0, 2.0, 0.0)]
-    else:
+    elif d == 2:
         covs = [np.array([[1.0, 0.3], [0.3, 0.5]]), np.eye(2), np.array([[2.0, -0.4], [-0.4, 0.7]]),
                 np.diag([1.3, 0.0])]
+    else:
+        covs = COVS_3D
     which = np.arange(n) % 3
     if n >= 3:
         which[1] = 3
+    if d == 3 and n >= 5:
+        which[4] = 4
     if n >= 2 * C:
         which[C:2 * C] = 3
     x, a = rng.normal(size=(n, d)), rng.normal(size=(n, d))
@@ -135,16 +156,17 @@ def triples(n: int, d: int):
     return TripleBatch(x, np.stack(covs)[which], a), covs, which
 
 
-def kernel_reference(tb: TripleBatch, covs, which, eps: float, q, shift: bool, identity_cov: bool):
+def kernel_reference(tb: TripleBatch, covs, which, eps: float, q, shift: bool, identity_cov: bool,
+                     skip=()):
     """Count, mean, standard error, s² and the fourth central moment of the
     kernel values at q, from the vectorised oracle per covariance and exact
-    sums."""
+    sums.  The rows of the covariances numbered in skip are left out."""
     center = tb.x + eps * tb.a if shift else tb.x
     finite = np.isfinite(center).all(axis=1)
     if identity_cov:
         groups = [(finite, np.eye(tb.d))]
     else:
-        groups = [(finite & (which == k), cov) for k, cov in enumerate(covs)]
+        groups = [(finite & (which == k), cov) for k, cov in enumerate(covs) if k not in skip]
     vals = []
     for rows, cov in groups:
         try:
@@ -203,6 +225,84 @@ def test_2d_kernel_over_blocks(n):
         used, mean, se, _, _ = kernel_reference(tb, covs, which, eps, q, True, False)
         assert est.n_used == used
         assert _close(est.value, mean) and _close(est.std_error, se), (q, est.value, mean)
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_3d_kernels_full_gamma(kernel):
+    # full covariances, a rank-one and a rank-two row, one row past a block
+    call, shift, identity_cov = KERNELS[kernel]
+    n = C + 1
+    tb, covs, which = triples(n, 3)
+    eps = 0.25
+    queries = np.array([[0.1, -0.2, 0.3], [1.5, 0.7, -1.0], [-2.0, 3.0, 0.5]])
+    for est, q in zip(call(tb, eps, queries), queries):
+        used, mean, se, _, _ = kernel_reference(tb, covs, which, eps, q, shift, identity_cov)
+        assert est.n_used == used == (n - 1 if identity_cov else n - 3)
+        assert _close(est.value, mean) and _close(est.std_error, se), (q, est.value, mean)
+
+
+NOT_POSITIVE_DEFINITE = {
+    2: [-np.eye(2), np.array([[-1.0, 0.3], [0.3, -2.0]])],
+    3: [np.diag([-1.0, -1.0, 1.0]), np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]])],
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_not_positive_definite_rows_are_excluded(kernel, d):
+    # each Γ below has det > 0 (det(-I) = +1 for d = 2), so a determinant
+    # test alone would evaluate them; Γ-shaped kernels must skip and count
+    # them, and the identity covariance ignores Γ
+    call, shift, identity_cov = KERNELS[kernel]
+    n = 1000
+    bad = NOT_POSITIVE_DEFINITE[d]
+    covs = [COVS_3D[0] if d == 3 else np.array([[1.0, 0.3], [0.3, 0.5]])] + bad
+    which = np.zeros(n, dtype=int)
+    which[::100] = 1
+    which[50::100] = 2
+    rng = chunk_rng(42, d)
+    tb = TripleBatch(rng.normal(size=(n, d)), np.stack(covs)[which], rng.normal(size=(n, d)))
+    for cov in bad:
+        assert np.linalg.det(cov) > 0
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            gaussian_kernel(np.zeros(d), cov)
+    eps = 0.1
+    queries = np.array([np.zeros(d), np.full(d, 3.0), np.full(d, 0.5)])
+    for est, q in zip(call(tb, eps, queries), queries):
+        used, mean, se, _, _ = kernel_reference(tb, covs, which, eps, q, shift, identity_cov,
+                                                skip=(1, 2))
+        assert est.n_used == used == (n if identity_cov else n - 20)
+        assert _close(est.value, mean) and _close(est.std_error, se), (q, est.value, mean)
+    if kernel == "shifted":
+        for (_, _, used), q in zip(shifted_kernel_variance(tb, eps, queries), queries):
+            assert used == n - 20
+
+
+@pytest.mark.parametrize("q", [1, 7, 8, 9, 64])
+@pytest.mark.parametrize("kernel", list(KERNELS) + ["shifted_variance"])
+def test_grouped_1d_kernel_equals_per_query_bitwise(kernel, q):
+    # queries are evaluated in groups; each group's moments must carry the
+    # bits of one pass per query, over four blocks with unusable rows
+    n = 3 * C + 7
+    tb, _, _ = triples(n, 1)
+    eps = 0.1
+    xs = np.linspace(-2.0, 2.5, q)
+    if kernel == "shifted_variance":
+        got = shifted_kernel_variance(tb, eps, xs)
+        shift, identity_cov = True, False
+    else:
+        call, shift, identity_cov = KERNELS[kernel]
+        got = call(tb, eps, xs)
+    refs = kernel_moments_per_query(tb, eps, xs, shift, identity_cov)
+    assert len(got) == len(refs) == q
+    for x, g, m in zip(xs, got, refs):
+        var = m.m2 / (m.n - 1)
+        if kernel == "shifted_variance":
+            se = np.sqrt(np.maximum(m.m4 / m.n - var * var * (m.n - 3) / (m.n - 1), 0.0) / m.n)
+            assert g == (float(var), float(se), m.n), x
+        else:
+            assert (g.x, g.n_used) == (x, m.n)
+            assert g.value == m.mean and g.std_error == np.sqrt(var) / math.sqrt(m.n), x
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -6,14 +6,13 @@ import pytest
 from dirichlet_mc.coords import mc_unit
 from dirichlet_mc.poisson import (
     PoissonFunctionalSpec,
-    poisson_identity_check,
     poisson_mc_unit,
     sample_poisson_arrays,
 )
 from dirichlet_mc.quadrature import law_integral
 from dirichlet_mc.streams import chunk_rng
 
-from oracles import sample_poisson_quad
+from oracles import poisson_identity_check, sample_poisson_quad
 
 
 class TestSpecValidation:
