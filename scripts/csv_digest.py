@@ -3,9 +3,10 @@
 
 The list holds the criterion-10 commands of the acceptance suite, `density`
 for every scenario × estimator, `compare`, `density` and `check-identities`
-at sizes that cross reduction-block boundaries, and the quadrature and
-Monte Carlo `sweep-bias`/`sweep-variance` runs.  Each command runs in-process at
-`--workers 1` and `--workers 2`; a line reads
+at sizes that cross reduction-block boundaries, the quadrature and
+Monte Carlo `sweep-bias`/`sweep-variance` runs, and the quadrature sweeps
+of the `oracles` benchmark workload down to its smallest ε.  Each command
+runs in-process at `--workers 1` and `--workers 2`; a line reads
 
     <sha256 of the CSV, or "-" when none was written>  <exit code>  w<workers>  <tag>
 
@@ -15,6 +16,11 @@ kernel in d ≥ 2, so library calls pin those: `shifted`, `plain_gamma` and
 rank-one row, one line each,
 
     <sha256 of the repr of the estimates>  -  lib  <tag>
+
+and the mass `check_mass()` integrates for each exact density, printed
+as its repr,
+
+    <repr of the mass>  -  lib  mass_<scenario>
 
 Two trees produce the same outputs exactly when their outputs diff empty:
 
@@ -108,6 +114,15 @@ def commands() -> dict[str, list[str]]:
         cmds[f"sweep_variance_{samples}"] = [
             "sweep-variance", "--scenario", "lognormal", "--points", "1.0",
             "--epsilons", "0.1,0.05,0.025", "--samples", samples, "--seed", "6"]
+    # the quadrature grids of the oracle workload: ε down to 1.6e-3 on
+    # gbm_exact and down to 1e-3 for the variance sweep, at default points
+    for est in KERNEL_NAMES:
+        cmds[f"sweep_bias_gbm_exact_{est}_quadrature"] = [
+            "sweep-bias", "--scenario", "gbm_exact", "--estimator", est, "--strict",
+            "--epsilons", ",".join(repr(0.2 * 2.0**-k) for k in range(8))]
+    cmds["sweep_variance_lognormal_small_eps_quadrature"] = [
+        "sweep-variance", "--scenario", "lognormal", "--strict",
+        "--epsilons", ",".join(repr(float(e)) for e in np.geomspace(0.01, 0.001, 5))]
     return cmds
 
 
@@ -140,6 +155,12 @@ def library_digests():
             yield hashlib.sha256(got.encode()).hexdigest(), f"kernel_d{d}_{name}"
 
 
+def mass_lines():
+    """(repr of check_mass(), tag) per scenario with an exact density."""
+    for name in ("gaussian", "lognormal", "gaussian_pair", "triangular", "gbm_exact"):
+        yield repr(SCENARIOS[name].check_mass()), f"mass_{name}"
+
+
 def digest(argv: list[str], workdir: str) -> tuple[str, int]:
     out = os.path.join(workdir, "out.csv")
     if os.path.exists(out):
@@ -160,6 +181,8 @@ def main() -> int:
                 print(f"{sha}  {rc}  w{workers}  {tag}", flush=True)
     for sha, tag in library_digests():
         print(f"{sha}  -  lib  {tag}", flush=True)
+    for mass, tag in mass_lines():
+        print(f"{mass}  -  lib  {tag}", flush=True)
     return 0
 
 

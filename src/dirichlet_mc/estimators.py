@@ -336,12 +336,6 @@ def _z(m: Moments) -> float:
     return float(mean / se) if se > 0 else 0.0
 
 
-def z_score(stat: np.ndarray) -> float:
-    """z-score of the values stat against 0 (see _z), reduced block by
-    block; overwrites stat."""
-    return _z(reduce(_merge, (_moments(stat[sl]) for sl in _row_blocks(stat.shape[0])), Moments()))
-
-
 # Gaussian terms below exp(-700) ≈ 1e-304 count as exactly 0: np.exp leaves
 # its vectorised path for arguments below about -708, where the far tails of
 # narrow kernels put most samples, and runs up to 100 times slower there.

@@ -11,10 +11,14 @@ Two instruments:
   integrands whose width shrinks like √ε, far below what a 128-point
   Hermite rule can resolve, so those expectations are computed in the
   law of X directly with panel counts tied to the kernel bandwidth.
+  Each Gauss-Legendre rule is built once per order per process and
+  shared read-only; several kernel powers share one evaluation of the
+  grid, each still summed on its own.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,23 +64,39 @@ def quadrature_expectation(
     return float(np.sum(w * vals))
 
 
+@lru_cache(maxsize=None)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built (an eigenvalue
+    solve) once per order; read-only, since every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def law_integral(
-    fn: Callable[[np.ndarray], np.ndarray],
+    fn: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
     lo: float,
     hi: float,
     panels: int = 256,
     order: int = 12,
-) -> float:
-    """∫_lo^hi fn(y) dy by composite Gauss-Legendre panels."""
+) -> float | tuple[float, ...]:
+    """∫_lo^hi fn(y) dy by composite Gauss-Legendre panels.
+
+    fn may return a tuple of arrays for several integrands on one grid;
+    the result is then one integral per entry, each summed on its own."""
     if not hi > lo:
         raise ValueError("empty integration interval")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre(order)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     wts = (half[:, None] * w[None, :]).ravel()
-    return float(np.sum(wts * np.asarray(fn(pts), dtype=float)))
+    vals = fn(pts)
+    if isinstance(vals, tuple):
+        return tuple(float(np.sum(wts * np.asarray(v, dtype=float))) for v in vals)
+    return float(np.sum(wts * np.asarray(vals, dtype=float)))
 
 
 def normal_pdf(y: np.ndarray, var: float = 1.0) -> np.ndarray:
@@ -93,11 +113,14 @@ def kernel_moment_integral(
     support: tuple[float, float],
     shift: bool = True,
     identity_cov: bool = False,
-    power: int = 1,
+    power: int | tuple[int, ...] = 1,
     order: int = 16,
-) -> float:
+) -> float | tuple[float, ...]:
     """E[g(x - X - εa(X), εγ(X))^power] for scenarios where (Γ, A) are
     deterministic functions γ(X), a(X) of the value.
+
+    A tuple of powers gives one moment per power from one evaluation of
+    γ, a, g and the density, each with the bits of its single-power call.
 
     The kernel width is O(√ε), so the panel count scales with 1/√ε to keep
     several panels per bandwidth regardless of ε.
@@ -108,12 +131,15 @@ def kernel_moment_integral(
     lo = max(lo, support[0])
     hi = min(hi, support[1])
     panels = int(min(4096, max(256, 8.0 * (hi - lo) / math.sqrt(epsilon))))
+    powers = power if isinstance(power, tuple) else (power,)
 
-    def integrand(y: np.ndarray) -> np.ndarray:
+    def integrand(y: np.ndarray) -> tuple[np.ndarray, ...]:
         var = epsilon * (np.ones_like(y) if identity_cov else gamma_fn(y))
         var = np.maximum(var, 1e-300)
         offset = x - y - (epsilon * a_fn(y) if shift else 0.0)
         g = np.exp(-0.5 * offset * offset / var) / np.sqrt(2.0 * math.pi * var)
-        return g**power * density(y)
+        f = density(y)
+        return tuple(g**p * f for p in powers)
 
-    return law_integral(integrand, lo, hi, panels=panels, order=order)
+    moments = law_integral(integrand, lo, hi, panels=panels, order=order)
+    return moments if isinstance(power, tuple) else moments[0]

@@ -185,6 +185,21 @@ class VarianceSweepResult:
     constant_reference: float
 
 
+def _variance_constant(sc: Scenario, x: float) -> float:
+    """f(x)/√(4π γ(x)), the small-ε limit of ε^{1/2}·Var at x.  The sweep's
+    relative gap divides by it, so anything but a finite value > 0 is a
+    ValueError naming the point."""
+    f = float(sc.exact_density(np.array([x]))[0])
+    gamma = float(sc.gamma_of_x(np.array([x]))[0])
+    ref = f / math.sqrt(4.0 * math.pi * gamma) if gamma > 0 else math.nan
+    if not (math.isfinite(ref) and ref > 0):
+        raise ValueError(
+            f"query point {x!r}: the variance constant f(x)/sqrt(4*pi*gamma(x)) is {ref!r} "
+            f"(f = {f!r}, gamma = {gamma!r}); a variance sweep needs it finite and > 0"
+        )
+    return ref
+
+
 def run_variance_sweep(cfg: SweepConfig) -> VarianceSweepResult:
     """ε^{1/2}·Var of the shifted kernel per ε against f(x)/√(4π γ(x)).
 
@@ -193,10 +208,12 @@ def run_variance_sweep(cfg: SweepConfig) -> VarianceSweepResult:
     on the unscaled variance, whose theoretical order is -1/2.  Monte Carlo
     rows carry the standard error of the sample variance, taken from the
     fourth central moment of the kernel values; quadrature rows carry 0.
+    Every point's reference is checked before any sample or integral.
     """
     sc = get_scenario(cfg.scenario)
     _require_reduced(sc, "variance sweep")
     points = cfg.query_points or sc.default_points
+    refs = [_variance_constant(sc, x) for x in points]
     rows: list[SweepRow] = []
     var_by_eps: dict[float, list[float]] = {}
     mc_batch: Optional[TripleBatch] = None
@@ -206,19 +223,11 @@ def run_variance_sweep(cfg: SweepConfig) -> VarianceSweepResult:
             mc_batch = mc_batch.triple_batch()
 
     for eps in cfg.epsilons:
-        for x in points:
-            ref = float(
-                sc.exact_density(np.array([x]))[0]
-                / math.sqrt(4.0 * math.pi * sc.gamma_of_x(np.array([x]))[0])
-            )
+        for x, ref in zip(points, refs):
             if mc_batch is None:
-                m1 = kernel_moment_integral(
+                m1, m2 = kernel_moment_integral(
                     x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support,
-                    shift=True, power=1,
-                )
-                m2 = kernel_moment_integral(
-                    x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support,
-                    shift=True, power=2,
+                    shift=True, power=(1, 2),
                 )
                 var = m2 - m1 * m1
                 se = 0.0

@@ -31,7 +31,6 @@ from dirichlet_mc.estimators import (
     conditional_weights,
     direct_weights,
     regularized_weights,
-    z_score,
 )
 from dirichlet_mc.operators import ErrorQuad, ErrorTriple
 from dirichlet_mc.poisson import PointFn, PoissonFunctionalSpec, sample_poisson_arrays
@@ -391,5 +390,5 @@ def poisson_identity_check(
             abs(a[i] - ar) / max(1.0, abs(ar)),
         )
 
-    z = z_score(phi_prime(x) * a + 0.5 * phi_second(x) * g)
+    z = z_exact(phi_prime(x) * a + 0.5 * phi_second(x) * g)
     return PoissonIdentityReport(worst, z, n)

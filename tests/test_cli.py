@@ -148,6 +148,19 @@ class TestSweepCommands:
             "epsilon,n,x,estimate,reference,abs_error,std_error"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["--points=-0.3", "--epsilons", "0.4,0.2,0.1"],
+        ["--points=-0.3", "--epsilons", "0.4,0.2,0.1", "--samples", "20000"],
+        ["--points", "0,1", "--strict"],
+    ])
+    def test_variance_point_without_a_constant_exits_2(self, argv, tmp_path, capsys):
+        # f(-0.3) = 0 once divided by zero; f(0) = γ(0) = 0 once passed --strict
+        out = tmp_path / "v.csv"
+        rc = cli_main(["sweep-variance", "--scenario", "lognormal", *argv, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_noise_rejected_with_diagnostic(self, capsys):
         rc = cli_main(["sweep-bias", "--scenario", "zero_noise"])
         assert rc == EXIT_VALIDATION
@@ -345,6 +358,10 @@ class TestFuzzedArgv:
     @given(_argv())
     @example(["compare", "--samples", "inf,1000"])  # once an OverflowError traceback
     @example(["compare", "--estimators", "shifted", "--epsilons", ",", "--samples", "1000"])
+    # a zero and a 0/0 variance constant: once a ZeroDivisionError, once exit 0 under --strict
+    @example(["sweep-variance", "--scenario", "lognormal", "--points=-0.3",
+              "--epsilons", "0.4,0.2,0.1"])
+    @example(["sweep-variance", "--scenario", "lognormal", "--points", "0,1", "--strict"])
     def test_exit_code_contract(self, argv):
         """Any command line exits 0, 2 or 3 without raising, and a failed
         run leaves --out alone: nothing on exit 2, the complete report on

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from dirichlet_mc import quadrature
 from dirichlet_mc.coords import mc_unit, opaque, ou_gaussian
 from dirichlet_mc.quadrature import (
+    _legendre,
     kernel_moment_integral,
     law_integral,
     normal_pdf,
     quadrature_expectation,
 )
+from dirichlet_mc.scenarios import get_scenario
 
 
 class TestTensorExpectation:
@@ -104,3 +107,88 @@ class TestLawIntegrals:
         )
         ref = normal_pdf(np.array([0.0]))[0] / math.sqrt(4 * math.pi)
         assert math.sqrt(eps) * m2 == pytest.approx(ref, rel=1e-3)
+
+
+def fresh_rule_integral(fn, lo, hi, panels, order):
+    """Composite Gauss-Legendre sum from a rule built for this call."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    return float(np.sum((half[:, None] * w[None, :]).ravel() * fn(pts)))
+
+
+class TestLegendreRuleCache:
+    @pytest.mark.parametrize("order", [6, 10, 12, 16])
+    def test_rule_is_leggauss_bit_for_bit(self, order):
+        x, w = _legendre(order)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+
+    @pytest.mark.parametrize("order", [6, 10, 12, 16])
+    def test_rule_is_built_once_and_read_only(self, order):
+        x, w = _legendre(order)
+        again = _legendre(order)
+        assert again[0] is x and again[1] is w
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[...] = 1.0
+        assert x.tobytes() == np.polynomial.legendre.leggauss(order)[0].tobytes()
+
+    def test_law_integral_equals_a_freshly_built_rule(self):
+        fn = lambda y: np.exp(-y) * np.cos(3.0 * y)  # noqa: E731
+        ref = fresh_rule_integral(fn, 0.0, 5.0, 32, 12)
+        for _ in range(2):
+            assert law_integral(fn, 0.0, 5.0, panels=32, order=12) == ref
+
+    def test_tuple_integrand_gives_one_integral_each(self):
+        got = law_integral(lambda y: (3 * y**2, np.cos(y)), 0.0, 2.0, panels=8, order=6)
+        assert got == (
+            law_integral(lambda y: 3 * y**2, 0.0, 2.0, panels=8, order=6),
+            law_integral(np.cos, 0.0, 2.0, panels=8, order=6),
+        )
+
+
+# every (shift, identity_cov) a kernel sweep integrates
+KERNEL_VARIANTS = [(True, False), (False, False), (False, True), (True, True)]
+
+
+class TestKernelMomentPowers:
+    @pytest.mark.parametrize("name", ["lognormal", "gbm_exact"])
+    # the widest and the finest kernels the oracle sweeps integrate
+    @pytest.mark.parametrize("eps", [0.2, 1e-3])
+    @pytest.mark.parametrize("shift,identity_cov", KERNEL_VARIANTS)
+    def test_power_tuple_equals_single_powers_bit_for_bit(
+        self, name, eps, shift, identity_cov, monkeypatch
+    ):
+        grids = []
+
+        def recording(fn, lo, hi, panels, order):
+            grids.append((lo, hi, panels, order))
+            return law_integral(fn, lo, hi, panels=panels, order=order)
+
+        monkeypatch.setattr(quadrature, "law_integral", recording)
+        sc = get_scenario(name)
+        for x in sc.default_points:
+            args = (x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support)
+            kw = dict(shift=shift, identity_cov=identity_cov)
+            both = kernel_moment_integral(*args, **kw, power=(1, 2))
+            singles = tuple(kernel_moment_integral(*args, **kw, power=p) for p in (1, 2))
+            assert isinstance(both, tuple)
+            assert all(type(v) is float for v in both + singles)
+            assert [v.hex() for v in both] == [v.hex() for v in singles], (x, both, singles)
+
+            # each moment is the one-power integrand summed on a fresh rule
+            def integrand(y, p):
+                var = eps * (np.ones_like(y) if identity_cov else sc.gamma_of_x(y))
+                var = np.maximum(var, 1e-300)
+                offset = x - y - (eps * sc.a_of_x(y) if shift else 0.0)
+                g = np.exp(-0.5 * offset * offset / var) / np.sqrt(2.0 * math.pi * var)
+                return g**p * sc.exact_density(y)
+
+            assert len(set(grids)) == 1
+            refs = [fresh_rule_integral(lambda y: integrand(y, p), *grids[0]) for p in (1, 2)]
+            assert [v.hex() for v in both] == [v.hex() for v in refs], (x, both, refs)
+            grids.clear()

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from dirichlet_mc import sweeps
 from dirichlet_mc.estimators import QuadBatch
+from dirichlet_mc.quadrature import kernel_moment_integral
 from dirichlet_mc.scenarios import corrupt_quad_batch, get_scenario
 from dirichlet_mc.sweeps import (
     IDENTITY_Z_THRESHOLD,
@@ -129,6 +132,46 @@ class TestVarianceSweep:
     def test_scenario_without_reduced_form_rejected(self):
         cfg = SweepConfig("triangular", "shifted", (0.01,), "quadrature", (1.0,))
         with pytest.raises(ValueError, match="cannot drive"):
+            run_variance_sweep(cfg)
+
+    def test_quadrature_rows_equal_two_single_power_integrals(self):
+        eps = tuple(float(e) for e in np.geomspace(0.01, 0.001, 5))
+        sc = get_scenario("lognormal")
+        res = run_variance_sweep(SweepConfig("lognormal", "shifted", eps, "quadrature"))
+        expected = []
+        for e in eps:
+            for x in sc.default_points:
+                m1, m2 = (
+                    kernel_moment_integral(
+                        x, e, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support,
+                        shift=True, power=p,
+                    )
+                    for p in (1, 2)
+                )
+                ref = float(sc.exact_density(np.array([x]))[0]
+                            / math.sqrt(4.0 * math.pi * sc.gamma_of_x(np.array([x]))[0]))
+                expected.append((e, 0, x, math.sqrt(e) * (m2 - m1 * m1), ref, 0.0))
+        got = [(r.epsilon, r.n, r.x, r.estimate, r.reference, r.std_error) for r in res.rows]
+        assert got == expected
+
+    @pytest.mark.parametrize("points,samples,bad", [
+        ((-0.3,), "quadrature", -0.3),  # f(x) = 0 outside the support
+        ((-0.3,), 20_000, -0.3),
+        ((0.0, 1.0), "quadrature", 0.0),  # f(x) = γ(x) = 0: 0/0
+    ])
+    def test_point_without_a_positive_constant_rejected_up_front(
+        self, points, samples, bad, monkeypatch
+    ):
+        sc = get_scenario("lognormal")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the point check must come first")
+
+        monkeypatch.setattr(sweeps, "get_scenario",
+                            lambda name: dataclasses.replace(sc, build=must_not_run))
+        monkeypatch.setattr(sweeps, "kernel_moment_integral", must_not_run)
+        cfg = SweepConfig("lognormal", "shifted", (0.4, 0.2, 0.1), samples, points)
+        with pytest.raises(ValueError, match=f"query point {bad!r}.*finite and > 0"):
             run_variance_sweep(cfg)
 
 
