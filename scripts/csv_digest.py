@@ -3,7 +3,8 @@
 
 The list holds the criterion-10 commands of the acceptance suite, `density`
 for every scenario × estimator, `compare`, `density` and `check-identities`
-at sizes that cross reduction-block boundaries, the quadrature and
+at sizes that cross reduction-block boundaries (every estimator, and the
+centered split at N // 2 inside a chunk), the quadrature and
 Monte Carlo `sweep-bias`/`sweep-variance` runs, and the quadrature sweeps
 of the `oracles` benchmark workload down to its smallest ε.  Each command
 runs in-process at `--workers 1` and `--workers 2`; a line reads
@@ -110,6 +111,24 @@ def commands() -> dict[str, list[str]]:
                 "--points", "0.5,1.0,2.0", "--samples", samples, "--seed", "7"]
         cmds[f"blocks_identities_{samples}"] = [
             "check-identities", "--scenario", "lognormal", "--samples", samples, "--seed", "7"]
+        # the same sizes for the estimators the streamed blocking feeds
+        # otherwise: regularized, conditional and the plain kernels on triples
+        cmds[f"blocks_regularized_{samples}"] = [
+            "density", "--scenario", "lognormal", "--estimator", "regularized", "--epsilons",
+            "0.05", "--points", "0.5,1.0,2.0", "--samples", samples, "--seed", "7"]
+        cmds[f"blocks_conditional_{samples}"] = [
+            "density", "--scenario", "gaussian_pair", "--estimator", "conditional",
+            "--points=-0.5,0.0,0.5", "--samples", samples, "--seed", "7"]
+        for est in ("plain_gamma", "plain_id"):
+            cmds[f"blocks_additive_euler_{est}_{samples}"] = [
+                "density", "--scenario", "additive_euler", "--estimator", est, "--epsilons",
+                "0.05", "--points", "0.8,1.1,1.4", "--samples", samples, "--seed", "7"]
+    # centered splits at N // 2: at N = 2 into single rows, and inside a
+    # chunk from N = C + 1 on (C = 16384)
+    for samples in ("2", "16385", "32769", "49159"):
+        cmds[f"centered_split_{samples}"] = [
+            "density", "--scenario", "lognormal", "--estimator", "centered",
+            "--points", "0.5,1.0,2.0", "--samples", samples, "--seed", "7"]
     for samples in ("quadrature", "20000"):
         cmds[f"sweep_variance_{samples}"] = [
             "sweep-variance", "--scenario", "lognormal", "--points", "1.0",

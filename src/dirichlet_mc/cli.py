@@ -25,6 +25,7 @@ import math
 import os
 import re
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -194,8 +195,8 @@ def _cmd_density(args) -> int:
     epsilon = min(eps_list) if eps_list else None
     if entry.takes_epsilon and epsilon is None:
         raise ValidationError(f"estimator {args.estimator!r} needs --epsilons")
-    batch = sc.build(n, args.seed, args.workers)
-    ests = run_estimator(args.estimator, batch, epsilon, list(points), sc.name)
+    stream = sc.stream(n, args.seed, args.workers)
+    ests = run_estimator(args.estimator, stream, epsilon, list(points), sc.name)
 
     # conditional rows hold the ratio E[G | X = x] against the conditional oracle
     ref_fn = sc.exact_density
@@ -211,13 +212,14 @@ def _cmd_density(args) -> int:
     for _, value, se, ref in rows:
         if ref is not None and se > 0:
             worst_z = max(worst_z, abs(value - ref) / se)
+    used = min(ce.numerator.n_used if conditional else ce.n_used for ce in ests)
 
     _write_csv(args.out, ("x", "estimate", "std_error", "reference"), rows)
     print(
-        f"density {sc.name}/{args.estimator}: n={n} points={len(points)} "
-        f"worst |estimate-reference|/se = {worst_z:.2f}"
-        if ref_fn is not None or conditional
-        else f"density {sc.name}/{args.estimator}: n={n} points={len(points)} (no reference)"
+        f"density {sc.name}/{args.estimator}: n={n} kept={stream.n} "
+        f"dropped={stream.invalid_count} excluded={stream.n - used} points={len(points)} "
+        + (f"worst |estimate-reference|/se = {worst_z:.2f}"
+           if ref_fn is not None or conditional else "(no reference)")
     )
     if args.strict and worst_z > 4.0:
         print(f"STRICT: estimate deviates {worst_z:.2f} standard errors (> 4) from reference")
@@ -353,6 +355,7 @@ def _add_common(p: argparse.ArgumentParser, samples_default: str = "100000") -> 
                    help="exit 3 when an acceptance threshold fails")
 
 
+@lru_cache(maxsize=1)  # parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirichlet-mc",

@@ -19,8 +19,8 @@ Two families:
 Dispatch.  ESTIMATORS maps each of the seven estimator names to its call,
 whether it needs quad data, whether it takes ε and, for a kernel, its
 (A-shift, identity covariance) pair; run_estimator runs a name on a batch
-as a scenario builds it.  The CLI and the sweeps choose estimators only
-through this table.
+or a stream.  The CLI and the sweeps choose estimators only through this
+table.
 
 Cost per query point.  Kernels factor each block's covariances once per
 (block, ε) with a square-root-free Cholesky Σ = L D Lᵀ written as O(d³)
@@ -33,14 +33,20 @@ formulas bin each block once against the sorted distinct queries (one
 vectorised comparison per query) and take one bincount per weight
 column; no per-query pass forms signs or moments.
 
-Block reductions.  Every reduction over samples walks the batch in
-CHUNK_SIZE-row blocks and merges per-block partials in block order: the
-sign formulas add per-side sums block by block, the kernels and the
-identity statistics merge (count, mean, M2[, M3, M4]) partials with the
-pairwise update of Chan, Golub and LeVeque (1983).  Weights, kernel values
-and statistics exist one block at a time, so no estimator holds more than
-the batch plus O(CHUNK_SIZE·Q) scratch (kernels O(CHUNK_SIZE·8·d)), and
-every estimate is bit-reproducible for any worker count.
+Block reductions.  Every reduction walks b.blocks() and merges per-block
+partials in block order: the sign formulas add per-side sums block by
+block, the kernels and the identity statistics merge (count, mean, M2[,
+M3, M4]) partials with the pairwise update of Chan, Golub and LeVeque
+(1983).  b is a built batch or a SampleStream, which draws its chunks
+while they are reduced and never holds the batch.  One blocking rule
+(_reblock) serves both: the kept rows are cut into CHUNK_SIZE-row blocks
+from the first row, or from the first row of each half for the centered
+estimator, so a stream's estimates equal the batch's bit for bit, also
+when non-finite rows are dropped.  The exception is centered on a stream:
+it splits at N // 2 drawn rows, a batch at half its kept rows; the split
+does not depend on the data, so the estimator stays unbiased.  Scratch is
+O(CHUNK_SIZE·Q) (kernels O(CHUNK_SIZE·8·d)), and every estimate is
+bit-reproducible for any worker count.
 
 Cost per call.  Batches, kernel set-up and the direct weights build a
 row mask and copy the kept rows only when some sample is unusable (a
@@ -49,10 +55,11 @@ no bit.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -74,8 +81,75 @@ def _sums_finite(*arrays: np.ndarray) -> bool:
         return all(math.isfinite(np.sum(arr)) for arr in arrays)
 
 
+def _finite_rows(cols: tuple) -> tuple[tuple, int]:
+    """The rows of cols (arrays sharing the leading axis) whose entries are
+    all finite, and how many rows were dropped; cols itself when none is."""
+    if _sums_finite(*cols):
+        return cols, 0
+    ok = np.ones(cols[0].shape[0], dtype=bool)
+    for c in cols:
+        ok &= np.isfinite(c).reshape(c.shape[0], -1).all(axis=1)
+    bad = int((~ok).sum())
+    return (tuple(c[ok] for c in cols) if bad else cols), bad
+
+
+def _joined(parts: list[tuple]) -> tuple:
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _reblock(pieces):
+    """Cut (segment, columns) runs of rows into (segment, columns) blocks of
+    CHUNK_SIZE rows counted from each segment's first row.  A block inside
+    one run is a view of it; one that spans runs is copied."""
+    seg, held, have = None, [], 0
+    for s, cols in pieces:
+        n = cols[0].shape[0]
+        if not n:
+            continue
+        if s != seg and held:
+            yield seg, _joined(held)
+            held, have = [], 0
+        seg, lo = s, 0
+        while lo < n:
+            hi = min(n, lo + CHUNK_SIZE - have)
+            held.append(tuple(c[lo:hi] for c in cols))
+            have, lo = have + hi - lo, hi
+            if have == CHUNK_SIZE:
+                yield seg, _joined(held)
+                held, have = [], 0
+    if held:
+        yield seg, _joined(held)
+
+
+class _Blocks:
+    """Block iteration shared by batches and streams: _pieces(split) gives
+    the runs of rows and _block(columns) makes one block."""
+
+    def _columns(self) -> tuple:
+        fields = (getattr(self, f.name) for f in dataclasses.fields(self))
+        return tuple(v for v in fields if isinstance(v, np.ndarray))
+
+    def blocks(self, split: bool = False):
+        """(half, block) pairs: the samples as CHUNK_SIZE-row blocks in
+        canonical order, all in half 0, or with split over two halves,
+        each blocked from its own first row."""
+        return ((h, self._block(cols)) for h, cols in _reblock(self._pieces(split)))
+
+    def _pieces(self, split: bool):
+        cols = self._columns()
+        if not split:
+            return [(0, cols)]
+        if self.n < 2:
+            raise ValueError("batch too small to split")
+        m = self.n // 2
+        return [(0, tuple(c[:m] for c in cols)), (1, tuple(c[m:] for c in cols))]
+
+    def _block(self, cols):
+        return type(self)(*cols)
+
+
 @dataclass(frozen=True)
-class TripleBatch:
+class TripleBatch(_Blocks):
     """Independent (X, Γ, A) draws sharing a dimension d.
 
     x: (N, d); gamma: (N, d, d); a: (N, d).  Non-finite draws are excluded
@@ -86,6 +160,7 @@ class TripleBatch:
     gamma: np.ndarray
     a: np.ndarray
     invalid_count: int = 0
+    quad = False
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -118,24 +193,12 @@ class TripleBatch:
 
         When every row is finite the given arrays are kept, not copied.
         """
-        x = np.asarray(x, dtype=float)
-        gamma = np.asarray(gamma, dtype=float)
-        a = np.asarray(a, dtype=float)
-        if _sums_finite(x, gamma, a):
-            return cls(x, gamma, a)
-        ok = (
-            np.isfinite(x).reshape(x.shape[0], -1).all(axis=1)
-            & np.isfinite(gamma).reshape(gamma.shape[0], -1).all(axis=1)
-            & np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
-        )
-        bad = int((~ok).sum())
-        if bad:
-            x, gamma, a = x[ok], gamma[ok], a[ok]
-        return cls(x, gamma, a, invalid_count=bad)
+        cols, bad = _finite_rows(tuple(np.asarray(c, dtype=float) for c in (x, gamma, a)))
+        return cls(*cols, invalid_count=bad)
 
 
 @dataclass(frozen=True)
-class QuadBatch:
+class QuadBatch(_Blocks):
     """Scalar quads (X, Γ, A, Γ[X, Γ[X]]), optionally with a second scalar
     G and Γ[X, G] for conditional expectations."""
 
@@ -146,6 +209,7 @@ class QuadBatch:
     g: Optional[np.ndarray] = None
     gamma_x_g: Optional[np.ndarray] = None
     invalid_count: int = 0
+    quad, d = True, 1
 
     def __post_init__(self):
         arrays = {
@@ -185,39 +249,47 @@ class QuadBatch:
 
         When every row is finite the given arrays are kept, not copied.
         """
-        cols = [np.asarray(c, dtype=float) for c in (x, gamma, a, gamma_x_gammax)]
-        aux = [np.asarray(c, dtype=float) for c in (g, gamma_x_g) if c is not None]
-        if _sums_finite(*cols, *aux):
-            return cls(*cols, *(aux or [None, None]))
-        ok = np.ones(cols[0].shape[0], dtype=bool)
-        for c in cols + aux:
-            ok &= np.isfinite(c)
-        bad = int((~ok).sum())
-        if bad:
-            cols = [c[ok] for c in cols]
-            aux = [c[ok] for c in aux]
-        return cls(*cols, *(aux or [None, None]), invalid_count=bad)
+        cols, bad = _finite_rows(tuple(
+            np.asarray(c, dtype=float)
+            for c in (x, gamma, a, gamma_x_gammax, g, gamma_x_g) if c is not None))
+        return cls(*cols, invalid_count=bad)
 
     def triple_batch(self) -> TripleBatch:
         return TripleBatch(self.x, self.gamma, self.a, invalid_count=self.invalid_count)
 
-    def rows(self, sl: slice) -> "QuadBatch":
-        """The rows in sl, as views."""
-        def cut(arr):
-            return None if arr is None else arr[sl]
-        return QuadBatch(self.x[sl], self.gamma[sl], self.a[sl], self.gamma_x_gammax[sl],
-                         cut(self.g), cut(self.gamma_x_g))
 
-    def blocks(self):
-        """The batch as CHUNK_SIZE-row blocks (views), in canonical order."""
-        return (self.rows(sl) for sl in _row_blocks(self.n))
+@dataclass
+class SampleStream(_Blocks):
+    """The batch a scenario would build, drawn while it is reduced.
 
-    def halves(self) -> tuple["QuadBatch", "QuadBatch"]:
-        """First-half / second-half split in canonical sample order."""
-        if self.n < 2:
+    chunks() draws afresh on each traversal and yields the chunks' quad
+    (or, with quad False, (X, Γ, A)) columns in order.  Non-finite rows are
+    dropped as from_raw drops them; n and invalid_count count the kept and
+    dropped rows.  Halves split at requested // 2 drawn rows."""
+
+    chunks: Callable[[], Iterable[tuple]]
+    requested: int
+    quad: bool
+    n: int = 0
+    invalid_count: int = 0
+    d = 1  # every scenario draws scalars
+
+    def _block(self, cols):
+        return (QuadBatch if self.quad else TripleBatch)(*cols)
+
+    def _pieces(self, split: bool):
+        if split and self.requested < 2:
             raise ValueError("batch too small to split")
-        m = self.n // 2
-        return self.rows(slice(0, m)), self.rows(slice(m, self.n))
+        self.n = self.invalid_count = drawn = 0
+        for cols in self.chunks():
+            k = cols[0].shape[0]
+            m = min(max(self.requested // 2 - drawn, 0), k) if split else k
+            drawn += k
+            for half, part in enumerate((tuple(c[:m] for c in cols), tuple(c[m:] for c in cols))):
+                part, bad = _finite_rows(part)
+                self.n += part[0].shape[0]
+                self.invalid_count += bad
+                yield half, part
 
 
 @dataclass(frozen=True)
@@ -264,11 +336,6 @@ def _as_queries(xs, d: int) -> np.ndarray:
 
 
 # -- block reductions ------------------------------------------------------
-
-def _row_blocks(n: int) -> list[slice]:
-    """The CHUNK_SIZE-row slices covering n rows, in canonical order."""
-    return [slice(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
-
 
 @dataclass(frozen=True)
 class Moments:
@@ -382,10 +449,10 @@ def _ldl(entry, d: int):
     return piv, low
 
 
-def _kernel_block(b: TripleBatch, rows: slice, epsilon: float, shift: bool, identity_cov: bool):
-    """The number of usable samples in rows and (queries, buffer) ↦ the
-    kernel values g(x - c_n, Σ_n) of a group of queries over them, as a
-    (group, samples) array in the buffer.
+def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: bool):
+    """The number of usable samples in block b (triples, or the triples of
+    quads) and (queries, buffer) ↦ the kernel values g(x - c_n, Σ_n) of a
+    group of queries over them, as a (group, samples) array in the buffer.
 
     c_n = X_n + εA_n with the A-shift, else X_n; Σ_n = εΓ_n, or εI with
     identity_cov.  A sample is usable when c_n is finite, every pivot of
@@ -396,14 +463,16 @@ def _kernel_block(b: TripleBatch, rows: slice, epsilon: float, shift: bool, iden
     For d = 1, D_0 is the variance and L is empty, so the values are
     (x - c_n)²·(-½/var_n) times the normaliser.
     """
+    if b.quad:
+        b = b.triple_batch()
     d = b.d
-    center = [np.ascontiguousarray(b.x[rows, i] + epsilon * b.a[rows, i] if shift else b.x[rows, i])
+    center = [np.ascontiguousarray(b.x[:, i] + epsilon * b.a[:, i] if shift else b.x[:, i])
               for i in range(d)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if identity_cov:
             piv, low = [float(epsilon)] * d, [[]] * d
         else:
-            piv, low = _ldl(lambda i, j: epsilon * b.gamma[rows, i, j], d)
+            piv, low = _ldl(lambda i, j: epsilon * b.gamma[:, i, j], d)
         det = reduce(np.multiply, piv)
         # the last pivot is > 0 when the others are and det ≥ DEGENERATE_DET
         if not (_sums_finite(*center, det) and np.min(det) >= DEGENERATE_DET
@@ -474,14 +543,12 @@ def _kernel_moments(
     queries in groups of _GROUP, one (group, block) array at a time."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if b.n == 0:
-        raise NoUsableSamplesError("empty batch")
     queries = _as_queries(xs, b.d)
     nq = queries.shape[0]
-    buf = np.empty(b.d * min(nq, _GROUP) * min(b.n, CHUNK_SIZE))
+    buf = np.empty(b.d * min(nq, _GROUP) * CHUNK_SIZE)
     total = Moments()
-    for rows in _row_blocks(b.n):
-        n, values = _kernel_block(b, rows, epsilon, shift, identity_cov)
+    for _, blk in b.blocks():
+        n, values = _kernel_block(blk, epsilon, shift, identity_cov)
         if n:
             cols = [np.empty(nq) for _ in range(4 if fourth else 2)]
             for lo in range(0, nq, _GROUP):
@@ -555,25 +622,26 @@ def conditional_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
     return (w if every else np.where(usable, w, 0.0)), usable
 
 
-def _side_sums(b: QuadBatch, queries: np.ndarray, columns) -> tuple[int, np.ndarray]:
-    """The number of usable samples and the Σ of each weight column over
-    {X < x}, {X = x} and {X > x}, for every query.
+def _side_sums(b, queries: np.ndarray, *columns) -> list[tuple[int, Optional[np.ndarray]]]:
+    """Per columns function, the number of usable samples and the Σ of each
+    weight column over {X < x}, {X = x} and {X > x}, for every query.
 
     columns(block) gives a block's usable count and its weight columns
-    (0 on unusable rows).  Each block is binned once against the sorted
-    distinct queries: bin 2j holds q_{j-1} < X < q_j and bin 2j+1 holds
-    X = q_j, so ties keep sign(0) = 0.  Each column takes one bincount per
-    block and the bin sums are added block by block; running sums over the
-    bins from either end give the two sides, so neither side is formed by
-    cancelling against the total.  The sums have shape (columns, Q, 3) and
-    are None when the batch is empty.
+    (0 on unusable rows).  With two columns functions b is split into
+    halves and half h feeds columns[h], in one pass.  Each block is binned
+    once against the sorted distinct queries: bin 2j holds q_{j-1} < X < q_j
+    and bin 2j+1 holds X = q_j, so ties keep sign(0) = 0.  Each column
+    takes one bincount per block and the bin sums are added block by block;
+    running sums over the bins from either end give the two sides, so
+    neither side is formed by cancelling against the total.  The sums have
+    shape (columns, Q, 3) and are None when no block fed them.
     """
     grid, pos = np.unique(queries, return_inverse=True)
     k = grid.shape[0]
     ends = np.append(grid, np.nan)
-    n_used, total = 0, None
-    for blk in b.blocks():
-        used, cols = columns(blk)
+    acc = [[0, None] for _ in columns]
+    for h, blk in b.blocks(split=len(columns) == 2):
+        used, cols = columns[h](blk)
         below = np.zeros(blk.n, dtype=np.min_scalar_type(k))
         for v in grid:
             below += (blk.x > v).view(np.uint8)
@@ -582,15 +650,17 @@ def _side_sums(b: QuadBatch, queries: np.ndarray, columns) -> tuple[int, np.ndar
         bins *= 2
         bins += tie
         sums = np.stack([np.bincount(bins, weights=col, minlength=2 * k + 1) for col in cols])
-        n_used += used
-        total = sums if total is None else np.add(total, sums, out=total)
-    if total is None:
-        return 0, None
+        acc[h][0] += used
+        acc[h][1] = sums if acc[h][1] is None else np.add(acc[h][1], sums, out=acc[h][1])
+    return [(n_used, None if total is None else _sides(total, k)[:, pos]) for n_used, total in acc]
+
+
+def _sides(total: np.ndarray, k: int) -> np.ndarray:
     out = np.empty((total.shape[0], k, 3))
     out[:, :, 0] = np.cumsum(total, axis=1)[:, 0:-1:2]
     out[:, :, 1] = total[:, 1::2]
     out[:, :, 2] = np.cumsum(total[:, ::-1], axis=1)[:, -3::-2]
-    return n_used, out[:, pos]
+    return out
 
 
 def _side_moments(coef, sum_a, sum_b, sum_ab, n: int):
@@ -623,7 +693,7 @@ def _direct_columns(blk: QuadBatch):
 
 def _sign_density(b: QuadBatch, columns, xs, epsilon=None) -> list[DensityEstimate]:
     queries = _as_queries(xs, 1)[:, 0]
-    n, sums = _side_sums(b, queries, columns)
+    [(n, sums)] = _side_sums(b, queries, columns)
     if n == 0:
         raise NoUsableSamplesError("no samples with positive square field")
     s, ss = sums
@@ -666,7 +736,7 @@ def conditional_expectation(b: QuadBatch, xs) -> list[ConditionalEstimate]:
         return int(usable.sum()), (wn, wd, wn * wn, wd * wd, wn * wd)
 
     queries = _as_queries(xs, 1)[:, 0]
-    n, sums = _side_sums(b, queries, columns)
+    [(n, sums)] = _side_sums(b, queries, columns)
     if n < 2:
         raise NoUsableSamplesError("not enough samples with positive square field")
     sn, sd, snn, sdd, snd = sums
@@ -696,24 +766,25 @@ def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None) -
     variance minimiser of (sign - c)W when E[W] = 0); half 2 averages
     ½(sign(x-X) - c*)W.  Keeping the halves disjoint keeps the estimator
     unbiased.  force_c pins the constant (c = 0 reproduces direct_density
-    on half 2).  Each half is reduced in blocks from its own first row.
+    on half 2).  Both halves are reduced in one pass over b, so a stream
+    is drawn once; each half is blocked from its own first row.
     """
     queries = _as_queries(xs, 1)[:, 0]
-    h1, h2 = b.halves()
-    n, (s, ss) = _side_sums(h2, queries, _direct_columns)
+
+    def squares(blk):
+        w, _ = direct_weights(blk)
+        return 0, (w * w,)
+
+    (_, fit), (n, sums) = _side_sums(b, queries, squares, _direct_columns)
     if n == 0:
         raise NoUsableSamplesError("no usable samples in the estimation half")
+    s, ss = sums
     c = np.zeros(queries.shape[0])
     if force_c is not None:
         c[:] = float(force_c)
-    else:
-        def squares(blk):
-            w, _ = direct_weights(blk)
-            return 0, (w * w,)
-
-        _, (s1,) = _side_sums(h1, queries, squares)
-        denom = s1.sum(axis=1)
-        np.divide(s1[:, 0] - s1[:, 2], denom, out=c, where=denom > 0)
+    elif fit is not None:
+        denom = fit[0].sum(axis=1)
+        np.divide(fit[0][:, 0] - fit[0][:, 2], denom, out=c, where=denom > 0)
     mean, _, var = _side_moments(0.5 * (_SIGN - c[:, None]), s, s, ss, n)
     return _estimates(queries, mean, var, n)
 
@@ -761,17 +832,16 @@ def get_estimator(name: str) -> Estimator:
 
 
 def run_estimator(name: str, batch, epsilon: Optional[float], xs, scenario: str = "") -> list:
-    """Run the named estimator on a batch as a scenario builds it.
+    """Run the named estimator on a batch as a scenario builds it, or on
+    the scenario's stream.
 
-    Kernels take the triples of a quad batch; the other estimators need
-    quad data, and the error for a triple batch names scenario.  Estimators
-    that take no ε ignore epsilon.
+    Kernels take the triples of quad data; the other estimators need quad
+    data, and the error for triple data names scenario.  Estimators that
+    take no ε ignore epsilon.
     """
     entry = get_estimator(name)
-    if entry.needs_quad and not isinstance(batch, QuadBatch):
+    if entry.needs_quad and not batch.quad:
         raise ValueError(f"scenario {scenario!r} provides no quad data; {name!r} needs it")
-    if entry.kernel is not None and isinstance(batch, QuadBatch):
-        batch = batch.triple_batch()
     return entry.call(batch, epsilon, xs)
 
 
@@ -815,7 +885,7 @@ def identity_z_scores(b: QuadBatch) -> dict[str, float]:
     def add(key, vals):
         stats[key] = _merge(stats[key], _moments(vals))
 
-    for blk in b.blocks():
+    for _, blk in b.blocks():
         gam = {eps: eps + blk.gamma for eps in _IBP_EPSILONS}
         w_eps = {eps: _weight(blk, g) for eps, g in gam.items()}
         for name, (p1, p2) in _PHIS.items():

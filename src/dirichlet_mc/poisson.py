@@ -82,13 +82,11 @@ def sample_poisson_arrays(
     spec: PoissonFunctionalSpec,
     rng: np.random.Generator,
     n: int,
-    return_points: bool = False,
 ):
     """n draws at once: (x, gamma, a, gamma_x_gammax, k) arrays.
 
     All counts are drawn first, then one flat batch of points which is cut
-    into configurations by segment sums.  With return_points the flat
-    point array and the segment offsets are appended to the result.
+    into configurations by segment sums.
     """
     ks = rng.poisson(spec.total_mass, size=n).astype(np.int64)
     total = int(ks.sum())
@@ -110,8 +108,6 @@ def sample_poisson_arrays(
     g = seg_sum(spec.gamma_h(pts))
     a = seg_sum(spec.a_h(pts))
     q = seg_sum(spec.gamma_x_gammax_term(pts))
-    if return_points:
-        return x, g, a, q, ks, pts, offsets
     return x, g, a, q, ks
 
 

@@ -1,11 +1,11 @@
 """Built-in scenarios: named laws with simulatable (X, Γ, A, Γ[X,Γ[X]]).
 
-Each scenario knows how to build a batch from a seeded chunk stream, and
-optionally carries an exact density, the deterministic reduced forms
-γ(x), a(x) used by the kernel sweeps, and a conditional-expectation
-oracle.  Builders are vectorised closed forms of the jet calculus,
-evaluated chunk by chunk inside the draw, so a build holds the batch and
-O(CHUNK_SIZE) scratch; the test suite re-derives them through jets on
+Each scenario has a per-chunk draw, from which it builds a batch or opens
+a stream (drawn chunk by chunk as an estimator reduces it), and optionally
+carries an exact density, the deterministic reduced forms γ(x), a(x) used
+by the kernel sweeps, and a conditional-expectation oracle.  Draws are
+vectorised closed forms of the jet calculus, so a build holds the batch
+and O(CHUNK_SIZE) scratch; the test suite re-derives them through jets on
 subsamples, so the fast path cannot drift from the operators silently.
 """
 from __future__ import annotations
@@ -18,10 +18,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coords import CoordinateSpec, mc_unit, ou_gaussian
-from .estimators import QuadBatch, TripleBatch
+from .estimators import QuadBatch, SampleStream, TripleBatch
 from .poisson import poisson_mc_unit, sample_poisson_arrays
 from .quadrature import law_integral, normal_pdf, quadrature_expectation  # noqa: F401  (re-exported)
-from .streams import sample_chunked
+from .streams import iter_chunks, sample_chunked
 from .wiener import (
     additive_coefficients,
     gbm_coefficients,
@@ -39,7 +39,8 @@ class Scenario:
     name: str
     description: str
     kind: str  # "quad" or "triple"
-    build: Callable[[int, int, int], QuadBatch | TripleBatch]
+    draw: Callable[[np.random.Generator, int], tuple[np.ndarray, ...]]
+    build: Optional[Callable[[int, int, int], QuadBatch | TripleBatch]] = None  # default: from draw
     exact_density: Optional[Density] = None
     support: tuple[float, float] = (-math.inf, math.inf)
     mass_bounds: Optional[tuple[float, float]] = None
@@ -48,6 +49,17 @@ class Scenario:
     oracle_specs: tuple[CoordinateSpec, ...] = ()
     cond_oracle: Optional[Callable[[float], float]] = None
     default_points: tuple[float, ...] = (0.0,)
+
+    def __post_init__(self):
+        if self.build is None:
+            cls = QuadBatch if self.kind == "quad" else TripleBatch
+            object.__setattr__(self, "build", lambda n, seed, workers: cls.from_raw(
+                *sample_chunked(n, seed, self.draw, workers)))
+
+    def stream(self, n: int, seed: int, workers: int) -> SampleStream:
+        """The samples build(n, seed, workers) would hold, drawn chunk by
+        chunk each time an estimator walks them."""
+        return SampleStream(lambda: iter_chunks(n, seed, self.draw, workers), n, self.kind == "quad")
 
     @property
     def oracle_dim(self) -> int:
@@ -68,55 +80,43 @@ class Scenario:
         return mass
 
 
-# -- builders ---------------------------------------------------------------
+# -- per-chunk draws ---------------------------------------------------------
 
-def _build_gaussian(n: int, seed: int, workers: int) -> QuadBatch:
-    def draw(rng, k):
-        g = rng.normal(size=k)
-        return g, np.ones(k), -0.5 * g, np.zeros(k)
-
-    return QuadBatch.from_raw(*sample_chunked(n, seed, draw, workers))
+def _draw_gaussian(rng, k):
+    g = rng.normal(size=k)
+    return g, np.ones(k), -0.5 * g, np.zeros(k)
 
 
-def _build_lognormal(n: int, seed: int, workers: int) -> QuadBatch:
-    def draw(rng, k):
-        g = rng.normal(size=k)
-        x = np.exp(g)
-        # X = e^u: Γ = X², A = X(1-u)/2, Γ[X,Γ[X]] = 2X³
-        return x, x * x, 0.5 * x * (1.0 - g), 2.0 * x**3
-
-    return QuadBatch.from_raw(*sample_chunked(n, seed, draw, workers))
+def _draw_lognormal(rng, k):
+    g = rng.normal(size=k)
+    x = np.exp(g)
+    # X = e^u: Γ = X², A = X(1-u)/2, Γ[X,Γ[X]] = 2X³
+    return x, x * x, 0.5 * x * (1.0 - g), 2.0 * x**3
 
 
-def _build_gaussian_pair(n: int, seed: int, workers: int) -> QuadBatch:
-    def draw(rng, k):
-        z = rng.normal(size=(k, 2))
-        g1, g2 = np.ascontiguousarray(z.T)
-        c, s = np.cos(g2), np.sin(g2)
-        # Γ-field = 1 + cos²(u₂): ∂₂Γ = -sin(2u₂), so Γ[X,Γ[X]] = cos(u₂)·(-sin 2u₂)
-        return (g1 + s, 1.0 + c * c, -0.5 * g1 - 0.5 * g2 * c - 0.5 * s,
-                -c * np.sin(2.0 * g2), s, c * c)
-
-    x, gam, a, gxx, g, gxg = sample_chunked(n, seed, draw, workers)
-    return QuadBatch.from_raw(x, gam, a, gxx, g=g, gamma_x_g=gxg)
+def _draw_gaussian_pair(rng, k):
+    z = rng.normal(size=(k, 2))
+    g1, g2 = np.ascontiguousarray(z.T)
+    c, s = np.cos(g2), np.sin(g2)
+    # Γ-field = 1 + cos²(u₂): ∂₂Γ = -sin(2u₂), so Γ[X,Γ[X]] = cos(u₂)·(-sin 2u₂)
+    return (g1 + s, 1.0 + c * c, -0.5 * g1 - 0.5 * g2 * c - 0.5 * s,
+            -c * np.sin(2.0 * g2), s, c * c)
 
 
-def _build_triangular(n: int, seed: int, workers: int) -> QuadBatch:
-    def terms(u):
-        # per coordinate: γ = (u(1-u))², a = u(1-u)(1-2u), γ' = 2a, and γ·γ'
-        w = u * (1.0 - u)
-        gam = w**2
-        a = w * (1.0 - 2.0 * u)
-        return gam, a, (2.0 * a) * gam
+def _triangular_terms(u):
+    # per coordinate: γ = (u(1-u))², a = u(1-u)(1-2u), γ' = 2a, and γ·γ'
+    w = u * (1.0 - u)
+    gam = w**2
+    a = w * (1.0 - 2.0 * u)
+    return gam, a, (2.0 * a) * gam
 
-    def draw(rng, k):
-        u = rng.uniform(size=(k, 2))
-        u0, u1 = u[:, 0], u[:, 1]
-        g0, a0, q0 = terms(u0)
-        g1, a1, q1 = terms(u1)
-        return u0 + u1, g0 + g1, a0 + a1, q0 + q1
 
-    return QuadBatch.from_raw(*sample_chunked(n, seed, draw, workers))
+def _draw_triangular(rng, k):
+    u = rng.uniform(size=(k, 2))
+    u0, u1 = u[:, 0], u[:, 1]
+    g0, a0, q0 = _triangular_terms(u0)
+    g1, a1, q1 = _triangular_terms(u1)
+    return u0 + u1, g0 + g1, a0 + a1, q0 + q1
 
 
 _GBM_VOL, _GBM_DRIFT, _GBM_T, _GBM_X0 = 0.3, 0.05, 1.0, 1.0
@@ -132,39 +132,28 @@ def _gbm_exact_from_bt(bt: np.ndarray):
     return x, gam, a, gxx
 
 
-def _build_gbm_exact(n: int, seed: int, workers: int) -> QuadBatch:
+def _draw_gbm_exact(rng, k):
+    return _gbm_exact_from_bt(rng.normal(0.0, math.sqrt(_GBM_T), size=k))
+
+
+def _euler_draw(coeffs):
     def draw(rng, k):
-        return _gbm_exact_from_bt(rng.normal(0.0, math.sqrt(_GBM_T), size=k))
+        return simulate_triple_batch(_GBM_X0, _GBM_T, _GBM_STEPS, coeffs, k, rng)[:3]
 
-    return QuadBatch.from_raw(*sample_chunked(n, seed, draw, workers))
-
-
-def _euler_builder(coeffs):
-    def build(n: int, seed: int, workers: int) -> TripleBatch:
-        def draw(rng, k):
-            return simulate_triple_batch(_GBM_X0, _GBM_T, _GBM_STEPS, coeffs, k, rng)[:3]
-
-        return TripleBatch.from_raw(*sample_chunked(n, seed, draw, workers))
-
-    return build
-
-
-_build_gbm_euler = _euler_builder(gbm_coefficients(_GBM_VOL, _GBM_DRIFT))
-_build_zero_noise = _euler_builder(zero_noise_coefficients())
-_build_additive_euler = _euler_builder(additive_coefficients())
+    return draw
 
 
 _POISSON_LAMBDA = 3.0
 
 
-def _build_poisson(n: int, seed: int, workers: int) -> QuadBatch:
-    spec = poisson_mc_unit(_POISSON_LAMBDA)
+@lru_cache(maxsize=1)
+def _poisson_spec():
+    return poisson_mc_unit(_POISSON_LAMBDA)
 
-    def draw(rng, k):
-        x, g, a, q, _ = sample_poisson_arrays(spec, rng, k)
-        return x, g, a, q
 
-    return QuadBatch.from_raw(*sample_chunked(n, seed, draw, workers))
+def _draw_poisson(rng, k):
+    x, g, a, q, _ = sample_poisson_arrays(_poisson_spec(), rng, k)
+    return x, g, a, q
 
 
 # -- densities and oracles ---------------------------------------------------
@@ -257,7 +246,7 @@ _register(Scenario(
     name="gaussian",
     description="X = U for one standard Gaussian coordinate; Γ = 1, A = -U/2",
     kind="quad",
-    build=_build_gaussian,
+    draw=_draw_gaussian,
     exact_density=_gaussian_density,
     mass_bounds=(-10.0, 10.0),
     gamma_of_x=lambda x: np.ones_like(np.asarray(x, dtype=float)),
@@ -270,7 +259,7 @@ _register(Scenario(
     name="lognormal",
     description="X = exp(U) for one standard Gaussian coordinate",
     kind="quad",
-    build=_build_lognormal,
+    draw=_draw_lognormal,
     exact_density=_lognormal_density,
     support=(0.0, math.inf),
     mass_bounds=(1e-9, 80.0),
@@ -284,7 +273,7 @@ _register(Scenario(
     name="gaussian_pair",
     description="X = U₁ + sin(U₂) with tracked G = sin(U₂); nondegenerate (Γ, A) given X",
     kind="quad",
-    build=_build_gaussian_pair,
+    draw=_draw_gaussian_pair,
     exact_density=_pair_density,
     mass_bounds=(-12.0, 12.0),
     oracle_specs=(ou_gaussian(1.0), ou_gaussian(1.0)),
@@ -296,7 +285,7 @@ _register(Scenario(
     name="triangular",
     description="X = U₀ + U₁ on the unit-square structure; Γ degenerates at the corners",
     kind="quad",
-    build=_build_triangular,
+    draw=_draw_triangular,
     exact_density=_triangular_density,
     support=(0.0, 2.0),
     oracle_specs=(mc_unit(), mc_unit()),
@@ -307,7 +296,7 @@ _register(Scenario(
     name="gbm_exact",
     description="terminal value of geometric Brownian motion built in closed form",
     kind="quad",
-    build=_build_gbm_exact,
+    draw=_draw_gbm_exact,
     exact_density=lambda x: _lognormal_density(x, _GBM_MU, _GBM_SIG),
     support=(0.0, math.inf),
     mass_bounds=(1e-9, 30.0),
@@ -322,7 +311,7 @@ _register(Scenario(
     description=f"extended Euler triple of the same GBM at n = {_GBM_STEPS} steps; "
     "its law differs from the exact one at O(1/n), so no exact density is attached",
     kind="triple",
-    build=_build_gbm_euler,
+    draw=_euler_draw(gbm_coefficients(_GBM_VOL, _GBM_DRIFT)),
     support=(0.0, math.inf),
     default_points=(0.8, 1.0, 1.3),
 ))
@@ -331,7 +320,7 @@ _register(Scenario(
     name="additive_euler",
     description="extended Euler triple with state-independent noise and linear drift",
     kind="triple",
-    build=_build_additive_euler,
+    draw=_euler_draw(additive_coefficients()),
     default_points=(0.8, 1.1, 1.4),
 ))
 
@@ -339,7 +328,7 @@ _register(Scenario(
     name="zero_noise",
     description="σ = 0 degenerate case: X deterministic, Γ = A = 0",
     kind="triple",
-    build=_build_zero_noise,
+    draw=_euler_draw(zero_noise_coefficients()),
     default_points=(math.e,),
 ))
 
@@ -348,7 +337,7 @@ _register(Scenario(
     description=f"X = N(identity) for a Poisson process of mean {_POISSON_LAMBDA:g} uniform "
     "points; the empty configuration is an atom, so density formulas are out of scope",
     kind="quad",
-    build=_build_poisson,
+    draw=_draw_poisson,
     support=(0.0, math.inf),
     default_points=(1.0, 1.5, 2.0),
 ))

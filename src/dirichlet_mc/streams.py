@@ -5,12 +5,17 @@ Every sampler in this package draws from a Philox generator keyed by
 handed to workers, so the set of streams, and therefore every drawn
 number, depends only on the seed and the chunk layout, never on the
 number of workers or the order in which chunks finish.
+
+iter_chunks is the one pool loop: it yields the chunks in order with at
+most 2·workers in flight, so a consumer that reduces each chunk as it
+arrives holds O(workers·CHUNK_SIZE) rows whatever the sample count;
+sample_chunked places them into arrays allocated once.
 """
 from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Iterator, TypeAlias
 
 import numpy as np
 
@@ -19,6 +24,9 @@ import numpy as np
 CHUNK_SIZE = 1 << 14
 
 _MASK64 = (1 << 64) - 1
+
+# a string, so that importing this module does not import numpy.random
+Draw: TypeAlias = "Callable[[np.random.Generator, int], np.ndarray | tuple[np.ndarray, ...]]"
 
 
 def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
@@ -37,56 +45,51 @@ def chunk_sizes(n: int, chunk_size: int = CHUNK_SIZE) -> list[int]:
     return sizes
 
 
-def sample_chunked(
-    n: int,
-    seed: int,
-    draw: Callable[[np.random.Generator, int], np.ndarray | tuple[np.ndarray, ...]],
-    workers: int = 1,
-    chunk_offset: int = 0,
-) -> tuple[np.ndarray, ...]:
-    """Draw n samples through (seed, chunk)-keyed streams.
+def iter_chunks(
+    n: int, seed: int, draw: Draw, workers: int = 1, chunk_offset: int = 0
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Each chunk of n samples as a tuple of arrays, in chunk order.
 
     draw(rng, count) produces one chunk as an array, or a tuple of arrays
-    that share the leading axis.  Chunks are computed independently
-    (possibly by several workers) and copied in chunk order into arrays
-    allocated once, so the result is bit-identical for any worker count
-    and no chunk outlives its copy.  At most 2·workers chunks are in
-    flight.  chunk_offset shifts the chunk keys, letting a caller carve
-    disjoint substreams out of one seed.
+    that share the leading axis.  Several workers draw on a thread pool; a
+    chunk is submitted only while fewer than 2·workers are in flight, the
+    one being consumed included.  n = 0 yields one empty chunk, so the
+    shapes are known.  chunk_offset shifts the chunk keys, letting a
+    caller carve disjoint substreams out of one seed.
     """
-    sizes = chunk_sizes(n)
-    if not sizes:
-        probe = draw(chunk_rng(seed, chunk_offset), 0)
-        if isinstance(probe, tuple):
-            return tuple(np.asarray(p) for p in probe)
-        return (np.asarray(probe),)
+    sizes = chunk_sizes(n) or [0]
 
-    def one(i: int):
+    def one(i: int) -> tuple[np.ndarray, ...]:
         out = draw(chunk_rng(seed, chunk_offset + i), sizes[i])
         return out if isinstance(out, tuple) else (out,)
 
+    if workers <= 1 or len(sizes) == 1:
+        for i in range(len(sizes)):
+            yield one(i)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for i in range(len(sizes)):
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(one, i))
+        while pending:
+            yield pending.popleft().result()
+
+
+def sample_chunked(
+    n: int, seed: int, draw: Draw, workers: int = 1, chunk_offset: int = 0
+) -> tuple[np.ndarray, ...]:
+    """Draw n samples through (seed, chunk)-keyed streams: the chunks of
+    iter_chunks, copied in order into arrays allocated once, so the result
+    is bit-identical for any worker count and no chunk outlives its copy."""
     out: list[np.ndarray] = []
     lo = 0
-
-    def place(part: tuple[np.ndarray, ...]) -> None:
-        nonlocal lo
+    for part in iter_chunks(n, seed, draw, workers, chunk_offset):
         if not out:
-            out.extend(np.empty((n,) + p.shape[1:], dtype=p.dtype) for p in part)
+            out = [np.empty((n,) + p.shape[1:], dtype=p.dtype) for p in part]
         hi = lo + part[0].shape[0]
         for dst, p in zip(out, part):
             dst[lo:hi] = p
         lo = hi
-
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending: deque = deque()
-            for i in range(len(sizes)):
-                pending.append(pool.submit(one, i))
-                if len(pending) > 2 * workers:
-                    place(pending.popleft().result())
-            while pending:
-                place(pending.popleft().result())
-    else:
-        for i in range(len(sizes)):
-            place(one(i))
     return tuple(out)

@@ -216,11 +216,9 @@ def run_variance_sweep(cfg: SweepConfig) -> VarianceSweepResult:
     refs = [_variance_constant(sc, x) for x in points]
     rows: list[SweepRow] = []
     var_by_eps: dict[float, list[float]] = {}
-    mc_batch: Optional[TripleBatch] = None
+    mc_batch: Optional[QuadBatch | TripleBatch] = None
     if cfg.sample_size != "quadrature":
         mc_batch = sc.build(int(cfg.sample_size), cfg.seed, cfg.workers)
-        if isinstance(mc_batch, QuadBatch):
-            mc_batch = mc_batch.triple_batch()
 
     for eps in cfg.epsilons:
         for x, ref in zip(points, refs):

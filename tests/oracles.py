@@ -15,6 +15,7 @@ references for the identity suite and the column-wise builder.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -215,8 +216,18 @@ def conditional_loop(b, xs) -> list[tuple[DensityEstimate, DensityEstimate, floa
     return out
 
 
-def centered_loop(b, xs, force_c=None) -> list[DensityEstimate]:
-    h1, h2 = b.halves()
+def halves(b: QuadBatch) -> tuple[QuadBatch, QuadBatch]:
+    """Rows [0, n // 2) and [n // 2, n) of b: the centered estimator's split."""
+    def rows(sl):
+        cols = (b.x, b.gamma, b.a, b.gamma_x_gammax, b.g, b.gamma_x_g)
+        return QuadBatch(*(None if c is None else c[sl] for c in cols))
+
+    return rows(slice(0, b.n // 2)), rows(slice(b.n // 2, None))
+
+
+def centered_loop(b, xs, force_c=None, parts=None) -> list[DensityEstimate]:
+    """The centered estimate on halves(b), or on the two batches in parts."""
+    h1, h2 = parts or halves(b)
     w1, u1 = direct_weights(h1)
     w2, u2 = direct_weights(h2)
     out = []
@@ -371,7 +382,13 @@ def poisson_identity_check(
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    x, g, a, _, ks, pts, offsets = sample_poisson_arrays(spec, rng, n, return_points=True)
+    # the counts and points, replayed from a generator with the same key and
+    # counter: the order in which sample_poisson_arrays draws them
+    replay = copy.deepcopy(rng)
+    x, g, a, _, _ = sample_poisson_arrays(spec, rng, n)
+    ks = replay.poisson(spec.total_mass, size=n)
+    pts = np.asarray(spec.point_sampler(replay, int(ks.sum())), dtype=float)
+    offsets = np.cumsum(ks) - ks
 
     # reference route: raw base functions per point, exact summation
     h_ref = spec.h(pts)

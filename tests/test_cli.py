@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import io
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -13,9 +15,10 @@ from dirichlet_mc.cli import (
     EXIT_OK,
     EXIT_THRESHOLD,
     EXIT_VALIDATION,
+    build_parser,
     cli_main,
 )
-from dirichlet_mc.estimators import ESTIMATORS, centered_direct_density
+from dirichlet_mc.estimators import ESTIMATORS, centered_direct_density, run_estimator
 from dirichlet_mc.scenarios import SCENARIOS, get_scenario
 
 
@@ -380,3 +383,86 @@ class TestFuzzedArgv:
             assert lines[-1] == "", argv
             width = lines[0].count(",")
             assert all(row.count(",") == width for row in lines[1:-1]), argv
+
+
+class TestParserReuse:
+    """cli_main parses with one parser per process; runs in a row must give
+    what each gives alone with a freshly built parser."""
+
+    def test_back_to_back_runs_match_fresh_parsers(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 4\npoints = 0.5,2\nestimator = centered\n")
+        gbm = ["density", "--scenario", "gbm_exact", "--estimator", "shifted",
+               "--epsilons", "0.4", "--samples", "20000", "--seed", "3"]
+        small = ["--samples", "5000", "--seed", "1"]
+        runs = [
+            (gbm + ["--strict"], None),  # 6 standard errors of kernel bias: exit 3
+            (gbm, None),
+            (["density", "--scenario", "lognormal", "--config", str(cfg)] + small, None),
+            (["density", "--scenario", "lognormal"] + small, None),
+            (["density", "--scenario", "gaussian"] + small, "9"),
+            (["density", "--scenario", "gaussian"] + small, None),
+        ]
+
+        def run(i, argv, env_seed):
+            if env_seed is None:
+                monkeypatch.delenv("DIRICHLET_MC_SEED", raising=False)
+            else:
+                monkeypatch.setenv("DIRICHLET_MC_SEED", env_seed)
+            out = tmp_path / f"{i}.csv"
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli_main(argv + ["--out", str(out)])
+            return rc, _read(out)
+
+        in_a_row = [run(i, argv, env) for i, (argv, env) in enumerate(runs)]
+        assert build_parser() is build_parser()
+        fresh = []
+        for i, (argv, env) in enumerate(runs):
+            build_parser.cache_clear()
+            fresh.append(run(i, argv, env))
+        assert in_a_row == fresh
+        assert [rc for rc, _ in in_a_row] == [EXIT_THRESHOLD] + [EXIT_OK] * 5
+        assert in_a_row[2][1] != in_a_row[3][1] and in_a_row[4][1] != in_a_row[5][1]
+
+
+def _nan_first_row(draw):
+    """draw with the first row of every chunk made non-finite."""
+    def poisoned(rng, k):
+        cols = draw(rng, k)
+        cols[0][:1] = np.nan
+        return cols
+    return poisoned
+
+
+class TestDensityCounts:
+    """The summary line reports samples requested (n), kept, dropped as
+    non-finite and excluded (kept - n_used, the largest over the queries)."""
+
+    @pytest.mark.parametrize("scenario,estimator,poison", [
+        ("poisson_mc_unit", "direct", False),  # the empty configuration has Γ = 0
+        ("gaussian_pair", "conditional", False),
+        ("lognormal", "centered", False),
+        ("gbm_euler", "shifted", False),
+        ("lognormal", "regularized", True),
+        ("zero_noise", "plain_id", True),
+    ])
+    def test_counts_add_up(self, scenario, estimator, poison, tmp_path, capsys, monkeypatch):
+        sc = get_scenario(scenario)
+        if poison:
+            sc = dataclasses.replace(sc, draw=_nan_first_row(sc.draw))
+            monkeypatch.setitem(SCENARIOS, scenario, sc)
+        n, points = 3 * 16384 + 7, list(sc.default_points)
+        rc = cli_main(["density", "--scenario", scenario, "--estimator", estimator,
+                       "--epsilons", "0.05", "--samples", str(n), "--seed", "2",
+                       "--out", str(tmp_path / "d.csv")])
+        assert rc == EXIT_OK
+        counts = {k: int(v) for k, v in
+                  re.findall(r"\b(n|kept|dropped|excluded)=(\d+)", capsys.readouterr().out)}
+        assert counts["n"] == n == counts["kept"] + counts["dropped"]
+        assert counts["dropped"] == (4 if poison else 0)
+        ests = run_estimator(estimator, sc.stream(n, 2, 1), 0.05, points)
+        for e in ests:
+            used = e.numerator.n_used if estimator == "conditional" else e.n_used
+            assert used + counts["excluded"] == counts["kept"]
+        if scenario == "poisson_mc_unit":
+            assert counts["excluded"] > 0

@@ -28,6 +28,7 @@ from oracles import (
     conditional_loop,
     direct_loop,
     gaussian_kernel,
+    halves,
     regularized_loop,
     z_exact,
 )
@@ -288,14 +289,14 @@ class TestConditionalExpectation:
 class TestCenteredDirect:
     def test_forced_zero_matches_direct_on_second_half(self):
         b = lognormal_quads(20_000, 9)
-        _, h2 = b.halves()
+        _, h2 = halves(b)
         cd = centered_direct_density(b, [1.0], force_c=0.0)[0]
         dd = direct_density(h2, [1.0])[0]
         assert cd.value == dd.value and cd.std_error == dd.std_error
 
     def test_symmetric_scenario_keeps_estimate(self):
         b = gaussian_quads(100_000, 10)
-        _, h2 = b.halves()
+        _, h2 = halves(b)
         cd = centered_direct_density(b, [0.0])[0]
         dd = direct_density(h2, [0.0])[0]
         # at the symmetry point the fitted constant is ~0, so both agree
@@ -303,7 +304,7 @@ class TestCenteredDirect:
 
     def test_variance_reduction_reported_on_lognormal(self):
         b = lognormal_quads(100_000, 11)
-        _, h2 = b.halves()
+        _, h2 = halves(b)
         cd = centered_direct_density(b, [1.0])[0]
         dd = direct_density(h2, [1.0])[0]
         print(
@@ -316,7 +317,7 @@ class TestCenteredDirect:
         diffs, ses = [], []
         for seed in range(50):
             b = lognormal_quads(4000, 100 + seed)
-            _, h2 = b.halves()
+            _, h2 = halves(b)
             cd = centered_direct_density(b, [1.0])[0]
             dd = direct_density(h2, [1.0])[0]
             diffs.append(cd.value - dd.value)

@@ -13,6 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from dirichlet_mc.streams import CHUNK_SIZE
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHILD = r"""
@@ -56,3 +60,33 @@ def test_peak_rss_grows_with_the_batch_only():
     (peak_small, batch_small), (peak_large, batch_large) = json.loads(proc.stdout)
     ratio = (peak_large - peak_small) / (batch_large - batch_small)
     assert ratio <= 1.5, (ratio, peak_small, peak_large, batch_small, batch_large)
+
+
+STREAM_CHILD = r"""
+import contextlib, io, json, os, resource, sys, tempfile
+from dirichlet_mc.cli import cli_main
+
+peaks = []
+with tempfile.TemporaryDirectory() as tmp:
+    for n in (100_000, 4_000_000):
+        argv = ["density", "--scenario", "lognormal", "--estimator", "direct", "--samples", str(n),
+                "--seed", "1", "--workers", sys.argv[1], "--out", os.path.join(tmp, "out.csv")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(argv) == 0, argv
+        peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
+print(json.dumps(peaks))
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_streamed_density_peak_rss_does_not_grow_with_n(workers):
+    """`density` reduces each chunk as it is drawn, so going from N = 10⁵ to
+    4·10⁶ lognormal samples (a 125 MB batch of 32 B rows) grows peak RSS by
+    less than 16 chunks of rows, a bound that does not depend on N."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env.pop("DIRICHLET_MC_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", STREAM_CHILD, workers], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    small, large = json.loads(proc.stdout)
+    assert large - small < 16 * CHUNK_SIZE * 32, (small, large)
