@@ -1,29 +1,27 @@
-"""Base coordinates of a product error structure.
+"""Base coordinates of a product error structure, and the derivative check.
 
 A coordinate carries a sampling law together with the three functions
 that define its one-dimensional error structure: the weight γ(u) of the
 square field operator, its derivative γ'(u), and the generator applied
-to the identity, a(u).  Products of such coordinates are the spaces on
-which all functionals in this package are differentiated.
+to the identity, a(u).  The scenarios name the coordinates their closed
+forms are built over, the quadrature oracle integrates over them, and the
+Poisson functionals lift the structure of one to the point process.
 
 Built-in structures:
 
   ou_gaussian(v)  centered Gaussian, γ(u) = v,           a(u) = -u/2
   mc_unit         uniform on [0,1],  γ(u) = u²(1-u)²,    a(u) = u(1-u)(1-2u)
-  opaque          any law, γ = γ' = a = 0; the coordinate is sampled but
-                  carries no derivative structure, and lifting it is an error.
+
+fd_mismatch probes a stated derivative against a central difference; the
+SDE coefficients and the Poisson point functions run it at construction.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
-
-# Dense Hessians make jet algebra O(m²) per operation; this cap keeps a
-# full second-order jet affordable while covering desk-scale functionals.
-MAX_ACTIVE_COORDS = 64
 
 QuadRule = Callable[[int], tuple[np.ndarray, np.ndarray]]
 
@@ -105,75 +103,34 @@ def mc_unit() -> CoordinateSpec:
     )
 
 
-def opaque(sampler: Callable[[np.random.Generator, int], np.ndarray]) -> CoordinateSpec:
-    """Coordinate that is sampled but carries no error structure.
+# -- finite-difference check of stated derivatives ---------------------------
 
-    Houses the irregular inputs of a simulation (rejection steps, etc.):
-    γ ≡ 0, γ' ≡ 0, a ≡ 0, and lift() refuses it.
+_FD_STEP = 1e-5
+_FD_TOL = 1e-5
+
+
+def fd_mismatch(
+    f: Callable, df: Callable, order: int, x: float, *args
+) -> Optional[tuple[float, float]]:
+    """(stated, measured) when df(x, *args) disagrees with a central
+    difference of f(·, *args) at the point x, else None.
+
+    The bound is _FD_TOL relative to the larger of 1, |stated| and
+    |measured|, plus the rounding error of the difference quotient:
+    2⁻⁵²·max|f| times the summed weights of the stencil (2 for order 1, 4
+    for order 2) over its divisor (2h or h²).  Without that term an
+    order-2 check rejects correct derivatives once |f| ≳ 10.
     """
-    zero = lambda u: np.zeros_like(np.asarray(u, dtype=float))
-    return CoordinateSpec(
-        kind="opaque", sampler=sampler, gamma=zero, gamma_prime=zero, gen_a=zero,
-        label="opaque",
-    )
-
-
-def custom(
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
-    gamma: Callable[[np.ndarray], np.ndarray],
-    gamma_prime: Callable[[np.ndarray], np.ndarray],
-    gen_a: Callable[[np.ndarray], np.ndarray],
-    quad_rule: Optional[QuadRule] = None,
-    label: str = "custom",
-) -> CoordinateSpec:
-    """User-supplied coordinate structure.  Closability is the caller's problem."""
-    return CoordinateSpec(
-        kind="custom", sampler=sampler, gamma=gamma, gamma_prime=gamma_prime,
-        gen_a=gen_a, quad_rule=quad_rule, label=label,
-    )
-
-
-@dataclass(frozen=True)
-class BasePoint:
-    """One draw of the product coordinates: values u_1..u_m plus their specs."""
-
-    coords: np.ndarray
-    specs: tuple[CoordinateSpec, ...]
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coords, dtype=float))
-        object.__setattr__(self, "coords", c)
-        object.__setattr__(self, "specs", tuple(self.specs))
-        if len(self.specs) != c.shape[0]:
-            raise ValueError(
-                f"{c.shape[0]} coordinate values for {len(self.specs)} specs"
-            )
-        if c.shape[0] > MAX_ACTIVE_COORDS:
-            raise ValueError(
-                f"{c.shape[0]} coordinates exceeds the cap of {MAX_ACTIVE_COORDS}"
-            )
-
-    @property
-    def m(self) -> int:
-        return self.coords.shape[0]
-
-    def gamma_values(self) -> np.ndarray:
-        """γ_i(u_i) per coordinate."""
-        return np.array([float(s.gamma(u)) for s, u in zip(self.specs, self.coords)])
-
-    def gamma_prime_values(self) -> np.ndarray:
-        return np.array(
-            [float(s.gamma_prime(u)) for s, u in zip(self.specs, self.coords)]
-        )
-
-    def gen_a_values(self) -> np.ndarray:
-        return np.array([float(s.gen_a(u)) for s, u in zip(self.specs, self.coords)])
-
-
-def sample_base(
-    specs: Sequence[CoordinateSpec], rng: np.random.Generator
-) -> BasePoint:
-    """Independent draw of every coordinate from its own law."""
-    specs = tuple(specs)
-    values = np.array([s.sample(rng) for s in specs])
-    return BasePoint(values, specs)
+    h = _FD_STEP
+    fp, fm = float(f(x + h, *args)), float(f(x - h, *args))
+    if order == 1:
+        fd = (fp - fm) / (2.0 * h)
+        rounding = 2.0**-52 * 2.0 * max(abs(fp), abs(fm)) / (2.0 * h)
+    else:
+        f0 = float(f(x, *args))
+        fd = (fp - 2.0 * f0 + fm) / h**2
+        rounding = 2.0**-52 * 4.0 * max(abs(fp), abs(f0), abs(fm)) / h**2
+    stated = float(df(x, *args))
+    if abs(fd - stated) > _FD_TOL * max(1.0, abs(stated), abs(fd)) + rounding:
+        return stated, fd
+    return None

@@ -1,8 +1,8 @@
 """Point-process functionals X = N(h) with their square field and generator.
 
 For a Poisson point process N with finite intensity μ on an interval,
-equipped with the structure that commutes with the point integral, the
-operators act point by point:
+equipped with the structure that commutes with the point integral, Γ
+and A act point by point:
 
     Γ[N(h)] = N(γ[h]),   γ[h](p) = γ(p) h'(p)²
     A[N(h)] = N(a[h]),   a[h](p) = ½ γ(p) h''(p) + a(p) h'(p)
@@ -25,10 +25,12 @@ from typing import Callable
 
 import numpy as np
 
-from .coords import CoordinateSpec, mc_unit
-from .jets import fd_mismatch
+from .coords import fd_mismatch, mc_unit
 
 PointFn = Callable[[np.ndarray], np.ndarray]
+
+# Points at which h1 and h2 are probed against differences of h.
+_PROBE_POINTS = np.array([0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95])
 
 
 @dataclass(frozen=True)
@@ -49,17 +51,16 @@ class PoissonFunctionalSpec:
     base_gamma_prime: PointFn
     base_a: PointFn
     name: str = ""
-    probe_points: tuple[float, ...] = (0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95)
 
     def __post_init__(self):
         if not (self.total_mass > 0 and math.isfinite(self.total_mass)):
             raise ValueError("total_mass must be positive and finite")
         for order, dh, nm in ((1, self.h1, "h1"), (2, self.h2, "h2")):
-            for p in np.asarray(self.probe_points, dtype=float):
+            for p in _PROBE_POINTS:
                 if fd_mismatch(self.h, dh, order, p) is not None:
                     raise ValueError(f"{nm} disagrees with finite differences of h at p={p:g}")
 
-    # per-point integrands of the lifted operators
+    # per-point integrands of the lifted Γ and A
     def gamma_h(self, p: np.ndarray) -> np.ndarray:
         return self.base_gamma(p) * self.h1(p) ** 2
 
@@ -111,11 +112,7 @@ def sample_poisson_arrays(
     return x, g, a, q, ks
 
 
-def poisson_mc_unit(
-    lam: float,
-    h_name: str = "identity",
-    base: CoordinateSpec | None = None,
-) -> PoissonFunctionalSpec:
+def poisson_mc_unit(lam: float, h_name: str = "identity") -> PoissonFunctionalSpec:
     """Uniform intensity λ·dp on [0,1] over the mc_unit base structure,
     with h from a small named family."""
     try:
@@ -124,7 +121,7 @@ def poisson_mc_unit(
         raise ValueError(
             f"unknown h {h_name!r}; choose from {sorted(_H_FAMILY)}"
         ) from None
-    base = base if base is not None else mc_unit()
+    base = mc_unit()
     return PoissonFunctionalSpec(
         total_mass=float(lam),
         point_sampler=lambda rng, k: rng.uniform(0.0, 1.0, size=k),

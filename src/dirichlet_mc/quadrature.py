@@ -38,8 +38,8 @@ def quadrature_expectation(
 
     integrand receives an (npoints, m) array and must return (npoints,)
     values.  Each coordinate contributes its own rule (Hermite for the
-    Gaussian structure, Legendre on [0,1] for mc_unit); coordinates
-    without a rule (opaque, custom without one) are rejected.
+    Gaussian structure, Legendre on [0,1] for mc_unit); a coordinate
+    without a rule is rejected.
     """
     specs = tuple(specs)
     if not 1 <= len(specs) <= MAX_ORACLE_DIM:

@@ -4,15 +4,17 @@ Each scenario has a per-chunk draw, from which it builds a batch or opens
 a stream (drawn chunk by chunk as an estimator reduces it), and optionally
 carries an exact density, the deterministic reduced forms γ(x), a(x) used
 by the kernel sweeps, and a conditional-expectation oracle.  Draws are
-vectorised closed forms of the jet calculus, so a build holds the batch
-and O(CHUNK_SIZE) scratch; the test suite re-derives them through jets on
-subsamples, so the fast path cannot drift from the operators silently.
+vectorised closed forms of the functional calculus, the extended Euler
+recursion or the Poisson point sums, so a build holds the batch and
+O(CHUNK_SIZE) scratch.  The test suite re-derives the closed forms through
+its jet calculus (tests/calculus.py) on subsamples, so a draw cannot drift
+from the calculus silently.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,10 +53,11 @@ class Scenario:
     default_points: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        if self.build is None:
-            cls = QuadBatch if self.kind == "quad" else TripleBatch
-            object.__setattr__(self, "build", lambda n, seed, workers: cls.from_raw(
-                *sample_chunked(n, seed, self.draw, workers)))
+        # The default build is remade from this draw and kind, so that it
+        # follows them through dataclasses.replace; a build given explicitly
+        # is kept as it is.
+        if self.build is None or (isinstance(self.build, partial) and self.build.func is _build):
+            object.__setattr__(self, "build", partial(_build, self.kind, self.draw))
 
     def stream(self, n: int, seed: int, workers: int) -> SampleStream:
         """The samples build(n, seed, workers) would hold, drawn chunk by
@@ -78,6 +81,12 @@ class Scenario:
         if abs(mass - 1.0) > tol:
             raise ValueError(f"exact density of {self.name} integrates to {mass:.6f}")
         return mass
+
+
+def _build(kind: str, draw, n: int, seed: int, workers: int) -> QuadBatch | TripleBatch:
+    """The whole batch of n samples of draw, gathered by sample_chunked."""
+    cls = QuadBatch if kind == "quad" else TripleBatch
+    return cls.from_raw(*sample_chunked(n, seed, draw, workers))
 
 
 # -- per-chunk draws ---------------------------------------------------------

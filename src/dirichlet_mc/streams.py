@@ -46,7 +46,7 @@ def chunk_sizes(n: int, chunk_size: int = CHUNK_SIZE) -> list[int]:
 
 
 def iter_chunks(
-    n: int, seed: int, draw: Draw, workers: int = 1, chunk_offset: int = 0
+    n: int, seed: int, draw: Draw, workers: int = 1
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Each chunk of n samples as a tuple of arrays, in chunk order.
 
@@ -54,13 +54,12 @@ def iter_chunks(
     that share the leading axis.  Several workers draw on a thread pool; a
     chunk is submitted only while fewer than 2·workers are in flight, the
     one being consumed included.  n = 0 yields one empty chunk, so the
-    shapes are known.  chunk_offset shifts the chunk keys, letting a
-    caller carve disjoint substreams out of one seed.
+    shapes are known.
     """
     sizes = chunk_sizes(n) or [0]
 
     def one(i: int) -> tuple[np.ndarray, ...]:
-        out = draw(chunk_rng(seed, chunk_offset + i), sizes[i])
+        out = draw(chunk_rng(seed, i), sizes[i])
         return out if isinstance(out, tuple) else (out,)
 
     if workers <= 1 or len(sizes) == 1:
@@ -78,14 +77,14 @@ def iter_chunks(
 
 
 def sample_chunked(
-    n: int, seed: int, draw: Draw, workers: int = 1, chunk_offset: int = 0
+    n: int, seed: int, draw: Draw, workers: int = 1
 ) -> tuple[np.ndarray, ...]:
     """Draw n samples through (seed, chunk)-keyed streams: the chunks of
     iter_chunks, copied in order into arrays allocated once, so the result
     is bit-identical for any worker count and no chunk outlives its copy."""
     out: list[np.ndarray] = []
     lo = 0
-    for part in iter_chunks(n, seed, draw, workers, chunk_offset):
+    for part in iter_chunks(n, seed, draw, workers):
         if not out:
             out = [np.empty((n,) + p.shape[1:], dtype=p.dtype) for p in part]
         hi = lo + part[0].shape[0]

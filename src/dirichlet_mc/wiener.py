@@ -11,14 +11,14 @@ mesh h with Brownian increment db updates, with all coefficients at (X, t):
 The Γ update keeps the exact square of the one-step derivative
 (1 + σ' db + r' h) rather than its expansion 1 + 2σ' db + (2r' + σ'²) h;
 the two agree in mean to O(h²), but only the exact square commutes
-pathwise with the functional calculus applied to the scheme, which is
-what jet_oracle_triple verifies to roundoff.  It also keeps Γ ≥ 0 on
-every path.
+pathwise with the functional calculus applied to the scheme, which the
+jet oracle of the test suite (tests/calculus.py) verifies to roundoff on
+paths fed through euler_triple_paths.  It also keeps Γ ≥ 0 on every path.
 
 One recursion implements the scheme: simulate_triple_batch (increments
-drawn step by step), euler_triple_paths (given increments) and
-simulate_triple (one path) all run it.  It allocates its state and
-scratch arrays once per call and updates them in place.
+drawn step by step) and euler_triple_paths (given increments) both run
+it.  It allocates its state and scratch arrays once per call and updates
+them in place.
 
 Coefficient contract.  σ, r and their x-derivatives are called as f(x, t)
 with x a float64 array of the current states (a float in the derivative
@@ -30,23 +30,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .coords import ou_gaussian
-from .jets import Jet2, fd_mismatch, jet_const, lift
-from .operators import ErrorTriple, a_of, gamma_of
-from .coords import BasePoint, MAX_ACTIVE_COORDS
+from .coords import fd_mismatch
 
 CoefFn = Callable[[float, float], float]
 
+# The probes (x, t) of the derivative check: states paired with times
+# spread over [0, 1].
+_PROBE_XS = np.array([0.2, 0.5, 0.8, 1.0, 1.3, 1.7, 2.0, 2.5, 3.0, 4.0])
+_PROBE_TS = np.linspace(0.0, 1.0, _PROBE_XS.size)
 
-def _check_derivative(f: CoefFn, df: CoefFn, name: str, order: int,
-                      xs: np.ndarray, ts: np.ndarray) -> None:
+
+def _check_derivative(f: CoefFn, df: CoefFn, name: str, order: int) -> None:
     """Central finite differences of f against the stated derivative df,
     one float probe (x, t) at a time."""
-    for x, t in zip(xs, ts):
+    for x, t in zip(_PROBE_XS, _PROBE_TS):
         bad = fd_mismatch(f, df, order, x, t)
         if bad is not None:
             stated, measured = bad
@@ -72,15 +73,12 @@ class SdeCoefficients:
     r_x: CoefFn
     r_xx: CoefFn
     name: str = ""
-    probe_xs: tuple[float, ...] = (0.2, 0.5, 0.8, 1.0, 1.3, 1.7, 2.0, 2.5, 3.0, 4.0)
 
     def __post_init__(self):
-        xs = np.asarray(self.probe_xs, dtype=float)
-        ts = np.linspace(0.0, 1.0, xs.size)
-        _check_derivative(self.sigma, self.sigma_x, "sigma_x", 1, xs, ts)
-        _check_derivative(self.sigma, self.sigma_xx, "sigma_xx", 2, xs, ts)
-        _check_derivative(self.r, self.r_x, "r_x", 1, xs, ts)
-        _check_derivative(self.r, self.r_xx, "r_xx", 2, xs, ts)
+        _check_derivative(self.sigma, self.sigma_x, "sigma_x", 1)
+        _check_derivative(self.sigma, self.sigma_xx, "sigma_xx", 2)
+        _check_derivative(self.r, self.r_x, "r_x", 1)
+        _check_derivative(self.r, self.r_xx, "r_xx", 2)
 
 
 # -- the extended Euler recursion --------------------------------------------
@@ -195,64 +193,6 @@ def euler_triple_paths(
     return _euler(x0, h, n, c, increments.shape[1], increments.__getitem__)
 
 
-def simulate_triple(
-    x0: float,
-    T: float,
-    n: int,
-    c: SdeCoefficients,
-    rng: np.random.Generator,
-) -> tuple[Optional[ErrorTriple], np.ndarray]:
-    """One path of n steps of mesh T/n from (x0, 0, 0); db_k ~ N(0, T/n).
-
-    Returns the terminal scalar triple and the increments used, so an
-    oracle can replay the same path.  A non-finite terminal state (the
-    recursion never turns a non-finite component finite again) yields
-    triple None with the increments still reported.
-    """
-    increments = rng.normal(0.0, math.sqrt(_mesh(T, n)), size=n)
-    x, g, a, finite = euler_triple_paths(x0, T, n, c, increments[:, None])
-    if not finite[0]:
-        return None, increments
-    return ErrorTriple(x, g[:, None], a), increments
-
-
-def jet_oracle_triple(
-    x0: float, T: float, n: int, c: SdeCoefficients, increments: np.ndarray
-) -> ErrorTriple:
-    """Triple computed purely by functional calculus on the discrete scheme.
-
-    The terminal value X_T of the Euler recursion is built as a jet over n
-    Gaussian coordinates of variance h (γ_k = h, a_k(u) = -u/2), and Γ, A
-    are read off the jet.  Agreement with simulate_triple on the same
-    increments is the commutation check for the extended scheme.
-    """
-    increments = np.asarray(increments, dtype=float)
-    if increments.shape[0] != n:
-        raise ValueError(f"expected {n} increments, got {increments.shape[0]}")
-    if n > MAX_ACTIVE_COORDS:
-        raise ValueError(f"n={n} exceeds the jet coordinate cap of {MAX_ACTIVE_COORDS}")
-    h = T / n
-    spec = ou_gaussian(h)
-    base = BasePoint(increments, (spec,) * n)
-    x = jet_const(x0, n)
-    t = 0.0
-    for k in range(n):
-        db = lift(base, k + 1)
-        sig = _coef_jet(c.sigma, c.sigma_x, c.sigma_xx, x, t)
-        drift = _coef_jet(c.r, c.r_x, c.r_xx, x, t)
-        x = x + sig * db + drift * h
-        t += h
-    g = gamma_of(x, x, base)
-    return ErrorTriple(np.array([x.value]), np.array([[g]]), np.array([a_of(x, base)]))
-
-
-def _coef_jet(f: CoefFn, fx: CoefFn, fxx: CoefFn, jx: Jet2, t: float) -> Jet2:
-    """Chain a coefficient function (and its x-derivatives) through a jet."""
-    v = jx.value
-    p, p1, p2 = f(v, t), fx(v, t), fxx(v, t)
-    return Jet2(p, p1 * jx.grad, p2 * np.outer(jx.grad, jx.grad) + p1 * jx.hess)
-
-
 # -- named coefficient sets ----------------------------------------------
 
 def _const(v: float) -> CoefFn:
@@ -289,9 +229,3 @@ def zero_noise_coefficients(drift: float = 1.0) -> SdeCoefficients:
         name=f"zero_noise(drift={drift:g})",
     )
 
-
-COEFFICIENT_SETS: dict[str, Callable[[], SdeCoefficients]] = {
-    "gbm": gbm_coefficients,
-    "additive": additive_coefficients,
-    "zero_noise": zero_noise_coefficients,
-}

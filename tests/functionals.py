@@ -12,8 +12,9 @@ from typing import Callable
 
 import numpy as np
 
-from dirichlet_mc.coords import BasePoint, CoordinateSpec, mc_unit, ou_gaussian
-from dirichlet_mc.jets import Jet2, jet_const, jet_cos, jet_exp, jet_sin, lift
+from dirichlet_mc.coords import CoordinateSpec, mc_unit, ou_gaussian
+
+from calculus import BasePoint, Jet2, jet_const, jet_cos, jet_exp, jet_sin, lift
 
 
 def random_specs(rng: np.random.Generator, m: int) -> tuple[CoordinateSpec, ...]:

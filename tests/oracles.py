@@ -1,8 +1,10 @@
-"""Independent finite-difference oracles used across the test suite.
+"""Independent finite-difference oracles and reference routes used across
+the test suite.
 
-These never touch a jet's gradient or Hessian: they re-derive Γ, A and
-Γ[X, Γ[X]] from plain scalar evaluations of the functional, so agreement
-with the operators module is a genuine two-route check.
+The finite-difference oracles never touch a jet's gradient or Hessian:
+they re-derive Γ, A and Γ[X, Γ[X]] from plain scalar evaluations of the
+functional, so agreement with the jet calculus of calculus.py is a
+genuine two-route check.
 
 The scalar estimator references (one Gaussian kernel at a time through
 np.linalg, one full pass over the samples per sign-formula query, the 1-d
@@ -12,17 +14,21 @@ configuration by exact per-point sums.  The expression-form Euler batch is the
 reference the in-place Euler recursion must match bit for bit; the
 identity z-scores and the stacked triangular builder below are the
 references for the identity suite and the column-wise builder.
+
+simulate_triple is not a reference but the side under test of the
+commutation checks: it draws one path's increments and runs them through
+the package's Euler recursion, so calculus.jet_oracle_triple can replay
+them.  COEFFICIENT_SETS names the package's coefficient presets.
 """
 from __future__ import annotations
 
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from dirichlet_mc.coords import BasePoint
 from dirichlet_mc.estimators import (
     DEGENERATE_DET,
     DensityEstimate,
@@ -33,9 +39,18 @@ from dirichlet_mc.estimators import (
     direct_weights,
     regularized_weights,
 )
-from dirichlet_mc.operators import ErrorQuad, ErrorTriple
 from dirichlet_mc.poisson import PointFn, PoissonFunctionalSpec, sample_poisson_arrays
 from dirichlet_mc.streams import CHUNK_SIZE, sample_chunked
+from dirichlet_mc.wiener import (
+    SdeCoefficients,
+    _mesh,
+    additive_coefficients,
+    euler_triple_paths,
+    gbm_coefficients,
+    zero_noise_coefficients,
+)
+
+from calculus import BasePoint, ErrorQuad, ErrorTriple
 
 FD_STEP = 1e-4
 
@@ -282,6 +297,34 @@ def euler_batch_reference(x0: float, T: float, n: int, c, n_paths: int, rng):
             t += h
     finite = np.isfinite(x) & np.isfinite(g) & np.isfinite(a)
     return x, g, a, finite
+
+
+def simulate_triple(
+    x0: float,
+    T: float,
+    n: int,
+    c: SdeCoefficients,
+    rng: np.random.Generator,
+) -> tuple[Optional[ErrorTriple], np.ndarray]:
+    """One path of n steps of mesh T/n from (x0, 0, 0); db_k ~ N(0, T/n).
+
+    Returns the terminal scalar triple and the increments used, so an
+    oracle can replay the same path.  A non-finite terminal state (the
+    recursion never turns a non-finite component finite again) yields
+    triple None with the increments still reported.
+    """
+    increments = rng.normal(0.0, math.sqrt(_mesh(T, n)), size=n)
+    x, g, a, finite = euler_triple_paths(x0, T, n, c, increments[:, None])
+    if not finite[0]:
+        return None, increments
+    return ErrorTriple(x, g[:, None], a), increments
+
+
+COEFFICIENT_SETS: dict[str, Callable[[], SdeCoefficients]] = {
+    "gbm": gbm_coefficients,
+    "additive": additive_coefficients,
+    "zero_noise": zero_noise_coefficients,
+}
 
 
 def sample_poisson_quad(spec: PoissonFunctionalSpec, rng: np.random.Generator) -> ErrorQuad:

@@ -15,14 +15,12 @@ import numpy as np
 import pytest
 
 from dirichlet_mc.cli import cli_main
-from dirichlet_mc.coords import sample_base
 from dirichlet_mc.estimators import (
     QuadBatch,
     conditional_expectation,
     direct_density,
     regularized_density,
 )
-from dirichlet_mc.operators import a_of, gamma_of, quad_of
 from dirichlet_mc.scenarios import get_scenario, pair_conditional_oracle
 from dirichlet_mc.streams import chunk_rng
 from dirichlet_mc.sweeps import (
@@ -32,15 +30,11 @@ from dirichlet_mc.sweeps import (
     run_identity_suite,
     run_variance_sweep,
 )
-from dirichlet_mc.wiener import (
-    additive_coefficients,
-    gbm_coefficients,
-    jet_oracle_triple,
-    simulate_triple,
-)
+from dirichlet_mc.wiener import additive_coefficients, gbm_coefficients
 
+from calculus import a_of, gamma_of, jet_oracle_triple, quad_of, sample_base
 from functionals import random_functional, random_specs
-from oracles import fd_a, fd_gamma, fd_gamma_x_gammax, rel_err
+from oracles import fd_a, fd_gamma, fd_gamma_x_gammax, rel_err, simulate_triple
 
 
 def _report(num: int, name: str, ok: bool, detail: str, elapsed: float, limit: float | None):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_mc.coords import BasePoint, custom, mc_unit, opaque, ou_gaussian, sample_base
+from dirichlet_mc.coords import mc_unit, ou_gaussian
 from dirichlet_mc.quadrature import quadrature_expectation
 from dirichlet_mc.streams import chunk_rng, sample_chunked
+
+from calculus import BasePoint, custom, opaque, sample_base
 
 
 class TestCoordinateSpecs:
@@ -102,12 +104,6 @@ class TestStreams:
         b = sample_chunked(50_000, 7, draw, workers=4)[0]
         assert a.shape == (50_000,)
         assert np.array_equal(a, b)
-
-    def test_chunk_offset_gives_fresh_stream(self):
-        draw = lambda rng, n: rng.normal(size=n)
-        a = sample_chunked(1000, 7, draw)[0]
-        b = sample_chunked(1000, 7, draw, chunk_offset=1000)[0]
-        assert not np.array_equal(a, b)
 
     def test_reproducible_single_draws(self):
         specs = (ou_gaussian(1.0),)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichlet_mc.coords import BasePoint, mc_unit, opaque, ou_gaussian
-from dirichlet_mc.jets import (
+from dirichlet_mc.coords import mc_unit, ou_gaussian
+
+from calculus import (
+    BasePoint,
     Jet2,
     jet_add,
     jet_apply_unary,
@@ -13,6 +15,7 @@ from dirichlet_mc.jets import (
     jet_exp,
     jet_mul,
     lift,
+    opaque,
 )
 
 

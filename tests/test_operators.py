@@ -4,11 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichlet_mc.coords import BasePoint, mc_unit, ou_gaussian, sample_base
-from dirichlet_mc.jets import jet_apply_unary, jet_const, jet_exp, lift
-from dirichlet_mc.operators import ErrorTriple, a_of, gamma_grad, gamma_of, quad_of
+from dirichlet_mc.coords import mc_unit, ou_gaussian
 from dirichlet_mc.streams import chunk_rng
 
+from calculus import (
+    BasePoint,
+    ErrorTriple,
+    a_of,
+    gamma_grad,
+    gamma_of,
+    jet_apply_unary,
+    jet_const,
+    jet_exp,
+    lift,
+    quad_of,
+    sample_base,
+)
 from functionals import random_functional, random_specs
 from oracles import fd_a, fd_gamma, fd_gamma_x_gammax, rel_err
 
@@ -200,14 +211,14 @@ class TestErrorTripleValidation:
             ErrorTriple(np.zeros(2), np.eye(3), np.zeros(2))
 
     def test_quad_rejects_negative_square_field(self):
-        from dirichlet_mc.operators import ErrorQuad
+        from calculus import ErrorQuad
 
         bad = ErrorTriple(np.zeros(1), np.array([[-0.5]]), np.zeros(1))
         with pytest.raises(ValueError, match="negative"):
             ErrorQuad(bad, 0.0)
 
     def test_quad_requires_scalar_triple(self):
-        from dirichlet_mc.operators import ErrorQuad
+        from calculus import ErrorQuad
 
         two_d = ErrorTriple(np.zeros(2), np.eye(2), np.zeros(2))
         with pytest.raises(ValueError, match="d=1"):

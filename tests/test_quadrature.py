@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dirichlet_mc import quadrature
-from dirichlet_mc.coords import mc_unit, opaque, ou_gaussian
+from dirichlet_mc.coords import mc_unit, ou_gaussian
 from dirichlet_mc.quadrature import (
     _legendre,
     kernel_moment_integral,
@@ -13,6 +13,8 @@ from dirichlet_mc.quadrature import (
     quadrature_expectation,
 )
 from dirichlet_mc.scenarios import get_scenario
+
+from calculus import opaque
 
 
 class TestTensorExpectation:

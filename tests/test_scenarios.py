@@ -2,19 +2,19 @@
 through the jet calculus on shared coordinate draws, exact densities carry
 unit mass, and every scenario with an exact density is hit by a sign
 estimator within Monte Carlo error."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from dirichlet_mc.coords import BasePoint, mc_unit, ou_gaussian
+from dirichlet_mc.coords import mc_unit, ou_gaussian
 from dirichlet_mc.estimators import QuadBatch, direct_density, regularized_density
-from dirichlet_mc.jets import jet_const, jet_exp, jet_sin, lift
-from dirichlet_mc.operators import quad_of
 from dirichlet_mc.quadrature import normal_pdf, quadrature_expectation
 from dirichlet_mc.scenarios import SCENARIOS, get_scenario, pair_conditional_oracle
 from dirichlet_mc.streams import chunk_rng
 
+from calculus import BasePoint, jet_const, jet_exp, jet_sin, lift, quad_of
 from oracles import triangular_reference
 
 N_CHECK = 300
@@ -138,6 +138,27 @@ class TestRegistry:
     def test_oracle_dims_within_cap(self):
         for sc in SCENARIOS.values():
             assert sc.oracle_dim <= 3
+
+    def test_replaced_draw_reaches_build_and_stream(self):
+        sc = get_scenario("gaussian")
+
+        def shifted(rng, k):
+            x, *rest = sc.draw(rng, k)
+            return (x + 100.0, *rest)
+
+        moved = dataclasses.replace(sc, draw=shifted)
+        want = sc.build(3000, 2, 1).x + 100.0
+        assert np.array_equal(moved.build(3000, 2, 1).x, want)
+        streamed = np.concatenate([b.x for _, b in moved.stream(3000, 2, 1).blocks()])
+        assert np.array_equal(streamed, want)
+
+    def test_replaced_build_is_kept(self):
+        sc = get_scenario("gaussian")
+        build = lambda n, seed, workers: sc.build(n, seed, workers)
+        replaced = dataclasses.replace(sc, build=build)
+        assert replaced.build is build
+        # and survives a later replace of the draw
+        assert dataclasses.replace(replaced, draw=sc.draw).build is build
 
 
 class TestDensityRecovery:

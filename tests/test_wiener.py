@@ -5,18 +5,16 @@ import pytest
 
 from dirichlet_mc.streams import chunk_rng
 from dirichlet_mc.wiener import (
-    COEFFICIENT_SETS,
     SdeCoefficients,
     additive_coefficients,
     euler_triple_paths,
     gbm_coefficients,
-    jet_oracle_triple,
-    simulate_triple,
     simulate_triple_batch,
     zero_noise_coefficients,
 )
 
-from oracles import euler_batch_reference
+from calculus import jet_oracle_triple
+from oracles import COEFFICIENT_SETS, euler_batch_reference, simulate_triple
 
 
 def _rel(a, b):
@@ -65,7 +63,7 @@ class TestCoefficients:
         zero_noise_coefficients()
 
     def test_named_coefficient_registry(self):
-        from dirichlet_mc.wiener import COEFFICIENT_SETS
+        from oracles import COEFFICIENT_SETS
 
         assert set(COEFFICIENT_SETS) == {"gbm", "additive", "zero_noise"}
         for make in COEFFICIENT_SETS.values():
