@@ -51,6 +51,9 @@ VARIANCE_CONSTANT_RTOL = 0.05
 
 EXIT_OK, EXIT_VALIDATION, EXIT_THRESHOLD = 0, 2, 3
 
+# the largest sample count an array can index
+MAX_SAMPLES = np.iinfo(np.intp).max
+
 
 class ValidationError(Exception):
     pass
@@ -164,6 +167,8 @@ def _samples(args) -> int | str:
         ) from None
     if n < 1:
         raise ValidationError(f"--samples must be positive, got {n}")
+    if n > MAX_SAMPLES:
+        raise ValidationError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples!r}")
     return n
 
 
@@ -318,8 +323,10 @@ def _cmd_compare(args) -> int:
     sc = _scenario_or_fail(args.scenario)
     estimators = [e for e in args.estimators.split(",") if e]
     sizes = _parse_floats(args.samples)
-    if not all(math.isfinite(v) and v >= 1 for v in sizes):
-        raise ValidationError(f"--samples must be positive sample counts, got {args.samples!r}")
+    if not all(math.isfinite(v) and 1 <= v <= MAX_SAMPLES for v in sizes):
+        raise ValidationError(
+            f"--samples must be sample counts in 1..{MAX_SAMPLES}, got {args.samples!r}"
+        )
     sizes = [int(v) for v in sizes]
     eps = _epsilons(args, (0.2, 0.1, 0.05, 0.025))
     try:
@@ -433,6 +440,10 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         # estimators raise ValueError for inputs they cannot use (a
         # non-finite query point, no usable samples)
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:
+        # the commands that hold a whole batch allocate it at once
+        print("error: out of memory; lower --samples", file=sys.stderr)
         return EXIT_VALIDATION
 
 

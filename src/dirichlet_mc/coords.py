@@ -1,106 +1,33 @@
-"""Base coordinates of a product error structure, and the derivative check.
+"""The unit-interval error structure, and the derivative check.
 
-A coordinate carries a sampling law together with the three functions
-that define its one-dimensional error structure: the weight γ(u) of the
-square field operator, its derivative γ'(u), and the generator applied
-to the identity, a(u).  The scenarios name the coordinates their closed
-forms are built over, the quadrature oracle integrates over them, and the
-Poisson functionals lift the structure of one to the point process.
+The "Monte Carlo space" of the paper is the unit interval with the
+uniform law and the error structure of weight
 
-Built-in structures:
+    γ(u) = u²(1-u)²,   γ'(u) = 2u(1-u)(1-2u),   a(u) = γ'(u)/2 = u(1-u)(1-2u).
 
-  ou_gaussian(v)  centered Gaussian, γ(u) = v,           a(u) = -u/2
-  mc_unit         uniform on [0,1],  γ(u) = u²(1-u)²,    a(u) = u(1-u)(1-2u)
+The weight vanishes at both endpoints, which is what closes the structure
+on [0,1].  The triangular scenario is built on two such coordinates and
+the Poisson functionals lift the structure to the point process; both
+read it from here.  The functions accept scalars or numpy arrays.
 
 fd_mismatch probes a stated derivative against a central difference; the
 SDE coefficients and the Poisson point functions run it at construction.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
 
-QuadRule = Callable[[int], tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass(frozen=True)
-class CoordinateSpec:
-    """One coordinate: a law plus the weight/generator functions of its structure.
-
-    gamma, gamma_prime and gen_a accept scalars or numpy arrays.  quad_rule,
-    when present, returns (nodes, weights) of a quadrature rule for
-    expectations under the coordinate's law, normalised so the weights sum
-    to one.
-    """
-
-    kind: str
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
-    gamma: Callable[[np.ndarray], np.ndarray]
-    gamma_prime: Callable[[np.ndarray], np.ndarray]
-    gen_a: Callable[[np.ndarray], np.ndarray]
-    quad_rule: Optional[QuadRule] = None
-    label: str = ""
-
-    @property
-    def is_opaque(self) -> bool:
-        return self.kind == "opaque"
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.sampler(rng, 1)[0])
-
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.asarray(self.sampler(rng, n), dtype=float)
+def unit_gamma(u):
+    return (u * (1.0 - u)) ** 2
 
 
-def ou_gaussian(variance: float) -> CoordinateSpec:
-    """Centered Gaussian coordinate of the Ornstein-Uhlenbeck structure.
-
-    γ(u) = variance, γ'(u) = 0, a(u) = -u/2.
-    """
-    if not variance > 0:
-        raise ValueError("variance must be positive")
-    v = float(variance)
-    sd = math.sqrt(v)
-
-    def rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-        x, w = np.polynomial.hermite.hermgauss(order)
-        return x * math.sqrt(2.0 * v), w / math.sqrt(math.pi)
-
-    return CoordinateSpec(
-        kind="ou_gaussian",
-        sampler=lambda rng, n: rng.normal(0.0, sd, size=n),
-        gamma=lambda u: np.full_like(np.asarray(u, dtype=float), v),
-        gamma_prime=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        gen_a=lambda u: -0.5 * np.asarray(u, dtype=float),
-        quad_rule=rule,
-        label=f"ou_gaussian({v:g})",
-    )
+def unit_gamma_prime(u):
+    return 2.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
 
 
-def mc_unit() -> CoordinateSpec:
-    """Uniform coordinate with weight γ(u) = u²(1-u)².
-
-    The weight vanishes at both endpoints, which is what closes the
-    structure on [0,1]; a(u) = γ'(u)/2 = u(1-u)(1-2u).
-    """
-
-    def rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-        x, w = np.polynomial.legendre.leggauss(order)
-        return (x + 1.0) / 2.0, w / 2.0
-
-    u_ = lambda u: np.asarray(u, dtype=float)
-    return CoordinateSpec(
-        kind="mc_unit",
-        sampler=lambda rng, n: rng.uniform(0.0, 1.0, size=n),
-        gamma=lambda u: (u_(u) * (1.0 - u_(u))) ** 2,
-        gamma_prime=lambda u: 2.0 * u_(u) * (1.0 - u_(u)) * (1.0 - 2.0 * u_(u)),
-        gen_a=lambda u: u_(u) * (1.0 - u_(u)) * (1.0 - 2.0 * u_(u)),
-        quad_rule=rule,
-        label="mc_unit",
-    )
+def unit_a(u):
+    return u * (1.0 - u) * (1.0 - 2.0 * u)
 
 
 # -- finite-difference check of stated derivatives ---------------------------

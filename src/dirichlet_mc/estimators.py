@@ -535,14 +535,19 @@ def _kernel_density(
     ]
 
 
+def check_epsilon(epsilon: float) -> None:
+    """A ValueError naming ε unless it is finite and > 0."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
+
+
 def _kernel_moments(
     b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool, fourth: bool = False
 ) -> tuple[np.ndarray, Moments]:
     """The queries and, per query, the moments of the kernel values over
     the usable samples, merged block by block.  Each block evaluates its
     queries in groups of _GROUP, one (group, block) array at a time."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     queries = _as_queries(xs, b.d)
     nq = queries.shape[0]
     buf = np.empty(b.d * min(nq, _GROUP) * CHUNK_SIZE)
@@ -713,8 +718,7 @@ def direct_density(b: QuadBatch, xs) -> list[DensityEstimate]:
 
 def regularized_density(b: QuadBatch, epsilon: float, xs) -> list[DensityEstimate]:
     """Monotone-in-ε lower approximation; no positivity needed on Γ."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
 
     def columns(blk):
         w = regularized_weights(blk, epsilon)

@@ -13,6 +13,11 @@ two-stage draw: K ~ Poisson(μ(total)) then K i.i.d. points from μ/μ(total).
 With the bilinear extension applied to g = γ[h] this also yields
 Γ[X, Γ[X]], so full quad samples are simulatable.
 
+PoissonFunctionalSpec is the general lift: any intensity, any h with two
+stated derivatives, any base structure.  poisson_mc_unit is the one
+instance the scenarios run, h = identity over the unit-interval structure
+of coords.
+
 The law of N(h) has an atom at the empty configuration, so the direct
 density formulas' hypotheses fail here; the module's role is triple/quad
 simulation.
@@ -25,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coords import fd_mismatch, mc_unit
+from .coords import fd_mismatch, unit_a, unit_gamma, unit_gamma_prime
 
 PointFn = Callable[[np.ndarray], np.ndarray]
 
@@ -50,7 +55,6 @@ class PoissonFunctionalSpec:
     base_gamma: PointFn
     base_gamma_prime: PointFn
     base_a: PointFn
-    name: str = ""
 
     def __post_init__(self):
         if not (self.total_mass > 0 and math.isfinite(self.total_mass)):
@@ -112,37 +116,16 @@ def sample_poisson_arrays(
     return x, g, a, q, ks
 
 
-def poisson_mc_unit(lam: float, h_name: str = "identity") -> PoissonFunctionalSpec:
-    """Uniform intensity λ·dp on [0,1] over the mc_unit base structure,
-    with h from a small named family."""
-    try:
-        h, h1, h2 = _H_FAMILY[h_name]
-    except KeyError:
-        raise ValueError(
-            f"unknown h {h_name!r}; choose from {sorted(_H_FAMILY)}"
-        ) from None
-    base = mc_unit()
+def poisson_mc_unit(lam: float) -> PoissonFunctionalSpec:
+    """X = N(identity) for the uniform intensity λ·dp on [0,1] over the
+    unit-interval structure of coords."""
     return PoissonFunctionalSpec(
         total_mass=float(lam),
         point_sampler=lambda rng, k: rng.uniform(0.0, 1.0, size=k),
-        h=h, h1=h1, h2=h2,
-        base_gamma=base.gamma,
-        base_gamma_prime=base.gamma_prime,
-        base_a=base.gen_a,
-        name=f"poisson_mc_unit(lam={lam:g},h={h_name})",
+        h=lambda p: np.asarray(p, dtype=float),
+        h1=lambda p: np.ones_like(np.asarray(p, dtype=float)),
+        h2=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
+        base_gamma=unit_gamma,
+        base_gamma_prime=unit_gamma_prime,
+        base_a=unit_a,
     )
-
-
-_H_FAMILY: dict[str, tuple[PointFn, PointFn, PointFn]] = {
-    "identity": (
-        lambda p: np.asarray(p, dtype=float),
-        lambda p: np.ones_like(np.asarray(p, dtype=float)),
-        lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-    ),
-    "sin": (np.sin, np.cos, lambda p: -np.sin(p)),
-    "polynomial": (
-        lambda p: p**2 * (1.0 + p),
-        lambda p: 2.0 * p + 3.0 * p**2,
-        lambda p: 2.0 + 6.0 * p,
-    ),
-}

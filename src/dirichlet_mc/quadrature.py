@@ -2,9 +2,11 @@
 
 Two instruments:
 
-* quadrature_expectation: tensorised Gauss-Hermite / Gauss-Legendre rule
-  over up to three base coordinates; the noise-free stand-in for a Monte
-  Carlo average when verifying estimator expectations.
+* quadrature_expectation: tensor product of per-coordinate rules over up
+  to three base coordinates; the noise-free stand-in for a Monte Carlo
+  average when verifying estimator expectations.  Only the tests call it,
+  with the coordinates of tests/calculus.py; it stays here because the
+  benchmark's tracer wraps it as scenarios.quadrature_expectation.
 
 * law_integral / kernel_moment_integral: composite Gauss-Legendre
   integration against a known density on an interval.  Kernel sweeps need
@@ -23,23 +25,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coords import CoordinateSpec
-
 MAX_ORACLE_DIM = 3
 MAX_ORDER = 128
 
 
 def quadrature_expectation(
     integrand: Callable[[np.ndarray], np.ndarray],
-    specs: Sequence[CoordinateSpec],
+    specs: Sequence,
     order: int = 64,
 ) -> float:
     """E[integrand(U_1, ..., U_m)] by a tensor product rule.
 
     integrand receives an (npoints, m) array and must return (npoints,)
-    values.  Each coordinate contributes its own rule (Hermite for the
-    Gaussian structure, Legendre on [0,1] for mc_unit); a coordinate
-    without a rule is rejected.
+    values.  Each spec contributes its own rule: spec.quad_rule(order)
+    returns (nodes, weights) for its law with the weights summing to one.
+    A spec whose quad_rule is None is rejected, named by its label or
+    kind.
     """
     specs = tuple(specs)
     if not 1 <= len(specs) <= MAX_ORACLE_DIM:

@@ -19,10 +19,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coords import CoordinateSpec, mc_unit, ou_gaussian
+from .coords import unit_a, unit_gamma
 from .estimators import QuadBatch, SampleStream, TripleBatch
 from .poisson import poisson_mc_unit, sample_poisson_arrays
-from .quadrature import law_integral, normal_pdf, quadrature_expectation  # noqa: F401  (re-exported)
+from .quadrature import law_integral, normal_pdf, quadrature_expectation  # noqa: F401  (perfbench wraps it here)
 from .streams import iter_chunks, sample_chunked
 from .wiener import (
     additive_coefficients,
@@ -48,7 +48,6 @@ class Scenario:
     mass_bounds: Optional[tuple[float, float]] = None
     gamma_of_x: Optional[Density] = None
     a_of_x: Optional[Density] = None
-    oracle_specs: tuple[CoordinateSpec, ...] = ()
     cond_oracle: Optional[Callable[[float], float]] = None
     default_points: tuple[float, ...] = (0.0,)
 
@@ -63,10 +62,6 @@ class Scenario:
         """The samples build(n, seed, workers) would hold, drawn chunk by
         chunk each time an estimator walks them."""
         return SampleStream(lambda: iter_chunks(n, seed, self.draw, workers), n, self.kind == "quad")
-
-    @property
-    def oracle_dim(self) -> int:
-        return len(self.oracle_specs)
 
     @property
     def has_reduced_form(self) -> bool:
@@ -113,10 +108,9 @@ def _draw_gaussian_pair(rng, k):
 
 
 def _triangular_terms(u):
-    # per coordinate: γ = (u(1-u))², a = u(1-u)(1-2u), γ' = 2a, and γ·γ'
-    w = u * (1.0 - u)
-    gam = w**2
-    a = w * (1.0 - 2.0 * u)
+    # per coordinate of the unit structure: γ, a, and γ·γ' with γ' = 2a
+    gam = unit_gamma(u)
+    a = unit_a(u)
     return gam, a, (2.0 * a) * gam
 
 
@@ -185,14 +179,12 @@ def _triangular_density(x):
     return np.where((x >= 0) & (x <= 1), x, np.where((x > 1) & (x <= 2), 2.0 - x, 0.0))
 
 
-_PAIR_SPECS = (ou_gaussian(1.0),)
-
-
 @lru_cache(maxsize=1)
 def _pair_rule() -> tuple[np.ndarray, np.ndarray]:
-    """sin of the 96 Hermite nodes of U₂, and their weights."""
-    nodes, weights = _PAIR_SPECS[0].quad_rule(96)
-    return np.sin(nodes), weights
+    """sin of the 96 Hermite nodes of a standard Gaussian U₂, and their
+    weights normalised to sum to one."""
+    nodes, weights = np.polynomial.hermite.hermgauss(96)
+    return np.sin(nodes * math.sqrt(2.0)), weights / math.sqrt(math.pi)
 
 
 def _pair_moments(x) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +252,6 @@ _register(Scenario(
     mass_bounds=(-10.0, 10.0),
     gamma_of_x=lambda x: np.ones_like(np.asarray(x, dtype=float)),
     a_of_x=lambda x: -0.5 * np.asarray(x, dtype=float),
-    oracle_specs=(ou_gaussian(1.0),),
     default_points=(-1.0, 0.0, 1.0),
 ))
 
@@ -274,7 +265,6 @@ _register(Scenario(
     mass_bounds=(1e-9, 80.0),
     gamma_of_x=_lognormal_gamma,
     a_of_x=_lognormal_a,
-    oracle_specs=(ou_gaussian(1.0),),
     default_points=(0.5, 1.0, 2.0),
 ))
 
@@ -285,7 +275,6 @@ _register(Scenario(
     draw=_draw_gaussian_pair,
     exact_density=_pair_density,
     mass_bounds=(-12.0, 12.0),
-    oracle_specs=(ou_gaussian(1.0), ou_gaussian(1.0)),
     cond_oracle=pair_conditional_oracle,
     default_points=(-0.5, 0.0, 0.5),
 ))
@@ -297,7 +286,6 @@ _register(Scenario(
     draw=_draw_triangular,
     exact_density=_triangular_density,
     support=(0.0, 2.0),
-    oracle_specs=(mc_unit(), mc_unit()),
     default_points=(0.5, 1.0, 1.5),
 ))
 
@@ -311,7 +299,6 @@ _register(Scenario(
     mass_bounds=(1e-9, 30.0),
     gamma_of_x=_gbm_exact_gamma,
     a_of_x=_gbm_exact_a,
-    oracle_specs=(ou_gaussian(_GBM_T),),
     default_points=(0.8, 1.0, 1.3),
 ))
 

@@ -35,40 +35,34 @@ def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunk_sizes(n: int, chunk_size: int = CHUNK_SIZE) -> list[int]:
-    """Sizes of the chunks covering n items (all full except the last)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    sizes = [chunk_size] * (n // chunk_size)
-    if n % chunk_size:
-        sizes.append(n % chunk_size)
-    return sizes
-
-
 def iter_chunks(
     n: int, seed: int, draw: Draw, workers: int = 1
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Each chunk of n samples as a tuple of arrays, in chunk order.
 
     draw(rng, count) produces one chunk as an array, or a tuple of arrays
-    that share the leading axis.  Several workers draw on a thread pool; a
-    chunk is submitted only while fewer than 2·workers are in flight, the
-    one being consumed included.  n = 0 yields one empty chunk, so the
-    shapes are known.
+    that share the leading axis.  Every chunk holds CHUNK_SIZE samples but
+    the last, and the layout is never materialised, so its cost does not
+    grow with n.  Several workers draw on a thread pool; a chunk is
+    submitted only while fewer than 2·workers are in flight, the one being
+    consumed included.  n = 0 yields one empty chunk, so the shapes are
+    known.
     """
-    sizes = chunk_sizes(n) or [0]
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    count = max(1, -(-n // CHUNK_SIZE))
 
     def one(i: int) -> tuple[np.ndarray, ...]:
-        out = draw(chunk_rng(seed, i), sizes[i])
+        out = draw(chunk_rng(seed, i), min(CHUNK_SIZE, n - i * CHUNK_SIZE))
         return out if isinstance(out, tuple) else (out,)
 
-    if workers <= 1 or len(sizes) == 1:
-        for i in range(len(sizes)):
+    if workers <= 1 or count == 1:
+        for i in range(count):
             yield one(i)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
-        for i in range(len(sizes)):
+        for i in range(count):
             if len(pending) == 2 * workers:
                 yield pending.popleft().result()
             pending.append(pool.submit(one, i))

@@ -19,9 +19,9 @@ import numpy as np
 
 from .estimators import (
     ESTIMATORS,
-    DensityEstimate,
     QuadBatch,
     TripleBatch,
+    check_epsilon,
     get_estimator,
     identity_z_scores,
     run_estimator,
@@ -65,8 +65,13 @@ class SweepConfig:
         eps = tuple(float(e) for e in self.epsilons)
         object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "query_points", tuple(float(x) for x in self.query_points))
-        if len(eps) == 0 or any(e <= 0 for e in eps):
-            raise ValueError("epsilons must be positive")
+        if len(eps) == 0:
+            raise ValueError("epsilons must be given")
+        for e in eps:
+            check_epsilon(e)
+        for x in self.query_points:
+            if not math.isfinite(x):
+                raise ValueError(f"query points must be finite, got {x!r}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be strictly decreasing")
         if self.sample_size != "quadrature":
@@ -221,17 +226,17 @@ def run_variance_sweep(cfg: SweepConfig) -> VarianceSweepResult:
         mc_batch = sc.build(int(cfg.sample_size), cfg.seed, cfg.workers)
 
     for eps in cfg.epsilons:
-        for x, ref in zip(points, refs):
-            if mc_batch is None:
+        if mc_batch is None:
+            stats = []
+            for x in points:
                 m1, m2 = kernel_moment_integral(
                     x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support,
                     shift=True, power=(1, 2),
                 )
-                var = m2 - m1 * m1
-                se = 0.0
-                n = 0
-            else:
-                ((var, se, n),) = shifted_kernel_variance(mc_batch, eps, [x])
+                stats.append((m2 - m1 * m1, 0.0, 0))
+        else:
+            stats = shifted_kernel_variance(mc_batch, eps, list(points))
+        for x, ref, (var, se, n) in zip(points, refs, stats):
             rows.append(SweepRow.make(eps, n, x, math.sqrt(eps) * var, ref, math.sqrt(eps) * se))
             var_by_eps.setdefault(eps, []).append(var)
 
@@ -306,12 +311,19 @@ def compare_estimators(
     Kernel estimators grid-search their ε over the given list and report
     the best root-mean-square error across the query points per sample
     size; the other estimators report as-is, at the smallest ε if they
-    take one.  conditional estimates no density and is rejected.  No
-    pass/fail is attached: the output is a reported table.
+    take one.  conditional estimates no density and is rejected before
+    anything is sampled.  No pass/fail is attached: the output is a
+    reported table.
     """
+    if not estimators or not sample_sizes:
+        raise ValueError("compare needs at least one estimator and one sample size")
     entries = [get_estimator(name) for name in estimators]
+    if "conditional" in estimators:
+        raise ValueError("estimator 'conditional' does not estimate a density")
     if not epsilons and any(e.takes_epsilon for e in entries):
         raise ValueError("the estimators compared need at least one epsilon")
+    for eps in epsilons:
+        check_epsilon(eps)
     sc = get_scenario(scenario)
     points = tuple(query_points) or sc.default_points
     if sc.exact_density is None:
@@ -334,8 +346,6 @@ def compare_estimators(
             else:
                 eps = min(epsilons) if entry.takes_epsilon else None
                 ests = run_estimator(name, batch, eps, list(points), scenario)
-                if not all(isinstance(e, DensityEstimate) for e in ests):
-                    raise ValueError(f"estimator {name!r} does not estimate a density")
             for x, e in zip(points, ests):
                 out.append(CompareRow(
                     name, eps, e.n_used, x, e.value, refs[x], abs(e.value - refs[x]), e.std_error,

@@ -72,7 +72,6 @@ class SdeCoefficients:
     r: CoefFn
     r_x: CoefFn
     r_xx: CoefFn
-    name: str = ""
 
     def __post_init__(self):
         _check_derivative(self.sigma, self.sigma_x, "sigma_x", 1)
@@ -208,7 +207,6 @@ def gbm_coefficients(vol: float = 0.3, drift: float = 0.05) -> SdeCoefficients:
     return SdeCoefficients(
         sigma=_linear(vol), sigma_x=_const(vol), sigma_xx=_const(0.0),
         r=_linear(drift), r_x=_const(drift), r_xx=_const(0.0),
-        name=f"gbm(vol={vol:g},drift={drift:g})",
     )
 
 
@@ -217,7 +215,6 @@ def additive_coefficients(vol: float = 0.4, drift: float = 0.1) -> SdeCoefficien
     return SdeCoefficients(
         sigma=_const(vol), sigma_x=_const(0.0), sigma_xx=_const(0.0),
         r=_linear(drift), r_x=_const(drift), r_xx=_const(0.0),
-        name=f"additive(vol={vol:g},drift={drift:g})",
     )
 
 
@@ -226,6 +223,5 @@ def zero_noise_coefficients(drift: float = 1.0) -> SdeCoefficients:
     return SdeCoefficients(
         sigma=_const(0.0), sigma_x=_const(0.0), sigma_xx=_const(0.0),
         r=_linear(drift), r_x=_const(drift), r_xx=_const(0.0),
-        name=f"zero_noise(drift={drift:g})",
     )
 

@@ -13,10 +13,17 @@ dense Hessian); its square field and generator are read off the jet:
 Only the Hessian diagonal enters A (the product structure has no cross
 weights), but off-diagonals are kept because ∂_j Γ[X] needs them.
 
+The coordinates are the module's own: CoordinateSpec carries a law (a
+sampler and a normalised quadrature rule) and the three functions of a
+one-dimensional structure, γ, γ' and a.  ou_gaussian(v) is the
+Ornstein-Uhlenbeck structure of a centered Gaussian, mc_unit the uniform
+law on [0,1] with γ(u) = u²(1-u)²; opaque and custom cover the rest.
+
 jet_oracle_triple replays the extended Euler scheme of dirichlet_mc.wiener
 as a jet over its n Gaussian increments, so the production recursion can
-be checked path by path.  The module imports only the coordinate
-structures from the package, never the samplers or estimators it checks.
+be checked path by path.  The module imports nothing from the package,
+so neither the samplers and estimators it checks nor the structure
+formulas they are built from can leak into the reference.
 
 Jets are immutable.  Non-finite intermediates are not errors: they
 propagate through the arrays and are detected with is_finite.
@@ -29,8 +36,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from dirichlet_mc.coords import CoordinateSpec, QuadRule, ou_gaussian
-
 # Dense Hessians make jet algebra O(m²) per operation; this cap keeps a
 # full second-order jet affordable while covering desk-scale functionals.
 MAX_ACTIVE_COORDS = 64
@@ -42,6 +47,86 @@ CoefFn = Callable[[float, float], float]
 
 
 # -- coordinates ---------------------------------------------------------
+
+QuadRule = Callable[[int], tuple[np.ndarray, np.ndarray]]
+
+
+@dataclass(frozen=True)
+class CoordinateSpec:
+    """One coordinate: a law plus the weight/generator functions of its structure.
+
+    gamma, gamma_prime and gen_a accept scalars or numpy arrays.  quad_rule,
+    when present, returns (nodes, weights) of a quadrature rule for
+    expectations under the coordinate's law, normalised so the weights sum
+    to one.
+    """
+
+    kind: str
+    sampler: Callable[[np.random.Generator, int], np.ndarray]
+    gamma: Callable[[np.ndarray], np.ndarray]
+    gamma_prime: Callable[[np.ndarray], np.ndarray]
+    gen_a: Callable[[np.ndarray], np.ndarray]
+    quad_rule: Optional[QuadRule] = None
+    label: str = ""
+
+    @property
+    def is_opaque(self) -> bool:
+        return self.kind == "opaque"
+
+    def sample(self, rng: np.random.Generator) -> float:
+        return float(self.sampler(rng, 1)[0])
+
+    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.asarray(self.sampler(rng, n), dtype=float)
+
+
+def ou_gaussian(variance: float) -> CoordinateSpec:
+    """Centered Gaussian coordinate of the Ornstein-Uhlenbeck structure.
+
+    γ(u) = variance, γ'(u) = 0, a(u) = -u/2.
+    """
+    if not variance > 0:
+        raise ValueError("variance must be positive")
+    v = float(variance)
+    sd = math.sqrt(v)
+
+    def rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+        x, w = np.polynomial.hermite.hermgauss(order)
+        return x * math.sqrt(2.0 * v), w / math.sqrt(math.pi)
+
+    return CoordinateSpec(
+        kind="ou_gaussian",
+        sampler=lambda rng, n: rng.normal(0.0, sd, size=n),
+        gamma=lambda u: np.full_like(np.asarray(u, dtype=float), v),
+        gamma_prime=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
+        gen_a=lambda u: -0.5 * np.asarray(u, dtype=float),
+        quad_rule=rule,
+        label=f"ou_gaussian({v:g})",
+    )
+
+
+def mc_unit() -> CoordinateSpec:
+    """Uniform coordinate with weight γ(u) = u²(1-u)².
+
+    The weight vanishes at both endpoints, which is what closes the
+    structure on [0,1]; a(u) = γ'(u)/2 = u(1-u)(1-2u).
+    """
+
+    def rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+        x, w = np.polynomial.legendre.leggauss(order)
+        return (x + 1.0) / 2.0, w / 2.0
+
+    u_ = lambda u: np.asarray(u, dtype=float)
+    return CoordinateSpec(
+        kind="mc_unit",
+        sampler=lambda rng, n: rng.uniform(0.0, 1.0, size=n),
+        gamma=lambda u: (u_(u) * (1.0 - u_(u))) ** 2,
+        gamma_prime=lambda u: 2.0 * u_(u) * (1.0 - u_(u)) * (1.0 - 2.0 * u_(u)),
+        gen_a=lambda u: u_(u) * (1.0 - u_(u)) * (1.0 - 2.0 * u_(u)),
+        quad_rule=rule,
+        label="mc_unit",
+    )
+
 
 def opaque(sampler: Callable[[np.random.Generator, int], np.ndarray]) -> CoordinateSpec:
     """Coordinate that is sampled but carries no error structure.

@@ -12,9 +12,18 @@ from typing import Callable
 
 import numpy as np
 
-from dirichlet_mc.coords import CoordinateSpec, mc_unit, ou_gaussian
-
-from calculus import BasePoint, Jet2, jet_const, jet_cos, jet_exp, jet_sin, lift
+from calculus import (
+    BasePoint,
+    CoordinateSpec,
+    Jet2,
+    jet_const,
+    jet_cos,
+    jet_exp,
+    jet_sin,
+    lift,
+    mc_unit,
+    ou_gaussian,
+)
 
 
 def random_specs(rng: np.random.Generator, m: int) -> tuple[CoordinateSpec, ...]:

@@ -18,11 +18,13 @@ references for the identity suite and the column-wise builder.
 simulate_triple is not a reference but the side under test of the
 commutation checks: it draws one path's increments and runs them through
 the package's Euler recursion, so calculus.jet_oracle_triple can replay
-them.  COEFFICIENT_SETS names the package's coefficient presets.
+them.  COEFFICIENT_SETS names the package's coefficient presets, and
+poisson_point_spec swaps a non-identity h into the Poisson scenario's spec.
 """
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -39,7 +41,12 @@ from dirichlet_mc.estimators import (
     direct_weights,
     regularized_weights,
 )
-from dirichlet_mc.poisson import PointFn, PoissonFunctionalSpec, sample_poisson_arrays
+from dirichlet_mc.poisson import (
+    PointFn,
+    PoissonFunctionalSpec,
+    poisson_mc_unit,
+    sample_poisson_arrays,
+)
 from dirichlet_mc.streams import CHUNK_SIZE, sample_chunked
 from dirichlet_mc.wiener import (
     SdeCoefficients,
@@ -341,6 +348,23 @@ def sample_poisson_quad(spec: PoissonFunctionalSpec, rng: np.random.Generator) -
     a = float(np.sum(spec.a_h(p)))
     gxx = float(np.sum(spec.gamma_x_gammax_term(p)))
     return ErrorQuad(ErrorTriple(np.array([x]), np.array([[g]]), np.array([a])), gxx)
+
+
+POINT_FUNCTIONS: dict[str, tuple[PointFn, PointFn, PointFn]] = {
+    "sin": (np.sin, np.cos, lambda p: -np.sin(p)),
+    "polynomial": (
+        lambda p: p**2 * (1.0 + p),
+        lambda p: 2.0 * p + 3.0 * p**2,
+        lambda p: 2.0 + 6.0 * p,
+    ),
+}
+
+
+def poisson_point_spec(lam: float, h_name: str) -> PoissonFunctionalSpec:
+    """poisson_mc_unit(lam) with (h, h', h'') = POINT_FUNCTIONS[h_name];
+    the spec re-checks the derivatives on construction."""
+    h, h1, h2 = POINT_FUNCTIONS[h_name]
+    return dataclasses.replace(poisson_mc_unit(lam), h=h, h1=h1, h2=h2)
 
 
 def z_exact(stat: np.ndarray) -> float:

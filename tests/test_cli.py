@@ -81,6 +81,35 @@ class TestValidation:
         assert "query point nan is not finite" in err and "no usable samples" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, value", [
+        (["sweep-bias", "--scenario", "lognormal", "--points", "nan"], "nan"),
+        (["sweep-bias", "--scenario", "lognormal", "--epsilons", "nan,0.1,0.05"], "nan"),
+        (["sweep-bias", "--scenario", "lognormal", "--points", "inf"], "inf"),
+        (["density", "--estimator", "regularized", "--epsilons", "inf", "--samples", "2000"],
+         "inf"),
+        (["compare", "--scenario", "lognormal", "--epsilons", "nan", "--samples", "2000"], "nan"),
+    ])
+    def test_non_finite_epsilon_or_sweep_point_exits_2(self, argv, value, tmp_path, capfd):
+        # capfd: LAPACK prints its complaints on file descriptor 1
+        out = tmp_path / "s.csv"
+        rc = cli_main([*argv, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        captured = capfd.readouterr()
+        assert captured.err.startswith("error:") and f"got {value}" in captured.err
+        assert "DLASCL" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--scenario", "lognormal", "--samples", "1e30"],
+        ["density", "--scenario", "lognormal", "--samples", "99999999999999999999999"],
+    ])
+    def test_oversize_samples_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = cli_main([*argv, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "error: --samples must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_point_list_is_a_value(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = cli_main(["density", "--scenario", "gaussian", "--points", "-1,0,1",
@@ -224,6 +253,22 @@ class TestCompareCommand:
                        "--samples", "2000", "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert "does not estimate a density" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("estimators", ["direct,conditional", ","])
+    def test_estimator_list_is_checked_before_sampling(self, estimators, tmp_path,
+                                                       capsys, monkeypatch):
+        def no_build(n, seed, workers):
+            raise AssertionError("sampled before the estimator list was checked")
+
+        sc = get_scenario("gaussian_pair")
+        monkeypatch.setitem(SCENARIOS, sc.name, dataclasses.replace(sc, build=no_build))
+        out = tmp_path / "cmp.csv"
+        rc = cli_main(["compare", "--scenario", sc.name, "--estimators", estimators,
+                       "--samples", "2000", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
 

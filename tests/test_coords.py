@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_mc.coords import mc_unit, ou_gaussian
+from dirichlet_mc.coords import unit_a, unit_gamma, unit_gamma_prime
 from dirichlet_mc.quadrature import quadrature_expectation
 from dirichlet_mc.streams import chunk_rng, sample_chunked
 
-from calculus import BasePoint, custom, opaque, sample_base
+from calculus import BasePoint, custom, mc_unit, opaque, ou_gaussian, sample_base
 
 
 class TestCoordinateSpecs:
@@ -78,6 +78,19 @@ class TestCoordinateSpecs:
         assert spec.label == "custom" and spec.quad_rule is None
         with pytest.raises(ValueError, match="custom"):
             quadrature_expectation(lambda p: p[:, 0], (spec,))
+
+
+class TestUnitStructure:
+    def test_package_formulas_equal_the_oracle_bit_for_bit(self):
+        # the triangular draw and the Poisson lift read coords; the oracle
+        # states the same structure on its own
+        u = np.concatenate([np.linspace(0.0, 1.0, 1025), chunk_rng(9, 0).uniform(size=4096)])
+        ref = mc_unit()
+        for got, want in ((unit_gamma(u), ref.gamma(u)),
+                          (unit_gamma_prime(u), ref.gamma_prime(u)),
+                          (unit_a(u), ref.gen_a(u))):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBasePoint:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichlet_mc.coords import mc_unit, ou_gaussian
-
 from calculus import (
     BasePoint,
     Jet2,
@@ -15,7 +13,9 @@ from calculus import (
     jet_exp,
     jet_mul,
     lift,
+    mc_unit,
     opaque,
+    ou_gaussian,
 )
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichlet_mc.coords import mc_unit, ou_gaussian
 from dirichlet_mc.streams import chunk_rng
 
 from calculus import (
@@ -17,6 +16,8 @@ from calculus import (
     jet_const,
     jet_exp,
     lift,
+    mc_unit,
+    ou_gaussian,
     quad_of,
     sample_base,
 )

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_mc.coords import mc_unit
 from dirichlet_mc.poisson import (
     PoissonFunctionalSpec,
     poisson_mc_unit,
@@ -12,7 +11,8 @@ from dirichlet_mc.poisson import (
 from dirichlet_mc.quadrature import law_integral
 from dirichlet_mc.streams import chunk_rng
 
-from oracles import poisson_identity_check, sample_poisson_quad
+from calculus import mc_unit
+from oracles import poisson_identity_check, poisson_point_spec, sample_poisson_quad
 
 
 class TestSpecValidation:
@@ -54,10 +54,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="total_mass"):
             poisson_mc_unit(math.inf)
 
-    def test_unknown_h_name(self):
-        with pytest.raises(ValueError, match="unknown h"):
-            poisson_mc_unit(1.0, h_name="nope")
-
 
 class TestSampling:
     def test_empty_configuration_is_zero_quad(self):
@@ -98,7 +94,7 @@ class TestSampling:
 
     def test_campbell_formula_against_quadrature(self):
         lam = 3.0
-        spec = poisson_mc_unit(lam, h_name="polynomial")
+        spec = poisson_point_spec(lam, "polynomial")
         x, _, _, _, _ = sample_poisson_arrays(spec, chunk_rng(4, 0), 100_000)
         ref = lam * law_integral(spec.h, 0.0, 1.0, panels=64, order=12)
         se = x.std(ddof=1) / math.sqrt(x.size)
@@ -106,7 +102,7 @@ class TestSampling:
 
     def test_linearity_in_h(self):
         lam, c = 2.0, 3.0
-        base = poisson_mc_unit(lam, h_name="sin")
+        base = poisson_point_spec(lam, "sin")
         scaled = PoissonFunctionalSpec(
             total_mass=lam,
             point_sampler=base.point_sampler,

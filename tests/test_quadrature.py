@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dirichlet_mc import quadrature
-from dirichlet_mc.coords import mc_unit, ou_gaussian
 from dirichlet_mc.quadrature import (
     _legendre,
     kernel_moment_integral,
@@ -14,7 +13,7 @@ from dirichlet_mc.quadrature import (
 )
 from dirichlet_mc.scenarios import get_scenario
 
-from calculus import opaque
+from calculus import mc_unit, opaque, ou_gaussian
 
 
 class TestTensorExpectation:

@@ -8,13 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_mc.coords import mc_unit, ou_gaussian
 from dirichlet_mc.estimators import QuadBatch, direct_density, regularized_density
 from dirichlet_mc.quadrature import normal_pdf, quadrature_expectation
 from dirichlet_mc.scenarios import SCENARIOS, get_scenario, pair_conditional_oracle
 from dirichlet_mc.streams import chunk_rng
 
-from calculus import BasePoint, jet_const, jet_exp, jet_sin, lift, quad_of
+from calculus import BasePoint, jet_const, jet_exp, jet_sin, lift, mc_unit, ou_gaussian, quad_of
 from oracles import triangular_reference
 
 N_CHECK = 300
@@ -135,10 +134,6 @@ class TestRegistry:
             for got, want in zip((b.x, b.gamma, b.a, b.gamma_x_gammax), ref):
                 assert np.array_equal(got, want)
 
-    def test_oracle_dims_within_cap(self):
-        for sc in SCENARIOS.values():
-            assert sc.oracle_dim <= 3
-
     def test_replaced_draw_reaches_build_and_stream(self):
         sc = get_scenario("gaussian")
 
@@ -191,7 +186,7 @@ class TestConditionalOracle:
         xs = np.array([-2.5, -0.3, 0.0, 1.1])
         dens = sc.exact_density(xs)
         for x, f in zip(xs, dens):
-            specs = sc.oracle_specs[:1]
+            specs = (ou_gaussian(1.0),)
             ref = quadrature_expectation(lambda u: normal_pdf(x - np.sin(u[:, 0])), specs, order=96)
             num = quadrature_expectation(
                 lambda u: np.sin(u[:, 0]) * normal_pdf(x - np.sin(u[:, 0])), specs, order=96

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dirichlet_mc import sweeps
-from dirichlet_mc.estimators import QuadBatch
+from dirichlet_mc.estimators import QuadBatch, shifted_kernel_variance
 from dirichlet_mc.quadrature import kernel_moment_integral
 from dirichlet_mc.scenarios import corrupt_quad_batch, get_scenario
 from dirichlet_mc.sweeps import (
@@ -53,6 +53,16 @@ class TestSweepConfig:
     def test_monte_carlo_floor(self):
         with pytest.raises(ValueError, match="10\\^3"):
             SweepConfig("gaussian", "shifted", (0.1,), sample_size=100)
+
+    @pytest.mark.parametrize("epsilons, points, bad", [
+        ((math.nan, 0.1), (), "nan"),
+        ((math.inf, 0.1), (), "inf"),
+        ((0.2, 0.1), (1.0, math.nan), "nan"),
+        ((0.2, 0.1), (-math.inf,), "-inf"),
+    ])
+    def test_non_finite_values_named(self, epsilons, points, bad):
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            SweepConfig("lognormal", "shifted", epsilons, query_points=points)
 
     def test_quadrature_accepted(self):
         cfg = SweepConfig("gaussian", "shifted", (0.2, 0.1), sample_size="quadrature")
@@ -115,6 +125,19 @@ class TestVarianceSweep:
         # φ(0)/√(4π) for the unit square field
         assert res.constant_reference == pytest.approx(0.112540, abs=5e-6)
         assert abs(res.constant - res.constant_reference) <= 0.05 * res.constant_reference
+
+    def test_monte_carlo_rows_equal_per_point_calls(self):
+        # one call per ε over every point gives each point's own figures
+        points = (0.5, 1.0, 2.0)
+        cfg = SweepConfig("lognormal", "shifted", (0.01, 0.001), 20_000, points, seed=4)
+        res = run_variance_sweep(cfg)
+        batch = get_scenario("lognormal").build(20_000, 4, 1)
+        want = [(eps, x, shifted_kernel_variance(batch, eps, [x])[0])
+                for eps in cfg.epsilons for x in points]
+        assert len(res.rows) == len(want)
+        for r, (eps, x, (var, se, n)) in zip(res.rows, want):
+            assert (r.epsilon, r.x, r.n) == (eps, x, n)
+            assert r.estimate == math.sqrt(eps) * var and r.std_error == math.sqrt(eps) * se
 
     def test_monte_carlo_std_error_matches_seed_spread(self):
         # kernel values at ε = 1e-3 are heavy-tailed: a Gaussian-value error

@@ -26,7 +26,7 @@ def _linear_sigma():
     z = lambda x, t: 0.0 * x
     return SdeCoefficients(
         sigma=lambda x, t: x, sigma_x=lambda x, t: 1.0 + 0.0 * x, sigma_xx=z,
-        r=z, r_x=z, r_xx=z, name="sigma=x",
+        r=z, r_x=z, r_xx=z,
     )
 
 
@@ -74,7 +74,7 @@ def _aliasing():
     # σ(x) = r(x) = x, both returning the state array itself
     return SdeCoefficients(
         sigma=lambda x, t: x, sigma_x=lambda x, t: 1.0, sigma_xx=lambda x, t: 0.0,
-        r=lambda x, t: x, r_x=lambda x, t: 1.0, r_xx=lambda x, t: 0.0, name="sigma=r=x",
+        r=lambda x, t: x, r_x=lambda x, t: 1.0, r_xx=lambda x, t: 0.0,
     )
 
 
@@ -83,7 +83,6 @@ def _exploding(k=5.0, vol=2.0):
     return SdeCoefficients(
         sigma=lambda x, t: vol * x, sigma_x=lambda x, t: vol, sigma_xx=lambda x, t: 0.0,
         r=lambda x, t: k * x * x, r_x=lambda x, t: 2.0 * k * x, r_xx=lambda x, t: 2.0 * k,
-        name="exploding",
     )
 
 
