@@ -5,8 +5,11 @@ The list holds the criterion-10 commands of the acceptance suite, `density`
 for every scenario × estimator, `compare`, `density` and `check-identities`
 at sizes that cross reduction-block boundaries (every estimator, and the
 centered split at N // 2 inside a chunk), the quadrature and
-Monte Carlo `sweep-bias`/`sweep-variance` runs, and the quadrature sweeps
-of the `oracles` benchmark workload down to its smallest ε.  Each command
+Monte Carlo `sweep-bias`/`sweep-variance` runs, the quadrature sweeps
+of the `oracles` benchmark workload down to its smallest ε, and the
+command layer's input rules (a `1e4` sample count against `10000`, a
+fractional count, an empty `--points` list and the option spellings no
+command reads).  Each command
 runs in-process at `--workers 1` and `--workers 2`; a line reads
 
     <sha256 of the CSV, or "-" when none was written>  <exit code>  w<workers>  <tag>
@@ -142,6 +145,28 @@ def commands() -> dict[str, list[str]]:
     cmds["sweep_variance_lognormal_small_eps_quadrature"] = [
         "sweep-variance", "--scenario", "lognormal", "--strict",
         "--epsilons", ",".join(repr(float(e)) for e in np.geomspace(0.01, 0.001, 5))]
+    # the sample-count rule: a float literal with an integral value runs as
+    # its integer and a fraction exits 2; so do an empty list and the
+    # spellings no command reads
+    for count in ("10000", "1e4"):
+        cmds[f"samples_{count}_density"] = [
+            "density", "--scenario", "lognormal", "--points", "0.5,1.0", "--samples", count,
+            "--seed", "3"]
+        cmds[f"samples_{count}_compare"] = [
+            "compare", "--scenario", "lognormal", "--estimators", "shifted,direct",
+            "--epsilons", "0.2,0.1", "--points", "1.0", "--samples", count, "--seed", "3"]
+    for command in ("density", "sweep-bias", "sweep-variance", "check-identities", "compare"):
+        tag = command.replace("-", "_")
+        cmds[f"samples_fraction_{tag}"] = [
+            command, "--scenario", "lognormal", "--samples", "2000.7"]
+        cmds[f"empty_points_{tag}"] = [
+            command, "--scenario", "lognormal", "--points", ",", "--samples", "2000"]
+    for tag, flag, value in (("epsilons", "--epsilons", "0.1"), ("points", "--points", "1")):
+        cmds[f"check_identities_{tag}"] = [
+            "check-identities", flag, value, "--samples", "2000"]
+    cmds["compare_strict"] = ["compare", "--estimators", "direct", "--strict", "--samples", "2000"]
+    cmds["density_epsilon_alias"] = [
+        "density", "--estimator", "regularized", "--epsilon", "0.1", "--samples", "2000"]
     return cmds
 
 

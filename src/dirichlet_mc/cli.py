@@ -1,26 +1,32 @@
 """Command line interface: density runs, sweeps, identity checks, CSV out.
 
-Subcommands
+Subcommands, with the options each reads besides --scenario, --samples,
+--seed, --workers, --out and --config (list-scenarios reads none):
 
   list-scenarios   names and descriptions of the built-in scenarios
-  density          one estimator at query points; CSV x,estimate,std_error,reference
-  sweep-bias       bias vs ε with fitted order; CSV epsilon,n,x,estimate,reference,abs_error,std_error
-  sweep-variance   ε^{1/2}·variance vs ε with fitted order; same sweep CSV
-  check-identities z-scores of the exact identities; CSV scenario,check,n,statistic,threshold,passed
-  compare          error table across estimators and sample sizes;
-                   CSV estimator,epsilon,n,x,estimate,reference,abs_error,std_error
+  density          one estimator at query points: --estimator, --epsilons, --points, --strict
+  sweep-bias       bias vs ε, fitted order: --estimator, --epsilons, --points, --strict
+  sweep-variance   ε^{1/2}·variance vs ε, fitted order: --epsilons, --points, --strict
+  check-identities z-scores of the exact identities: --corrupt-a, --strict
+  compare          errors across estimators and sizes: --estimators, --epsilons, --points
 
-Estimator names come from the one table estimators.ESTIMATORS: density
-takes all seven, compare all but conditional (not a density), sweep-bias
-the three kernels.
+CSV: density x,estimate,std_error,reference; the sweeps and compare the
+fields of sweeps.SweepRow and sweeps.CompareRow; check-identities
+scenario,check,n,statistic,threshold,passed.  Estimator names come from
+estimators.ESTIMATORS: density takes all seven, compare all but conditional
+(not a density), sweep-bias the three kernels.  --samples is one count
+(compare: a list; the sweeps: or 'quadrature'), an integer or a float
+literal with an integral value below 2**53, never truncated.  A list option
+given empty is an error; long options are never abbreviated.
 
 Exit codes: 0 success, 2 validation error, 3 threshold failure under --strict.
-A --config file of flat key=value lines overrides flags; the environment
-variable DIRICHLET_MC_SEED overrides the seed from either source.
+A --config file of flat key=value lines, keyed by the subcommand's long
+options, overrides flags; DIRICHLET_MC_SEED overrides the seed from either.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import re
@@ -30,10 +36,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import ESTIMATORS, NoUsableSamplesError, get_estimator, run_estimator
+from .estimators import ESTIMATORS, get_estimator, run_estimator
 from .scenarios import SCENARIOS, get_scenario
 from .sweeps import (
+    CompareRow,
     SweepConfig,
+    SweepRow,
     compare_estimators,
     run_bias_sweep,
     run_identity_suite,
@@ -53,10 +61,6 @@ EXIT_OK, EXIT_VALIDATION, EXIT_THRESHOLD = 0, 2, 3
 
 # the largest sample count an array can index
 MAX_SAMPLES = np.iinfo(np.intp).max
-
-
-class ValidationError(Exception):
-    pass
 
 
 def _fmt(v) -> str:
@@ -80,12 +84,10 @@ def _write_csv(path: Optional[str], header: Sequence[str], rows: Sequence[Sequen
         sys.stdout.write(text)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    items = [t for t in text.replace(",", " ").split() if t]
-    try:
-        return tuple(float(t) for t in items)
-    except ValueError:
-        raise ValidationError(f"cannot parse {text!r} as a list of numbers") from None
+def _write_records(path: Optional[str], cls, records) -> None:
+    """CSV of dataclass records: the header is cls's field names in order."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    _write_csv(path, names, [[getattr(r, name) for name in names] for r in records])
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -97,79 +99,99 @@ def _load_config(path: str) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+                    raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
                 key, val = line.split("=", 1)
-                out[key.strip().replace("-", "_")] = val.strip()
+                out[key.strip()] = val.strip()
     except OSError as exc:
-        raise ValidationError(f"cannot read config file: {exc}") from None
+        raise ValueError(f"cannot read config file: {exc}") from None
     return out
 
 
 def _apply_overrides(args: argparse.Namespace) -> None:
-    """Config file beats flags; DIRICHLET_MC_SEED beats both.  The resolved
-    worker count must be at least 1."""
+    """Config file beats flags; DIRICHLET_MC_SEED beats both.  A config key
+    is a long option of the running subcommand (dashes or underscores), is
+    converted as the flag would be, and is never --config itself, which
+    has been read by then.  The resolved worker count must be at least 1."""
     if getattr(args, "config", None):
-        overrides = _load_config(args.config)
-        for key, val in overrides.items():
-            if not hasattr(args, key):
-                raise ValidationError(f"unknown config key {key!r}")
-            current = getattr(args, key)
+        for key, val in _load_config(args.config).items():
+            action = args.options.get(key.replace("-", "_"))
+            if action is None or action.dest == "config":
+                raise ValueError(f"config key {key!r} is not an option of {args.command}")
+            if action.nargs == 0:  # a switch such as --strict
+                setattr(args, action.dest, val.lower() in ("1", "true", "yes", "on"))
+                continue
             try:
-                if isinstance(current, bool):
-                    setattr(args, key, val.lower() in ("1", "true", "yes", "on"))
-                elif isinstance(current, int):
-                    setattr(args, key, int(val))
-                elif isinstance(current, float):
-                    setattr(args, key, float(val))
-                else:
-                    setattr(args, key, val)
+                setattr(args, action.dest, action.type(val) if action.type else val)
             except ValueError:
-                raise ValidationError(f"config key {key!r}: cannot parse {val!r}") from None
+                raise ValueError(f"config key {key!r}: cannot parse {val!r}") from None
     env_seed = os.environ.get("DIRICHLET_MC_SEED")
     if env_seed is not None and hasattr(args, "seed"):
         try:
             args.seed = int(env_seed)
         except ValueError:
-            raise ValidationError(
-                f"DIRICHLET_MC_SEED={env_seed!r} is not an integer"
-            ) from None
+            raise ValueError(f"DIRICHLET_MC_SEED={env_seed!r} is not an integer") from None
     if getattr(args, "workers", 1) < 1:
-        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
 
 
-def _scenario_or_fail(name: str):
+def _items(args, name: str) -> Optional[list[str]]:
+    """The comma or space separated values of --name; None when it is left
+    out, an error when it is given with none."""
+    text = getattr(args, name, None)
+    items = None if text is None else text.replace(",", " ").split()
+    if items == []:
+        raise ValueError(f"--{name} is empty; give at least one value or leave it out")
+    return items
+
+
+def _numbers(args, name: str, default: tuple[float, ...]) -> tuple[float, ...]:
+    items = _items(args, name)
     try:
-        return get_scenario(name)
-    except KeyError as exc:
-        raise ValidationError(str(exc)) from None
-
-
-def _epsilons(args, default: tuple[float, ...]) -> tuple[float, ...]:
-    if args.epsilons:
-        return _parse_floats(args.epsilons)
-    return default
-
-
-def _points(args, scenario) -> tuple[float, ...]:
-    if args.points:
-        return _parse_floats(args.points)
-    return scenario.default_points
-
-
-def _samples(args) -> int | str:
-    if args.samples == "quadrature":
-        return "quadrature"
-    try:
-        n = int(args.samples)
+        return tuple(default) if items is None else tuple(float(t) for t in items)
     except ValueError:
-        raise ValidationError(
-            f"--samples must be an integer or 'quadrature', got {args.samples!r}"
-        ) from None
-    if n < 1:
-        raise ValidationError(f"--samples must be positive, got {n}")
-    if n > MAX_SAMPLES:
-        raise ValidationError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples!r}")
-    return n
+        raise ValueError(f"cannot parse --{name} {getattr(args, name)!r} as numbers") from None
+
+
+def _resolve(args, default_epsilons: tuple[float, ...] = ()):
+    """The scenario, query points (default: the scenario's) and ε list of a run."""
+    try:
+        sc = get_scenario(args.scenario)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    return sc, _numbers(args, "points", sc.default_points), _numbers(
+        args, "epsilons", default_epsilons)
+
+
+def _sample_counts(args) -> list[int]:
+    """--samples as counts in 1..MAX_SAMPLES, the one parser of every
+    sampling command.  A count is an integer, or a float literal ('1e4')
+    with an integral value below 2**53, where a float spells exactly one
+    integer; a fraction is an error, never truncated."""
+    counts = []
+    for text in _items(args, "samples"):
+        try:
+            value = int(text) if text.lstrip("+-").isdigit() else float(text)
+        except ValueError:
+            value = math.nan
+        if isinstance(value, float) and not (value.is_integer() and abs(value) < 2**53):
+            raise ValueError(
+                f"--samples must be integers or integral floats below 2**53, got {text!r}")
+        if value < 1:
+            raise ValueError(f"--samples must be positive, got {text}")
+        if value > MAX_SAMPLES:
+            raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {text}")
+        counts.append(int(value))
+    return counts
+
+
+def _sample_count(args, quadrature: bool = False) -> int | str:
+    """The one sample count of a run; the sweeps also take 'quadrature'."""
+    if quadrature and args.samples == "quadrature":
+        return "quadrature"
+    counts = _sample_counts(args)
+    if len(counts) > 1:
+        raise ValueError(f"{args.command} takes one --samples count, got {args.samples!r}")
+    return counts[0]
 
 
 # -- subcommands -------------------------------------------------------------
@@ -190,16 +212,12 @@ def _cmd_list_scenarios(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    sc = _scenario_or_fail(args.scenario)
+    sc, points, eps_list = _resolve(args)
     entry = get_estimator(args.estimator)
-    n = _samples(args)
-    if n == "quadrature":
-        raise ValidationError("density runs are Monte Carlo; give --samples N")
-    points = _points(args, sc)
-    eps_list = _epsilons(args, ())
+    n = _sample_count(args)
     epsilon = min(eps_list) if eps_list else None
     if entry.takes_epsilon and epsilon is None:
-        raise ValidationError(f"estimator {args.estimator!r} needs --epsilons")
+        raise ValueError(f"estimator {args.estimator!r} needs --epsilons")
     stream = sc.stream(n, args.seed, args.workers)
     ests = run_estimator(args.estimator, stream, epsilon, list(points), sc.name)
 
@@ -232,80 +250,47 @@ def _cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_bias(args) -> int:
-    sc = _scenario_or_fail(args.scenario)
-    eps = _epsilons(args, (0.2, 0.1, 0.05, 0.025))
-    try:
-        cfg = SweepConfig(
-            scenario=sc.name, estimator=args.estimator, epsilons=eps,
-            sample_size=_samples(args), query_points=_points(args, sc),
-            seed=args.seed, workers=args.workers,
-        )
+def _cmd_sweep(args) -> int:
+    """sweep-bias and sweep-variance: one config, the sweep CSV and one
+    summary line; only the strict checks differ."""
+    bias = args.command == "sweep-bias"
+    sc, points, eps = _resolve(
+        args, (0.2, 0.1, 0.05, 0.025) if bias else (0.01, 10**-2.5, 0.001))
+    cfg = SweepConfig(
+        scenario=sc.name, estimator=args.estimator if bias else "shifted", epsilons=eps,
+        sample_size=_sample_count(args, quadrature=True), query_points=points,
+        seed=args.seed, workers=args.workers,
+    )
+    failed = []
+    if bias:
         res = run_bias_sweep(cfg)
-    except (ValueError, KeyError) as exc:
-        raise ValidationError(str(exc)) from None
-    _write_csv(
-        args.out,
-        ("epsilon", "n", "x", "estimate", "reference", "abs_error", "std_error"),
-        [(r.epsilon, r.n, r.x, r.estimate, r.reference, r.abs_error, r.std_error) for r in res.rows],
-    )
-    for note in res.notices:
-        print(f"notice: {note}")
-    print(f"bias sweep {sc.name}/{args.estimator}: fitted order {res.slope:.3f} "
-          f"over {len(res.fit_points)} epsilons")
-    if args.strict:
-        lo, hi = BIAS_SLOPE_WINDOWS[args.estimator]
-        if not lo <= res.slope <= hi:
-            print(f"STRICT: slope {res.slope:.3f} outside [{lo}, {hi}]")
-            return EXIT_THRESHOLD
-    return EXIT_OK
-
-
-def _cmd_sweep_variance(args) -> int:
-    sc = _scenario_or_fail(args.scenario)
-    eps = _epsilons(args, (0.01, 10**-2.5, 0.001))
-    try:
-        cfg = SweepConfig(
-            scenario=sc.name, estimator="shifted", epsilons=eps,
-            sample_size=_samples(args), query_points=_points(args, sc),
-            seed=args.seed, workers=args.workers,
-        )
+        lo, hi = BIAS_SLOPE_WINDOWS[cfg.estimator]
+        lines = [f"notice: {note}" for note in res.notices]
+        summary = f"fitted order {res.slope:.3f} over {len(res.fit_points)} epsilons"
+    else:
         res = run_variance_sweep(cfg)
-    except (ValueError, KeyError) as exc:
-        raise ValidationError(str(exc)) from None
-    _write_csv(
-        args.out,
-        ("epsilon", "n", "x", "estimate", "reference", "abs_error", "std_error"),
-        [(r.epsilon, r.n, r.x, r.estimate, r.reference, r.abs_error, r.std_error) for r in res.rows],
-    )
-    rel = abs(res.constant - res.constant_reference) / res.constant_reference
-    print(
-        f"variance sweep {sc.name}: log-variance slope {res.slope:.3f}; "
-        f"smallest-epsilon constant {res.constant:.6f} vs {res.constant_reference:.6f} "
-        f"({100 * rel:.2f}% off)"
-    )
-    if args.strict:
         lo, hi = VARIANCE_SLOPE_WINDOW
-        if not lo <= res.slope <= hi:
-            print(f"STRICT: slope {res.slope:.3f} outside [{lo}, {hi}]")
-            return EXIT_THRESHOLD
+        rel = abs(res.constant - res.constant_reference) / res.constant_reference
+        lines = []
+        summary = (f"log-variance slope {res.slope:.3f}; smallest-epsilon constant "
+                   f"{res.constant:.6f} vs {res.constant_reference:.6f} ({100 * rel:.2f}% off)")
         if rel > VARIANCE_CONSTANT_RTOL:
-            print(f"STRICT: constant off by {100 * rel:.2f}% (> {100 * VARIANCE_CONSTANT_RTOL:.0f}%)")
-            return EXIT_THRESHOLD
-    return EXIT_OK
+            failed.append(
+                f"constant off by {100 * rel:.2f}% (> {100 * VARIANCE_CONSTANT_RTOL:.0f}%)")
+    if not lo <= res.slope <= hi:
+        failed.insert(0, f"slope {res.slope:.3f} outside [{lo}, {hi}]")
+    _write_records(args.out, SweepRow, res.rows)
+    lines.append(f"{args.command} {sc.name}/{cfg.estimator}: {summary}")
+    if args.strict:
+        lines += [f"STRICT: {msg}" for msg in failed]
+    print("\n".join(lines))
+    return EXIT_THRESHOLD if args.strict and failed else EXIT_OK
 
 
 def _cmd_check_identities(args) -> int:
-    sc = _scenario_or_fail(args.scenario)
-    n = _samples(args)
-    if n == "quadrature":
-        raise ValidationError("identity checks are Monte Carlo; give --samples N")
-    try:
-        rep = run_identity_suite(
-            sc.name, n, args.seed, args.workers, corrupt_a=args.corrupt_a
-        )
-    except (ValueError, NoUsableSamplesError) as exc:
-        raise ValidationError(str(exc)) from None
+    sc, _, _ = _resolve(args)
+    n = _sample_count(args)
+    rep = run_identity_suite(sc.name, n, args.seed, args.workers, corrupt_a=args.corrupt_a)
     rows = [
         (rep.scenario, check, rep.n, z, rep.threshold, abs(z) <= rep.threshold)
         for check, z in rep.z_scores.items()
@@ -314,100 +299,75 @@ def _cmd_check_identities(args) -> int:
     verdict = "pass" if rep.passed else "FAIL"
     worst = max(abs(z) for z in rep.z_scores.values())
     print(f"identity suite {sc.name}: {verdict} (worst |z| = {worst:.2f}, n = {n})")
-    if args.strict and not rep.passed:
-        return EXIT_THRESHOLD
-    return EXIT_OK
+    return EXIT_THRESHOLD if args.strict and not rep.passed else EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    sc = _scenario_or_fail(args.scenario)
+    sc, points, eps = _resolve(args, (0.2, 0.1, 0.05, 0.025))
     estimators = [e for e in args.estimators.split(",") if e]
-    sizes = _parse_floats(args.samples)
-    if not all(math.isfinite(v) and 1 <= v <= MAX_SAMPLES for v in sizes):
-        raise ValidationError(
-            f"--samples must be sample counts in 1..{MAX_SAMPLES}, got {args.samples!r}"
-        )
-    sizes = [int(v) for v in sizes]
-    eps = _epsilons(args, (0.2, 0.1, 0.05, 0.025))
-    try:
-        rows = compare_estimators(
-            sc.name, estimators, sizes, eps, _points(args, sc), args.seed, args.workers
-        )
-    except (ValueError, KeyError) as exc:
-        raise ValidationError(str(exc)) from None
-    _write_csv(
-        args.out,
-        ("estimator", "epsilon", "n", "x", "estimate", "reference", "abs_error", "std_error"),
-        [(r.estimator, r.epsilon, r.n, r.x, r.estimate, r.reference, r.abs_error, r.std_error)
-         for r in rows],
+    rows = compare_estimators(
+        sc.name, estimators, _sample_counts(args), eps, points, args.seed, args.workers
     )
+    _write_records(args.out, CompareRow, rows)
     print(f"compare {sc.name}: {len(rows)} rows over estimators {', '.join(estimators)}")
     return EXIT_OK
 
 
 # -- argument plumbing --------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, samples_default: str = "100000") -> None:
-    p.add_argument("--scenario", default="gaussian")
-    p.add_argument("--epsilons", "--epsilon", dest="epsilons", default="",
-                   help="comma separated, decreasing")
-    p.add_argument("--samples", default=samples_default,
-                   help="sample count, or 'quadrature' for noise-free sweeps")
-    p.add_argument("--points", default="", help="query points, comma separated")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    p.add_argument("--config", default=None, help="key=value file overriding flags")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 3 when an acceptance threshold fails")
+def _command(sub, name: str, handler, help: str, *options: tuple[str, dict]) -> None:
+    """Subcommand name reading exactly options, (flag, add_argument keywords)
+    pairs; options maps each dest to its action for the config file."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    actions = [p.add_argument(flag, **kw) for flag, kw in options]
+    p.set_defaults(handler=handler, options={a.dest: a for a in actions})
 
 
 @lru_cache(maxsize=1)  # parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dirichlet-mc",
+        prog="dirichlet-mc", allow_abbrev=False,
         description="density estimation benchmarks driven by simulated (X, Γ[X], A[X])",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list-scenarios", help="list built-in scenarios")
+    scenario = ("--scenario", dict(default="gaussian"))
+    epsilons = ("--epsilons", dict(help="comma separated, decreasing"))
+    points = ("--points", dict(help="query points, comma separated (default: the scenario's)"))
+    run = (("--seed", dict(type=int, default=0)),
+           ("--workers", dict(type=int, default=1)),
+           ("--out", dict(help="CSV output path (default: stdout)")),
+           ("--config", dict(help="key=value file overriding flags")))
+    strict = ("--strict", dict(action="store_true",
+                               help="exit 3 when an acceptance threshold fails"))
+    count = ("--samples", dict(default="100000", help="sample count"))
+    sweep_count = ("--samples", dict(default="quadrature",
+                                     help="sample count, or 'quadrature' for noise-free sweeps"))
 
-    p = sub.add_parser("density", help="run one estimator at query points")
-    _add_common(p)
-    p.add_argument("--estimator", default="direct", help=", ".join(ESTIMATORS))
-
-    p = sub.add_parser("sweep-bias", help="bias vs epsilon with fitted order")
-    _add_common(p, samples_default="quadrature")
-    p.add_argument("--estimator", default="shifted", help=", ".join(BIAS_SLOPE_WINDOWS))
-
-    p = sub.add_parser("sweep-variance", help="kernel variance scaling vs epsilon")
-    _add_common(p, samples_default="quadrature")
-
-    p = sub.add_parser("check-identities", help="z-scores of the exact identities")
-    _add_common(p)
-    p.add_argument("--corrupt-a", dest="corrupt_a", type=float, default=0.0,
-                   help="shift A by a constant (negative control)")
-
-    p = sub.add_parser("compare", help="error table across estimators and sample sizes")
-    _add_common(p, samples_default="1000,10000,100000")
-    p.add_argument("--estimators", default="shifted,plain_gamma,direct",
-                   help="comma separated; any estimator but conditional")
-
+    _command(sub, "list-scenarios", _cmd_list_scenarios, "list built-in scenarios")
+    _command(sub, "density", _cmd_density, "run one estimator at query points",
+             scenario, ("--estimator", dict(default="direct", help=", ".join(ESTIMATORS))),
+             epsilons, points, count, *run, strict)
+    _command(sub, "sweep-bias", _cmd_sweep, "bias vs epsilon with fitted order",
+             scenario, ("--estimator", dict(default="shifted", help=", ".join(BIAS_SLOPE_WINDOWS))),
+             epsilons, points, sweep_count, *run, strict)
+    _command(sub, "sweep-variance", _cmd_sweep, "kernel variance scaling vs epsilon",
+             scenario, epsilons, points, sweep_count, *run, strict)
+    _command(sub, "check-identities", _cmd_check_identities, "z-scores of the exact identities",
+             scenario, count, *run, strict,
+             ("--corrupt-a", dict(type=float, default=0.0,
+                                  help="shift A by a constant (negative control)")))
+    _command(sub, "compare", _cmd_compare, "error table across estimators and sample sizes",
+             scenario, ("--estimators", dict(default="shifted,plain_gamma,direct",
+                                             help="comma separated; any estimator but conditional")),
+             epsilons, points,
+             ("--samples", dict(default="1000,10000,100000", help="comma separated sample counts")),
+             *run)
     return parser
 
 
-_DISPATCH = {
-    "list-scenarios": _cmd_list_scenarios,
-    "density": _cmd_density,
-    "sweep-bias": _cmd_sweep_bias,
-    "sweep-variance": _cmd_sweep_variance,
-    "check-identities": _cmd_check_identities,
-    "compare": _cmd_compare,
-}
-
-
 # options whose values are number lists, which may start with '-'
-_LIST_OPTIONS = ("--points", "--epsilons", "--epsilon", "--samples")
+_LIST_OPTIONS = ("--points", "--epsilons", "--samples")
 
 
 def _glue_list_values(argv: Sequence[str]) -> list[str]:
@@ -427,18 +387,17 @@ def _glue_list_values(argv: Sequence[str]) -> list[str]:
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_glue_list_values(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(_glue_list_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; normalise other codes
         return EXIT_VALIDATION if exc.code not in (0,) else 0
     try:
         _apply_overrides(args)
-        return _DISPATCH[args.command](args)
-    except (ValidationError, ValueError) as exc:
-        # estimators raise ValueError for inputs they cannot use (a
-        # non-finite query point, no usable samples)
+        return args.handler(args)
+    except ValueError as exc:
+        # the one place a rejected input becomes exit 2: the command layer's own
+        # checks and the library's (a non-finite query point, no usable samples)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError:

@@ -129,8 +129,6 @@ def kernel_moment_integral(
     lo, hi = support
     lo = max(lo, x - 60.0 * math.sqrt(max(epsilon, 1e-12)) - 10.0)
     hi = min(hi, x + 60.0 * math.sqrt(max(epsilon, 1e-12)) + 10.0)
-    lo = max(lo, support[0])
-    hi = min(hi, support[1])
     panels = int(min(4096, max(256, 8.0 * (hi - lo) / math.sqrt(epsilon))))
     powers = power if isinstance(power, tuple) else (power,)
 

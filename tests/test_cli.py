@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dirichlet_mc import cli
 from dirichlet_mc.cli import (
     BIAS_SLOPE_WINDOWS,
     EXIT_OK,
@@ -366,8 +368,10 @@ _POINTS = st.one_of(
 _SAMPLE_COUNT = st.one_of(
     st.integers(1000, 2000).map(str),
     st.integers(-5, 999).map(str),
-    st.sampled_from(["quadrature", "many", "1e3", "nan", "inf", "1500.5"]),
+    st.sampled_from(["quadrature", "many", "1e3", "nan", "inf", "1500.5", "1.5e3", ""]),
 )
+# a value for every option a subcommand may take; --samples, --strict, --out
+# and --config are added below
 _OPTIONS = {
     "--scenario": st.sampled_from(sorted(SCENARIOS) + ["nosuch"]),
     "--estimator": st.sampled_from(list(ESTIMATORS) + ["nope"]),
@@ -379,21 +383,42 @@ _OPTIONS = {
     "--workers": st.sampled_from(["1", "2"]),
     "--corrupt-a": _NUMBER,
 }
+_NOT_DRAWN = {"--samples", "--strict", "--out", "--config"}
+
+
+def _subparsers():
+    """Subcommand name -> its parser, read from the parser cli_main uses."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _option_sets():
+    """Each subcommand's long options as its parser accepts them."""
+    return {
+        name: {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for name, p in _subparsers().items()
+    }
 
 
 @st.composite
 def _argv(draw):
-    argv = [draw(st.sampled_from(
+    options = _option_sets()
+    command = draw(st.sampled_from(
         ["density", "sweep-bias", "sweep-variance", "check-identities", "compare", "bogus"]
-    ))]
-    for flag in draw(st.lists(st.sampled_from(sorted(_OPTIONS)), max_size=5, unique=True)):
+    ))
+    flags = options.get(command, set().union(*options.values()))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags - _NOT_DRAWN)), max_size=5,
+                              unique=True)):
         argv += [flag, draw(_OPTIONS[flag])]
     # a sample count on every call keeps each run at 2000 samples or fewer
-    if argv[0] == "compare":
+    if command == "compare":
         argv += ["--samples", draw(st.lists(_SAMPLE_COUNT, min_size=1, max_size=2).map(",".join))]
+    elif command.startswith("sweep-"):  # half of them noise-free
+        argv += ["--samples", draw(st.one_of(st.just("quadrature"), _SAMPLE_COUNT))]
     else:
         argv += ["--samples", draw(_SAMPLE_COUNT)]
-    if draw(st.booleans()):
+    if "--strict" in flags and draw(st.booleans()):
         argv.append("--strict")
     if draw(st.integers(0, 4)) == 0:
         argv.append(draw(st.sampled_from(["--bogus", "-x", "--points", "extra"])))
@@ -511,3 +536,163 @@ class TestDensityCounts:
             assert used + counts["excluded"] == counts["kept"]
         if scenario == "poisson_mc_unit":
             assert counts["excluded"] > 0
+
+
+# -- one command layer -----------------------------------------------------------
+
+_RUN_OPTIONS = {"--scenario", "--samples", "--seed", "--workers", "--out", "--config"}
+# the long options each subcommand reads: adding one to the parser fails
+# test_option_sets until it is added here, and test_every_option_is_read
+# fails until its command reads it
+COMMAND_OPTIONS = {
+    "list-scenarios": set(),
+    "density": _RUN_OPTIONS | {"--estimator", "--epsilons", "--points", "--strict"},
+    "sweep-bias": _RUN_OPTIONS | {"--estimator", "--epsilons", "--points", "--strict"},
+    "sweep-variance": _RUN_OPTIONS | {"--epsilons", "--points", "--strict"},
+    "check-identities": _RUN_OPTIONS | {"--corrupt-a", "--strict"},
+    "compare": _RUN_OPTIONS | {"--estimators", "--epsilons", "--points"},
+}
+_SAMPLING_COMMANDS = ["density", "sweep-bias", "sweep-variance", "check-identities", "compare"]
+
+
+class TestOptionSets:
+    def test_option_sets(self):
+        assert _option_sets() == COMMAND_OPTIONS
+
+    def test_every_option_has_a_fuzz_value(self):
+        assert set().union(*COMMAND_OPTIONS.values()) - _NOT_DRAWN == set(_OPTIONS)
+
+    @pytest.mark.parametrize("command, argv", [
+        ("list-scenarios", []),
+        ("density", ["--points", "0", "--samples", "2000", "--strict"]),
+        ("sweep-bias", ["--scenario", "lognormal", "--points", "1.0"]),
+        ("sweep-variance", ["--scenario", "lognormal", "--points", "1.0"]),
+        ("check-identities", ["--samples", "2000"]),
+        ("compare", ["--scenario", "lognormal", "--estimators", "direct", "--samples", "2000",
+                     "--points", "1.0"]),
+    ])
+    def test_every_option_is_read(self, command, argv, tmp_path, monkeypatch):
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        class RecordingParser:
+            def parse_args(self, argv):
+                return Recording(**vars(parser.parse_args(argv)))
+
+        parser = build_parser()
+        monkeypatch.setattr(cli, "build_parser", RecordingParser)
+        out = tmp_path / "o.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main([command, *argv] + (["--out", str(out)] if argv else []))
+        assert rc == EXIT_OK
+        dests = {a.dest for a in _subparsers()[command]._actions if a.option_strings}
+        assert dests - {"help"} <= read
+
+    @pytest.mark.parametrize("argv", [
+        ["check-identities", "--epsilons", "0.1"],
+        ["check-identities", "--points", "1"],
+        ["compare", "--estimators", "direct", "--strict"],
+        ["density", "--epsilon", "0.1"],
+        ["sweep-bias", "--epsilon=0.1"],
+        # abbreviations: once read as --epsilons and --estimators
+        ["density", "--eps", "0.1"],
+        ["compare", "--estimator", "direct"],
+    ])
+    def test_removed_spellings_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = cli_main([*argv, "--samples", "2000", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("command, text", [
+        ("density", "command = bogus\n"),  # once a KeyError traceback
+        ("density", "command = compare\n"),  # once an AttributeError traceback
+        ("density", "handler = compare\n"),
+        ("density", "help = 1\n"),
+        ("density", "config = other.cfg\n"),
+        ("density", "corrupt_a = 0.1\n"),
+        ("density", "estimators = direct\n"),
+        ("check-identities", "points = 1\n"),
+        ("compare", "strict = true\n"),
+        ("sweep-variance", "estimator = plain_gamma\n"),
+    ])
+    def test_key_that_is_no_option_of_the_command_exits_2(self, command, text, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o.csv"
+        rc = cli_main([command, "--samples", "2000", "--config", str(cfg), "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        key = text.split()[0]
+        assert f"config key {key!r} is not an option of {command}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_keys_are_converted_as_their_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("corrupt-a = 0.1\nstrict = yes\nsamples = 3e4\nseed = 3\n")
+        out = tmp_path / "o.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main(["check-identities", "--scenario", "gaussian", "--config", str(cfg),
+                           "--out", str(out)])
+        assert rc == EXIT_THRESHOLD
+        assert {line.split(",")[2] for line in out.read_text().splitlines()[1:]} == {"30000"}
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("command", _SAMPLING_COMMANDS)
+    @pytest.mark.parametrize("count", ["2000.7", "1500.5", "9007199254740992.0", "1e16"])
+    def test_non_integral_or_inexact_float_exits_2(self, command, count, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = cli_main([command, "--scenario", "lognormal", "--samples", count, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"--samples must be integers or integral floats below 2**53, got {count!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--scenario", "lognormal", "--points", "0.5,1"],
+        ["compare", "--scenario", "lognormal", "--estimators", "shifted,direct",
+         "--epsilons", "0.2,0.1", "--points", "1.0"],
+    ])
+    def test_float_literal_runs_as_its_integer(self, argv, tmp_path):
+        outs = []
+        for i, count in enumerate(("10000", "1e4", "10000.0")):
+            out = tmp_path / f"{i}.csv"
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli_main([*argv, "--samples", count, "--seed", "3", "--out", str(out)])
+            assert rc == EXIT_OK
+            outs.append(_read(out))
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("command", ["density", "sweep-bias", "check-identities"])
+    def test_one_count_per_run(self, command, capsys):
+        assert cli_main([command, "--samples", "2000,3000"]) == EXIT_VALIDATION
+        assert f"{command} takes one --samples count" in capsys.readouterr().err
+
+
+class TestEmptyLists:
+    @pytest.mark.parametrize("command", _SAMPLING_COMMANDS)
+    @pytest.mark.parametrize("empty", [",", ""])
+    def test_empty_points_exits_2(self, command, empty, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = cli_main([command, "--scenario", "lognormal", "--points", empty,
+                       "--samples", "2000", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "--points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["density", "sweep-bias", "sweep-variance", "compare"])
+    def test_empty_epsilons_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = cli_main([command, "--scenario", "lognormal", "--epsilons", ",",
+                       "--samples", "2000", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "--epsilons is empty" in capsys.readouterr().err
+        assert not out.exists()
