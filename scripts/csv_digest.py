@@ -4,8 +4,9 @@
 The list holds the criterion-10 commands of the acceptance suite, `density`
 for every scenario × estimator, `compare`, `density` and `check-identities`
 at sizes that cross reduction-block boundaries (every estimator, and the
-centered split at N // 2 inside a chunk), the quadrature and
-Monte Carlo `sweep-bias`/`sweep-variance` runs, the quadrature sweeps
+centered split at N // 2 inside a chunk), `compare` over unsorted and
+repeated sizes that cross block boundaries, the quadrature and
+Monte Carlo `sweep-bias`/`sweep-variance` runs (N = 50 001 among them), the quadrature sweeps
 of the `oracles` benchmark workload down to its smallest ε, and the
 command layer's input rules (a `1e4` sample count against `10000`, a
 fractional count, an empty `--points` list and the option spellings no
@@ -100,8 +101,17 @@ def commands() -> dict[str, list[str]]:
         "--scenario", "lognormal", "--estimators", "centered", "--points", "0.5,1.0,2.0"]
     cmds["compare_gaussian_conditional"] = compare + [
         "--scenario", "gaussian", "--estimators", "conditional"]
+    # nested sizes: unsorted, repeated and across block boundaries, so each
+    # row is a snapshot of one stream and the rows keep the given order
+    nested = ["compare", "--samples", "16385,1000,50001,1000", "--epsilons", "0.4,0.2,0.1,0.05",
+              "--seed", "11"]
+    cmds["compare_nested_lognormal_kernels_sign"] = nested + [
+        "--scenario", "lognormal", "--points", "0.5,1.0,2.0",
+        "--estimators", "shifted,plain_gamma,plain_id,direct,regularized,centered"]
+    cmds["compare_nested_gaussian_pair_centered"] = nested + [
+        "--scenario", "gaussian_pair", "--estimators", "centered,direct,shifted"]
     for est in KERNEL_NAMES:
-        for samples in ("quadrature", "20000"):
+        for samples in ("quadrature", "20000", "50001"):
             cmds[f"sweep_bias_{est}_{samples}"] = [
                 "sweep-bias", "--scenario", "lognormal", "--estimator", est,
                 "--points", "0.5,1.0", "--samples", samples, "--seed", "6"]
@@ -132,7 +142,7 @@ def commands() -> dict[str, list[str]]:
         cmds[f"centered_split_{samples}"] = [
             "density", "--scenario", "lognormal", "--estimator", "centered",
             "--points", "0.5,1.0,2.0", "--samples", samples, "--seed", "7"]
-    for samples in ("quadrature", "20000"):
+    for samples in ("quadrature", "20000", "50001"):
         cmds[f"sweep_variance_{samples}"] = [
             "sweep-variance", "--scenario", "lognormal", "--points", "1.0",
             "--epsilons", "0.1,0.05,0.025", "--samples", samples, "--seed", "6"]

@@ -16,50 +16,25 @@ Two families:
   centered, which both drives the far-tail behaviour and enables a
   split-sample control variate.
 
-Dispatch.  ESTIMATORS maps each of the seven estimator names to its call,
-whether it needs quad data, whether it takes ε and, for a kernel, its
-(A-shift, identity covariance) pair; run_estimator runs a name on a batch
-or a stream.  The CLI and the sweeps choose estimators only through this
-table.
-
-Cost per query point.  Kernels factor each block's covariances once per
-(block, ε) with a square-root-free Cholesky Σ = L D Lᵀ written as O(d³)
-numpy passes over the samples (for d = 1, D is the variance itself), and
-evaluate the queries in groups of eight as one (group, block) array: a
-query costs a forward substitution, d squares and one exp per sample.
-A covariance that is not positive definite (a pivot ≤ 0) or whose
-determinant is below DEGENERATE_DET is skipped and counted.  The sign
-formulas bin each block once against the sorted distinct queries (one
-vectorised comparison per query) and take one bincount per weight
-column; no per-query pass forms signs or moments.
-
-Block reductions.  Every reduction walks b.blocks() and merges per-block
-partials in block order: the sign formulas add per-side sums block by
-block, the kernels and the identity statistics merge (count, mean, M2[,
-M3, M4]) partials with the pairwise update of Chan, Golub and LeVeque
-(1983).  b is a built batch or a SampleStream, which draws its chunks
-while they are reduced and never holds the batch.  One blocking rule
-(_reblock) serves both: the kept rows are cut into CHUNK_SIZE-row blocks
-from the first row, or from the first row of each half for the centered
-estimator, so a stream's estimates equal the batch's bit for bit, also
-when non-finite rows are dropped.  The exception is centered on a stream:
-it splits at N // 2 drawn rows, a batch at half its kept rows; the split
-does not depend on the data, so the estimator stays unbiased.  Scratch is
-O(CHUNK_SIZE·Q) (kernels O(CHUNK_SIZE·8·d)), and every estimate is
-bit-reproducible for any worker count.
-
-Cost per call.  Batches, kernel set-up and the direct weights build a
-row mask and copy the kept rows only when some sample is unusable (a
-finite column sum proves every entry finite); skipping the copy changes
-no bit.
+One pass, many statistics.  Every statistic is a Reducer: block →
+partial, merged in block order (the sign formulas add per-side bin sums,
+the kernels and the identity statistics merge Moments by the pairwise
+update of Chan, Golub and LeVeque, 1983), then finish.  run_pass walks a
+built batch or a SampleStream once and feeds each CHUNK_SIZE-row block of
+kept rows to every reducer, so one draw serves every (estimator, ε); the
+public estimators are its one-reducer case.  At each requested n it
+snapshots what a batch of the first n drawn rows gives, bit for bit, so
+one stream serves nested sample sizes.  ESTIMATORS maps each estimator
+name to its public function, whether it needs quad data and takes ε.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -74,9 +49,7 @@ class NoUsableSamplesError(ValueError):
 
 def _sums_finite(*arrays: np.ndarray) -> bool:
     """True when the sum of each array is finite, which proves every entry
-    finite: NaN and ±inf propagate through a sum.  A sum that overflows
-    from finite entries reads False, so callers fall back to the exact
-    per-entry test."""
+    finite (NaN and ±inf propagate); an overflowing sum reads False."""
     with np.errstate(over="ignore", invalid="ignore"):
         return all(math.isfinite(np.sum(arr)) for arr in arrays)
 
@@ -97,59 +70,30 @@ def _joined(parts: list[tuple]) -> tuple:
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(c) for c in zip(*parts))
 
 
-def _reblock(pieces):
-    """Cut (segment, columns) runs of rows into (segment, columns) blocks of
-    CHUNK_SIZE rows counted from each segment's first row.  A block inside
-    one run is a view of it; one that spans runs is copied."""
-    seg, held, have = None, [], 0
-    for s, cols in pieces:
-        n = cols[0].shape[0]
-        if not n:
-            continue
-        if s != seg and held:
-            yield seg, _joined(held)
-            held, have = [], 0
-        seg, lo = s, 0
-        while lo < n:
-            hi = min(n, lo + CHUNK_SIZE - have)
-            held.append(tuple(c[lo:hi] for c in cols))
-            have, lo = have + hi - lo, hi
-            if have == CHUNK_SIZE:
-                yield seg, _joined(held)
-                held, have = [], 0
-    if held:
-        yield seg, _joined(held)
+class _Batch:
+    """A built batch as a source of run_pass: one chunk of its rows."""
 
+    n = requested = property(lambda self: self.x.shape[0])
 
-class _Blocks:
-    """Block iteration shared by batches and streams: _pieces(split) gives
-    the runs of rows and _block(columns) makes one block."""
+    @classmethod
+    def from_raw(cls, *cols, **named):
+        """The batch of the given columns, dropping (but counting) rows with
+        a non-finite entry; when every row is finite no array is copied."""
+        given = dict(zip([f.name for f in dataclasses.fields(cls)], cols), **named)
+        given = {k: np.asarray(v, dtype=float) for k, v in given.items() if v is not None}
+        kept, bad = _finite_rows(tuple(given.values()))
+        return cls(**dict(zip(given, kept)), invalid_count=bad)
 
-    def _columns(self) -> tuple:
+    def chunks(self) -> list[tuple]:
         fields = (getattr(self, f.name) for f in dataclasses.fields(self))
-        return tuple(v for v in fields if isinstance(v, np.ndarray))
-
-    def blocks(self, split: bool = False):
-        """(half, block) pairs: the samples as CHUNK_SIZE-row blocks in
-        canonical order, all in half 0, or with split over two halves,
-        each blocked from its own first row."""
-        return ((h, self._block(cols)) for h, cols in _reblock(self._pieces(split)))
-
-    def _pieces(self, split: bool):
-        cols = self._columns()
-        if not split:
-            return [(0, cols)]
-        if self.n < 2:
-            raise ValueError("batch too small to split")
-        m = self.n // 2
-        return [(0, tuple(c[:m] for c in cols)), (1, tuple(c[m:] for c in cols))]
+        return [tuple(v for v in fields if isinstance(v, np.ndarray))]
 
     def _block(self, cols):
         return type(self)(*cols)
 
 
 @dataclass(frozen=True)
-class TripleBatch(_Blocks):
+class TripleBatch(_Batch):
     """Independent (X, Γ, A) draws sharing a dimension d.
 
     x: (N, d); gamma: (N, d, d); a: (N, d).  Non-finite draws are excluded
@@ -163,42 +107,23 @@ class TripleBatch(_Blocks):
     quad = False
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        g = np.asarray(self.gamma, dtype=float)
-        if g.ndim == 1:
-            g = g[:, None, None]
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim == 1:
-            a = a[:, None]
+        # scalar draws (1-d columns) are d = 1
+        x, g, a = (np.asarray(v, dtype=float) for v in (self.x, self.gamma, self.a))
+        x, a = (v[:, None] if v.ndim == 1 else v for v in (x, a))
+        g = g[:, None, None] if g.ndim == 1 else g
         n, d = x.shape
         if g.shape != (n, d, d) or a.shape != (n, d):
             raise ValueError("batch arrays disagree on N or d")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "a", a)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
+        for name, v in (("x", x), ("gamma", g), ("a", a)):
+            object.__setattr__(self, name, v)
 
     @property
     def d(self) -> int:
         return self.x.shape[1]
 
-    @classmethod
-    def from_raw(cls, x, gamma, a) -> "TripleBatch":
-        """Build a batch, silently dropping (but counting) non-finite rows.
-
-        When every row is finite the given arrays are kept, not copied.
-        """
-        cols, bad = _finite_rows(tuple(np.asarray(c, dtype=float) for c in (x, gamma, a)))
-        return cls(*cols, invalid_count=bad)
-
 
 @dataclass(frozen=True)
-class QuadBatch(_Blocks):
+class QuadBatch(_Batch):
     """Scalar quads (X, Γ, A, Γ[X, Γ[X]]), optionally with a second scalar
     G and Γ[X, G] for conditional expectations."""
 
@@ -212,60 +137,29 @@ class QuadBatch(_Blocks):
     quad, d = True, 1
 
     def __post_init__(self):
-        arrays = {
-            "x": self.x, "gamma": self.gamma, "a": self.a,
-            "gamma_x_gammax": self.gamma_x_gammax,
-        }
-        n = None
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=float)
-            object.__setattr__(self, name, arr)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional")
-            n = arr.shape[0] if n is None else n
-            if arr.shape[0] != n:
-                raise ValueError("quad arrays disagree on N")
-        for name in ("g", "gamma_x_g"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                object.__setattr__(self, name, arr)
-                if arr.shape != (n,):
-                    raise ValueError(f"{name} has wrong shape")
         if (self.g is None) != (self.gamma_x_g is None):
             raise ValueError("g and gamma_x_g must be supplied together")
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
+        rows = np.shape(self.x)[:1]
+        for name in ("x", "gamma", "a", "gamma_x_gammax", "g", "gamma_x_g"):
+            if getattr(self, name) is not None:
+                arr = np.asarray(getattr(self, name), dtype=float)
+                object.__setattr__(self, name, arr)
+                if arr.ndim != 1 or arr.shape != rows:
+                    raise ValueError(f"{name} must be one-dimensional with as many rows as x")
 
     @property
     def has_aux(self) -> bool:
         return self.g is not None
-
-    @classmethod
-    def from_raw(cls, x, gamma, a, gamma_x_gammax, g=None, gamma_x_g=None) -> "QuadBatch":
-        """Build a batch, dropping (but counting) rows with a non-finite entry.
-
-        When every row is finite the given arrays are kept, not copied.
-        """
-        cols, bad = _finite_rows(tuple(
-            np.asarray(c, dtype=float)
-            for c in (x, gamma, a, gamma_x_gammax, g, gamma_x_g) if c is not None))
-        return cls(*cols, invalid_count=bad)
 
     def triple_batch(self) -> TripleBatch:
         return TripleBatch(self.x, self.gamma, self.a, invalid_count=self.invalid_count)
 
 
 @dataclass
-class SampleStream(_Blocks):
-    """The batch a scenario would build, drawn while it is reduced.
-
-    chunks() draws afresh on each traversal and yields the chunks' quad
-    (or, with quad False, (X, Γ, A)) columns in order.  Non-finite rows are
-    dropped as from_raw drops them; n and invalid_count count the kept and
-    dropped rows.  Halves split at requested // 2 drawn rows."""
+class SampleStream:
+    """The batch a scenario would build, drawn while run_pass reduces it:
+    chunks() draws the chunks' quad (or (X, Γ, A)) columns afresh each
+    time; run_pass sets n and invalid_count, the kept and dropped rows."""
 
     chunks: Callable[[], Iterable[tuple]]
     requested: int
@@ -276,20 +170,6 @@ class SampleStream(_Blocks):
 
     def _block(self, cols):
         return (QuadBatch if self.quad else TripleBatch)(*cols)
-
-    def _pieces(self, split: bool):
-        if split and self.requested < 2:
-            raise ValueError("batch too small to split")
-        self.n = self.invalid_count = drawn = 0
-        for cols in self.chunks():
-            k = cols[0].shape[0]
-            m = min(max(self.requested // 2 - drawn, 0), k) if split else k
-            drawn += k
-            for half, part in enumerate((tuple(c[:m] for c in cols), tuple(c[m:] for c in cols))):
-                part, bad = _finite_rows(part)
-                self.n += part[0].shape[0]
-                self.invalid_count += bad
-                yield half, part
 
 
 @dataclass(frozen=True)
@@ -403,6 +283,117 @@ def _z(m: Moments) -> float:
     return float(mean / se) if se > 0 else 0.0
 
 
+# -- one pass, many reducers -------------------------------------------------
+
+class Reducer(NamedTuple):
+    """A statistic: part(block, half, shared) → partial, merged in block
+    order by _add; finish(total) → result, total None if no block fed it.
+    run_pass snapshots it at each of sizes, counts of drawn rows (default:
+    all); with halves it reads the n = max(sizes) rows as halves 0 and 1."""
+
+    part: Callable
+    finish: Callable
+    sizes: tuple[int, ...] = ()
+    halves: bool = False
+
+
+def _add(a, b):
+    """Partial a merged with the next partial b, entry by entry in a dict
+    or tuple; None is the empty partial."""
+    if a is None or b is None:
+        return b if a is None else a
+    if isinstance(a, dict):
+        return {k: _add(v, b[k]) for k, v in a.items()}
+    if isinstance(a, tuple):
+        return tuple(map(_add, a, b))
+    return _merge(a, b) if isinstance(a, Moments) else a + b
+
+
+class _Cutter:
+    """Cuts the kept rows pushed to it into CHUNK_SIZE-row blocks counted
+    from each half's first row and reduces them with the reducers of its
+    slots, (reducer, sizes, {drawn rows, or None for the running total:
+    merged partial}), which share per block a dict: "buf" holds the pass's
+    kernel scratch, other keys the block's set-ups."""
+
+    def __init__(self, src, buf, split, end):
+        self.src, self.buf, self.split, self.end = src, buf, split, end
+        self.slots, self.half, self.held, self.have = [], 0, [], 0
+
+    def push(self, start: int, cols: tuple) -> None:
+        half = int(self.split is not None and start >= self.split)
+        if half != self.half and self.held:
+            self.reduce()
+        self.half, lo, n = half, 0, cols[0].shape[0]
+        while lo < n:
+            hi = min(n, lo + CHUNK_SIZE - self.have)
+            self.held.append(tuple(c[lo:hi] for c in cols))
+            self.have, lo = self.have + hi - lo, hi
+            if self.have == CHUNK_SIZE:
+                self.reduce()
+
+    def reduce(self, drawn: Optional[int] = None) -> None:
+        """Merge the held rows into every running total and let them go,
+        or, at drawn rows, snapshot each reducer that asks for one there."""
+        slots = [s for s in self.slots if drawn is None or drawn in s[1]]
+        if self.held and slots:
+            blk, shared = self.src._block(_joined(self.held)), {"buf": self.buf}
+        for r, _, snaps in slots:
+            part = r.part(blk, self.half, shared) if self.held else None
+            snaps[drawn] = _add(snaps.get(None), part)
+        if drawn is None:
+            self.held, self.have = [], 0
+
+
+def run_pass(src, reducers) -> list[dict]:
+    """Walk src once, a built batch or a SampleStream (drawn here, its n and
+    invalid_count set), feeding each block to every reducer; per reducer,
+    {n: its result on the first n drawn rows} for each of its sizes.
+    Reducers without halves share one cutter.  A snapshot at n merges the
+    blocks before n with the partial of the cut block's rows up to n; the
+    running total still reduces that block whole."""
+    total, stream, lo = src.requested, isinstance(src, SampleStream), 0
+    buf, cutters, slots, marks = [np.empty(0)], {}, [], {total}
+    for r in reducers:
+        sizes = r.sizes or (total,)
+        end = max(sizes) if r.halves else total
+        if r.halves and end < 2:
+            raise ValueError("batch too small to split")
+        split = end // 2 if r.halves else None
+        slots.append((r, sizes, {}))
+        cutters.setdefault((split, end), _Cutter(src, buf, split, end)).slots.append(slots[-1])
+        marks.update(sizes, [split] if split else [])
+    if stream:
+        src.n = src.invalid_count = 0
+    for cols in src.chunks():
+        start, hi = lo, lo + cols[0].shape[0]
+        for stop in [m for m in sorted(marks) if lo < m < hi] + [hi]:
+            piece = tuple(c[start - lo:stop - lo] for c in cols)
+            if stream:
+                piece, bad = _finite_rows(piece)
+                src.n += piece[0].shape[0]
+                src.invalid_count += bad
+            for cut in cutters.values():
+                if start < cut.end:
+                    cut.push(start, piece)
+                cut.reduce(stop)
+            start = stop
+        lo = hi
+    return [{n: r.finish(t) for n, t in snaps.items() if n is not None} for r, _, snaps in slots]
+
+
+def _estimator(reducer: Callable) -> Callable:
+    """The estimator of reducer(b, ...), one pass over all of b; .reducer
+    (kept by functools.wraps wrappers too) serves passes shared by many."""
+
+    @functools.wraps(reducer)
+    def estimate(b, *args, **kwargs):
+        return run_pass(b, [reducer(b, *args, **kwargs)])[0][b.requested]
+
+    estimate.reducer = reducer
+    return estimate
+
+
 # Gaussian terms below exp(-700) ≈ 1e-304 count as exactly 0: np.exp leaves
 # its vectorised path for arguments below about -708, where the far tails of
 # narrow kernels put most samples, and runs up to 100 times slower there.
@@ -510,63 +501,78 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
     return n, values
 
 
-def shifted_kernel_density(b: TripleBatch, epsilon: float, xs) -> list[DensityEstimate]:
-    """Bias-reduced kernel estimate: mean of g(x - X_n - εA_n, εΓ_n)."""
-    return _kernel_density(b, epsilon, xs, shift=True, identity_cov=False)
-
-
-def plain_kernel_density(
-    b: TripleBatch, epsilon: float, xs, variant: str = "gamma_cov"
-) -> list[DensityEstimate]:
-    """Baselines without the A-shift: g(x - X_n, εI) or g(x - X_n, εΓ_n)."""
-    if variant not in ("identity_cov", "gamma_cov"):
-        raise ValueError("variant must be 'identity_cov' or 'gamma_cov'")
-    return _kernel_density(b, epsilon, xs, shift=False, identity_cov=(variant == "identity_cov"))
-
-
-def _kernel_density(
-    b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool
-) -> list[DensityEstimate]:
-    queries, m = _kernel_moments(b, epsilon, xs, shift, identity_cov)
-    mean, se = _mean_se(m)
-    return [
-        DensityEstimate(float(q[0]) if b.d == 1 else q.copy(), float(v), float(e), m.n, epsilon)
-        for q, v, e in zip(queries, mean, se)
-    ]
-
-
 def check_epsilon(epsilon: float) -> None:
     """A ValueError naming ε unless it is finite and > 0."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
 
 
-def _kernel_moments(
-    b: TripleBatch, epsilon: float, xs, shift: bool, identity_cov: bool, fourth: bool = False
-) -> tuple[np.ndarray, Moments]:
-    """The queries and, per query, the moments of the kernel values over
-    the usable samples, merged block by block.  Each block evaluates its
-    queries in groups of _GROUP, one (group, block) array at a time."""
+def _kernel_estimates(queries, m: Moments, epsilon) -> list[DensityEstimate]:
+    mean, se = _mean_se(m)
+    return [DensityEstimate(float(q[0]) if q.shape[0] == 1 else q.copy(),
+                            float(v), float(e), m.n, epsilon) for q, v, e in zip(queries, mean, se)]
+
+
+def _kernel_reducer(d: int, epsilon: float, xs, shift: bool, identity_cov: bool,
+                    finish=_kernel_estimates, fourth: bool = False) -> Reducer:
+    """Per query, the moments of the kernel values over the usable samples
+    for finish(queries, moments, ε).  A block evaluates its queries in
+    groups of _GROUP, one (group, block) array at a time in the pass's
+    scratch, sharing its set-up with the reducers of the same key."""
     check_epsilon(epsilon)
-    queries = _as_queries(xs, b.d)
-    nq = queries.shape[0]
-    buf = np.empty(b.d * min(nq, _GROUP) * CHUNK_SIZE)
-    total = Moments()
-    for _, blk in b.blocks():
-        n, values = _kernel_block(blk, epsilon, shift, identity_cov)
-        if n:
-            cols = [np.empty(nq) for _ in range(4 if fourth else 2)]
-            for lo in range(0, nq, _GROUP):
-                m = _moments(values(queries[lo:lo + _GROUP], buf), fourth)
-                for col, v in zip(cols, (m.mean, m.m2, m.m3, m.m4)):
-                    col[lo:lo + _GROUP] = v
-            total = _merge(total, Moments(n, *cols))
-    if total.n == 0:
-        raise NoUsableSamplesError("no usable samples")
-    return queries, total
+    queries = _as_queries(xs, d)
+    nq, key = queries.shape[0], (epsilon, shift, identity_cov)
+    need = d * min(nq, _GROUP) * CHUNK_SIZE
+
+    def part(blk, half, shared):
+        if key not in shared:
+            shared[key] = _kernel_block(blk, *key)
+        n, values = shared[key]
+        if not n:
+            return None
+        buf = shared["buf"]  # the pass's one scratch, grown to its largest group
+        if buf[0].size < need:
+            buf[0] = np.empty(need)
+        cols = [np.empty(nq) for _ in range(4 if fourth else 2)]
+        for lo in range(0, nq, _GROUP):
+            m = _moments(values(queries[lo:lo + _GROUP], buf[0]), fourth)
+            for col, v in zip(cols, (m.mean, m.m2, m.m3, m.m4)):
+                col[lo:lo + _GROUP] = v
+        return Moments(n, *cols)
+
+    def done(total):
+        if total is None:
+            raise NoUsableSamplesError("no usable samples")
+        return finish(queries, total, epsilon)
+
+    return Reducer(part, done)
 
 
-def shifted_kernel_variance(b: TripleBatch, epsilon: float, xs) -> list[tuple[float, float, int]]:
+@_estimator
+def shifted_kernel_density(b: TripleBatch, epsilon: float, xs):
+    """Bias-reduced kernel estimate: mean of g(x - X_n - εA_n, εΓ_n)."""
+    return _kernel_reducer(b.d, epsilon, xs, True, False)
+
+
+@_estimator
+def plain_kernel_density(b: TripleBatch, epsilon: float, xs, variant: str = "gamma_cov"):
+    """Baselines without the A-shift: g(x - X_n, εI) or g(x - X_n, εΓ_n)."""
+    if variant not in ("identity_cov", "gamma_cov"):
+        raise ValueError("variant must be 'identity_cov' or 'gamma_cov'")
+    return _kernel_reducer(b.d, epsilon, xs, False, variant == "identity_cov")
+
+
+def _variance(queries, m: Moments, epsilon) -> list[tuple[float, float, int]]:
+    n = m.n
+    if n < 2:
+        return [(math.inf, math.inf, n)] * len(queries)
+    var = m.m2 / (n - 1)
+    se = np.sqrt(np.maximum(m.m4 / n - var * var * (n - 3) / (n - 1), 0.0) / n)
+    return [(float(v), float(e), n) for v, e in zip(var, se)]
+
+
+@_estimator
+def shifted_kernel_variance(b: TripleBatch, epsilon: float, xs):
     """Sample variance s² of the shifted-kernel values per query, its
     standard error and the number of samples used.
 
@@ -574,13 +580,7 @@ def shifted_kernel_variance(b: TripleBatch, epsilon: float, xs) -> list[tuple[fl
     central moment of the kernel values; it assumes nothing about their
     law (near-singular kernels have heavy-tailed values).
     """
-    queries, m = _kernel_moments(b, epsilon, xs, True, False, fourth=True)
-    n = m.n
-    if n < 2:
-        return [(math.inf, math.inf, n)] * len(queries)
-    var = m.m2 / (n - 1)
-    se = np.sqrt(np.maximum(m.m4 / n - var * var * (n - 3) / (n - 1), 0.0) / n)
-    return [(float(v), float(e), n) for v, e in zip(var, se)]
+    return _kernel_reducer(b.d, epsilon, xs, True, False, _variance, fourth=True)
 
 
 # -- sign formulas ---------------------------------------------------------
@@ -627,37 +627,42 @@ def conditional_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
     return (w if every else np.where(usable, w, 0.0)), usable
 
 
-def _side_sums(b, queries: np.ndarray, *columns) -> list[tuple[int, Optional[np.ndarray]]]:
-    """Per columns function, the number of usable samples and the Σ of each
-    weight column over {X < x}, {X = x} and {X > x}, for every query.
+def _side_sums(xs, finish, *columns) -> Reducer:
+    """Per columns function, the usable count and the Σ of each weight
+    column over {X < x}, {X = x} and {X > x} per query, handed to
+    finish(queries, [(n_used, sums of shape (columns, Q, 3) or None)]).
 
-    columns(block) gives a block's usable count and its weight columns
-    (0 on unusable rows).  With two columns functions b is split into
-    halves and half h feeds columns[h], in one pass.  Each block is binned
-    once against the sorted distinct queries: bin 2j holds q_{j-1} < X < q_j
-    and bin 2j+1 holds X = q_j, so ties keep sign(0) = 0.  Each column
-    takes one bincount per block and the bin sums are added block by block;
-    running sums over the bins from either end give the two sides, so
-    neither side is formed by cancelling against the total.  The sums have
-    shape (columns, Q, 3) and are None when no block fed them.
+    columns(block) gives a block's usable count and weight columns (0 on
+    unusable rows); with two, the reducer has halves and half h feeds
+    columns[h].  Each block is binned once against the sorted distinct
+    queries, shared by the reducers with the same queries: bin 2j holds
+    q_{j-1} < X < q_j and bin 2j+1 holds X = q_j, so sign(0) = 0.  Each
+    column takes one bincount per block; running sums over the bins from
+    either end give the two sides, neither formed by cancellation.
     """
+    queries = _as_queries(xs, 1)[:, 0]
     grid, pos = np.unique(queries, return_inverse=True)
-    k = grid.shape[0]
-    ends = np.append(grid, np.nan)
-    acc = [[0, None] for _ in columns]
-    for h, blk in b.blocks(split=len(columns) == 2):
-        used, cols = columns[h](blk)
-        below = np.zeros(blk.n, dtype=np.min_scalar_type(k))
-        for v in grid:
-            below += (blk.x > v).view(np.uint8)
-        bins = below.astype(np.intp)
-        tie = ends[bins] == blk.x
-        bins *= 2
-        bins += tie
-        sums = np.stack([np.bincount(bins, weights=col, minlength=2 * k + 1) for col in cols])
-        acc[h][0] += used
-        acc[h][1] = sums if acc[h][1] is None else np.add(acc[h][1], sums, out=acc[h][1])
-    return [(n_used, None if total is None else _sides(total, k)[:, pos]) for n_used, total in acc]
+    k, ends, key = grid.shape[0], np.append(grid, np.nan), ("bins", grid.tobytes())
+
+    def part(blk, half, shared):
+        if key not in shared:
+            below = np.zeros(blk.n, dtype=np.min_scalar_type(k))
+            for v in grid:
+                below += (blk.x > v).view(np.uint8)
+            bins = below.astype(np.intp)
+            tie = ends[bins] == blk.x
+            bins *= 2
+            bins += tie
+            shared[key] = bins
+        used, cols = columns[half](blk)
+        sums = np.stack([np.bincount(shared[key], col, 2 * k + 1) for col in cols])
+        return tuple((used, sums) if h == half else None for h in range(len(columns)))
+
+    def done(total):
+        return finish(queries, [(0, None) if t is None else (t[0], _sides(t[1], k)[:, pos])
+                                for t in total or [None] * len(columns)])
+
+    return Reducer(part, done, halves=len(columns) == 2)
 
 
 def _sides(total: np.ndarray, k: int) -> np.ndarray:
@@ -685,10 +690,8 @@ def _side_moments(coef, sum_a, sum_b, sum_ab, n: int):
 
 def _estimates(queries, mean, var, n: int, epsilon=None) -> list[DensityEstimate]:
     se = np.sqrt(np.maximum(var, 0.0)) / math.sqrt(n)
-    return [
-        DensityEstimate(float(x), float(m), float(e), n, epsilon)
-        for x, m, e in zip(queries, mean, se)
-    ]
+    return [DensityEstimate(float(x), float(m), float(e), n, epsilon)
+            for x, m, e in zip(queries, mean, se)]
 
 
 def _direct_columns(blk: QuadBatch):
@@ -696,27 +699,32 @@ def _direct_columns(blk: QuadBatch):
     return int(usable.sum()), (w, w * w)
 
 
-def _sign_density(b: QuadBatch, columns, xs, epsilon=None) -> list[DensityEstimate]:
-    queries = _as_queries(xs, 1)[:, 0]
-    [(n, sums)] = _side_sums(b, queries, columns)
-    if n == 0:
-        raise NoUsableSamplesError("no samples with positive square field")
-    s, ss = sums
-    mean, _, var = _side_moments(_HALF_SIGN, s, s, ss, n)
-    return _estimates(queries, mean, var, n, epsilon)
+def _sign_density(columns, xs, epsilon=None) -> Reducer:
+    """The reducer of a density ½ E[sign(x - X) W], W from columns."""
+    def finish(queries, sums):
+        [(n, sums)] = sums
+        if n == 0:
+            raise NoUsableSamplesError("no samples with positive square field")
+        s, ss = sums
+        mean, _, var = _side_moments(_HALF_SIGN, s, s, ss, n)
+        return _estimates(queries, mean, var, n, epsilon)
+
+    return _side_sums(xs, finish, columns)
 
 
-def direct_density(b: QuadBatch, xs) -> list[DensityEstimate]:
+@_estimator
+def direct_density(b: QuadBatch, xs):
     """f(x) = ½ E[sign(x - X) W]; needs Γ > 0 on the used samples.
 
     Samples with Γ ≤ 0 fall outside the formula's hypotheses; they are
     excluded and visible through n_used (use regularized_density when the
     law of Γ touches 0).
     """
-    return _sign_density(b, _direct_columns, xs)
+    return _sign_density(_direct_columns, xs)
 
 
-def regularized_density(b: QuadBatch, epsilon: float, xs) -> list[DensityEstimate]:
+@_estimator
+def regularized_density(b: QuadBatch, epsilon: float, xs):
     """Monotone-in-ε lower approximation; no positivity needed on Γ."""
     check_epsilon(epsilon)
 
@@ -724,10 +732,11 @@ def regularized_density(b: QuadBatch, epsilon: float, xs) -> list[DensityEstimat
         w = regularized_weights(blk, epsilon)
         return blk.n, (w, w * w)
 
-    return _sign_density(b, columns, xs, epsilon)
+    return _sign_density(columns, xs, epsilon)
 
 
-def conditional_expectation(b: QuadBatch, xs) -> list[ConditionalEstimate]:
+@_estimator
+def conditional_expectation(b: QuadBatch, xs):
     """Estimate E[G | X = x] as the ratio of the two sign formulas.
 
     The numerator estimates f(x)·E[G|X=x], the denominator f(x); the ratio
@@ -739,31 +748,33 @@ def conditional_expectation(b: QuadBatch, xs) -> list[ConditionalEstimate]:
         wd, _ = direct_weights(blk)
         return int(usable.sum()), (wn, wd, wn * wn, wd * wd, wn * wd)
 
-    queries = _as_queries(xs, 1)[:, 0]
-    [(n, sums)] = _side_sums(b, queries, columns)
-    if n < 2:
-        raise NoUsableSamplesError("not enough samples with positive square field")
-    sn, sd, snn, sdd, snd = sums
-    mean_n, mean_d, cov_nd = _side_moments(_HALF_SIGN, sn, sd, snd, n)
-    var_n = _side_moments(_HALF_SIGN, sn, sn, snn, n)[2]
-    var_d = _side_moments(_HALF_SIGN, sd, sd, sdd, n)[2]
-    out = []
-    for j, (num, den) in enumerate(zip(_estimates(queries, mean_n, var_n, n),
-                                       _estimates(queries, mean_d, var_d, n))):
-        reliable = abs(den.value) > 2.0 * den.std_error
-        if den.value != 0.0:
-            ratio = num.value / den.value
-            var_r = (
-                var_n[j] - 2.0 * ratio * cov_nd[j] + ratio**2 * var_d[j]
-            ) / (den.value**2 * n)
-            se_r = math.sqrt(max(float(var_r), 0.0))
-        else:
-            ratio, se_r, reliable = float("nan"), float("inf"), False
-        out.append(ConditionalEstimate(num.x, num, den, ratio, se_r, reliable))
-    return out
+    def finish(queries, sums) -> list[ConditionalEstimate]:
+        [(n, sums)] = sums
+        if n < 2:
+            raise NoUsableSamplesError("not enough samples with positive square field")
+        sn, sd, snn, sdd, snd = sums
+        mean_n, mean_d, cov_nd = _side_moments(_HALF_SIGN, sn, sd, snd, n)
+        var_n = _side_moments(_HALF_SIGN, sn, sn, snn, n)[2]
+        var_d = _side_moments(_HALF_SIGN, sd, sd, sdd, n)[2]
+        out = []
+        for j, (num, den) in enumerate(zip(_estimates(queries, mean_n, var_n, n),
+                                           _estimates(queries, mean_d, var_d, n))):
+            reliable = abs(den.value) > 2.0 * den.std_error
+            if den.value != 0.0:
+                ratio = num.value / den.value
+                var_r = (var_n[j] - 2.0 * ratio * cov_nd[j] + ratio**2 * var_d[j]) / (
+                    den.value**2 * n)
+                se_r = math.sqrt(max(float(var_r), 0.0))
+            else:
+                ratio, se_r, reliable = float("nan"), float("inf"), False
+            out.append(ConditionalEstimate(num.x, num, den, ratio, se_r, reliable))
+        return out
+
+    return _side_sums(xs, finish, columns)
 
 
-def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None) -> list[DensityEstimate]:
+@_estimator
+def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None):
     """Split-sample control variate on the centered weight.
 
     Half 1 fits the per-x constant c*(x) = Σ sign(x-X)W² / Σ W² (the
@@ -773,71 +784,67 @@ def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None) -
     on half 2).  Both halves are reduced in one pass over b, so a stream
     is drawn once; each half is blocked from its own first row.
     """
-    queries = _as_queries(xs, 1)[:, 0]
-
     def squares(blk):
         w, _ = direct_weights(blk)
         return 0, (w * w,)
 
-    (_, fit), (n, sums) = _side_sums(b, queries, squares, _direct_columns)
-    if n == 0:
-        raise NoUsableSamplesError("no usable samples in the estimation half")
-    s, ss = sums
-    c = np.zeros(queries.shape[0])
-    if force_c is not None:
-        c[:] = float(force_c)
-    elif fit is not None:
-        denom = fit[0].sum(axis=1)
-        np.divide(fit[0][:, 0] - fit[0][:, 2], denom, out=c, where=denom > 0)
-    mean, _, var = _side_moments(0.5 * (_SIGN - c[:, None]), s, s, ss, n)
-    return _estimates(queries, mean, var, n)
+    def finish(queries, sums):
+        (_, fit), (n, sums) = sums
+        if n == 0:
+            raise NoUsableSamplesError("no usable samples in the estimation half")
+        s, ss = sums
+        c = np.zeros(queries.shape[0])
+        if force_c is not None:
+            c[:] = float(force_c)
+        elif fit is not None:
+            denom = fit[0].sum(axis=1)
+            np.divide(fit[0][:, 0] - fit[0][:, 2], denom, out=c, where=denom > 0)
+        mean, _, var = _side_moments(0.5 * (_SIGN - c[:, None]), s, s, ss, n)
+        return _estimates(queries, mean, var, n)
+
+    return _side_sums(xs, finish, squares, _direct_columns)
 
 
 # -- the estimator table ---------------------------------------------------
 
 @dataclass(frozen=True)
 class Estimator:
-    """How to run one named estimator.
-
-    call(batch, ε, xs) looks its function up in this module when called,
-    so a wrapper set on the module attribute sees every call.  kernel is
-    the (A-shift, identity covariance) pair of a kernel estimator, else
-    None; kernels read the (X, Γ, A) triples of the batch.
+    """How to run one named estimator: function(b, [ε,] xs[, variant=…]),
+    a public estimator of this module looked up when it is called, so a
+    wrapper set on the module attribute sees every call.  kernel is the
+    (A-shift, identity covariance) pair of a kernel estimator, else None.
     """
 
-    call: Callable
+    function: str
     needs_quad: bool
     takes_epsilon: bool
     kernel: Optional[tuple[bool, bool]] = None
+    variant: Optional[str] = None
 
 
 ESTIMATORS: dict[str, Estimator] = {
-    "shifted": Estimator(
-        lambda b, eps, xs: shifted_kernel_density(b, eps, xs), False, True, (True, False)),
-    "plain_gamma": Estimator(
-        lambda b, eps, xs: plain_kernel_density(b, eps, xs, variant="gamma_cov"),
-        False, True, (False, False)),
-    "plain_id": Estimator(
-        lambda b, eps, xs: plain_kernel_density(b, eps, xs, variant="identity_cov"),
-        False, True, (False, True)),
-    "direct": Estimator(lambda b, eps, xs: direct_density(b, xs), True, False),
-    "regularized": Estimator(lambda b, eps, xs: regularized_density(b, eps, xs), True, True),
-    "centered": Estimator(lambda b, eps, xs: centered_direct_density(b, xs), True, False),
-    "conditional": Estimator(lambda b, eps, xs: conditional_expectation(b, xs), True, False),
+    "shifted": Estimator("shifted_kernel_density", False, True, (True, False)),
+    "plain_gamma": Estimator("plain_kernel_density", False, True, (False, False), "gamma_cov"),
+    "plain_id": Estimator("plain_kernel_density", False, True, (False, True), "identity_cov"),
+    "direct": Estimator("direct_density", True, False),
+    "regularized": Estimator("regularized_density", True, True),
+    "centered": Estimator("centered_direct_density", True, False),
+    "conditional": Estimator("conditional_expectation", True, False),
 }
 
 
 def get_estimator(name: str) -> Estimator:
     """The table entry of name; an unknown name is a ValueError listing the valid ones."""
-    try:
-        return ESTIMATORS[name]
-    except KeyError:
-        raise ValueError(f"unknown estimator {name!r}; valid: {', '.join(ESTIMATORS)}") from None
+    if name not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {name!r}; valid: {', '.join(ESTIMATORS)}")
+    return ESTIMATORS[name]
 
 
-def run_estimator(name: str, batch, epsilon: Optional[float], xs, scenario: str = "") -> list:
+def run_estimator(name: str, batch, epsilon: Optional[float], xs, scenario: str = "",
+                  reducer: bool = False):
     """Run the named estimator on a batch as a scenario builds it, or on
-    the scenario's stream.
+    the scenario's stream; with reducer, the Reducer it would run instead,
+    for a pass shared with others.
 
     Kernels take the triples of quad data; the other estimators need quad
     data, and the error for triple data names scenario.  Estimators that
@@ -846,7 +853,10 @@ def run_estimator(name: str, batch, epsilon: Optional[float], xs, scenario: str 
     entry = get_estimator(name)
     if entry.needs_quad and not batch.quad:
         raise ValueError(f"scenario {scenario!r} provides no quad data; {name!r} needs it")
-    return entry.call(batch, epsilon, xs)
+    fn = globals()[entry.function]
+    args = (batch, epsilon, xs) if entry.takes_epsilon else (batch, xs)
+    kwargs = {"variant": entry.variant} if entry.variant else {}
+    return (fn.reducer if reducer else fn)(*args, **kwargs)
 
 
 # -- identity statistics ----------------------------------------------------
@@ -861,7 +871,8 @@ _IBP_PHIS = ("cos", "x2")
 _IBP_EPSILONS = (0.5, 0.1)
 
 
-def identity_z_scores(b: QuadBatch) -> dict[str, float]:
+@_estimator
+def identity_z_scores(b: QuadBatch):
     """z-scores against 0, in report order, of the statistics whose
     expectation vanishes under the law the batch samples:
 
@@ -875,31 +886,26 @@ def identity_z_scores(b: QuadBatch) -> dict[str, float]:
       configurations at Γ = 0 (e.g. the empty-configuration atom of point
       process functionals) carry zero weight and are excluded.
 
-    One pass over the blocks: per block, φ'(X) and φ''(X) are evaluated
-    once per φ and ε + Γ and W_ε once per ε, and every statistic shares
-    them.
+    Per block, φ'(X) and φ''(X) are evaluated once per φ, and ε + Γ and
+    W_ε once per ε, and every statistic shares them.
     """
-    stats = dict.fromkeys(
-        [f"generator_{name}" for name in _PHIS]
-        + [f"ibp_{name}_eps{eps:g}" for name in _IBP_PHIS for eps in _IBP_EPSILONS]
-        + ["weight_centering"],
-        Moments(),
-    )
-
-    def add(key, vals):
-        stats[key] = _merge(stats[key], _moments(vals))
-
-    for _, blk in b.blocks():
+    def part(blk, half, shared) -> dict[str, Moments]:
         gam = {eps: eps + blk.gamma for eps in _IBP_EPSILONS}
         w_eps = {eps: _weight(blk, g) for eps, g in gam.items()}
-        for name, (p1, p2) in _PHIS.items():
-            d1, d2 = p1(blk.x), p2(blk.x)
-            add(f"generator_{name}", d1 * blk.a + 0.5 * d2 * blk.gamma)
-            if name in _IBP_PHIS:
-                for eps in _IBP_EPSILONS:
-                    add(f"ibp_{name}_eps{eps:g}", d2 * blk.gamma / gam[eps] + d1 * w_eps[eps])
+        d = {name: (p1(blk.x), p2(blk.x)) for name, (p1, p2) in _PHIS.items()}
+        out = {f"generator_{name}": _moments(d1 * blk.a + 0.5 * d2 * blk.gamma)
+               for name, (d1, d2) in d.items()}
+        for name in _IBP_PHIS:
+            d1, d2 = d[name]
+            for eps, g in gam.items():
+                out[f"ibp_{name}_eps{eps:g}"] = _moments(d2 * blk.gamma / g + d1 * w_eps[eps])
         w, usable = direct_weights(blk)
-        add("weight_centering", w if usable.all() else w[usable])
-    if stats["weight_centering"].n < 2:
-        raise NoUsableSamplesError("not enough samples with positive square field")
-    return {key: _z(m) for key, m in stats.items()}
+        out["weight_centering"] = _moments(w if usable.all() else w[usable])
+        return out
+
+    def finish(total) -> dict[str, float]:
+        if total is None or total["weight_centering"].n < 2:
+            raise NoUsableSamplesError("not enough samples with positive square field")
+        return {key: _z(m) for key, m in total.items()}
+
+    return Reducer(part, finish)

@@ -5,8 +5,8 @@ a stream (drawn chunk by chunk as an estimator reduces it), and optionally
 carries an exact density, the deterministic reduced forms γ(x), a(x) used
 by the kernel sweeps, and a conditional-expectation oracle.  Draws are
 vectorised closed forms of the functional calculus, the extended Euler
-recursion or the Poisson point sums, so a build holds the batch and
-O(CHUNK_SIZE) scratch.  The test suite re-derives the closed forms through
+recursion or the Poisson point sums; a build holds the batch, a stream a
+few chunks in flight.  The test suite re-derives the closed forms through
 its jet calculus (tests/calculus.py) on subsamples, so a draw cannot drift
 from the calculus silently.
 """
@@ -126,17 +126,14 @@ _GBM_VOL, _GBM_DRIFT, _GBM_T, _GBM_X0 = 0.3, 0.05, 1.0, 1.0
 _GBM_STEPS = 16
 
 
-def _gbm_exact_from_bt(bt: np.ndarray):
+def _draw_gbm_exact(rng, k):
     vol, drift, T, x0 = _GBM_VOL, _GBM_DRIFT, _GBM_T, _GBM_X0
+    bt = rng.normal(0.0, math.sqrt(T), size=k)
     x = x0 * np.exp((drift - 0.5 * vol**2) * T + vol * bt)
     gam = vol**2 * x**2 * T
     a = -0.5 * vol * x * bt + 0.5 * vol**2 * x * T
     gxx = 2.0 * T**2 * vol**4 * x**3
     return x, gam, a, gxx
-
-
-def _draw_gbm_exact(rng, k):
-    return _gbm_exact_from_bt(rng.normal(0.0, math.sqrt(_GBM_T), size=k))
 
 
 def _euler_draw(coeffs):
@@ -160,10 +157,6 @@ def _draw_poisson(rng, k):
 
 
 # -- densities and oracles ---------------------------------------------------
-
-def _gaussian_density(x):
-    return normal_pdf(np.asarray(x, dtype=float))
-
 
 def _lognormal_density(x, mu: float = 0.0, sigma: float = 1.0):
     x = np.asarray(x, dtype=float)
@@ -197,10 +190,6 @@ def _pair_moments(x) -> tuple[np.ndarray, np.ndarray]:
     sin_u, w = _pair_rule()
     phi = normal_pdf(x[:, None] - sin_u[None, :])
     return (w * phi).sum(axis=1), (w * (sin_u * phi)).sum(axis=1)
-
-
-def _pair_density(x):
-    return _pair_moments(x)[0]
 
 
 def pair_conditional_oracle(x: float) -> float:
@@ -248,7 +237,7 @@ _register(Scenario(
     description="X = U for one standard Gaussian coordinate; Γ = 1, A = -U/2",
     kind="quad",
     draw=_draw_gaussian,
-    exact_density=_gaussian_density,
+    exact_density=normal_pdf,
     mass_bounds=(-10.0, 10.0),
     gamma_of_x=lambda x: np.ones_like(np.asarray(x, dtype=float)),
     a_of_x=lambda x: -0.5 * np.asarray(x, dtype=float),
@@ -273,7 +262,7 @@ _register(Scenario(
     description="X = U₁ + sin(U₂) with tracked G = sin(U₂); nondegenerate (Γ, A) given X",
     kind="quad",
     draw=_draw_gaussian_pair,
-    exact_density=_pair_density,
+    exact_density=lambda x: _pair_moments(x)[0],
     mass_bounds=(-12.0, 12.0),
     cond_oracle=pair_conditional_oracle,
     default_points=(-0.5, 0.0, 0.5),

@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .estimators import (
     ESTIMATORS,
-    QuadBatch,
-    TripleBatch,
     check_epsilon,
     get_estimator,
     identity_z_scores,
     run_estimator,
+    run_pass,
     shifted_kernel_variance,
 )
 from .quadrature import kernel_moment_integral
@@ -75,9 +75,17 @@ class SweepConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be strictly decreasing")
         if self.sample_size != "quadrature":
-            if int(self.sample_size) < 1000:
+            object.__setattr__(self, "sample_size", sample_count(self.sample_size))
+            if self.sample_size < 1000:
                 raise ValueError("Monte Carlo sweeps need at least 10^3 samples")
-            object.__setattr__(self, "sample_size", int(self.sample_size))
+
+
+def sample_count(n) -> int:
+    """n as an int; a ValueError naming n unless it is an integral number ≥ 1
+    (2000.0 is accepted, 2000.7 is rejected, never truncated)."""
+    if (isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())) and n >= 1:
+        return int(n)
+    raise ValueError(f"sample counts must be integers >= 1, got {n!r}")
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
@@ -91,6 +99,13 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
     ly = np.log([y for _, y in pts])
     design = np.vstack([lx, np.ones_like(lx)]).T
     return float(np.linalg.lstsq(design, ly, rcond=None)[0][0])
+
+
+def _monte_carlo(sc: Scenario, cfg: SweepConfig, points, reducer) -> list:
+    """Per ε, reducer(stream, ε, points)'s result on one stream drawn once."""
+    stream = sc.stream(cfg.sample_size, cfg.seed, cfg.workers)
+    passes = run_pass(stream, [reducer(stream, eps, points) for eps in cfg.epsilons])
+    return [res[stream.requested] for res in passes]
 
 
 def _require_reduced(sc: Scenario, purpose: str) -> None:
@@ -126,56 +141,41 @@ def run_bias_sweep(cfg: SweepConfig) -> BiasSweepResult:
     shift, identity_cov = kernel
     sc = get_scenario(cfg.scenario)
     points = cfg.query_points or sc.default_points
-    rows: list[SweepRow] = []
-    notices: list[str] = []
-    per_eps_bias: dict[float, list[float]] = {}
-
-    tol_by_eps: dict[float, float] = {}
+    refs = [None if sc.exact_density is None else float(sc.exact_density(np.array([x]))[0])
+            for x in points]
+    rows, notices, tol_by_eps = [], [], {}  # tol_by_eps: quadrature tolerance per ε
     if cfg.sample_size == "quadrature":
         _require_reduced(sc, "quadrature bias sweep")
         for eps in cfg.epsilons:
             tols = []
-            for x in points:
-                est = kernel_moment_integral(
+            for x, ref in zip(points, refs):
+                # the default 16-point rule and a coarser one bound the quadrature error
+                est, coarse = (kernel_moment_integral(
                     x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support,
-                    shift=shift, identity_cov=identity_cov, power=1,
-                )
-                coarse = kernel_moment_integral(
-                    x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support,
-                    shift=shift, identity_cov=identity_cov, power=1, order=10,
-                )
+                    shift=shift, identity_cov=identity_cov, power=1, order=order,
+                ) for order in (16, 10))
                 tols.append(max(abs(est - coarse), 1e-14 * max(1.0, abs(est))))
-                ref = float(sc.exact_density(np.array([x]))[0])
                 rows.append(SweepRow.make(eps, 0, x, est, ref, 0.0))
-                per_eps_bias.setdefault(eps, []).append(abs(est - ref))
             tol_by_eps[eps] = max(tols)
     else:
-        batch = sc.build(int(cfg.sample_size), cfg.seed, cfg.workers)
-        for eps in cfg.epsilons:
-            ests = run_estimator(cfg.estimator, batch, eps, list(points), sc.name)
-            for x, e in zip(points, ests):
-                ref = (
-                    float(sc.exact_density(np.array([x]))[0])
-                    if sc.exact_density is not None else None
-                )
-                rows.append(SweepRow.make(eps, e.n_used, x, e.value, ref, e.std_error))
-                if ref is not None:
-                    per_eps_bias.setdefault(eps, []).append(abs(e.value - ref))
+        mc = _monte_carlo(sc, cfg, points, partial(run_estimator, cfg.estimator, reducer=True))
+        for eps, ests in zip(cfg.epsilons, mc):
+            rows += [SweepRow.make(eps, e.n_used, x, e.value, ref, e.std_error)
+                     for x, ref, e in zip(points, refs, ests)]
 
     fit_pts = []
     for eps in cfg.epsilons:
-        if eps not in per_eps_bias:
+        biases = [r.abs_error for r in rows if r.epsilon == eps and r.abs_error is not None]
+        if not biases:
             continue
-        bias = float(np.mean(per_eps_bias[eps]))
+        bias = float(np.mean(biases))
         tol = tol_by_eps.get(eps, 0.0)
         if tol > 0.0 and bias < 10.0 * tol:
-            notices.append(
-                f"epsilon={eps:g} dropped from the fit: bias {bias:.3e} is below "
-                f"10x the quadrature tolerance {tol:.3e}"
-            )
+            notices.append(f"epsilon={eps:g} dropped from the fit: bias {bias:.3e} is below "
+                           f"10x the quadrature tolerance {tol:.3e}")
             continue
         fit_pts.append((eps, bias))
-    fit_pts = fit_pts[-4:] if len(fit_pts) > 4 else fit_pts
+    fit_pts = fit_pts[-4:]
     if len(fit_pts) < 2:
         raise ValueError("fewer than two resolvable epsilons; cannot fit a slope")
     slope = fit_loglog_slope(fit_pts)
@@ -221,21 +221,15 @@ def run_variance_sweep(cfg: SweepConfig) -> VarianceSweepResult:
     refs = [_variance_constant(sc, x) for x in points]
     rows: list[SweepRow] = []
     var_by_eps: dict[float, list[float]] = {}
-    mc_batch: Optional[QuadBatch | TripleBatch] = None
-    if cfg.sample_size != "quadrature":
-        mc_batch = sc.build(int(cfg.sample_size), cfg.seed, cfg.workers)
-
-    for eps in cfg.epsilons:
-        if mc_batch is None:
-            stats = []
-            for x in points:
-                m1, m2 = kernel_moment_integral(
-                    x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support,
-                    shift=True, power=(1, 2),
-                )
-                stats.append((m2 - m1 * m1, 0.0, 0))
-        else:
-            stats = shifted_kernel_variance(mc_batch, eps, list(points))
+    if cfg.sample_size == "quadrature":
+        per_eps = []
+        for eps in cfg.epsilons:
+            moments = [kernel_moment_integral(x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x,
+                                              sc.support, shift=True, power=(1, 2)) for x in points]
+            per_eps.append([(m2 - m1 * m1, 0.0, 0) for m1, m2 in moments])
+    else:
+        per_eps = _monte_carlo(sc, cfg, points, shifted_kernel_variance.reducer)
+    for eps, stats in zip(cfg.epsilons, per_eps):
         for x, ref, (var, se, n) in zip(points, refs, stats):
             rows.append(SweepRow.make(eps, n, x, math.sqrt(eps) * var, ref, math.sqrt(eps) * se))
             var_by_eps.setdefault(eps, []).append(var)
@@ -277,12 +271,10 @@ def run_identity_suite(
     sc = get_scenario(scenario)
     if sc.kind != "quad":
         raise ValueError(f"scenario {scenario!r} does not provide quad batches")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    b = sc.build(n, seed, workers)
+    b = sc.build(sample_count(n), seed, workers)
     if corrupt_a != 0.0:
         b = corrupt_quad_batch(b, corrupt_a)
-    return IdentityReport(scenario, n, identity_z_scores(b))
+    return IdentityReport(scenario, int(n), identity_z_scores(b))
 
 
 @dataclass(frozen=True)
@@ -306,14 +298,14 @@ def compare_estimators(
     seed: int = 0,
     workers: int = 1,
 ) -> list[CompareRow]:
-    """Side-by-side error table over sample sizes.
+    """Side-by-side error table over sample sizes, rows in the given order.
 
     Kernel estimators grid-search their ε over the given list and report
     the best root-mean-square error across the query points per sample
     size; the other estimators report as-is, at the smallest ε if they
     take one.  conditional estimates no density and is rejected before
-    anything is sampled.  No pass/fail is attached: the output is a
-    reported table.
+    anything is sampled.  Every size is a prefix of one stream of the
+    largest, reduced in one pass.  No pass/fail is attached.
     """
     if not estimators or not sample_sizes:
         raise ValueError("compare needs at least one estimator and one sample size")
@@ -329,25 +321,27 @@ def compare_estimators(
     if sc.exact_density is None:
         raise ValueError(f"scenario {scenario!r} has no exact density to compare against")
     refs = {x: float(sc.exact_density(np.array([x]))[0]) for x in points}
+    sizes = [sample_count(n) for n in sample_sizes]
+    stream = sc.stream(max(sizes), seed, workers)
+    nested = tuple(sorted(set(sizes)))
+    # one reducer per (estimator, ε), snapshotted at every size; centered
+    # splits each size's own rows, so it has one reducer per size
+    plan = []
+    for i, (name, entry) in enumerate(zip(estimators, entries)):
+        for eps in epsilons if entry.kernel else [min(epsilons) if entry.takes_epsilon else None]:
+            r = run_estimator(name, stream, eps, list(points), scenario, reducer=True)
+            for grid in [(n,) for n in nested] if r.halves else [nested]:
+                plan.append((i, eps, r._replace(sizes=grid)))
+    found: dict = {}
+    for (i, eps, _), res in zip(plan, run_pass(stream, [r for _, _, r in plan])):
+        for n, ests in res.items():
+            found.setdefault((i, n), []).append((eps, ests))
     out: list[CompareRow] = []
-    for n in sample_sizes:
-        batch = sc.build(int(n), seed, workers)
-        for name, entry in zip(estimators, entries):
-            if entry.kernel is not None:
-                best = None
-                for eps in epsilons:
-                    ests = run_estimator(name, batch, eps, list(points), scenario)
-                    rmse = math.sqrt(
-                        float(np.mean([(e.value - refs[x]) ** 2 for x, e in zip(points, ests)]))
-                    )
-                    if best is None or rmse < best[0]:
-                        best = (rmse, eps, ests)
-                _, eps, ests = best
-            else:
-                eps = min(epsilons) if entry.takes_epsilon else None
-                ests = run_estimator(name, batch, eps, list(points), scenario)
-            for x, e in zip(points, ests):
-                out.append(CompareRow(
-                    name, eps, e.n_used, x, e.value, refs[x], abs(e.value - refs[x]), e.std_error,
-                ))
+    for n in sizes:
+        for i, name in enumerate(estimators):
+            # a kernel keeps the first ε of least root-mean-square error
+            eps, ests = min(found[(i, n)], key=lambda c: math.sqrt(float(np.mean(
+                [(e.value - refs[x]) ** 2 for x, e in zip(points, c[1])]))))
+            out += [CompareRow(name, eps, e.n_used, x, e.value, refs[x], abs(e.value - refs[x]),
+                               e.std_error) for x, e in zip(points, ests)]
     return out

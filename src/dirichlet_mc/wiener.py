@@ -17,8 +17,8 @@ paths fed through euler_triple_paths.  It also keeps Γ ≥ 0 on every path.
 
 One recursion implements the scheme: simulate_triple_batch (increments
 drawn step by step) and euler_triple_paths (given increments) both run
-it.  It allocates its state and scratch arrays once per call and updates
-them in place.
+it.  It allocates its state once per call and updates it in place; its
+scratch (the drawn increments too) is kept per thread across calls.
 
 Coefficient contract.  σ, r and their x-derivatives are called as f(x, t)
 with x a float64 array of the current states (a float in the derivative
@@ -29,6 +29,7 @@ coefficient should return the bare scalar, which costs no array per step.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,32 +99,40 @@ def _mesh(T: float, n: int) -> float:
     return T / n
 
 
+# per thread, _euler's scratch, reused so chunks do not fault in fresh arrays
+_SCRATCH = threading.local()
+
+
 def _euler(
     x0: float,
     h: float,
     n: int,
     c: SdeCoefficients,
     n_paths: int,
-    draw: Callable[[int], np.ndarray],
+    draw: Callable[[int, np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """n extended Euler steps of mesh h over n_paths paths from (x0, 0, 0).
 
-    draw(k) returns the k-th Brownian increments, one per path.  State and
-    scratch arrays are allocated once and updated in place, each update in
-    the operand order of the formulas in the module docstring, so the
-    result does not depend on whether a coefficient returns a scalar or an
-    array.  X is double-buffered because a coefficient may return x itself.
+    draw(k, out) returns the k-th Brownian increments, one per path, in out
+    or elsewhere.  State arrays are allocated once and updated in place,
+    each update in the operand order of the formulas in the module
+    docstring, so the result does not depend on whether a coefficient
+    returns a scalar or an array.  X is double-buffered because a
+    coefficient may return x itself.  No scratch array is returned.
     """
     x = np.full(n_paths, float(x0))
     x_next = np.empty(n_paths)
     g = np.zeros(n_paths)
     a = np.zeros(n_paths)
-    lin, u, v, w = (np.empty(n_paths) for _ in range(4))
+    bufs = getattr(_SCRATCH, "bufs", None)
+    if bufs is None or bufs[0].shape[0] < n_paths:
+        bufs = _SCRATCH.bufs = [np.empty(n_paths) for _ in range(5)]
+    lin, u, v, w, dbuf = (b[:n_paths] for b in bufs)
     t = 0.0
     # overflow surfaces in the finite mask, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            db = draw(k)
+            db = draw(k, dbuf)
             sig = c.sigma(x, t)
             sig1 = c.sigma_x(x, t)
             sig2 = c.sigma_xx(x, t)
@@ -174,7 +183,9 @@ def simulate_triple_batch(
     """
     h = _mesh(T, n)
     sqh = math.sqrt(h)
-    return _euler(x0, h, n, c, n_paths, lambda k: rng.normal(0.0, sqh, size=n_paths))
+    # normal(0, √h) is √h times a standard normal draw, drawn into out
+    return _euler(x0, h, n, c, n_paths,
+                  lambda k, out: np.multiply(rng.standard_normal(out=out), sqh, out=out))
 
 
 def euler_triple_paths(
@@ -189,7 +200,7 @@ def euler_triple_paths(
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 2 or increments.shape[0] != n:
         raise ValueError(f"expected increments of shape ({n}, n_paths), got {increments.shape}")
-    return _euler(x0, h, n, c, increments.shape[1], increments.__getitem__)
+    return _euler(x0, h, n, c, increments.shape[1], lambda k, out: increments[k])
 
 
 # -- named coefficient sets ----------------------------------------------

@@ -355,35 +355,43 @@ class TestDeterminism:
 
 _JUNK = st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "-1", "1e-300", "1e300", "abc", ""])
 _NUMBER = st.one_of(st.floats(-3.0, 3.0).map(repr), _JUNK)
-# mostly lists a run accepts (ε decreasing in (0, 1)), sometimes anything
-_EPSILONS = st.one_of(
-    st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=4, unique=True).map(
-        lambda v: ",".join(repr(e) for e in sorted(v, reverse=True))),
-    st.lists(_NUMBER, max_size=4).map(",".join),
-)
-_POINTS = st.one_of(
-    st.lists(st.floats(-3.0, 3.0).map(repr), min_size=1, max_size=4).map(",".join),
-    st.lists(_NUMBER, max_size=4).map(",".join),
-)
+_DECREASING = st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=4, unique=True).map(
+    lambda v: ",".join(repr(e) for e in sorted(v, reverse=True)))
+_FLOATS = st.lists(st.floats(-3.0, 3.0).map(repr), min_size=1, max_size=4).map(",".join)
+_COUNT = st.integers(1000, 2000).map(str)
 _SAMPLE_COUNT = st.one_of(
-    st.integers(1000, 2000).map(str),
     st.integers(-5, 999).map(str),
     st.sampled_from(["quadrature", "many", "1e3", "nan", "inf", "1500.5", "1.5e3", ""]),
 )
-# a value for every option a subcommand may take; --samples, --strict, --out
-# and --config are added below
+# a value every option accepts on its own (a run may still reject the
+# combination, e.g. a scenario without quad data for direct) ...
+_VALID = {
+    "--scenario": st.sampled_from(sorted(SCENARIOS)),
+    "--estimator": st.sampled_from(list(ESTIMATORS)),
+    "--estimators": st.lists(st.sampled_from([n for n in ESTIMATORS if n != "conditional"]),
+                             min_size=1, max_size=3, unique=True).map(",".join),
+    "--epsilons": _DECREASING,
+    "--points": _FLOATS,
+    "--seed": st.integers(0, 99).map(str),
+    "--workers": st.sampled_from(["1", "2"]),
+    "--corrupt-a": st.floats(-3.0, 3.0).map(repr),
+}
+# ... and anything at all, valid or not
 _OPTIONS = {
     "--scenario": st.sampled_from(sorted(SCENARIOS) + ["nosuch"]),
     "--estimator": st.sampled_from(list(ESTIMATORS) + ["nope"]),
     "--estimators": st.lists(st.sampled_from(list(ESTIMATORS) + ["nope"]), max_size=3).map(
         ",".join),
-    "--epsilons": _EPSILONS,
-    "--points": _POINTS,
+    "--epsilons": st.one_of(_DECREASING, st.lists(_NUMBER, max_size=4).map(",".join)),
+    "--points": st.one_of(_FLOATS, st.lists(_NUMBER, max_size=4).map(",".join)),
     "--seed": st.one_of(st.integers(0, 99), st.integers(-5, 2**70), st.just("x")).map(str),
     "--workers": st.sampled_from(["1", "2"]),
     "--corrupt-a": _NUMBER,
 }
 _NOT_DRAWN = {"--samples", "--strict", "--out", "--config"}
+# one token in eight is drawn from anything: invalid tokens stay a minority,
+# so most runs pass validation and reach the estimators and sweeps
+_ANYTHING = st.sampled_from([False] * 7 + [True])
 
 
 def _subparsers():
@@ -403,24 +411,32 @@ def _option_sets():
 @st.composite
 def _argv(draw):
     options = _option_sets()
-    command = draw(st.sampled_from(
-        ["density", "sweep-bias", "sweep-variance", "check-identities", "compare", "bogus"]
-    ))
+    commands = ["density", "sweep-bias", "sweep-variance", "check-identities", "compare"]
+    command = "bogus" if draw(_ANYTHING) else draw(st.sampled_from(commands))
     flags = options.get(command, set().union(*options.values()))
     argv = [command]
+
+    def value(valid, anything):
+        return draw(anything if draw(_ANYTHING) else valid)
+
     for flag in draw(st.lists(st.sampled_from(sorted(flags - _NOT_DRAWN)), max_size=5,
                               unique=True)):
-        argv += [flag, draw(_OPTIONS[flag])]
+        valid = _VALID[flag]
+        if command == "sweep-bias" and flag == "--estimator":
+            valid = st.sampled_from(sorted(BIAS_SLOPE_WINDOWS))
+        argv += [flag, value(valid, _OPTIONS[flag])]
     # a sample count on every call keeps each run at 2000 samples or fewer
     if command == "compare":
-        argv += ["--samples", draw(st.lists(_SAMPLE_COUNT, min_size=1, max_size=2).map(",".join))]
+        counts = st.lists(_COUNT, min_size=1, max_size=2).map(",".join)
+        argv += ["--samples", value(counts, st.lists(st.one_of(_COUNT, _SAMPLE_COUNT), min_size=1,
+                                                      max_size=2).map(",".join))]
     elif command.startswith("sweep-"):  # half of them noise-free
-        argv += ["--samples", draw(st.one_of(st.just("quadrature"), _SAMPLE_COUNT))]
+        argv += ["--samples", value(st.sampled_from(["quadrature", "2000"]), _SAMPLE_COUNT)]
     else:
-        argv += ["--samples", draw(_SAMPLE_COUNT)]
+        argv += ["--samples", value(_COUNT, _SAMPLE_COUNT)]
     if "--strict" in flags and draw(st.booleans()):
         argv.append("--strict")
-    if draw(st.integers(0, 4)) == 0:
+    if draw(_ANYTHING):
         argv.append(draw(st.sampled_from(["--bogus", "-x", "--points", "extra"])))
     return argv
 

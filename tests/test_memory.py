@@ -90,3 +90,41 @@ def test_streamed_density_peak_rss_does_not_grow_with_n(workers):
     assert proc.returncode == 0, proc.stderr
     small, large = json.loads(proc.stdout)
     assert large - small < 16 * CHUNK_SIZE * 32, (small, large)
+
+
+NESTED_CHILD = r"""
+import contextlib, io, json, os, resource, sys, tempfile
+from dirichlet_mc.cli import cli_main
+
+command, workers = sys.argv[1], sys.argv[2]
+peaks = []
+with tempfile.TemporaryDirectory() as tmp:
+    for n in (100_000, 4_000_000):
+        if command == "compare":
+            argv = ["compare", "--estimators", "shifted,plain_gamma,direct,centered",
+                    "--epsilons", "0.2,0.1", "--samples", f"1000,{n // 3},{n}"]
+        else:
+            argv = ["sweep-variance", "--epsilons", "0.1,0.05", "--samples", str(n)]
+        argv += ["--scenario", "lognormal", "--points", "0.5,1.0,2.0", "--seed", "1",
+                 "--workers", workers, "--out", os.path.join(tmp, "out.csv")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(argv) == 0, argv
+        peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
+print(json.dumps(peaks))
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", ["compare", "sweep-variance"])
+def test_one_pass_commands_peak_rss_does_not_grow_with_n(command, workers):
+    """compare (nested sizes up to N) and a Monte Carlo sweep-variance
+    reduce one stream with all their reducers at once, so going from
+    N = 10⁵ to 4·10⁶ lognormal samples grows peak RSS by less than 16
+    chunks of 32 B rows, as for a streamed density."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env.pop("DIRICHLET_MC_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", NESTED_CHILD, command, workers], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    small, large = json.loads(proc.stdout)
+    assert large - small < 16 * CHUNK_SIZE * 32, (small, large)

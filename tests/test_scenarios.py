@@ -144,7 +144,7 @@ class TestRegistry:
         moved = dataclasses.replace(sc, draw=shifted)
         want = sc.build(3000, 2, 1).x + 100.0
         assert np.array_equal(moved.build(3000, 2, 1).x, want)
-        streamed = np.concatenate([b.x for _, b in moved.stream(3000, 2, 1).blocks()])
+        streamed = np.concatenate([cols[0] for cols in moved.stream(3000, 2, 1).chunks()])
         assert np.array_equal(streamed, want)
 
     def test_replaced_build_is_kept(self):

@@ -306,3 +306,30 @@ class TestCompare:
     def test_scenario_without_reference_rejected(self):
         with pytest.raises(ValueError, match="exact density"):
             compare_estimators("poisson_mc_unit", ["direct"], [2000], [0.1])
+
+
+class TestFractionalSampleCounts:
+    """The library rejects a fractional sample count, naming it, as the CLI
+    does, instead of truncating it; an integral float is its integer."""
+
+    def test_sweep_config(self):
+        with pytest.raises(ValueError, match="2000.7"):
+            SweepConfig("lognormal", "shifted", (0.1, 0.05), sample_size=2000.7)
+        cfg = SweepConfig("lognormal", "shifted", (0.1, 0.05), sample_size=2000.0)
+        assert cfg.sample_size == 2000 and isinstance(cfg.sample_size, int)
+
+    def test_compare(self):
+        with pytest.raises(ValueError, match="2000.7"):
+            compare_estimators("lognormal", ["direct"], [2000.7], [], [1.0])
+        whole = compare_estimators("lognormal", ["direct"], [2000.0], [], [1.0])
+        assert whole == compare_estimators("lognormal", ["direct"], [2000], [], [1.0])
+
+    def test_identity_suite(self):
+        with pytest.raises(ValueError, match="2000.7"):
+            run_identity_suite("gaussian", 2000.7, 1)
+        assert run_identity_suite("gaussian", 2000.0, 1) == run_identity_suite("gaussian", 2000, 1)
+
+    @pytest.mark.parametrize("bad", [0, -5, math.nan, math.inf, "2000", None])
+    def test_other_non_counts(self, bad):
+        with pytest.raises(ValueError, match="sample counts"):
+            compare_estimators("lognormal", ["direct"], [bad], [], [1.0])

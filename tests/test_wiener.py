@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from dirichlet_mc.streams import chunk_rng
+from dirichlet_mc.streams import CHUNK_SIZE, chunk_rng, sample_chunked
 from dirichlet_mc.wiener import (
     SdeCoefficients,
     additive_coefficients,
@@ -190,6 +191,38 @@ class TestBitwiseReference:
             assert np.array_equal(np.signbit(u), np.signbit(v)), name
         if make is _exploding and n_paths > 1:
             assert 0 < got[3].sum() < n_paths  # both finite and overflowed paths
+
+
+class TestScratchReuse:
+    """The recursion keeps its scratch per thread from call to call; the
+    arrays a call returns stay its own, and chunks drawn concurrently on
+    more threads than cores are the same bits as on one."""
+
+    def test_returned_arrays_outlive_later_calls(self):
+        c = gbm_coefficients()
+        first = simulate_triple_batch(1.0, 1.0, 16, c, 1000, chunk_rng(5, 0))
+        kept = [v.copy() for v in first]
+        for n_paths in (1000, 4000, 10):
+            simulate_triple_batch(1.0, 1.0, 16, c, n_paths, chunk_rng(6, n_paths))
+        assert all(np.array_equal(u, v) for u, v in zip(first, kept))
+        again = simulate_triple_batch(1.0, 1.0, 16, c, 1000, chunk_rng(5, 0))
+        assert all(np.array_equal(u, v) for u, v in zip(again, kept))
+
+    def test_chunks_on_more_threads_than_cores(self):
+        c = gbm_coefficients()
+
+        def draw(rng, k):
+            return simulate_triple_batch(1.0, 1.0, 16, c, k, rng)[:3]
+
+        n = 9 * CHUNK_SIZE + 5
+        want = sample_chunked(n, 3, draw, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sample_chunked(n, 3, draw, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(u, v) for u, v in zip(got, want))
 
 
 class TestJetOracleCommutation:
