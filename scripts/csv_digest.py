@@ -10,7 +10,9 @@ Monte Carlo `sweep-bias`/`sweep-variance` runs (N = 50 001 among them), the quad
 of the `oracles` benchmark workload down to its smallest ε, and the
 command layer's input rules (a `1e4` sample count against `10000`, a
 fractional count, an empty `--points` list and the option spellings no
-command reads).  Each command
+command reads), a non-finite `--corrupt-a`, a Monte Carlo bias sweep on a
+scenario without an exact density, and quadrature sweeps at ε around and
+below what the grid resolves.  Each command
 runs in-process at `--workers 1` and `--workers 2`; a line reads
 
     <sha256 of the CSV, or "-" when none was written>  <exit code>  w<workers>  <tag>
@@ -56,7 +58,7 @@ ESTIMATOR_NAMES = (
 )
 KERNEL_NAMES = ESTIMATOR_NAMES[:3]
 
-# the criterion-10 commands (tests/test_acceptance.py)
+# the criterion-10 commands; tests/test_acceptance.py runs this list too
 CRITERION_10 = {
     "c3_gaussian": ["density", "--scenario", "gaussian", "--estimator", "direct",
                     "--points=-1,0,1", "--samples", "100000", "--seed", "31"],
@@ -177,6 +179,23 @@ def commands() -> dict[str, list[str]]:
     cmds["compare_strict"] = ["compare", "--estimators", "direct", "--strict", "--samples", "2000"]
     cmds["density_epsilon_alias"] = [
         "density", "--estimator", "regularized", "--epsilon", "0.1", "--samples", "2000"]
+    # a non-finite negative control exits 2 instead of passing on NaN z-scores
+    for value in ("nan", "inf"):
+        cmds[f"identities_corrupt_a_{value}"] = [
+            "check-identities", "--scenario", "gaussian", "--samples", "1000",
+            "--corrupt-a", value, "--strict"]
+    # a Monte Carlo bias sweep without an exact density exits 2 before drawing
+    cmds["sweep_bias_gbm_euler_monte_carlo"] = [
+        "sweep-bias", "--scenario", "gbm_euler", "--estimator", "shifted",
+        "--samples", "400000"]
+    # kernels narrower than the quadrature grid's node spacing: exit 2, where
+    # the smallest resolved ε still runs
+    cmds["sweep_bias_unresolved_quadrature"] = [
+        "sweep-bias", "--scenario", "lognormal", "--estimator", "shifted", "--points", "1.0",
+        "--epsilons", "1e-12,5e-13"]
+    for eps in ("1e-7,5e-8", "1e-8,5e-9", "1e-10,5e-11"):
+        cmds[f"sweep_variance_tiny_eps_{eps.split(',')[0]}_quadrature"] = [
+            "sweep-variance", "--scenario", "lognormal", "--points", "1.0", "--epsilons", eps]
     return cmds
 
 

@@ -297,7 +297,7 @@ def _cmd_check_identities(args) -> int:
     ]
     _write_csv(args.out, ("scenario", "check", "n", "statistic", "threshold", "passed"), rows)
     verdict = "pass" if rep.passed else "FAIL"
-    worst = max(abs(z) for z in rep.z_scores.values())
+    worst = float(np.max(np.abs(list(rep.z_scores.values()))))  # NaN if any z is
     print(f"identity suite {sc.name}: {verdict} (worst |z| = {worst:.2f}, n = {n})")
     return EXIT_THRESHOLD if args.strict and not rep.passed else EXIT_OK
 

@@ -7,11 +7,12 @@ uniform law and the error structure of weight
 
 The weight vanishes at both endpoints, which is what closes the structure
 on [0,1].  The triangular scenario is built on two such coordinates and
-the Poisson functionals lift the structure to the point process; both
+the Poisson scenario lifts the structure to the point process; both
 read it from here.  The functions accept scalars or numpy arrays.
 
 fd_mismatch probes a stated derivative against a central difference; the
-SDE coefficients and the Poisson point functions run it at construction.
+SDE coefficients of wiener run it at construction, and so does the test
+suite's general Poisson lift for its point functions h', h''.
 """
 from __future__ import annotations
 

@@ -275,12 +275,15 @@ def _mean_se(m: Moments):
 
 
 def _z(m: Moments) -> float:
-    """Mean over its standard error, 0 when that error is 0 or undefined
-    (fewer than two values)."""
-    if m.n < 2:
-        return 0.0
-    mean, se = _mean_se(m)
-    return float(mean / se) if se > 0 else 0.0
+    """Mean over its standard error.  NaN, which fails every threshold, when
+    either is not finite (fewer than two values give an infinite error);
+    ±inf when the error is 0 but the mean is not; 0 when both are 0."""
+    mean, se = (float(v) for v in _mean_se(m))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        return math.nan
+    if se > 0:
+        return mean / se
+    return math.copysign(math.inf, mean) if mean != 0 else 0.0
 
 
 # -- one pass, many reducers -------------------------------------------------

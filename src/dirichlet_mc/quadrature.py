@@ -105,6 +105,10 @@ def normal_pdf(y: np.ndarray, var: float = 1.0) -> np.ndarray:
     return np.exp(-0.5 * y * y / var) / math.sqrt(2.0 * math.pi * var)
 
 
+class UnresolvedKernelError(ValueError):
+    """The kernel is narrower than the quadrature grid can resolve."""
+
+
 def kernel_moment_integral(
     x: float,
     epsilon: float,
@@ -124,12 +128,20 @@ def kernel_moment_integral(
     γ, a, g and the density, each with the bits of its single-power call.
 
     The kernel width is O(√ε), so the panel count scales with 1/√ε to keep
-    several panels per bandwidth regardless of ε.
+    several panels per bandwidth, up to 4096 panels.  A kernel width
+    √(εγ(x)) (√ε with identity_cov) below the mean node spacing falls
+    between the nodes, so it is an UnresolvedKernelError, not a result.
     """
     lo, hi = support
     lo = max(lo, x - 60.0 * math.sqrt(max(epsilon, 1e-12)) - 10.0)
     hi = min(hi, x + 60.0 * math.sqrt(max(epsilon, 1e-12)) + 10.0)
     panels = int(min(4096, max(256, 8.0 * (hi - lo) / math.sqrt(epsilon))))
+    spacing = (hi - lo) / (panels * order)
+    width = math.sqrt(epsilon * (1.0 if identity_cov else float(gamma_fn(np.array([x]))[0])))
+    if not width >= spacing:
+        raise UnresolvedKernelError(
+            f"the kernel width {width:.3e} at epsilon={epsilon:g}, x={x:g} is below the "
+            f"quadrature node spacing {spacing:.3e}, so the integral cannot resolve it")
     powers = power if isinstance(power, tuple) else (power,)
 
     def integrand(y: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .coords import unit_a, unit_gamma
 from .estimators import QuadBatch, SampleStream, TripleBatch
-from .poisson import poisson_mc_unit, sample_poisson_arrays
+from .poisson import LAMBDA as _POISSON_LAMBDA, sample_poisson_arrays
 from .quadrature import law_integral, normal_pdf, quadrature_expectation  # noqa: F401  (perfbench wraps it here)
 from .streams import iter_chunks, sample_chunked
 from .wiener import (
@@ -143,16 +143,8 @@ def _euler_draw(coeffs):
     return draw
 
 
-_POISSON_LAMBDA = 3.0
-
-
-@lru_cache(maxsize=1)
-def _poisson_spec():
-    return poisson_mc_unit(_POISSON_LAMBDA)
-
-
 def _draw_poisson(rng, k):
-    x, g, a, q, _ = sample_poisson_arrays(_poisson_spec(), rng, k)
+    x, g, a, q, _ = sample_poisson_arrays(rng, k)
     return x, g, a, q
 
 

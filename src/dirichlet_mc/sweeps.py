@@ -27,7 +27,7 @@ from .estimators import (
     run_pass,
     shifted_kernel_variance,
 )
-from .quadrature import kernel_moment_integral
+from .quadrature import UnresolvedKernelError, kernel_moment_integral
 from .scenarios import Scenario, corrupt_quad_batch, get_scenario
 
 IDENTITY_Z_THRESHOLD = 4.0
@@ -35,20 +35,19 @@ IDENTITY_Z_THRESHOLD = 4.0
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One record of a sweep: blank reference means none is known."""
+    """One record of a sweep, against the exact reference every sweep needs."""
 
     epsilon: float
     n: int
     x: float
     estimate: float
-    reference: Optional[float]
-    abs_error: Optional[float]
+    reference: float
+    abs_error: float
     std_error: float
 
     @staticmethod
     def make(epsilon, n, x, estimate, reference, std_error) -> "SweepRow":
-        err = abs(estimate - reference) if reference is not None else None
-        return SweepRow(epsilon, n, x, estimate, reference, err, std_error)
+        return SweepRow(epsilon, n, x, estimate, reference, abs(estimate - reference), std_error)
 
 
 @dataclass(frozen=True)
@@ -140,23 +139,27 @@ def run_bias_sweep(cfg: SweepConfig) -> BiasSweepResult:
         )
     shift, identity_cov = kernel
     sc = get_scenario(cfg.scenario)
-    points = cfg.query_points or sc.default_points
-    refs = [None if sc.exact_density is None else float(sc.exact_density(np.array([x]))[0])
-            for x in points]
-    rows, notices, tol_by_eps = [], [], {}  # tol_by_eps: quadrature tolerance per ε
     if cfg.sample_size == "quadrature":
         _require_reduced(sc, "quadrature bias sweep")
+    elif sc.exact_density is None:
+        raise ValueError(f"scenario {sc.name!r} has no exact density to measure the bias against")
+    points = cfg.query_points or sc.default_points
+    refs = [float(sc.exact_density(np.array([x]))[0]) for x in points]
+    rows, notices, tol_by_eps = [], [], {}  # tol_by_eps: quadrature tolerance per ε
+    if cfg.sample_size == "quadrature":
         for eps in cfg.epsilons:
-            tols = []
-            for x, ref in zip(points, refs):
-                # the default 16-point rule and a coarser one bound the quadrature error
-                est, coarse = (kernel_moment_integral(
+            try:  # the default 16-point rule and a coarser one bound the quadrature error
+                ests = [[kernel_moment_integral(
                     x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support,
                     shift=shift, identity_cov=identity_cov, power=1, order=order,
-                ) for order in (16, 10))
-                tols.append(max(abs(est - coarse), 1e-14 * max(1.0, abs(est))))
-                rows.append(SweepRow.make(eps, 0, x, est, ref, 0.0))
-            tol_by_eps[eps] = max(tols)
+                ) for order in (16, 10)] for x in points]
+            except UnresolvedKernelError as exc:
+                notices.append(f"epsilon={eps:g} dropped from the fit: {exc}")
+                continue
+            rows += [SweepRow.make(eps, 0, x, est, ref, 0.0)
+                     for x, ref, (est, _) in zip(points, refs, ests)]
+            tol_by_eps[eps] = max(max(abs(est - coarse), 1e-14 * max(1.0, abs(est)))
+                                  for est, coarse in ests)
     else:
         mc = _monte_carlo(sc, cfg, points, partial(run_estimator, cfg.estimator, reducer=True))
         for eps, ests in zip(cfg.epsilons, mc):
@@ -165,9 +168,9 @@ def run_bias_sweep(cfg: SweepConfig) -> BiasSweepResult:
 
     fit_pts = []
     for eps in cfg.epsilons:
-        biases = [r.abs_error for r in rows if r.epsilon == eps and r.abs_error is not None]
+        biases = [r.abs_error for r in rows if r.epsilon == eps]
         if not biases:
-            continue
+            continue  # unresolved, noticed above
         bias = float(np.mean(biases))
         tol = tol_by_eps.get(eps, 0.0)
         if tol > 0.0 and bias < 10.0 * tol:
@@ -177,7 +180,8 @@ def run_bias_sweep(cfg: SweepConfig) -> BiasSweepResult:
         fit_pts.append((eps, bias))
     fit_pts = fit_pts[-4:]
     if len(fit_pts) < 2:
-        raise ValueError("fewer than two resolvable epsilons; cannot fit a slope")
+        raise ValueError("; ".join(["fewer than two resolvable epsilons; cannot fit a slope",
+                                    *notices]))
     slope = fit_loglog_slope(fit_pts)
     return BiasSweepResult(tuple(rows), slope, tuple(fit_pts), tuple(notices))
 
@@ -264,13 +268,15 @@ def run_identity_suite(
 ) -> IdentityReport:
     """The identity z-scores (see identity_z_scores) of a fresh batch.
 
-    corrupt_a shifts every A by a constant; any nonzero shift must blow the
-    generator-centering z-scores up, which is the negative control proving
-    the suite has power.
+    corrupt_a shifts every A by a finite constant; any nonzero shift must
+    blow the generator-centering z-scores up, which is the negative control
+    proving the suite has power.
     """
     sc = get_scenario(scenario)
     if sc.kind != "quad":
         raise ValueError(f"scenario {scenario!r} does not provide quad batches")
+    if not math.isfinite(corrupt_a):
+        raise ValueError(f"corrupt_a must be finite, got {corrupt_a!r}")
     b = sc.build(sample_count(n), seed, workers)
     if corrupt_a != 0.0:
         b = corrupt_quad_batch(b, corrupt_a)

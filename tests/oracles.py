@@ -9,11 +9,15 @@ genuine two-route check.
 The scalar estimator references (one Gaussian kernel at a time through
 np.linalg, one full pass over the samples per sign-formula query, the 1-d
 kernel values one query at a time) are what the vectorised estimators
-are checked against.  The Poisson identity check recomputes each
-configuration by exact per-point sums.  The expression-form Euler batch is the
-reference the in-place Euler recursion must match bit for bit; the
-identity z-scores and the stacked triangular builder below are the
-references for the identity suite and the column-wise builder.
+are checked against.  PoissonFunctionalSpec, sample_poisson_lift and
+poisson_mc_unit are the general lift X = N(h) (any intensity, any h with
+two stated derivatives, any base structure) that the package's
+closed-form Poisson draw is pinned to; the Poisson identity check
+recomputes each configuration of the lift by exact per-point sums.  The
+expression-form Euler batch is the reference the in-place Euler
+recursion must match bit for bit; the identity z-scores and the stacked
+triangular builder below are the references for the identity suite and
+the column-wise builder.
 
 simulate_triple is not a reference but the side under test of the
 commutation checks: it draws one path's increments and runs them through
@@ -31,6 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from dirichlet_mc.coords import fd_mismatch, unit_a, unit_gamma, unit_gamma_prime
 from dirichlet_mc.estimators import (
     DEGENERATE_DET,
     DensityEstimate,
@@ -40,12 +45,6 @@ from dirichlet_mc.estimators import (
     conditional_weights,
     direct_weights,
     regularized_weights,
-)
-from dirichlet_mc.poisson import (
-    PointFn,
-    PoissonFunctionalSpec,
-    poisson_mc_unit,
-    sample_poisson_arrays,
 )
 from dirichlet_mc.streams import CHUNK_SIZE, sample_chunked
 from dirichlet_mc.wiener import (
@@ -334,6 +333,99 @@ COEFFICIENT_SETS: dict[str, Callable[[], SdeCoefficients]] = {
 }
 
 
+# -- the general Poisson lift X = N(h) ----------------------------------------
+
+PointFn = Callable[[np.ndarray], np.ndarray]
+
+# Points at which h1 and h2 are probed against differences of h.
+_PROBE_POINTS = np.array([0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95])
+
+
+@dataclass(frozen=True)
+class PoissonFunctionalSpec:
+    """Intensity, point function h with two derivatives, and base structure.
+
+    total_mass is μ of the whole interval; point_sampler draws from the
+    normalised law μ/total_mass.  h1 and h2 are probed against finite
+    differences of h at construction.
+    """
+
+    total_mass: float
+    point_sampler: Callable[[np.random.Generator, int], np.ndarray]
+    h: PointFn
+    h1: PointFn
+    h2: PointFn
+    base_gamma: PointFn
+    base_gamma_prime: PointFn
+    base_a: PointFn
+
+    def __post_init__(self):
+        if not (self.total_mass > 0 and math.isfinite(self.total_mass)):
+            raise ValueError("total_mass must be positive and finite")
+        for order, dh, nm in ((1, self.h1, "h1"), (2, self.h2, "h2")):
+            for p in _PROBE_POINTS:
+                if fd_mismatch(self.h, dh, order, p) is not None:
+                    raise ValueError(f"{nm} disagrees with finite differences of h at p={p:g}")
+
+    # per-point integrands of the lifted Γ and A
+    def gamma_h(self, p: np.ndarray) -> np.ndarray:
+        return self.base_gamma(p) * self.h1(p) ** 2
+
+    def a_h(self, p: np.ndarray) -> np.ndarray:
+        return 0.5 * self.base_gamma(p) * self.h2(p) + self.base_a(p) * self.h1(p)
+
+    def gamma_h_prime(self, p: np.ndarray) -> np.ndarray:
+        """(γ[h])' = γ' h'² + 2 γ h' h''."""
+        return (
+            self.base_gamma_prime(p) * self.h1(p) ** 2
+            + 2.0 * self.base_gamma(p) * self.h1(p) * self.h2(p)
+        )
+
+    def gamma_x_gammax_term(self, p: np.ndarray) -> np.ndarray:
+        """Per-point term of Γ[X, Γ[X]]: γ(p) h'(p) (γ[h])'(p)."""
+        return self.base_gamma(p) * self.h1(p) * self.gamma_h_prime(p)
+
+
+def sample_poisson_lift(spec: PoissonFunctionalSpec, rng: np.random.Generator, n: int):
+    """n draws at once of X = N(h) under spec: (x, gamma, a, gamma_x_gammax,
+    k) arrays, with the counts drawn first, then one flat batch of points
+    cut into configurations by segment sums, as the package's draw does."""
+    ks = rng.poisson(spec.total_mass, size=n).astype(np.int64)
+    total = int(ks.sum())
+    pts = np.asarray(spec.point_sampler(rng, total), dtype=float)
+    offsets = np.zeros(n, dtype=np.int64)
+    np.cumsum(ks[:-1], out=offsets[1:])
+    nonempty = np.flatnonzero(ks > 0)
+
+    def seg_sum(vals: np.ndarray) -> np.ndarray:
+        out = np.zeros(n)
+        if nonempty.size:
+            out[nonempty] = np.add.reduceat(vals, offsets[nonempty])
+        return out
+
+    x = seg_sum(spec.h(pts))
+    g = seg_sum(spec.gamma_h(pts))
+    a = seg_sum(spec.a_h(pts))
+    q = seg_sum(spec.gamma_x_gammax_term(pts))
+    return x, g, a, q, ks
+
+
+def poisson_mc_unit(lam: float) -> PoissonFunctionalSpec:
+    """X = N(identity) for the uniform intensity λ·dp on [0,1] over the
+    unit-interval structure of coords: the package's Poisson scenario at
+    λ = poisson.LAMBDA."""
+    return PoissonFunctionalSpec(
+        total_mass=float(lam),
+        point_sampler=lambda rng, k: rng.uniform(0.0, 1.0, size=k),
+        h=lambda p: np.asarray(p, dtype=float),
+        h1=lambda p: np.ones_like(np.asarray(p, dtype=float)),
+        h2=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
+        base_gamma=unit_gamma,
+        base_gamma_prime=unit_gamma_prime,
+        base_a=unit_a,
+    )
+
+
 def sample_poisson_quad(spec: PoissonFunctionalSpec, rng: np.random.Generator) -> ErrorQuad:
     """One draw of (X, Γ[X], A[X], Γ[X, Γ[X]]) for X = N(h).
 
@@ -450,9 +542,9 @@ def poisson_identity_check(
     if n < 1:
         raise ValueError("need n >= 1 samples")
     # the counts and points, replayed from a generator with the same key and
-    # counter: the order in which sample_poisson_arrays draws them
+    # counter: the order in which sample_poisson_lift draws them
     replay = copy.deepcopy(rng)
-    x, g, a, _, _ = sample_poisson_arrays(spec, rng, n)
+    x, g, a, _, _ = sample_poisson_lift(spec, rng, n)
     ks = replay.poisson(spec.total_mass, size=n)
     pts = np.asarray(spec.point_sampler(replay, int(ks.sum())), dtype=float)
     offsets = np.cumsum(ks) - ks

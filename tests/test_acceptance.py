@@ -8,8 +8,10 @@ deterministic gap at ε = 0.01 on the triangular scenario is ~0.25
 which no Monte Carlo standard error at N = 10^5 can absorb.  See
 test_criterion_8_convergence for the measured numbers.
 """
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,30 +241,18 @@ def test_criterion_9_conditional_expectation():
     assert bitwise
 
 
-# criterion 10: byte-identical CSV across repeated runs and worker counts
-_DETERMINISM_COMMANDS = {
-    "c3_gaussian": ["density", "--scenario", "gaussian", "--estimator", "direct",
-                    "--points=-1,0,1", "--samples", "100000", "--seed", "31"],
-    "c3_lognormal": ["density", "--scenario", "lognormal", "--estimator", "direct",
-                     "--points", "0.5,1,2", "--samples", "100000", "--seed", "32"],
-    "c4_n3": ["density", "--scenario", "gaussian", "--estimator", "direct",
-              "--points", "0", "--samples", "1000", "--seed", "41"],
-    "c4_n5": ["density", "--scenario", "gaussian", "--estimator", "direct",
-              "--points", "0", "--samples", "100000", "--seed", "43"],
-    "c5_sweep": ["sweep-bias", "--scenario", "lognormal", "--estimator", "shifted",
-                 "--points", "1.0", "--samples", "quadrature"],
-    "c6_sweep": ["sweep-variance", "--scenario", "lognormal", "--points", "1.0",
-                 "--samples", "quadrature"],
-    "c7_identities_gaussian": ["check-identities", "--scenario", "gaussian",
-                               "--samples", "100000", "--seed", "71"],
-    "c7_identities_poisson": ["check-identities", "--scenario", "poisson_mc_unit",
-                              "--samples", "100000", "--seed", "72"],
-    "c8_regularized": ["density", "--scenario", "triangular", "--estimator", "regularized",
-                       "--epsilons", "0.01", "--points", "1.0", "--samples", "100000",
-                       "--seed", "81"],
-    "c9_conditional": ["density", "--scenario", "gaussian_pair", "--estimator", "conditional",
-                       "--points", "0", "--samples", "100000", "--seed", "91"],
-}
+# criterion 10: byte-identical CSV across repeated runs and worker counts.
+# The command list is defined once, in scripts/csv_digest.py, which also
+# pins these commands' CSV from one tree to the next.
+def _criterion_10_commands() -> dict[str, list[str]]:
+    path = Path(__file__).resolve().parents[1] / "scripts" / "csv_digest.py"
+    spec = importlib.util.spec_from_file_location("csv_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CRITERION_10
+
+
+_DETERMINISM_COMMANDS = _criterion_10_commands()
 
 
 def test_criterion_10_determinism(tmp_path):

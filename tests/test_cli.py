@@ -21,7 +21,7 @@ from dirichlet_mc.cli import (
     cli_main,
 )
 from dirichlet_mc.estimators import ESTIMATORS, centered_direct_density, run_estimator
-from dirichlet_mc.scenarios import SCENARIOS, get_scenario
+from dirichlet_mc.scenarios import SCENARIOS, Scenario, get_scenario
 
 
 def _read(path):
@@ -200,6 +200,32 @@ class TestSweepCommands:
         assert rc == EXIT_VALIDATION
         assert "cannot drive" in capsys.readouterr().err
 
+    def test_monte_carlo_bias_sweep_without_density_exits_2_before_drawing(
+        self, monkeypatch, capsys
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(Scenario, "stream", no_draw)
+        rc = cli_main(["sweep-bias", "--scenario", "gbm_euler", "--estimator", "shifted",
+                       "--samples", "400000"])
+        assert rc == EXIT_VALIDATION
+        assert "no exact density" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,eps,named", [
+        ("sweep-bias", "1e-12,5e-13", "epsilon=1e-12, x=1"),
+        ("sweep-variance", "1e-8,5e-9", "epsilon=1e-08, x=1"),
+        ("sweep-variance", "1e-10,5e-11", "epsilon=1e-10, x=1"),
+    ])
+    def test_kernel_below_node_spacing_exits_2(self, command, eps, named, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = cli_main([command, "--scenario", "lognormal", "--points", "1.0",
+                       "--epsilons", eps, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "node spacing" in err and named in err
+        assert not out.exists()
+
 
 class TestIdentityCommand:
     def test_pass_and_csv(self, tmp_path):
@@ -219,6 +245,23 @@ class TestIdentityCommand:
             "--seed", "3", "--corrupt-a", "0.1", "--strict",
         ])
         assert rc == EXIT_THRESHOLD
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_negative_control_exits_2(self, value, tmp_path, capsys):
+        # a NaN or infinite shift leaves no finite statistic to test
+        out = tmp_path / "i.csv"
+        rc = cli_main(["check-identities", "--scenario", "gaussian", "--samples", "1000",
+                       f"--corrupt-a={value}", "--strict", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "corrupt_a must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_negative_control_from_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("corrupt_a = nan\n")
+        rc = cli_main(["check-identities", "--scenario", "gaussian", "--samples", "1000",
+                       "--config", str(cfg), "--strict", "--out", str(tmp_path / "i.csv")])
+        assert rc == EXIT_VALIDATION
 
 
 class TestCompareCommand:

@@ -82,7 +82,7 @@ class TestCoordinateSpecs:
 
 class TestUnitStructure:
     def test_package_formulas_equal_the_oracle_bit_for_bit(self):
-        # the triangular draw and the Poisson lift read coords; the oracle
+        # the triangular and Poisson draws read coords; the oracle
         # states the same structure on its own
         u = np.concatenate([np.linspace(0.0, 1.0, 1025), chunk_rng(9, 0).uniform(size=4096)])
         ref = mc_unit()

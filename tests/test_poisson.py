@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_mc.poisson import (
-    PoissonFunctionalSpec,
-    poisson_mc_unit,
-    sample_poisson_arrays,
-)
+from dirichlet_mc.poisson import LAMBDA, sample_poisson_arrays
 from dirichlet_mc.quadrature import law_integral
 from dirichlet_mc.streams import chunk_rng
 
 from calculus import mc_unit
-from oracles import poisson_identity_check, poisson_point_spec, sample_poisson_quad
+from oracles import (
+    PoissonFunctionalSpec,
+    poisson_identity_check,
+    poisson_mc_unit,
+    poisson_point_spec,
+    sample_poisson_lift,
+    sample_poisson_quad,
+)
 
 
 class TestSpecValidation:
@@ -82,9 +85,8 @@ class TestSampling:
                 found += 1
 
     def test_count_moments(self):
-        lam = 3.0
-        spec = poisson_mc_unit(lam)
-        _, _, _, _, ks = sample_poisson_arrays(spec, chunk_rng(3, 0), 100_000)
+        lam = LAMBDA
+        _, _, _, _, ks = sample_poisson_arrays(chunk_rng(3, 0), 100_000)
         n = ks.size
         se_mean = math.sqrt(lam / n)
         assert abs(ks.mean() - lam) < 4 * se_mean
@@ -95,7 +97,7 @@ class TestSampling:
     def test_campbell_formula_against_quadrature(self):
         lam = 3.0
         spec = poisson_point_spec(lam, "polynomial")
-        x, _, _, _, _ = sample_poisson_arrays(spec, chunk_rng(4, 0), 100_000)
+        x, _, _, _, _ = sample_poisson_lift(spec, chunk_rng(4, 0), 100_000)
         ref = lam * law_integral(spec.h, 0.0, 1.0, panels=64, order=12)
         se = x.std(ddof=1) / math.sqrt(x.size)
         assert abs(x.mean() - ref) < 4 * se
@@ -113,11 +115,26 @@ class TestSampling:
             base_gamma_prime=base.base_gamma_prime,
             base_a=base.base_a,
         )
-        x1, g1, a1, _, _ = sample_poisson_arrays(base, chunk_rng(6, 0), 5000)
-        x2, g2, a2, _, _ = sample_poisson_arrays(scaled, chunk_rng(6, 0), 5000)
+        x1, g1, a1, _, _ = sample_poisson_lift(base, chunk_rng(6, 0), 5000)
+        x2, g2, a2, _, _ = sample_poisson_lift(scaled, chunk_rng(6, 0), 5000)
         assert np.allclose(x2, c * x1, rtol=1e-13, atol=1e-13)
         assert np.allclose(a2, c * a1, rtol=1e-13, atol=1e-13)
         assert np.allclose(g2, c * c * g1, rtol=1e-13, atol=1e-13)
+
+
+class TestClosedFormDraw:
+    """The package's draw is the lift at h = identity, λ = LAMBDA, bit for
+    bit: h' = 1 and h'' = 0 enter the lift only as ×1.0 and +0.0."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("n", [1, 1000, 50_001])
+    def test_bitwise_equal_to_lift(self, seed, n):
+        got = sample_poisson_arrays(chunk_rng(seed, 0), n)
+        want = sample_poisson_lift(poisson_mc_unit(LAMBDA), chunk_rng(seed, 0), n)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape == (n,)
+            # equal bit patterns: equal values and equal sign bits, -0.0 included
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 class TestIdentityCheck:

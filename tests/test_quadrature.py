@@ -5,6 +5,7 @@ import pytest
 
 from dirichlet_mc import quadrature
 from dirichlet_mc.quadrature import (
+    UnresolvedKernelError,
     _legendre,
     kernel_moment_integral,
     law_integral,
@@ -193,3 +194,27 @@ class TestKernelMomentPowers:
             refs = [fresh_rule_integral(lambda y: integrand(y, p), *grids[0]) for p in (1, 2)]
             assert [v.hex() for v in both] == [v.hex() for v in refs], (x, both, refs)
             grids.clear()
+
+
+class TestUnresolvedKernel:
+    """Past the panel cap, a kernel narrower than the mean node spacing is
+    an error, not a moment."""
+
+    @pytest.mark.parametrize("shift,identity_cov", KERNEL_VARIANTS)
+    def test_width_below_node_spacing_raises(self, shift, identity_cov):
+        sc = get_scenario("lognormal")
+        args = (sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support)
+        kw = dict(shift=shift, identity_cov=identity_cov, power=(1, 2))
+        # x = 1: γ = 1, width √ε; the grid is 4096 panels over [0, ~11]
+        kernel_moment_integral(1.0, 1e-7, *args, **kw)
+        with pytest.raises(UnresolvedKernelError, match="epsilon=1e-10, x=1"):
+            kernel_moment_integral(1.0, 1e-10, *args, **kw)
+        # a coarser rule has wider node spacing
+        with pytest.raises(UnresolvedKernelError):
+            kernel_moment_integral(1.0, 1e-7, *args, **kw, order=4)
+
+    def test_degenerate_gamma_at_the_point_raises(self):
+        sc = get_scenario("lognormal")
+        with pytest.raises(UnresolvedKernelError, match="kernel width 0.000e"):
+            kernel_moment_integral(0.0, 0.1, sc.exact_density, sc.gamma_of_x, sc.a_of_x,
+                                   sc.support)

@@ -7,7 +7,7 @@ import pytest
 from dirichlet_mc import sweeps
 from dirichlet_mc.estimators import QuadBatch, shifted_kernel_variance
 from dirichlet_mc.quadrature import kernel_moment_integral
-from dirichlet_mc.scenarios import corrupt_quad_batch, get_scenario
+from dirichlet_mc.scenarios import Scenario, corrupt_quad_batch, get_scenario
 from dirichlet_mc.sweeps import (
     IDENTITY_Z_THRESHOLD,
     SweepConfig,
@@ -108,6 +108,27 @@ class TestBiasSweep:
         res = run_bias_sweep(cfg)
         assert all(r.n > 0 and r.std_error > 0 for r in res.rows)
 
+    def test_monte_carlo_without_exact_density_rejected_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(Scenario, "stream", no_draw)
+        cfg = SweepConfig("gbm_euler", "shifted", (0.2, 0.1), 400_000, (1.0,))
+        with pytest.raises(ValueError, match="no exact density"):
+            run_bias_sweep(cfg)
+
+    def test_kernel_below_node_spacing_dropped_with_notice(self):
+        # at ε = 1e-12 both rules agree on about 0, a bias of f(1) itself
+        cfg = SweepConfig(
+            "lognormal", "shifted", (0.2, 0.1, 0.05, 1e-12), "quadrature", (1.0,)
+        )
+        res = run_bias_sweep(cfg)
+        assert len(res.notices) == 1 and "node spacing" in res.notices[0]
+        assert res.notices[0].startswith("epsilon=1e-12 dropped from the fit")
+        assert [p[0] for p in res.fit_points] == [0.2, 0.1, 0.05]
+        assert all(r.epsilon != 1e-12 for r in res.rows)
+        assert 1.7 <= res.slope <= 2.3
+
 
 class TestVarianceSweep:
     def test_lognormal_scaling_and_constant(self):
@@ -198,6 +219,17 @@ class TestVarianceSweep:
             run_variance_sweep(cfg)
 
 
+    def test_kernel_below_node_spacing_rejected(self):
+        cfg = SweepConfig("lognormal", "shifted", (1e-8, 5e-9), "quadrature", (1.0,))
+        with pytest.raises(ValueError, match="epsilon=1e-08, x=1 is below the quadrature node"):
+            run_variance_sweep(cfg)
+
+    def test_smallest_resolved_epsilon_keeps_its_constant(self):
+        cfg = SweepConfig("lognormal", "shifted", (1e-6, 1e-7), "quadrature", (1.0,))
+        res = run_variance_sweep(cfg)
+        assert abs(res.constant - res.constant_reference) <= 1e-3 * res.constant_reference
+
+
 class TestIdentitySuite:
     @pytest.mark.parametrize(
         "name", ["gaussian", "lognormal", "triangular", "gaussian_pair", "poisson_mc_unit"]
@@ -214,6 +246,29 @@ class TestIdentitySuite:
     def test_triple_scenario_rejected(self):
         with pytest.raises(ValueError, match="quad"):
             run_identity_suite("gbm_euler", 1000, seed=0)
+
+    @pytest.mark.parametrize("corrupt_a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_corrupt_a_rejected(self, corrupt_a):
+        with pytest.raises(ValueError, match="corrupt_a must be finite"):
+            run_identity_suite("gaussian", 1000, seed=0, corrupt_a=corrupt_a)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_a_fails_instead_of_passing(self):
+        # one infinite A leaves no finite mean or error: the z-scores that
+        # read A are NaN, which fails the threshold rather than reading 0
+        b = get_scenario("gaussian").build(2000, 0, 1)
+        a = b.a.copy()
+        a[7] = math.inf
+        z = identity_z_scores(QuadBatch(b.x, b.gamma, a, b.gamma_x_gammax))
+        assert math.isnan(z["generator_x"]) and math.isnan(z["weight_centering"])
+        assert not sweeps.IdentityReport("gaussian", 2000, z).passed
+
+    @pytest.mark.parametrize("shift", [0.5, -0.5])
+    def test_constant_statistic_is_infinitely_far_from_zero(self, shift):
+        # generator_x is A itself: a constant nonzero A has error 0
+        b = get_scenario("gaussian").build(2000, 0, 1)
+        z = identity_z_scores(QuadBatch(b.x, b.gamma, np.full(2000, shift), b.gamma_x_gammax))
+        assert z["generator_x"] == math.copysign(math.inf, shift)
 
     def test_expected_checks_present(self):
         rep = run_identity_suite("gaussian", 2000, seed=0)
