@@ -24,10 +24,18 @@ rank-one row, one line each,
 
     <sha256 of the repr of the estimates>  -  lib  <tag>
 
-and the mass `check_mass()` integrates for each exact density, printed
+the mass `check_mass()` integrates for each exact density, printed
 as its repr,
 
     <repr of the mass>  -  lib  mass_<scenario>
+
+and the kernel-moment oracle's (m1, m2) at each query point, printed as
+the repr of one tuple per (scenario, kernel, ε), an error class name
+where the oracle rejects the point: on the gaussian closed-form grid of
+tests/test_quadrature.py, and at ε = 1e-6 on lognormal and gbm_exact, so
+that a change of the quadrature grid shows by name,
+
+    <repr of the moments>  -  lib  moments_<scenario>_<kernel>_eps<ε>
 
 Two trees produce the same outputs exactly when their outputs diff empty:
 
@@ -51,6 +59,7 @@ import numpy as np
 
 from dirichlet_mc.cli import cli_main
 from dirichlet_mc.estimators import TripleBatch, plain_kernel_density, shifted_kernel_density
+from dirichlet_mc.quadrature import kernel_moment_integral
 from dirichlet_mc.scenarios import SCENARIOS
 
 ESTIMATOR_NAMES = (
@@ -188,8 +197,8 @@ def commands() -> dict[str, list[str]]:
     cmds["sweep_bias_gbm_euler_monte_carlo"] = [
         "sweep-bias", "--scenario", "gbm_euler", "--estimator", "shifted",
         "--samples", "400000"]
-    # kernels narrower than the quadrature grid's node spacing: exit 2, where
-    # the smallest resolved ε still runs
+    # kernels below the quadrature node limit (1e12 float64 spacings at the
+    # kernel's centre): exit 2, where the smallest resolved ε still runs
     cmds["sweep_bias_unresolved_quadrature"] = [
         "sweep-bias", "--scenario", "lognormal", "--estimator", "shifted", "--points", "1.0",
         "--epsilons", "1e-12,5e-13"]
@@ -234,6 +243,32 @@ def mass_lines():
         yield repr(SCENARIOS[name].check_mass()), f"mass_{name}"
 
 
+# (shift, identity_cov) of each kernel
+MOMENT_KERNELS = {"shifted": (True, False), "plain_gamma": (False, False),
+                  "plain_id": (False, True)}
+GAUSSIAN_EPSILONS = (1e-6, 1e-4, 1e-2, 0.2, 10.0, 100.0, 1e3, 1e4)
+
+
+def moment_lines():
+    """(repr of (m1, m2) per query point, tag) per (scenario, kernel, ε)."""
+    cases = [("gaussian", est, eps, (0.0, 1.0, 3.0))
+             for est in ("shifted", "plain_gamma") for eps in GAUSSIAN_EPSILONS]
+    cases += [(name, est, 1e-6, SCENARIOS[name].default_points)
+              for name in ("lognormal", "gbm_exact") for est in MOMENT_KERNELS]
+    for name, est, eps, points in cases:
+        sc = SCENARIOS[name]
+        shift, identity_cov = MOMENT_KERNELS[est]
+        got = []
+        for x in points:
+            try:
+                got.append(kernel_moment_integral(
+                    x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support,
+                    shift=shift, identity_cov=identity_cov, power=(1, 2)))
+            except ValueError as exc:
+                got.append(type(exc).__name__)
+        yield repr(tuple(got)), f"moments_{name}_{est}_eps{eps:g}"
+
+
 def digest(argv: list[str], workdir: str) -> tuple[str, int]:
     out = os.path.join(workdir, "out.csv")
     if os.path.exists(out):
@@ -256,6 +291,8 @@ def main() -> int:
         print(f"{sha}  -  lib  {tag}", flush=True)
     for mass, tag in mass_lines():
         print(f"{mass}  -  lib  {tag}", flush=True)
+    for moments, tag in moment_lines():
+        print(f"{moments}  -  lib  {tag}", flush=True)
     return 0
 
 

@@ -232,18 +232,20 @@ class Moments:
 
 def _moments(vals: np.ndarray, fourth: bool = False) -> Moments:
     """Moments of the values along the last axis of vals, one set per row
-    of a 2-d array (two passes); overwrites vals."""
+    of a 2-d array (two passes); overwrites vals.  An infinite value gives
+    a NaN or infinite moment, without a warning."""
     n = vals.shape[-1]
     if n == 0:
         return Moments()
-    mean = vals.sum(axis=-1) / n
-    dev = np.subtract(vals, mean[..., None], out=vals)
-    if not fourth:
-        return Moments(n, mean, np.multiply(dev, dev, out=dev).sum(axis=-1))
-    sq = dev * dev
-    m2 = sq.sum(axis=-1)
-    m3 = np.multiply(sq, dev, out=dev).sum(axis=-1)
-    return Moments(n, mean, m2, m3, np.multiply(sq, sq, out=sq).sum(axis=-1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = vals.sum(axis=-1) / n
+        dev = np.subtract(vals, mean[..., None], out=vals)
+        if not fourth:
+            return Moments(n, mean, np.multiply(dev, dev, out=dev).sum(axis=-1))
+        sq = dev * dev
+        m2 = sq.sum(axis=-1)
+        m3 = np.multiply(sq, dev, out=dev).sum(axis=-1)
+        return Moments(n, mean, m2, m3, np.multiply(sq, sq, out=sq).sum(axis=-1))
 
 
 def _merge(a: Moments, b: Moments) -> Moments:

@@ -12,10 +12,11 @@ Two instruments:
   integration against a known density on an interval.  Kernel sweeps need
   integrands whose width shrinks like √ε, far below what a 128-point
   Hermite rule can resolve, so those expectations are computed in the
-  law of X directly with panel counts tied to the kernel bandwidth.
-  Each Gauss-Legendre rule is built once per order per process and
-  shared read-only; several kernel powers share one evaluation of the
-  grid, each still summed on its own.
+  law of X directly, on a grid graded towards the kernel: panels half a
+  kernel width wide around its centre, and a fixed 256 panels across the
+  window elsewhere.  Each Gauss-Legendre rule is built once per order per
+  process and shared read-only; several kernel powers share one
+  evaluation of the grid, each still summed on its own.
 """
 from __future__ import annotations
 
@@ -106,7 +107,43 @@ def normal_pdf(y: np.ndarray, var: float = 1.0) -> np.ndarray:
 
 
 class UnresolvedKernelError(ValueError):
-    """The kernel is narrower than the quadrature grid can resolve."""
+    """The quadrature grid cannot resolve a kernel moment: the kernel is
+    narrower than float64 nodes resolve, or the far field too coarse for
+    the density."""
+
+
+NEAR_WIDTHS = 40.0  # the near field spans the kernel's centre ± 40 kernel widths
+FAR_PANELS = 256  # far-field panels are (hi - lo) / 256 wide
+# The window's fixed 10-unit pad takes the densities to vary on unit scale;
+# a far field with fewer than four nodes per unit (ε above about 70 at
+# order 16 on an unbounded support) would not resolve them.
+MAX_FAR_SPACING = 0.25
+EDGE_PANELS = 8  # the panel at a finite end of the support is split in eight
+# Rounding a node y to float64 moves it by at most u/2, u the float64 spacing
+# there, and moves a moment of a Gaussian kernel of width w in y by at most
+# (u/2)·√(2p/π)/w relative, below u/w for powers p ≤ 6.  A moment is only
+# returned when u/w, with u taken at the near field's largest magnitude, is
+# at most RESOLUTION.
+RESOLUTION = 1e-12
+
+
+def _kernel_centre(x, epsilon, gamma_fn, a_fn, shift, identity_cov) -> tuple[float, float]:
+    """(centre, width) of the kernel y ↦ g(x - y - εa(y), εγ(y)) in y.
+
+    Unshifted, it is centred at x with width √(εγ(x)) (√ε with
+    identity_cov).  The shift moves the centre to the root of
+    x - y - εa(y) = 0, one Newton step from x, and divides the width by
+    J = 1 + εa'(x), a′ by central difference over a thousandth of the
+    width."""
+    width = math.sqrt(epsilon * (1.0 if identity_cov else float(gamma_fn(np.array([x]))[0])))
+    if not shift or not width > 0.0:
+        return x, width
+    step = 1e-3 * width
+    a_lo, a_x, a_hi = (float(v) for v in a_fn(np.array([x - step, x, x + step])))
+    jac = 1.0 + epsilon * (a_hi - a_lo) / (2.0 * step)
+    if jac == 0.0:  # the kernel does not depend on y to first order
+        return x, math.inf
+    return x - epsilon * a_x / jac, width / abs(jac)
 
 
 def kernel_moment_integral(
@@ -125,23 +162,50 @@ def kernel_moment_integral(
     deterministic functions γ(X), a(X) of the value.
 
     A tuple of powers gives one moment per power from one evaluation of
-    γ, a, g and the density, each with the bits of its single-power call.
+    γ, a, g and the density per segment, each with the bits of its
+    single-power call.
 
-    The kernel width is O(√ε), so the panel count scales with 1/√ε to keep
-    several panels per bandwidth, up to 4096 panels.  A kernel width
-    √(εγ(x)) (√ε with identity_cov) below the mean node spacing falls
-    between the nodes, so it is an UnresolvedKernelError, not a result.
+    The integral runs over the window [lo, hi] = x ± (60√ε + 10) within
+    the support, on a graded grid (see _kernel_centre for the kernel's
+    centre and its width w in y):
+
+    * the near field, the centre ± 40w, with panels at most w/2 wide and
+      never wider than the far-field panels;
+    * the far field, the rest of the window, with panels (hi - lo)/256 wide;
+    * the panel touching a finite end of the support, split in eight.
+
+    Each segment is one law_integral call, added left to right; the node
+    count stays bounded as ε falls.  Two kernels are an
+    UnresolvedKernelError, not a result: one whose width is below 1e12
+    float64 spacings at its near field (see RESOLUTION; on lognormal at
+    x = 1, ε below 4.93e-8), and one whose window is so wide that the far
+    field has fewer than four nodes per unit (see MAX_FAR_SPACING).  A
+    window without float64 width inside the support (x outside it, or
+    too large) is a ValueError naming x and ε.
     """
-    lo, hi = support
-    lo = max(lo, x - 60.0 * math.sqrt(max(epsilon, 1e-12)) - 10.0)
-    hi = min(hi, x + 60.0 * math.sqrt(max(epsilon, 1e-12)) + 10.0)
-    panels = int(min(4096, max(256, 8.0 * (hi - lo) / math.sqrt(epsilon))))
-    spacing = (hi - lo) / (panels * order)
-    width = math.sqrt(epsilon * (1.0 if identity_cov else float(gamma_fn(np.array([x]))[0])))
-    if not width >= spacing:
+    pad = 60.0 * math.sqrt(max(epsilon, 1e-12)) + 10.0
+    lo, hi = max(support[0], x - pad), min(support[1], x + pad)
+    if not hi > lo:
+        raise ValueError(
+            f"epsilon={epsilon:g}, x={x:g}: the integration window x ± {pad:.4g} has no "
+            f"float64 width inside the support [{support[0]:g}, {support[1]:g}]")
+    centre, width = _kernel_centre(x, epsilon, gamma_fn, a_fn, shift, identity_cov)
+    near_lo, near_hi = (min(max(v, lo), hi) for v in (centre - NEAR_WIDTHS * width,
+                                                       centre + NEAR_WIDTHS * width))
+    limit = float(np.spacing(max(abs(near_lo), abs(near_hi)))) / RESOLUTION
+    if not width >= limit:
         raise UnresolvedKernelError(
             f"the kernel width {width:.3e} at epsilon={epsilon:g}, x={x:g} is below the "
-            f"quadrature node spacing {spacing:.3e}, so the integral cannot resolve it")
+            f"quadrature node limit {limit:.3e}, 1e12 times the float64 node spacing at its "
+            f"centre {centre:.6g}: rounding the nodes could move its moments by more than "
+            "1e-12 relative")
+    far = (hi - lo) / FAR_PANELS
+    if far / order > MAX_FAR_SPACING:
+        raise UnresolvedKernelError(
+            f"the far-field node spacing at epsilon={epsilon:g}, x={x:g} is "
+            f"{far / order:.3g}, above {MAX_FAR_SPACING:g} of the unit scale the window "
+            "takes for the density, so the quadrature cannot resolve it")
+    near = min(0.5 * width, far)
     powers = power if isinstance(power, tuple) else (power,)
 
     def integrand(y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -152,5 +216,21 @@ def kernel_moment_integral(
         f = density(y)
         return tuple(g**p * f for p in powers)
 
-    moments = law_integral(integrand, lo, hi, panels=panels, order=order)
+    # (start, end, panel count) left to right
+    segments = [(a, b, math.ceil((b - a) / h)) for a, b, h in (
+        (lo, near_lo, far), (near_lo, near_hi, near), (near_hi, hi, far)) if b > a]
+    # a density may be flat to all orders at a finite end of its support (the
+    # lognormal's at 0), which one Gauss-Legendre panel does not resolve
+    if lo == support[0]:
+        a, b, n = segments.pop(0)
+        cut = a + (b - a) / n
+        segments[:0] = [(a, cut, EDGE_PANELS)] + ([(cut, b, n - 1)] if n > 1 else [])
+    if hi == support[1]:
+        a, b, n = segments.pop()
+        cut = b - (b - a) / n
+        segments += ([(a, cut, n - 1)] if n > 1 else []) + [(cut, b, EDGE_PANELS)]
+    moments = (0.0,) * len(powers)
+    for a, b, n in segments:
+        seg = law_integral(integrand, a, b, panels=n, order=order)
+        moments = tuple(m + v for m, v in zip(moments, seg))
     return moments if isinstance(power, tuple) else moments[0]

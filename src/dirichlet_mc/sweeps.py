@@ -107,6 +107,13 @@ def _monte_carlo(sc: Scenario, cfg: SweepConfig, points, reducer) -> list:
     return [res[stream.requested] for res in passes]
 
 
+def _at(fn, x: float) -> float:
+    """A scenario function at the one point x; an overflow reads ±inf or
+    NaN without a numpy warning, for the caller's check to name x."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(fn(np.array([x]))[0])
+
+
 def _require_reduced(sc: Scenario, purpose: str) -> None:
     if sc.exact_density is None or not sc.has_reduced_form:
         raise ValueError(
@@ -128,8 +135,10 @@ def run_bias_sweep(cfg: SweepConfig) -> BiasSweepResult:
     """Bias of a kernel estimator per ε, plus the fitted convergence order.
 
     The least-squares slope uses the last four epsilons whose bias is
-    resolvable: quadrature-mode rows with |bias| below ten times the
-    estimated quadrature tolerance are dropped from the fit with a notice.
+    resolvable; an ε is dropped from the fit with a notice when its mean
+    |bias| is below ten times the estimated quadrature tolerance
+    (quadrature mode) or three times its mean standard error (Monte
+    Carlo), and fewer than two resolvable ε is a ValueError.
     """
     kernel = get_estimator(cfg.estimator).kernel
     if kernel is None:
@@ -144,7 +153,7 @@ def run_bias_sweep(cfg: SweepConfig) -> BiasSweepResult:
     elif sc.exact_density is None:
         raise ValueError(f"scenario {sc.name!r} has no exact density to measure the bias against")
     points = cfg.query_points or sc.default_points
-    refs = [float(sc.exact_density(np.array([x]))[0]) for x in points]
+    refs = [_at(sc.exact_density, x) for x in points]
     rows, notices, tol_by_eps = [], [], {}  # tol_by_eps: quadrature tolerance per ε
     if cfg.sample_size == "quadrature":
         for eps in cfg.epsilons:
@@ -168,14 +177,18 @@ def run_bias_sweep(cfg: SweepConfig) -> BiasSweepResult:
 
     fit_pts = []
     for eps in cfg.epsilons:
-        biases = [r.abs_error for r in rows if r.epsilon == eps]
-        if not biases:
+        eps_rows = [r for r in rows if r.epsilon == eps]
+        if not eps_rows:
             continue  # unresolved, noticed above
-        bias = float(np.mean(biases))
-        tol = tol_by_eps.get(eps, 0.0)
-        if tol > 0.0 and bias < 10.0 * tol:
-            notices.append(f"epsilon={eps:g} dropped from the fit: bias {bias:.3e} is below "
-                           f"10x the quadrature tolerance {tol:.3e}")
+        bias = float(np.mean([r.abs_error for r in eps_rows]))
+        if eps in tol_by_eps:
+            tol = tol_by_eps[eps]
+            floor, name = 10.0 * tol, f"10x the quadrature tolerance {tol:.3e}"
+        else:  # a Monte Carlo bias within noise fits nothing
+            se = float(np.mean([r.std_error for r in eps_rows]))
+            floor, name = 3.0 * se, f"3x its standard error {se:.3e}"
+        if bias < floor:
+            notices.append(f"epsilon={eps:g} dropped from the fit: bias {bias:.3e} is below {name}")
             continue
         fit_pts.append((eps, bias))
     fit_pts = fit_pts[-4:]
@@ -198,8 +211,7 @@ def _variance_constant(sc: Scenario, x: float) -> float:
     """f(x)/√(4π γ(x)), the small-ε limit of ε^{1/2}·Var at x.  The sweep's
     relative gap divides by it, so anything but a finite value > 0 is a
     ValueError naming the point."""
-    f = float(sc.exact_density(np.array([x]))[0])
-    gamma = float(sc.gamma_of_x(np.array([x]))[0])
+    f, gamma = _at(sc.exact_density, x), _at(sc.gamma_of_x, x)
     ref = f / math.sqrt(4.0 * math.pi * gamma) if gamma > 0 else math.nan
     if not (math.isfinite(ref) and ref > 0):
         raise ValueError(

@@ -212,18 +212,57 @@ class TestSweepCommands:
         assert rc == EXIT_VALIDATION
         assert "no exact density" in capsys.readouterr().err
 
+    # lognormal at x = 1: the kernel width is √ε, and the quadrature node
+    # limit is 1e12 float64 spacings above 1, 2^-52 · 1e12 = 2.22e-4, a
+    # width reached at ε = 4.93e-8
     @pytest.mark.parametrize("command,eps,named", [
+        ("sweep-variance", "1e-7,5e-8", None),
+        ("sweep-variance", "1e-7,4.9e-8", "epsilon=4.9e-08, x=1"),
         ("sweep-bias", "1e-12,5e-13", "epsilon=1e-12, x=1"),
-        ("sweep-variance", "1e-8,5e-9", "epsilon=1e-08, x=1"),
-        ("sweep-variance", "1e-10,5e-11", "epsilon=1e-10, x=1"),
     ])
     def test_kernel_below_node_spacing_exits_2(self, command, eps, named, tmp_path, capsys):
         out = tmp_path / "s.csv"
         rc = cli_main([command, "--scenario", "lognormal", "--points", "1.0",
                        "--epsilons", eps, "--out", str(out)])
+        err = capsys.readouterr().err
+        if named is None:
+            assert rc == EXIT_OK and out.exists() and not err
+            return
+        assert rc == EXIT_VALIDATION
+        assert "node spacing" in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command,point,named", [
+        ("sweep-bias", "-20", "epsilon=0.025, x=-20: the integration window"),
+        ("sweep-bias", "1e300", "epsilon=0.2, x=1e+300: the integration window"),
+        ("sweep-variance", "1e300", "query point 1e+300: the variance constant"),
+    ])
+    def test_point_outside_the_support_names_it_without_warnings(
+        self, command, point, named, tmp_path, capsys
+    ):
+        # lognormal lives on (0, ∞); at 1e300, γ(x) = x² overflows, and any
+        # numpy warning on the way fails this test
+        out = tmp_path / "s.csv"
+        rc = cli_main([command, "--scenario", "lognormal", f"--points={point}",
+                       "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_monte_carlo_bias_within_noise_is_dropped_from_the_fit(self, tmp_path, capsys):
+        # at N = 10^6 only ε = 0.1 has a bias above 3 standard errors, which
+        # leaves nothing to fit (it used to print "fitted order 0.009")
+        out = tmp_path / "b.csv"
+        rc = cli_main(["sweep-bias", "--scenario", "lognormal", "--estimator", "shifted",
+                       "--samples", "1000000", "--epsilons", "1e-1,1e-2,1e-3,1e-4",
+                       "--seed", "1", "--out", str(out)])
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "node spacing" in err and named in err
+        assert "fewer than two resolvable epsilons" in err
+        for eps in ("0.01", "0.001", "0.0001"):
+            assert f"epsilon={eps} dropped from the fit" in err
+        assert "epsilon=0.1 dropped" not in err and "3x its standard error" in err
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,19 @@ class TestLegendreRuleCache:
 KERNEL_VARIANTS = [(True, False), (False, False), (False, True), (True, True)]
 
 
+def recording_law_integral(monkeypatch) -> list:
+    """Record (lo, hi, panels, order) of every law_integral call the
+    kernel oracle makes, in call order."""
+    calls = []
+
+    def recording(fn, lo, hi, panels, order):
+        calls.append((lo, hi, panels, order))
+        return law_integral(fn, lo, hi, panels=panels, order=order)
+
+    monkeypatch.setattr(quadrature, "law_integral", recording)
+    return calls
+
+
 class TestKernelMomentPowers:
     @pytest.mark.parametrize("name", ["lognormal", "gbm_exact"])
     # the widest and the finest kernels the oracle sweeps integrate
@@ -165,24 +179,26 @@ class TestKernelMomentPowers:
     def test_power_tuple_equals_single_powers_bit_for_bit(
         self, name, eps, shift, identity_cov, monkeypatch
     ):
-        grids = []
-
-        def recording(fn, lo, hi, panels, order):
-            grids.append((lo, hi, panels, order))
-            return law_integral(fn, lo, hi, panels=panels, order=order)
-
-        monkeypatch.setattr(quadrature, "law_integral", recording)
+        calls = recording_law_integral(monkeypatch)
         sc = get_scenario(name)
         for x in sc.default_points:
             args = (x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support)
             kw = dict(shift=shift, identity_cov=identity_cov)
             both = kernel_moment_integral(*args, **kw, power=(1, 2))
+            segments = calls[:]
             singles = tuple(kernel_moment_integral(*args, **kw, power=p) for p in (1, 2))
             assert isinstance(both, tuple)
             assert all(type(v) is float for v in both + singles)
             assert [v.hex() for v in both] == [v.hex() for v in singles], (x, both, singles)
+            # every call integrates the same segments, which tile the window
+            assert calls == segments * 3
+            pad = 60.0 * math.sqrt(eps) + 10.0
+            assert segments[0][0] == max(sc.support[0], x - pad)
+            assert segments[-1][1] == x + pad
+            assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
 
             # each moment is the one-power integrand summed on a fresh rule
+            # per segment, the segments added in call order
             def integrand(y, p):
                 var = eps * (np.ones_like(y) if identity_cov else sc.gamma_of_x(y))
                 var = np.maximum(var, 1e-300)
@@ -190,31 +206,120 @@ class TestKernelMomentPowers:
                 g = np.exp(-0.5 * offset * offset / var) / np.sqrt(2.0 * math.pi * var)
                 return g**p * sc.exact_density(y)
 
-            assert len(set(grids)) == 1
-            refs = [fresh_rule_integral(lambda y: integrand(y, p), *grids[0]) for p in (1, 2)]
+            refs = []
+            for p in (1, 2):
+                total = 0.0
+                for seg in segments:
+                    total += fresh_rule_integral(lambda y: integrand(y, p), *seg)
+                refs.append(total)
             assert [v.hex() for v in both] == [v.hex() for v in refs], (x, both, refs)
-            grids.clear()
+            calls.clear()
+
+
+class TestGradedGrid:
+    @pytest.mark.parametrize("shift,identity_cov", KERNEL_VARIANTS)
+    def test_near_field_panels_are_half_a_kernel_width(self, shift, identity_cov, monkeypatch):
+        # lognormal at x = 1, ε = 1e-6: γ(1) = 1 and a′(1) = 0, so every
+        # kernel is centred within 1e-6 of 1 with width 1e-3 in y
+        calls = recording_law_integral(monkeypatch)
+        sc = get_scenario("lognormal")
+        kernel_moment_integral(1.0, 1e-6, sc.exact_density, sc.gamma_of_x, sc.a_of_x,
+                               sc.support, shift=shift, identity_cov=identity_cov)
+        widths = [(hi - lo) / panels for lo, hi, panels, _ in calls]
+        far = (1.0 + 60e-3 + 10.0) / 256
+        # the panel at the support's end 0, the rest of the far field, the
+        # near field ± 40 widths, the far field above it
+        assert [panels for *_, panels, _ in calls][0] == quadrature.EDGE_PANELS
+        assert far * 0.9 <= widths[1] <= far
+        assert calls[2][0] == pytest.approx(1.0 - 0.04, abs=2e-6)
+        assert calls[2][1] == pytest.approx(1.0 + 0.04, abs=2e-6)
+        assert widths[2] <= 0.5e-3 and calls[2][2] in (160, 161)  # ceil of 80w / (w/2)
+        assert far * 0.9 <= widths[3] <= far
+        assert len(calls) == 4
+
+    def test_shift_moves_the_near_field_to_the_kernel(self, monkeypatch):
+        # gaussian, A = -y/2: the shifted kernel is g(x - (1 - ε/2)y, ε), in
+        # y centred at x/(1 - ε/2) with width √ε/(1 - ε/2)
+        calls = recording_law_integral(monkeypatch)
+        eps, x = 0.2, 2.0
+        kernel_moment_integral(x, eps, normal_pdf, lambda y: np.ones_like(y),
+                               lambda y: -0.5 * y, (-math.inf, math.inf))
+        centre, width = x / (1 - eps / 2), math.sqrt(eps) / (1 - eps / 2)
+        near = calls[1]
+        assert near[0] == pytest.approx(centre - 40 * width, rel=1e-9)
+        assert near[1] == pytest.approx(centre + 40 * width, rel=1e-9)
+
+
+def phi(x: float, var: float) -> float:
+    return math.exp(-0.5 * x * x / var) / math.sqrt(2.0 * math.pi * var)
+
+
+class TestGaussianClosedForms:
+    """X ~ N(0, 1), Γ = 1, A = -X/2: the kernel argument is x - bX with
+    b = 1 - ε/2 (shifted) or 1, so m1 = φ(x; b² + ε) and
+    m2 = φ(x; b² + ε/2)/(2√(πε)).  Every moment is within 1e-12 of these,
+    or an UnresolvedKernelError."""
+
+    @pytest.mark.parametrize("shift", [True, False])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2, 0.2, 10, 100, 1e3, 1e4])
+    def test_moments_match_or_raise(self, shift, eps):
+        b = 1.0 - eps / 2 if shift else 1.0
+        for x in (0.0, 1.0, 3.0):
+            try:
+                m1, m2 = kernel_moment_integral(
+                    x, eps, normal_pdf, lambda y: np.ones_like(y), lambda y: -0.5 * y,
+                    (-math.inf, math.inf), shift=shift, power=(1, 2))
+            except UnresolvedKernelError:
+                assert eps > 10, "a bandwidth of the sweeps' range must resolve"
+                continue
+            assert m1 == pytest.approx(phi(x, b * b + eps), rel=1e-12, abs=0)
+            assert m2 == pytest.approx(phi(x, b * b + eps / 2) / (2 * math.sqrt(math.pi * eps)),
+                                       rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("eps,order", [(1e3, 16), (100.0, 16), (40.0, 10)])
+    def test_far_nodes_sparser_than_the_density_scale_raise(self, eps, order):
+        # the window's 256 far-field panels are (120√ε + 20)/256 wide, so
+        # there are fewer than four nodes per unit of a unit-scale density
+        # from ε ≈ 70 at order 16 and from ε ≈ 27 at order 10
+        args = (normal_pdf, lambda y: np.ones_like(y), lambda y: -0.5 * y, (-math.inf, math.inf))
+        with pytest.raises(UnresolvedKernelError,
+                           match=f"far-field node spacing at epsilon={eps:g}, x=1"):
+            kernel_moment_integral(1.0, eps, *args, shift=False, order=order)
+        kernel_moment_integral(1.0, 10.0, *args, shift=False, order=order)
 
 
 class TestUnresolvedKernel:
-    """Past the panel cap, a kernel narrower than the mean node spacing is
-    an error, not a moment."""
+    """A kernel narrower than 1e12 float64 spacings at its near field is an
+    error, not a moment: rounding the nodes there could move the moment by
+    more than 1e-12 relative."""
 
     @pytest.mark.parametrize("shift,identity_cov", KERNEL_VARIANTS)
-    def test_width_below_node_spacing_raises(self, shift, identity_cov):
+    def test_width_below_float64_node_limit_raises(self, shift, identity_cov):
         sc = get_scenario("lognormal")
         args = (sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support)
         kw = dict(shift=shift, identity_cov=identity_cov, power=(1, 2))
-        # x = 1: γ = 1, width √ε; the grid is 4096 panels over [0, ~11]
-        kernel_moment_integral(1.0, 1e-7, *args, **kw)
-        with pytest.raises(UnresolvedKernelError, match="epsilon=1e-10, x=1"):
-            kernel_moment_integral(1.0, 1e-10, *args, **kw)
-        # a coarser rule has wider node spacing
-        with pytest.raises(UnresolvedKernelError):
-            kernel_moment_integral(1.0, 1e-7, *args, **kw, order=4)
+        # x = 1: γ = 1 and a′ = 0, so the width is √ε, and the near field
+        # reaches above 1, where the float64 spacing is 2^-52
+        limit = 2.0**-52 / quadrature.RESOLUTION
+        kernel_moment_integral(1.0, (1.01 * limit) ** 2, *args, **kw)
+        with pytest.raises(UnresolvedKernelError, match=r"x=1 is below the quadrature node "
+                           r"limit 2\.220e-04"):
+            kernel_moment_integral(1.0, (0.99 * limit) ** 2, *args, **kw)
 
     def test_degenerate_gamma_at_the_point_raises(self):
         sc = get_scenario("lognormal")
         with pytest.raises(UnresolvedKernelError, match="kernel width 0.000e"):
             kernel_moment_integral(0.0, 0.1, sc.exact_density, sc.gamma_of_x, sc.a_of_x,
+                                   sc.support)
+
+
+class TestQueryOutsideTheWindow:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x,eps", [(-20.0, 0.025), (1e300, 0.1)])
+    def test_empty_window_names_x_and_epsilon(self, x, eps):
+        # lognormal lives on (0, ∞): x ± (60√ε + 10) misses it at x = -20,
+        # and has no float64 width at x = 1e300, where γ(x) = x² overflows
+        sc = get_scenario("lognormal")
+        with pytest.raises(ValueError, match=re.escape(f"epsilon={eps:g}, x={x:g}: the integration window")):
+            kernel_moment_integral(x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x,
                                    sc.support)

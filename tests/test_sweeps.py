@@ -104,9 +104,26 @@ class TestBiasSweep:
             run_bias_sweep(SweepConfig("lognormal", "direct", (0.1, 0.05)))
 
     def test_monte_carlo_mode_produces_noisy_rows(self):
-        cfg = SweepConfig("lognormal", "shifted", (0.2, 0.1), 20_000, (1.0,), seed=3)
+        # plain_id at x = 0.5, whose bias is far above the noise at both ε
+        cfg = SweepConfig("lognormal", "plain_id", (0.2, 0.1), 20_000, (0.5,), seed=3)
         res = run_bias_sweep(cfg)
         assert all(r.n > 0 and r.std_error > 0 for r in res.rows)
+
+    def test_monte_carlo_bias_within_noise_dropped_with_notice(self):
+        # N = 50 001: plain_gamma's bias at ε ≤ 0.05 is within 3 standard errors
+        eps = (0.2, 0.1, 0.05, 0.025)
+        cfg = SweepConfig("lognormal", "plain_gamma", eps, 50_001, (0.5, 1.0), seed=6)
+        res = run_bias_sweep(cfg)
+        kept = [p[0] for p in res.fit_points]
+        assert kept == [0.2, 0.1]
+        for e in eps:
+            rows = [r for r in res.rows if r.epsilon == e]
+            bias = np.mean([r.abs_error for r in rows])
+            se = np.mean([r.std_error for r in rows])
+            assert (e in kept) == (bias >= 3.0 * se)
+        assert [n.split(":")[0] for n in res.notices] == [
+            "epsilon=0.05 dropped from the fit", "epsilon=0.025 dropped from the fit"]
+        assert all("3x its standard error" in n for n in res.notices)
 
     def test_monte_carlo_without_exact_density_rejected_before_drawing(self, monkeypatch):
         def no_draw(*args, **kwargs):
@@ -118,7 +135,7 @@ class TestBiasSweep:
             run_bias_sweep(cfg)
 
     def test_kernel_below_node_spacing_dropped_with_notice(self):
-        # at ε = 1e-12 both rules agree on about 0, a bias of f(1) itself
+        # at ε = 1e-12 the kernel width 1e-6 is below the float64 node limit
         cfg = SweepConfig(
             "lognormal", "shifted", (0.2, 0.1, 0.05, 1e-12), "quadrature", (1.0,)
         )
@@ -252,10 +269,11 @@ class TestIdentitySuite:
         with pytest.raises(ValueError, match="corrupt_a must be finite"):
             run_identity_suite("gaussian", 1000, seed=0, corrupt_a=corrupt_a)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_infinite_a_fails_instead_of_passing(self):
         # one infinite A leaves no finite mean or error: the z-scores that
-        # read A are NaN, which fails the threshold rather than reading 0
+        # read A are NaN, which fails the threshold rather than reading 0,
+        # and no numpy warning is raised on the way
         b = get_scenario("gaussian").build(2000, 0, 1)
         a = b.a.copy()
         a[7] = math.inf
