@@ -10,9 +10,11 @@ Monte Carlo `sweep-bias`/`sweep-variance` runs (N = 50 001 among them), the quad
 of the `oracles` benchmark workload down to its smallest ε, and the
 command layer's input rules (a `1e4` sample count against `10000`, a
 fractional count, an empty `--points` list and the option spellings no
-command reads), a non-finite `--corrupt-a`, a Monte Carlo bias sweep on a
-scenario without an exact density, and quadrature sweeps at ε around and
-below what the grid resolves.  Each command
+command reads, and an `--estimators` list separated by spaces as well as
+commas), a non-finite `--corrupt-a`, a Monte Carlo bias sweep on a
+scenario without an exact density, quadrature sweeps at ε around and
+below what the grid resolves, and `density` and `compare` at a query point
+of 1e300, where every kernel term and reference is exactly 0.  Each command
 runs in-process at `--workers 1` and `--workers 2`; a line reads
 
     <sha256 of the CSV, or "-" when none was written>  <exit code>  w<workers>  <tag>
@@ -185,6 +187,16 @@ def commands() -> dict[str, list[str]]:
     for tag, flag, value in (("epsilons", "--epsilons", "0.1"), ("points", "--points", "1")):
         cmds[f"check_identities_{tag}"] = [
             "check-identities", flag, value, "--samples", "2000"]
+    cmds["compare_estimators_spaced"] = [
+        "compare", "--scenario", "lognormal", "--estimators", "shifted direct, centered",
+        "--epsilons", "0.2,0.1", "--points", "0.5,1.0", "--samples", "2000", "--seed", "3"]
+    for sc in ("gaussian", "lognormal"):
+        for est in ("direct", "shifted"):
+            cmds[f"far_point_density_{sc}_{est}"] = [
+                "density", "--scenario", sc, "--estimator", est, "--epsilons", "0.1",
+                "--points=1e300,1", "--samples", "1000", "--seed", "3"]
+        cmds[f"far_point_compare_{sc}"] = [
+            "compare", "--scenario", sc, "--points=1e300,1", "--samples", "1000", "--seed", "3"]
     cmds["compare_strict"] = ["compare", "--estimators", "direct", "--strict", "--samples", "2000"]
     cmds["density_epsilon_alias"] = [
         "density", "--estimator", "regularized", "--epsilon", "0.1", "--samples", "2000"]

@@ -12,9 +12,11 @@ Subcommands, with the options each reads besides --scenario, --samples,
 
 CSV: density x,estimate,std_error,reference; the sweeps and compare the
 fields of sweeps.SweepRow and sweeps.CompareRow; check-identities
-scenario,check,n,statistic,threshold,passed.  Estimator names come from
-estimators.ESTIMATORS: density takes all seven, compare all but conditional
-(not a density), sweep-bias the three kernels.  --samples is one count
+scenario,check,n,statistic,threshold,passed.  Estimators are the rows of
+estimators.ESTIMATORS, which state whether each takes ε, estimates a
+density and, for a kernel, its bias order: density takes all seven,
+compare the densities, sweep-bias the kernels, each with the strict window
+bias order ± 0.3.  --samples is one count
 (compare: a list; the sweeps: or 'quadrature'), an integer or a float
 literal with an integral value below 2**53, never truncated.  A list option
 given empty is an error; long options are never abbreviated.
@@ -37,8 +39,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimators import ESTIMATORS, get_estimator, run_estimator
-from .scenarios import SCENARIOS, get_scenario
+from .scenarios import SCENARIOS, at_points, get_scenario
 from .sweeps import (
+    IDENTITY_Z_THRESHOLD,
     CompareRow,
     SweepConfig,
     SweepRow,
@@ -48,12 +51,9 @@ from .sweeps import (
     run_variance_sweep,
 )
 
-# strict-mode windows for the fitted convergence orders
-BIAS_SLOPE_WINDOWS = {
-    "shifted": (1.7, 2.3),
-    "plain_gamma": (0.7, 1.3),
-    "plain_id": (0.7, 1.3),
-}
+# strict-mode windows for the fitted convergence orders: a kernel's bias order ± 0.3
+BIAS_SLOPE_WINDOWS = {name: (e.bias_order - 0.3, e.bias_order + 0.3)
+                      for name, e in ESTIMATORS.items() if e.kernel}
 VARIANCE_SLOPE_WINDOW = (-0.65, -0.35)
 VARIANCE_CONSTANT_RTOL = 0.05
 
@@ -213,36 +213,32 @@ def _cmd_list_scenarios(args) -> int:
 
 def _cmd_density(args) -> int:
     sc, points, eps_list = _resolve(args)
-    entry = get_estimator(args.estimator)
+    density = get_estimator(args.estimator).density
     n = _sample_count(args)
-    epsilon = min(eps_list) if eps_list else None
-    if entry.takes_epsilon and epsilon is None:
-        raise ValueError(f"estimator {args.estimator!r} needs --epsilons")
     stream = sc.stream(n, args.seed, args.workers)
-    ests = run_estimator(args.estimator, stream, epsilon, list(points), sc.name)
+    ests = run_estimator(args.estimator, stream, min(eps_list, default=None), list(points),
+                         sc.name)
 
     # conditional rows hold the ratio E[G | X = x] against the conditional oracle
     ref_fn = sc.exact_density
-    conditional = args.estimator == "conditional"
-    if conditional:
+    if density:
+        refs = at_points(ref_fn, points) if ref_fn is not None else [None] * len(ests)
+        rows = [(e.x, e.value, e.std_error, ref) for e, ref in zip(ests, refs)]
+    else:
         rows = [(ce.x, ce.ratio, ce.ratio_std_error,
                  sc.cond_oracle(ce.x) if sc.cond_oracle is not None else None) for ce in ests]
-    else:
-        refs = ref_fn(np.array([e.x for e in ests])) if ref_fn is not None else [None] * len(ests)
-        rows = [(e.x, e.value, e.std_error, None if ref is None else float(ref))
-                for e, ref in zip(ests, refs)]
     worst_z = 0.0
     for _, value, se, ref in rows:
         if ref is not None and se > 0:
             worst_z = max(worst_z, abs(value - ref) / se)
-    used = min(ce.numerator.n_used if conditional else ce.n_used for ce in ests)
+    used = min(e.n_used if density else e.numerator.n_used for e in ests)
 
     _write_csv(args.out, ("x", "estimate", "std_error", "reference"), rows)
     print(
         f"density {sc.name}/{args.estimator}: n={n} kept={stream.n} "
         f"dropped={stream.invalid_count} excluded={stream.n - used} points={len(points)} "
         + (f"worst |estimate-reference|/se = {worst_z:.2f}"
-           if ref_fn is not None or conditional else "(no reference)")
+           if ref_fn is not None or not density else "(no reference)")
     )
     if args.strict and worst_z > 4.0:
         print(f"STRICT: estimate deviates {worst_z:.2f} standard errors (> 4) from reference")
@@ -292,7 +288,7 @@ def _cmd_check_identities(args) -> int:
     n = _sample_count(args)
     rep = run_identity_suite(sc.name, n, args.seed, args.workers, corrupt_a=args.corrupt_a)
     rows = [
-        (rep.scenario, check, rep.n, z, rep.threshold, abs(z) <= rep.threshold)
+        (rep.scenario, check, rep.n, z, IDENTITY_Z_THRESHOLD, abs(z) <= IDENTITY_Z_THRESHOLD)
         for check, z in rep.z_scores.items()
     ]
     _write_csv(args.out, ("scenario", "check", "n", "statistic", "threshold", "passed"), rows)
@@ -304,7 +300,7 @@ def _cmd_check_identities(args) -> int:
 
 def _cmd_compare(args) -> int:
     sc, points, eps = _resolve(args, (0.2, 0.1, 0.05, 0.025))
-    estimators = [e for e in args.estimators.split(",") if e]
+    estimators = _items(args, "estimators")
     rows = compare_estimators(
         sc.name, estimators, _sample_counts(args), eps, points, args.seed, args.workers
     )
@@ -359,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="shift A by a constant (negative control)")))
     _command(sub, "compare", _cmd_compare, "error table across estimators and sample sizes",
              scenario, ("--estimators", dict(default="shifted,plain_gamma,direct",
-                                             help="comma separated; any estimator but conditional")),
+                                             help="comma separated; any density estimator")),
              epsilons, points,
              ("--samples", dict(default="1000,10000,100000", help="comma separated sample counts")),
              *run)

@@ -24,8 +24,9 @@ built batch or a SampleStream once and feeds each CHUNK_SIZE-row block of
 kept rows to every reducer, so one draw serves every (estimator, ε); the
 public estimators are its one-reducer case.  At each requested n it
 snapshots what a batch of the first n drawn rows gives, bit for bit, so
-one stream serves nested sample sizes.  ESTIMATORS maps each estimator
-name to its public function, whether it needs quad data and takes ε.
+one stream serves nested sample sizes.  ESTIMATORS is the one table of
+estimators: per name, its public function, whether it needs quad data,
+takes ε and estimates a density, and a kernel's shape and bias order.
 """
 from __future__ import annotations
 
@@ -270,10 +271,19 @@ def _merge(a: Moments, b: Moments) -> Moments:
 
 
 def _mean_se(m: Moments):
-    """Mean and its standard error; the error is inf below two values."""
+    """Mean and its standard error √(M2/(n-1)/n), inf below two values; a
+    negative M2, left by cancellation in a sum, reads 0."""
     if m.n < 2:
         return m.mean, np.full_like(m.mean, np.inf, dtype=float)
-    return m.mean, np.sqrt(m.m2 / (m.n - 1)) / math.sqrt(m.n)
+    return m.mean, np.sqrt(np.maximum(m.m2, 0.0) / (m.n - 1)) / math.sqrt(m.n)
+
+
+def _estimates(queries: np.ndarray, m: Moments, epsilon=None) -> list[DensityEstimate]:
+    """One estimate per row of the (Q, d) queries from the moments of its
+    values; x is a float for d = 1."""
+    mean, se = _mean_se(m)
+    return [DensityEstimate(float(q[0]) if q.shape[0] == 1 else q.copy(),
+                            float(v), float(e), m.n, epsilon) for q, v, e in zip(queries, mean, se)]
 
 
 def _z(m: Moments) -> float:
@@ -496,11 +506,13 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
             for k, lik in enumerate(low[i]):
                 r[i] -= lik * r[k]
         z = r[0]
-        for i in range(d):
-            np.multiply(r[i], r[i], out=r[i])
-            np.multiply(r[i], neg_half_prec[i], out=r[i])
-            if i:
-                z += r[i]
+        # a far query squares to inf: its exponent is -inf, its term exactly 0
+        with np.errstate(over="ignore"):
+            for i in range(d):
+                np.multiply(r[i], r[i], out=r[i])
+                np.multiply(r[i], neg_half_prec[i], out=r[i])
+                if i:
+                    z += r[i]
         return np.multiply(_cut_exp(z), norm, out=z)
 
     return n, values
@@ -512,14 +524,8 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
 
 
-def _kernel_estimates(queries, m: Moments, epsilon) -> list[DensityEstimate]:
-    mean, se = _mean_se(m)
-    return [DensityEstimate(float(q[0]) if q.shape[0] == 1 else q.copy(),
-                            float(v), float(e), m.n, epsilon) for q, v, e in zip(queries, mean, se)]
-
-
 def _kernel_reducer(d: int, epsilon: float, xs, shift: bool, identity_cov: bool,
-                    finish=_kernel_estimates, fourth: bool = False) -> Reducer:
+                    finish=_estimates, fourth: bool = False) -> Reducer:
     """Per query, the moments of the kernel values over the usable samples
     for finish(queries, moments, ε).  A block evaluates its queries in
     groups of _GROUP, one (group, block) array at a time in the pass's
@@ -635,7 +641,8 @@ def conditional_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
 def _side_sums(xs, finish, *columns) -> Reducer:
     """Per columns function, the usable count and the Σ of each weight
     column over {X < x}, {X = x} and {X > x} per query, handed to
-    finish(queries, [(n_used, sums of shape (columns, Q, 3) or None)]).
+    finish(queries, [(n_used, sums of shape (columns, Q, 3) or None)]),
+    queries as a (Q, 1) array.
 
     columns(block) gives a block's usable count and weight columns (0 on
     unusable rows); with two, the reducer has halves and half h feeds
@@ -645,8 +652,8 @@ def _side_sums(xs, finish, *columns) -> Reducer:
     column takes one bincount per block; running sums over the bins from
     either end give the two sides, neither formed by cancellation.
     """
-    queries = _as_queries(xs, 1)[:, 0]
-    grid, pos = np.unique(queries, return_inverse=True)
+    queries = _as_queries(xs, 1)
+    grid, pos = np.unique(queries[:, 0], return_inverse=True)
     k, ends, key = grid.shape[0], np.append(grid, np.nan), ("bins", grid.tobytes())
 
     def part(blk, half, shared):
@@ -678,25 +685,12 @@ def _sides(total: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _side_moments(coef, sum_a, sum_b, sum_ab, n: int):
-    """Means of v_a = coef·W_a and v_b = coef·W_b and their sample
-    covariance, per query, from the per-side sums of W_a, W_b and W_a·W_b.
-
-    coef holds the factor on each side, ½(sign(x - X) - c); with a = b
-    this is the mean and the sample variance.
-    """
-    mean_a = (coef * sum_a).sum(axis=-1) / n
-    mean_b = (coef * sum_b).sum(axis=-1) / n
-    if n < 2:
-        return mean_a, mean_b, np.full_like(mean_a, np.inf)
-    cov = ((coef * coef * sum_ab).sum(axis=-1) - n * mean_a * mean_b) / (n - 1)
-    return mean_a, mean_b, cov
-
-
-def _estimates(queries, mean, var, n: int, epsilon=None) -> list[DensityEstimate]:
-    se = np.sqrt(np.maximum(var, 0.0)) / math.sqrt(n)
-    return [DensityEstimate(float(x), float(m), float(e), n, epsilon)
-            for x, m, e in zip(queries, mean, se)]
+def _side_moments(coef, sums, squares, n: int) -> Moments:
+    """Per query, the mean of v = coef·W and M2 = Σv² - n·mean², from the
+    per-side sums of W and W² over n values; coef holds the factor on
+    each side, ½(sign(x - X) - c)."""
+    mean = (coef * sums).sum(axis=-1) / n
+    return Moments(n, mean, (coef * coef * squares).sum(axis=-1) - n * mean * mean)
 
 
 def _direct_columns(blk: QuadBatch):
@@ -710,9 +704,7 @@ def _sign_density(columns, xs, epsilon=None) -> Reducer:
         [(n, sums)] = sums
         if n == 0:
             raise NoUsableSamplesError("no samples with positive square field")
-        s, ss = sums
-        mean, _, var = _side_moments(_HALF_SIGN, s, s, ss, n)
-        return _estimates(queries, mean, var, n, epsilon)
+        return _estimates(queries, _side_moments(_HALF_SIGN, *sums, n), epsilon)
 
     return _side_sums(xs, finish, columns)
 
@@ -758,12 +750,11 @@ def conditional_expectation(b: QuadBatch, xs):
         if n < 2:
             raise NoUsableSamplesError("not enough samples with positive square field")
         sn, sd, snn, sdd, snd = sums
-        mean_n, mean_d, cov_nd = _side_moments(_HALF_SIGN, sn, sd, snd, n)
-        var_n = _side_moments(_HALF_SIGN, sn, sn, snn, n)[2]
-        var_d = _side_moments(_HALF_SIGN, sd, sd, sdd, n)[2]
+        mn, md = _side_moments(_HALF_SIGN, sn, snn, n), _side_moments(_HALF_SIGN, sd, sdd, n)
+        m_nd = (_HALF_SIGN * _HALF_SIGN * snd).sum(axis=-1) - n * mn.mean * md.mean
+        var_n, var_d, cov_nd = (m / (n - 1) for m in (mn.m2, md.m2, m_nd))
         out = []
-        for j, (num, den) in enumerate(zip(_estimates(queries, mean_n, var_n, n),
-                                           _estimates(queries, mean_d, var_d, n))):
+        for j, (num, den) in enumerate(zip(_estimates(queries, mn), _estimates(queries, md))):
             reliable = abs(den.value) > 2.0 * den.std_error
             if den.value != 0.0:
                 ratio = num.value / den.value
@@ -797,15 +788,13 @@ def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None):
         (_, fit), (n, sums) = sums
         if n == 0:
             raise NoUsableSamplesError("no usable samples in the estimation half")
-        s, ss = sums
         c = np.zeros(queries.shape[0])
         if force_c is not None:
             c[:] = float(force_c)
         elif fit is not None:
             denom = fit[0].sum(axis=1)
             np.divide(fit[0][:, 0] - fit[0][:, 2], denom, out=c, where=denom > 0)
-        mean, _, var = _side_moments(0.5 * (_SIGN - c[:, None]), s, s, ss, n)
-        return _estimates(queries, mean, var, n)
+        return _estimates(queries, _side_moments(0.5 * (_SIGN - c[:, None]), *sums, n))
 
     return _side_sums(xs, finish, squares, _direct_columns)
 
@@ -814,27 +803,32 @@ def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None):
 
 @dataclass(frozen=True)
 class Estimator:
-    """How to run one named estimator: function(b, [ε,] xs[, variant=…]),
-    a public estimator of this module looked up when it is called, so a
-    wrapper set on the module attribute sees every call.  kernel is the
-    (A-shift, identity covariance) pair of a kernel estimator, else None.
+    """What the program knows of one named estimator.
+
+    function(b, [ε,] xs[, variant=…]) is a public estimator of this module,
+    looked up when it is called, so a wrapper set on the module attribute
+    sees every call.  needs_quad: it reads Γ[X, Γ[X]] (quad data); takes_epsilon: it
+    needs ε.  A kernel estimator has kernel, its (A-shift, identity
+    covariance) pair, and bias_order, the order in ε of its bias.
+    density: it estimates f(x), where conditional estimates E[G | X = x].
     """
 
     function: str
     needs_quad: bool
     takes_epsilon: bool
     kernel: Optional[tuple[bool, bool]] = None
-    variant: Optional[str] = None
+    bias_order: Optional[int] = None
+    density: bool = True
 
 
 ESTIMATORS: dict[str, Estimator] = {
-    "shifted": Estimator("shifted_kernel_density", False, True, (True, False)),
-    "plain_gamma": Estimator("plain_kernel_density", False, True, (False, False), "gamma_cov"),
-    "plain_id": Estimator("plain_kernel_density", False, True, (False, True), "identity_cov"),
+    "shifted": Estimator("shifted_kernel_density", False, True, (True, False), 2),
+    "plain_gamma": Estimator("plain_kernel_density", False, True, (False, False), 1),
+    "plain_id": Estimator("plain_kernel_density", False, True, (False, True), 1),
     "direct": Estimator("direct_density", True, False),
     "regularized": Estimator("regularized_density", True, True),
     "centered": Estimator("centered_direct_density", True, False),
-    "conditional": Estimator("conditional_expectation", True, False),
+    "conditional": Estimator("conditional_expectation", True, False, density=False),
 }
 
 
@@ -852,15 +846,20 @@ def run_estimator(name: str, batch, epsilon: Optional[float], xs, scenario: str 
     for a pass shared with others.
 
     Kernels take the triples of quad data; the other estimators need quad
-    data, and the error for triple data names scenario.  Estimators that
-    take no ε ignore epsilon.
+    data, and the error for triple data names scenario.  An estimator that
+    takes ε and is given None is a ValueError naming it; the others ignore
+    epsilon.
     """
     entry = get_estimator(name)
     if entry.needs_quad and not batch.quad:
         raise ValueError(f"scenario {scenario!r} provides no quad data; {name!r} needs it")
+    if entry.takes_epsilon and epsilon is None:
+        raise ValueError(f"estimator {name!r} needs an epsilon")
     fn = globals()[entry.function]
     args = (batch, epsilon, xs) if entry.takes_epsilon else (batch, xs)
-    kwargs = {"variant": entry.variant} if entry.variant else {}
+    kwargs = {}
+    if entry.kernel and not entry.kernel[0]:  # the plain kernels name their covariance
+        kwargs["variant"] = "identity_cov" if entry.kernel[1] else "gamma_cov"
     return (fn.reducer if reducer else fn)(*args, **kwargs)
 
 

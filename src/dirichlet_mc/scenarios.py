@@ -320,6 +320,14 @@ _register(Scenario(
 ))
 
 
+def at_points(fn: Density, points) -> list[float]:
+    """A scenario function (an exact density, γ(x) or a(x)) at each query
+    point; a far point that overflows reads ±inf, 0 or NaN without a numpy
+    warning, for the caller's check to name it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [float(v) for v in fn(np.asarray(points, dtype=float))]
+
+
 def get_scenario(name: str) -> Scenario:
     try:
         return SCENARIOS[name]

@@ -28,7 +28,7 @@ from .estimators import (
     shifted_kernel_variance,
 )
 from .quadrature import UnresolvedKernelError, kernel_moment_integral
-from .scenarios import Scenario, corrupt_quad_batch, get_scenario
+from .scenarios import Scenario, at_points, corrupt_quad_batch, get_scenario
 
 IDENTITY_Z_THRESHOLD = 4.0
 
@@ -107,13 +107,6 @@ def _monte_carlo(sc: Scenario, cfg: SweepConfig, points, reducer) -> list:
     return [res[stream.requested] for res in passes]
 
 
-def _at(fn, x: float) -> float:
-    """A scenario function at the one point x; an overflow reads ±inf or
-    NaN without a numpy warning, for the caller's check to name x."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(fn(np.array([x]))[0])
-
-
 def _require_reduced(sc: Scenario, purpose: str) -> None:
     if sc.exact_density is None or not sc.has_reduced_form:
         raise ValueError(
@@ -153,7 +146,7 @@ def run_bias_sweep(cfg: SweepConfig) -> BiasSweepResult:
     elif sc.exact_density is None:
         raise ValueError(f"scenario {sc.name!r} has no exact density to measure the bias against")
     points = cfg.query_points or sc.default_points
-    refs = [_at(sc.exact_density, x) for x in points]
+    refs = at_points(sc.exact_density, points)
     rows, notices, tol_by_eps = [], [], {}  # tol_by_eps: quadrature tolerance per ε
     if cfg.sample_size == "quadrature":
         for eps in cfg.epsilons:
@@ -207,18 +200,21 @@ class VarianceSweepResult:
     constant_reference: float
 
 
-def _variance_constant(sc: Scenario, x: float) -> float:
-    """f(x)/√(4π γ(x)), the small-ε limit of ε^{1/2}·Var at x.  The sweep's
-    relative gap divides by it, so anything but a finite value > 0 is a
-    ValueError naming the point."""
-    f, gamma = _at(sc.exact_density, x), _at(sc.gamma_of_x, x)
-    ref = f / math.sqrt(4.0 * math.pi * gamma) if gamma > 0 else math.nan
-    if not (math.isfinite(ref) and ref > 0):
-        raise ValueError(
-            f"query point {x!r}: the variance constant f(x)/sqrt(4*pi*gamma(x)) is {ref!r} "
-            f"(f = {f!r}, gamma = {gamma!r}); a variance sweep needs it finite and > 0"
-        )
-    return ref
+def _variance_constants(sc: Scenario, points) -> list[float]:
+    """f(x)/√(4π γ(x)), the small-ε limit of ε^{1/2}·Var, at each point.
+    The sweep's relative gap divides by it, so anything but a finite value
+    > 0 is a ValueError naming the point."""
+    refs = []
+    for x, f, gamma in zip(points, at_points(sc.exact_density, points),
+                           at_points(sc.gamma_of_x, points)):
+        ref = f / math.sqrt(4.0 * math.pi * gamma) if gamma > 0 else math.nan
+        if not (math.isfinite(ref) and ref > 0):
+            raise ValueError(
+                f"query point {x!r}: the variance constant f(x)/sqrt(4*pi*gamma(x)) is {ref!r} "
+                f"(f = {f!r}, gamma = {gamma!r}); a variance sweep needs it finite and > 0"
+            )
+        refs.append(ref)
+    return refs
 
 
 def run_variance_sweep(cfg: SweepConfig) -> VarianceSweepResult:
@@ -234,7 +230,7 @@ def run_variance_sweep(cfg: SweepConfig) -> VarianceSweepResult:
     sc = get_scenario(cfg.scenario)
     _require_reduced(sc, "variance sweep")
     points = cfg.query_points or sc.default_points
-    refs = [_variance_constant(sc, x) for x in points]
+    refs = _variance_constants(sc, points)
     rows: list[SweepRow] = []
     var_by_eps: dict[float, list[float]] = {}
     if cfg.sample_size == "quadrature":
@@ -264,11 +260,10 @@ class IdentityReport:
     scenario: str
     n: int
     z_scores: dict[str, float]
-    threshold: float = IDENTITY_Z_THRESHOLD
 
     @property
     def passed(self) -> bool:
-        return all(abs(z) <= self.threshold for z in self.z_scores.values())
+        return all(abs(z) <= IDENTITY_Z_THRESHOLD for z in self.z_scores.values())
 
 
 def run_identity_suite(
@@ -322,44 +317,45 @@ def compare_estimators(
     the best root-mean-square error across the query points per sample
     size; the other estimators report as-is, at the smallest ε if they
     take one.  conditional estimates no density and is rejected before
-    anything is sampled.  Every size is a prefix of one stream of the
-    largest, reduced in one pass.  No pass/fail is attached.
+    anything is sampled, as is an estimator that needs ε when none is
+    given.  Every size is a prefix of one stream of the largest, reduced
+    in one pass.  No pass/fail is attached.
     """
     if not estimators or not sample_sizes:
         raise ValueError("compare needs at least one estimator and one sample size")
     entries = [get_estimator(name) for name in estimators]
-    if "conditional" in estimators:
-        raise ValueError("estimator 'conditional' does not estimate a density")
-    if not epsilons and any(e.takes_epsilon for e in entries):
-        raise ValueError("the estimators compared need at least one epsilon")
+    for name, entry in zip(estimators, entries):
+        if not entry.density:
+            raise ValueError(f"estimator {name!r} does not estimate a density")
     for eps in epsilons:
         check_epsilon(eps)
     sc = get_scenario(scenario)
     points = tuple(query_points) or sc.default_points
     if sc.exact_density is None:
         raise ValueError(f"scenario {scenario!r} has no exact density to compare against")
-    refs = {x: float(sc.exact_density(np.array([x]))[0]) for x in points}
+    refs = at_points(sc.exact_density, points)
     sizes = [sample_count(n) for n in sample_sizes]
     stream = sc.stream(max(sizes), seed, workers)
     nested = tuple(sorted(set(sizes)))
     # one reducer per (estimator, ε), snapshotted at every size; centered
-    # splits each size's own rows, so it has one reducer per size
-    plan = []
+    # splits each size's own rows, so it has one reducer per size.  Without
+    # ε, run_estimator rejects the estimators that need one.
+    smallest, plan = min(epsilons, default=None), []
     for i, (name, entry) in enumerate(zip(estimators, entries)):
-        for eps in epsilons if entry.kernel else [min(epsilons) if entry.takes_epsilon else None]:
+        for eps in (epsilons or [None]) if entry.kernel else [smallest]:
             r = run_estimator(name, stream, eps, list(points), scenario, reducer=True)
             for grid in [(n,) for n in nested] if r.halves else [nested]:
-                plan.append((i, eps, r._replace(sizes=grid)))
+                plan.append((i, r._replace(sizes=grid)))
     found: dict = {}
-    for (i, eps, _), res in zip(plan, run_pass(stream, [r for _, _, r in plan])):
+    for (i, _), res in zip(plan, run_pass(stream, [r for _, r in plan])):
         for n, ests in res.items():
-            found.setdefault((i, n), []).append((eps, ests))
+            found.setdefault((i, n), []).append(ests)
     out: list[CompareRow] = []
     for n in sizes:
         for i, name in enumerate(estimators):
             # a kernel keeps the first ε of least root-mean-square error
-            eps, ests = min(found[(i, n)], key=lambda c: math.sqrt(float(np.mean(
-                [(e.value - refs[x]) ** 2 for x, e in zip(points, c[1])]))))
-            out += [CompareRow(name, eps, e.n_used, x, e.value, refs[x], abs(e.value - refs[x]),
-                               e.std_error) for x, e in zip(points, ests)]
+            ests = min(found[(i, n)], key=lambda c: math.sqrt(float(np.mean(
+                [(e.value - ref) ** 2 for ref, e in zip(refs, c)]))))
+            out += [CompareRow(name, e.epsilon, e.n_used, x, e.value, ref, abs(e.value - ref),
+                               e.std_error) for x, ref, e in zip(points, refs, ests)]
     return out

@@ -5,6 +5,7 @@ import io
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +357,27 @@ class TestCompareCommand:
         assert not out.exists()
 
 
+class TestFarPoints:
+    @pytest.mark.parametrize("scenario", ["gaussian", "lognormal"])
+    @pytest.mark.parametrize("argv", [
+        ["density", "--estimator", "direct"],
+        ["density", "--estimator", "shifted", "--epsilons", "0.1"],
+        ["compare"],
+    ])
+    def test_far_point_runs_without_warnings(self, scenario, argv, tmp_path, capsys):
+        # at 1e300 a kernel's exponent and the reference's x² overflow to
+        # inf; both terms are exactly 0, and no numpy warning may show
+        out = tmp_path / "far.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main(argv + ["--scenario", scenario, "--points=1e300,1", "--samples", "1000",
+                                  "--out", str(out)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == ""
+        far = out.read_text().splitlines()[1].split(",")
+        assert float(far[-1 if argv[0] == "density" else 5]) == 0.0  # the reference
+
+
 class TestEstimatorNames:
     def test_unknown_name_message_is_shared(self, capsys):
         messages = []
@@ -368,7 +390,20 @@ class TestEstimatorNames:
         assert f"valid: {', '.join(ESTIMATORS)}" in messages[0]
 
     def test_bias_windows_cover_the_kernels(self):
-        assert set(BIAS_SLOPE_WINDOWS) == {n for n, e in ESTIMATORS.items() if e.kernel}
+        # derived from the table's bias orders; the thresholds are exactly these
+        assert BIAS_SLOPE_WINDOWS == {"shifted": (1.7, 2.3), "plain_gamma": (0.7, 1.3),
+                                      "plain_id": (0.7, 1.3)}
+
+    @pytest.mark.parametrize("spelling", ["direct centered", "direct, centered",
+                                          " direct,,centered "])
+    def test_commas_or_spaces_separate_names(self, spelling, tmp_path):
+        outs = []
+        for i, names in enumerate(["direct,centered", spelling]):
+            outs.append(tmp_path / f"c{i}.csv")
+            rc = cli_main(["compare", "--scenario", "lognormal", "--estimators", names,
+                           "--samples", "2000", "--out", str(outs[-1])])
+            assert rc == EXIT_OK
+        assert _read(outs[0]) == _read(outs[1])
 
 
 class TestConfigAndEnvironment:
@@ -793,4 +828,13 @@ class TestEmptyLists:
                        "--samples", "2000", "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert "--epsilons is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("empty", [",", "", " , "])
+    def test_empty_estimators_exits_2(self, empty, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = cli_main(["compare", "--scenario", "lognormal", "--estimators", empty,
+                       "--samples", "2000", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "--estimators is empty" in capsys.readouterr().err
         assert not out.exists()

@@ -508,6 +508,19 @@ class TestEstimatorTable:
                                              "'direct' needs it"):
             run_estimator("direct", tb, None, [1.0], "gbm_euler")
 
+    @pytest.mark.parametrize("name", [n for n, e in ESTIMATORS.items() if e.takes_epsilon])
+    def test_missing_epsilon_names_the_estimator(self, name):
+        batch = get_scenario("lognormal").build(2000, 3, 1)
+        with pytest.raises(ValueError, match=f"estimator '{name}' needs an epsilon"):
+            run_estimator(name, batch, None, [1.0])
+
+    def test_table_states_each_kernel_and_its_bias_order(self):
+        kernels = {n: (e.kernel, e.bias_order) for n, e in ESTIMATORS.items() if e.kernel}
+        assert kernels == {"shifted": ((True, False), 2), "plain_gamma": ((False, False), 1),
+                           "plain_id": ((False, True), 1)}
+        assert [n for n, e in ESTIMATORS.items() if not e.density] == ["conditional"]
+        assert all(e.bias_order is None for e in ESTIMATORS.values() if not e.kernel)
+
 
 class TestBatches:
     def test_from_raw_counts_invalid(self):

@@ -57,3 +57,22 @@ def test_benchmark_traces_every_workload(workload, tmp_path, monkeypatch):
     result = passes.run_pass(workload, 5, 0.01, work, traced=True)
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["problems"]
+
+
+@pytest.mark.parametrize("module", ["cli.py", "sweeps.py"])
+def test_command_layer_defers_to_the_owners(module):
+    # the estimator table decides what an estimator is, and
+    # scenarios.at_points evaluates every reference: neither module
+    # compares with an estimator's name or calls an exact density itself
+    from dirichlet_mc.estimators import ESTIMATORS
+
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            literals = {n.value for part in (node.left, *node.comparators)
+                        for n in ast.walk(part) if isinstance(n, ast.Constant)}
+            assert not literals & set(ESTIMATORS), f"{module}:{node.lineno} compares a name"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            assert called != "exact_density", f"{module}:{node.lineno} calls exact_density"
