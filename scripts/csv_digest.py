@@ -13,8 +13,10 @@ fractional count, an empty `--points` list and the option spellings no
 command reads, and an `--estimators` list separated by spaces as well as
 commas), a non-finite `--corrupt-a`, a Monte Carlo bias sweep on a
 scenario without an exact density, quadrature sweeps at ε around and
-below what the grid resolves, and `density` and `compare` at a query point
-of 1e300, where every kernel term and reference is exactly 0.  Each command
+below what the grid resolves, `density` and `compare` at a query point of
+1e300, where every kernel term and reference is exactly 0, and `density`
+for each sign formula at 300 unsorted points, 270 of them distinct, which
+it bins in several groups with counts past 255.  Each command
 runs in-process at `--workers 1` and `--workers 2`; a line reads
 
     <sha256 of the CSV, or "-" when none was written>  <exit code>  w<workers>  <tag>
@@ -155,6 +157,19 @@ def commands() -> dict[str, list[str]]:
         cmds[f"centered_split_{samples}"] = [
             "density", "--scenario", "lognormal", "--estimator", "centered",
             "--points", "0.5,1.0,2.0", "--samples", samples, "--seed", "7"]
+    # 300 unsorted points, 270 distinct and 30 repeated: the sign formulas
+    # compare each block with the sorted distinct points a group at a time,
+    # across group boundaries and with bin counts past 255
+    for sc, est, lo, hi in (("lognormal", "direct", 0.01, 5.0),
+                            ("lognormal", "regularized", 0.01, 5.0),
+                            ("lognormal", "centered", 0.01, 5.0),
+                            ("gaussian_pair", "conditional", -3.0, 3.0)):
+        distinct = np.linspace(lo, hi, 270)
+        points = np.concatenate([distinct[(97 * np.arange(270)) % 270], distinct[::9]])
+        cmds[f"many_points_{sc}_{est}"] = [
+            "density", "--scenario", sc, "--estimator", est, "--epsilons", "0.05",
+            "--points=" + ",".join(repr(float(x)) for x in points), "--samples", "20000",
+            "--seed", "5"]
     for samples in ("quadrature", "20000", "50001"):
         cmds[f"sweep_variance_{samples}"] = [
             "sweep-variance", "--scenario", "lognormal", "--points", "1.0",

@@ -38,10 +38,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import ESTIMATORS, get_estimator, run_estimator
+from .estimators import ESTIMATORS, get_estimator, run_estimator, z_score
 from .scenarios import SCENARIOS, at_points, get_scenario
 from .sweeps import (
     IDENTITY_Z_THRESHOLD,
+    VARIANCE_ESTIMATOR,
     CompareRow,
     SweepConfig,
     SweepRow,
@@ -225,12 +226,14 @@ def _cmd_density(args) -> int:
         refs = at_points(ref_fn, points) if ref_fn is not None else [None] * len(ests)
         rows = [(e.x, e.value, e.std_error, ref) for e, ref in zip(ests, refs)]
     else:
-        rows = [(ce.x, ce.ratio, ce.ratio_std_error,
-                 sc.cond_oracle(ce.x) if sc.cond_oracle is not None else None) for ce in ests]
-    worst_z = 0.0
-    for _, value, se, ref in rows:
-        if ref is not None and se > 0:
-            worst_z = max(worst_z, abs(value - ref) / se)
+        # a far point overflows the oracle to 0/0: its reference reads NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = [(ce.x, ce.ratio, ce.ratio_std_error,
+                     sc.cond_oracle(ce.x) if sc.cond_oracle is not None else None) for ce in ests]
+    # |z| per point with a reference; a NaN (a NaN reference or estimate, an
+    # infinite error) ranks above every number and fails --strict
+    zs = [(abs(z_score(value - ref, se)), x) for x, value, se, ref in rows if ref is not None]
+    worst_z, worst_x = max(zs, key=lambda zx: (math.isnan(zx[0]), zx[0]), default=(0.0, None))
     used = min(e.n_used if density else e.numerator.n_used for e in ests)
 
     _write_csv(args.out, ("x", "estimate", "std_error", "reference"), rows)
@@ -240,8 +243,9 @@ def _cmd_density(args) -> int:
         + (f"worst |estimate-reference|/se = {worst_z:.2f}"
            if ref_fn is not None or not density else "(no reference)")
     )
-    if args.strict and worst_z > 4.0:
-        print(f"STRICT: estimate deviates {worst_z:.2f} standard errors (> 4) from reference")
+    if args.strict and not worst_z <= 4.0:
+        print(f"STRICT: at x = {worst_x!r} the estimate deviates {worst_z:.2f} standard errors "
+              "(> 4 or not a number) from reference")
         return EXIT_THRESHOLD
     return EXIT_OK
 
@@ -253,7 +257,7 @@ def _cmd_sweep(args) -> int:
     sc, points, eps = _resolve(
         args, (0.2, 0.1, 0.05, 0.025) if bias else (0.01, 10**-2.5, 0.001))
     cfg = SweepConfig(
-        scenario=sc.name, estimator=args.estimator if bias else "shifted", epsilons=eps,
+        scenario=sc.name, estimator=args.estimator if bias else VARIANCE_ESTIMATOR, epsilons=eps,
         sample_size=_sample_count(args, quadrature=True), query_points=points,
         seed=args.seed, workers=args.workers,
     )

@@ -286,16 +286,20 @@ def _estimates(queries: np.ndarray, m: Moments, epsilon=None) -> list[DensityEst
                             float(v), float(e), m.n, epsilon) for q, v, e in zip(queries, mean, se)]
 
 
-def _z(m: Moments) -> float:
-    """Mean over its standard error.  NaN, which fails every threshold, when
-    either is not finite (fewer than two values give an infinite error);
-    ±inf when the error is 0 but the mean is not; 0 when both are 0."""
-    mean, se = (float(v) for v in _mean_se(m))
-    if not (math.isfinite(mean) and math.isfinite(se)):
+def z_score(value: float, se: float) -> float:
+    """value over its standard error se.  NaN, which fails every threshold,
+    when either is not finite (fewer than two values give an infinite
+    error); ±inf when the error is 0 but the value is not; 0 when both are 0."""
+    if not (math.isfinite(value) and math.isfinite(se)):
         return math.nan
     if se > 0:
-        return mean / se
-    return math.copysign(math.inf, mean) if mean != 0 else 0.0
+        return value / se
+    return math.copysign(math.inf, value) if value != 0 else 0.0
+
+
+def _z(m: Moments) -> float:
+    """The mean of m over its standard error, by z_score."""
+    return z_score(*(float(v) for v in _mean_se(m)))
 
 
 # -- one pass, many reducers -------------------------------------------------
@@ -329,7 +333,7 @@ class _Cutter:
     from each half's first row and reduces them with the reducers of its
     slots, (reducer, sizes, {drawn rows, or None for the running total:
     merged partial}), which share per block a dict: "buf" holds the pass's
-    kernel scratch, other keys the block's set-ups."""
+    scratch (see _scratch), other keys the block's set-ups."""
 
     def __init__(self, src, buf, split, end):
         self.src, self.buf, self.split, self.end = src, buf, split, end
@@ -358,6 +362,16 @@ class _Cutter:
             snaps[drawn] = _add(snaps.get(None), part)
         if drawn is None:
             self.held, self.have = [], 0
+
+
+def _scratch(shared, size: int) -> np.ndarray:
+    """The pass's one scratch array of float64, grown to at least size
+    entries, so that a reducer's per-block temporaries are not allocated
+    anew for each block."""
+    buf = shared["buf"]
+    if buf[0].size < size:
+        buf[0] = np.empty(size)
+    return buf[0]
 
 
 def run_pass(src, reducers) -> list[dict]:
@@ -541,12 +555,10 @@ def _kernel_reducer(d: int, epsilon: float, xs, shift: bool, identity_cov: bool,
         n, values = shared[key]
         if not n:
             return None
-        buf = shared["buf"]  # the pass's one scratch, grown to its largest group
-        if buf[0].size < need:
-            buf[0] = np.empty(need)
+        buf = _scratch(shared, need)
         cols = [np.empty(nq) for _ in range(4 if fourth else 2)]
         for lo in range(0, nq, _GROUP):
-            m = _moments(values(queries[lo:lo + _GROUP], buf[0]), fourth)
+            m = _moments(values(queries[lo:lo + _GROUP], buf), fourth)
             for col, v in zip(cols, (m.mean, m.m2, m.m3, m.m4)):
                 col[lo:lo + _GROUP] = v
         return Moments(n, *cols)
@@ -638,6 +650,11 @@ def conditional_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
     return (w if every else np.where(usable, w, 0.0)), usable
 
 
+# sorted distinct queries a block is compared with at once: the (group,
+# block) comparisons take ≤ CHUNK_SIZE·_BIN_GROUP bytes (512 KiB) of scratch
+_BIN_GROUP = 32
+
+
 def _side_sums(xs, finish, *columns) -> Reducer:
     """Per columns function, the usable count and the Σ of each weight
     column over {X < x}, {X = x} and {X > x} per query, handed to
@@ -648,19 +665,27 @@ def _side_sums(xs, finish, *columns) -> Reducer:
     unusable rows); with two, the reducer has halves and half h feeds
     columns[h].  Each block is binned once against the sorted distinct
     queries, shared by the reducers with the same queries: bin 2j holds
-    q_{j-1} < X < q_j and bin 2j+1 holds X = q_j, so sign(0) = 0.  Each
-    column takes one bincount per block; running sums over the bins from
-    either end give the two sides, neither formed by cancellation.
+    q_{j-1} < X < q_j and bin 2j+1 holds X = q_j, so sign(0) = 0.  The bin
+    index counts the queries below X by broadcast comparisons, _BIN_GROUP
+    queries against the whole block at a time, summed over the group in
+    uint8 (uint16 above 255 distinct queries): O(N·Q) SIMD compares and no
+    Python loop per query.  Each column takes one bincount per block;
+    running sums over the bins from either end give the two sides, neither
+    formed by cancellation.
     """
     queries = _as_queries(xs, 1)
     grid, pos = np.unique(queries[:, 0], return_inverse=True)
     k, ends, key = grid.shape[0], np.append(grid, np.nan), ("bins", grid.tobytes())
+    need = -(-min(k, _BIN_GROUP) * CHUNK_SIZE // 8)  # float64s holding the bool compares
 
     def part(blk, half, shared):
         if key not in shared:
             below = np.zeros(blk.n, dtype=np.min_scalar_type(k))
-            for v in grid:
-                below += (blk.x > v).view(np.uint8)
+            above = _scratch(shared, need).view(np.bool_)
+            for lo in range(0, k, _BIN_GROUP):
+                q = grid[lo:lo + _BIN_GROUP, None]
+                gt = np.greater(blk.x, q, out=above[:q.size * blk.n].reshape(q.size, blk.n))
+                below += np.add.reduce(gt.view(np.uint8), axis=0, dtype=below.dtype)
             bins = below.astype(np.intp)
             tie = ends[bins] == blk.x
             bins *= 2

@@ -31,6 +31,8 @@ from .quadrature import UnresolvedKernelError, kernel_moment_integral
 from .scenarios import Scenario, at_points, corrupt_quad_batch, get_scenario
 
 IDENTITY_Z_THRESHOLD = 4.0
+# the one estimator a variance sweep measures: shifted_kernel_variance's kernel
+VARIANCE_ESTIMATOR = "shifted"
 
 
 @dataclass(frozen=True)
@@ -225,8 +227,12 @@ def run_variance_sweep(cfg: SweepConfig) -> VarianceSweepResult:
     on the unscaled variance, whose theoretical order is -1/2.  Monte Carlo
     rows carry the standard error of the sample variance, taken from the
     fourth central moment of the kernel values; quadrature rows carry 0.
-    Every point's reference is checked before any sample or integral.
+    Every point's reference is checked before any sample or integral; an
+    estimator other than VARIANCE_ESTIMATOR is a ValueError naming it.
     """
+    if cfg.estimator != VARIANCE_ESTIMATOR:
+        raise ValueError(f"variance sweeps measure the {VARIANCE_ESTIMATOR!r} kernel only, "
+                         f"not {cfg.estimator!r}")
     sc = get_scenario(cfg.scenario)
     _require_reduced(sc, "variance sweep")
     points = cfg.query_points or sc.default_points

@@ -7,7 +7,8 @@ the references reduce the whole batch at once (tests/oracles.py).  The
 kernels are also checked in d = 3 with full and rank-deficient
 covariances, with covariances that are not positive definite, and, for
 d = 1, bit for bit against one pass per query however the queries are
-grouped.
+grouped.  The sign formulas also take up to 300 unsorted and repeated
+queries, which they bin a group at a time.
 """
 import math
 
@@ -85,34 +86,63 @@ def _assert_same(got, want):
         assert _close(e.std_error, r.std_error, rel=1e-12 * _cond(r)), (e.x, e.std_error, r.std_error)
 
 
-@pytest.mark.parametrize("n", SIZES)
+def many_queries(q: int) -> np.ndarray:
+    """q unsorted query points, log-spaced over the lognormal samples.  The
+    tied values 0.5 and 1.0 of quads() are among them, from q = 64 past the
+    32nd distinct point; q = 300 holds 270 distinct points (more than 255)
+    and 30 repeats, the tied values among them."""
+    if q == 1:
+        return np.array([1.0])
+    distinct = np.geomspace(0.01, 5.0, min(q, 270))
+    for tie in (0.5, 1.0):
+        distinct[np.argmin(abs(distinct - tie))] = tie
+    rng = np.random.default_rng(q)
+    extra = q - distinct.size
+    repeats = np.concatenate([[0.5, 1.0], rng.choice(distinct, extra - 2)]) if extra else []
+    xs = rng.permutation(np.concatenate([distinct, repeats]))
+    grid = np.unique(xs)
+    assert q < 64 or min(np.searchsorted(grid, (0.5, 1.0))) >= 32
+    assert q < 300 or grid.size > 255
+    return xs
+
+
+# every size with three queries, and four blocks with many: the queries are
+# binned in groups against each block, so these cross group boundaries and
+# counts past uint8, with unsorted and repeated points and ties past the
+# first group
+SIGN_CASES = [pytest.param(n, QUERIES, id=str(n)) for n in SIZES] + [
+    pytest.param(3 * C + 7, many_queries(q), id=f"{3 * C + 7}-q{q}") for q in (1, 64, 65, 300)]
+
+
+@pytest.mark.parametrize("n,xs", SIGN_CASES)
 class TestSignFormulas:
-    def test_direct(self, n):
-        _assert_same(direct_density(quads(n), QUERIES), direct_loop(quads(n), QUERIES))
+    def test_direct(self, n, xs):
+        _assert_same(direct_density(quads(n), xs), direct_loop(quads(n), xs))
 
-    def test_regularized(self, n):
+    def test_regularized(self, n, xs):
         b = quads(n)
-        _assert_same(regularized_density(b, 0.05, QUERIES), regularized_loop(b, 0.05, QUERIES))
+        _assert_same(regularized_density(b, 0.05, xs), regularized_loop(b, 0.05, xs))
 
-    def test_centered(self, n):
+    def test_centered(self, n, xs):
         b = quads(n)
         if n < 2:
             with pytest.raises(ValueError, match="too small"):
-                centered_direct_density(b, QUERIES)
+                centered_direct_density(b, xs)
             return
         # at n = 3C + 7 the split n // 2 = C + 8195 falls inside a block
-        _assert_same(centered_direct_density(b, QUERIES), centered_loop(b, QUERIES))
-        _assert_same(centered_direct_density(b, QUERIES, force_c=0.3),
-                     centered_loop(b, QUERIES, force_c=0.3))
+        _assert_same(centered_direct_density(b, xs), centered_loop(b, xs))
+        _assert_same(centered_direct_density(b, xs, force_c=0.3),
+                     centered_loop(b, xs, force_c=0.3))
 
-    def test_conditional(self, n):
+    def test_conditional(self, n, xs):
         b = quads(n)
         if n < 2:
             with pytest.raises(NoUsableSamplesError):
-                conditional_expectation(b, QUERIES)
+                conditional_expectation(b, xs)
             return
-        for ce, (num, den, ratio, se_r) in zip(conditional_expectation(b, QUERIES),
-                                               conditional_loop(b, QUERIES)):
+        got = conditional_expectation(b, xs)
+        assert len(got) == len(xs)
+        for ce, (num, den, ratio, se_r) in zip(got, conditional_loop(b, xs)):
             _assert_same([ce.numerator, ce.denominator], [num, den])
             assert _close(ce.ratio, ratio)
             assert _close(ce.ratio_std_error, se_r, rel=1e-12 * max(_cond(num), _cond(den)))

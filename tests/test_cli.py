@@ -377,6 +377,41 @@ class TestFarPoints:
         far = out.read_text().splitlines()[1].split(",")
         assert float(far[-1 if argv[0] == "density" else 5]) == 0.0  # the reference
 
+    @pytest.mark.parametrize("scenario", ["gaussian", "lognormal"])
+    def test_zero_over_zero_passes_strict(self, scenario, capsys):
+        # the far kernel row is 0 ± 0 against a reference of 0: z reads 0
+        rc = cli_main(["density", "--scenario", scenario, "--estimator", "shifted",
+                       "--epsilons", "0.1", "--points=1e300", "--samples", "1000", "--strict"])
+        assert rc == EXIT_OK
+        assert "worst |estimate-reference|/se = 0.00" in capsys.readouterr().out
+
+    def test_nan_reference_fails_strict_naming_the_point(self, tmp_path, capsys):
+        # the conditional oracle at 1e300 is 0/0; max(worst, nan) once kept
+        # 0 and exited 0 under --strict
+        out = tmp_path / "cond.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main(["density", "--scenario", "gaussian_pair", "--estimator", "conditional",
+                           "--points=0,1e300", "--samples", "2000", "--seed", "3", "--strict",
+                           "--out", str(out)])
+        assert rc == EXIT_THRESHOLD
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        assert "worst |estimate-reference|/se = nan" in printed.out
+        assert "STRICT: at x = 1e+300 " in printed.out
+        assert out.read_text().splitlines()[2].endswith(",nan")
+
+    def test_exact_estimate_off_the_reference_fails_strict(self, monkeypatch, capsys):
+        # an estimate of 0 ± 0 against a nonzero reference is infinitely many
+        # standard errors off
+        sc = get_scenario("gaussian")
+        monkeypatch.setitem(SCENARIOS, sc.name, dataclasses.replace(
+            sc, exact_density=lambda x: np.full(np.shape(x), 1e-3)))
+        rc = cli_main(["density", "--scenario", sc.name, "--estimator", "shifted",
+                       "--epsilons", "0.1", "--points=1e300", "--samples", "1000", "--strict"])
+        assert rc == EXIT_THRESHOLD
+        assert "STRICT: at x = 1e+300 the estimate deviates inf" in capsys.readouterr().out
+
 
 class TestEstimatorNames:
     def test_unknown_name_message_is_shared(self, capsys):

@@ -195,6 +195,15 @@ class TestVarianceSweep:
         with pytest.raises(ValueError, match="cannot drive"):
             run_variance_sweep(cfg)
 
+    @pytest.mark.parametrize("estimator", ["direct", "plain_id", "plain_gamma", "nope"])
+    @pytest.mark.parametrize("samples", ["quadrature", 20_000])
+    def test_other_estimators_rejected_by_name(self, estimator, samples):
+        # the sweep measures the shifted kernel alone; 'direct' once ran it
+        # and returned a slope of -0.686
+        cfg = SweepConfig("lognormal", estimator, (0.1, 0.05), samples, (1.0,))
+        with pytest.raises(ValueError, match=f"not '{estimator}'"):
+            run_variance_sweep(cfg)
+
     def test_quadrature_rows_equal_two_single_power_integrals(self):
         eps = tuple(float(e) for e in np.geomspace(0.01, 0.001, 5))
         sc = get_scenario("lognormal")
