@@ -28,6 +28,11 @@ rank-one row, one line each,
 
     <sha256 of the repr of the estimates>  -  lib  <tag>
 
+and the same three on one seeded scalar (X, Γ, A) record with one zero Γ,
+passed once as 1-d columns and once as (N, 1) and (N, 1, 1) columns, so
+that both layouts print one hash (tags kernel_scalar_1d_* and
+kernel_scalar_n1_*),
+
 the mass `check_mass()` integrates for each exact density, printed
 as its repr,
 
@@ -254,14 +259,29 @@ def kernel_batch(d: int, n: int = 20_000, seed: int = 12):
     return TripleBatch(rng.normal(size=(n, d)), gamma, rng.normal(size=(n, d)))
 
 
+def scalar_batches(n: int = 20_000, seed: int = 13) -> dict:
+    """One seeded scalar (X, Γ, A) record, row 3 with Γ = 0, by layout:
+    1-d columns, and (N, 1), (N, 1, 1) columns."""
+    rng = np.random.default_rng(seed)
+    x, gamma, a = rng.normal(size=n), rng.uniform(0.5, 2.0, n), rng.normal(size=n)
+    gamma[3] = 0.0
+    return {"1d": TripleBatch(x, gamma, a),
+            "n1": TripleBatch(x[:, None], gamma[:, None, None], a[:, None])}
+
+
 def library_digests():
-    """(sha256 of the repr of the estimates, tag) per d ≥ 2 kernel call."""
+    """(sha256 of the repr of the estimates, tag) per library kernel call:
+    d = 2 and 3, then the scalar record in both layouts."""
+    calls = []
     for d in (2, 3):
-        tb = kernel_batch(d)
         xs = np.array([np.zeros(d), np.linspace(0.5, -0.5, d), np.linspace(-1.5, 1.0, d)])
+        calls.append((f"d{d}", kernel_batch(d), xs))
+    calls += [(f"scalar_{layout}", tb, [-1.0, 0.0, 0.5, 2.0])
+              for layout, tb in scalar_batches().items()]
+    for tag, tb, xs in calls:
         for name, call in LIBRARY_KERNELS.items():
             got = repr(call(tb, 0.1, xs))
-            yield hashlib.sha256(got.encode()).hexdigest(), f"kernel_d{d}_{name}"
+            yield hashlib.sha256(got.encode()).hexdigest(), f"kernel_{tag}_{name}"
 
 
 def mass_lines():

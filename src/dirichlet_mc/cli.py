@@ -21,7 +21,8 @@ bias order ± 0.3.  --samples is one count
 literal with an integral value below 2**53, never truncated.  A list option
 given empty is an error; long options are never abbreviated.
 
-Exit codes: 0 success, 2 validation error, 3 threshold failure under --strict.
+Exit codes: 0 success, 2 validation error (among them --workers outside
+1..64), 3 threshold failure under --strict.
 A --config file of flat key=value lines, keyed by the subcommand's long
 options, overrides flags; DIRICHLET_MC_SEED overrides the seed from either.
 """
@@ -62,6 +63,9 @@ EXIT_OK, EXIT_VALIDATION, EXIT_THRESHOLD = 0, 2, 3
 
 # the largest sample count an array can index
 MAX_SAMPLES = np.iinfo(np.intp).max
+# each worker is a pool thread, started as chunks are submitted: a count far
+# above the cores buys no speed and, with many chunks, asks for that many threads
+MAX_WORKERS = 64
 
 
 def _fmt(v) -> str:
@@ -112,7 +116,8 @@ def _apply_overrides(args: argparse.Namespace) -> None:
     """Config file beats flags; DIRICHLET_MC_SEED beats both.  A config key
     is a long option of the running subcommand (dashes or underscores), is
     converted as the flag would be, and is never --config itself, which
-    has been read by then.  The resolved worker count must be at least 1."""
+    has been read by then.  The resolved worker count must lie in
+    1..MAX_WORKERS."""
     if getattr(args, "config", None):
         for key, val in _load_config(args.config).items():
             action = args.options.get(key.replace("-", "_"))
@@ -131,8 +136,8 @@ def _apply_overrides(args: argparse.Namespace) -> None:
             args.seed = int(env_seed)
         except ValueError:
             raise ValueError(f"DIRICHLET_MC_SEED={env_seed!r} is not an integer") from None
-    if getattr(args, "workers", 1) < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    if not 1 <= getattr(args, "workers", 1) <= MAX_WORKERS:
+        raise ValueError(f"--workers must be in 1..{MAX_WORKERS}, got {args.workers}")
 
 
 def _items(args, name: str) -> Optional[list[str]]:
@@ -155,10 +160,7 @@ def _numbers(args, name: str, default: tuple[float, ...]) -> tuple[float, ...]:
 
 def _resolve(args, default_epsilons: tuple[float, ...] = ()):
     """The scenario, query points (default: the scenario's) and ε list of a run."""
-    try:
-        sc = get_scenario(args.scenario)
-    except KeyError as exc:
-        raise ValueError(exc.args[0]) from None
+    sc = get_scenario(args.scenario)
     return sc, _numbers(args, "points", sc.default_points), _numbers(
         args, "epsilons", default_epsilons)
 

@@ -16,6 +16,9 @@ Two families:
   centered, which both drives the far-tail behaviour and enables a
   split-sample control variate.
 
+One record, QuadBatch (also named TripleBatch), holds a draw, quad data
+or not; the kernels read its columns in place through (N, d) views.
+
 One pass, many statistics.  Every statistic is a Reducer: block →
 partial, merged in block order (the sign formulas add per-side bin sums,
 the kernels and the identity statistics merge Moments by the pairwise
@@ -71,10 +74,42 @@ def _joined(parts: list[tuple]) -> tuple:
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(c) for c in zip(*parts))
 
 
-class _Batch:
-    """A built batch as a source of run_pass: one chunk of its rows."""
+@dataclass(frozen=True)
+class QuadBatch:
+    """A draw of N samples: X, Γ[X] and A[X]; for the sign formulas also
+    Γ[X, Γ[X]] (quad data), and G with Γ[X, G] for conditional expectations.
+    Scalar draws have 1-d columns; a draw in dimension d has x (N, d),
+    gamma (N, d, d) and a (N, d) only.  from_raw drops non-finite rows and
+    keeps their count.  TripleBatch names it where only (X, Γ, A) is read."""
+
+    x: np.ndarray
+    gamma: np.ndarray
+    a: np.ndarray
+    gamma_x_gammax: Optional[np.ndarray] = None
+    g: Optional[np.ndarray] = None
+    gamma_x_g: Optional[np.ndarray] = None
+    invalid_count: int = 0
 
     n = requested = property(lambda self: self.x.shape[0])
+    d = property(lambda self: 1 if self.x.ndim == 1 else self.x.shape[1])
+    quad = property(lambda self: self.gamma_x_gammax is not None)
+    has_aux = property(lambda self: self.g is not None)
+
+    def __post_init__(self):
+        # chunks() hands the columns on by position: G needs Γ[X, Γ[X]]
+        if (self.g is None) != (self.gamma_x_g is None) or (self.has_aux and not self.quad):
+            raise ValueError("g and gamma_x_g must be supplied together, with gamma_x_gammax")
+        cols = {f.name: np.asarray(getattr(self, f.name), dtype=float)
+                for f in dataclasses.fields(self)[:6] if getattr(self, f.name) is not None}
+        x = cols["x"]
+        if not (x.ndim == 1 or x.ndim == 2 and len(cols) == 3):
+            raise ValueError("a batch has 1-d columns, or only x (N, d), gamma (N, d, d), a (N, d)")
+        n, *d = x.shape
+        for name, v in cols.items():
+            want = (n, *d, *d) if name == "gamma" else x.shape
+            if v.shape != want:
+                raise ValueError(f"{name} has shape {v.shape}, want {want}")
+            object.__setattr__(self, name, v)
 
     @classmethod
     def from_raw(cls, *cols, **named):
@@ -86,74 +121,12 @@ class _Batch:
         return cls(**dict(zip(given, kept)), invalid_count=bad)
 
     def chunks(self) -> list[tuple]:
+        """The batch as a source of run_pass: one chunk of its columns."""
         fields = (getattr(self, f.name) for f in dataclasses.fields(self))
         return [tuple(v for v in fields if isinstance(v, np.ndarray))]
 
-    def _block(self, cols):
-        return type(self)(*cols)
 
-
-@dataclass(frozen=True)
-class TripleBatch(_Batch):
-    """Independent (X, Γ, A) draws sharing a dimension d.
-
-    x: (N, d); gamma: (N, d, d); a: (N, d).  Non-finite draws are excluded
-    before construction and only their count is kept.
-    """
-
-    x: np.ndarray
-    gamma: np.ndarray
-    a: np.ndarray
-    invalid_count: int = 0
-    quad = False
-
-    def __post_init__(self):
-        # scalar draws (1-d columns) are d = 1
-        x, g, a = (np.asarray(v, dtype=float) for v in (self.x, self.gamma, self.a))
-        x, a = (v[:, None] if v.ndim == 1 else v for v in (x, a))
-        g = g[:, None, None] if g.ndim == 1 else g
-        n, d = x.shape
-        if g.shape != (n, d, d) or a.shape != (n, d):
-            raise ValueError("batch arrays disagree on N or d")
-        for name, v in (("x", x), ("gamma", g), ("a", a)):
-            object.__setattr__(self, name, v)
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
-
-@dataclass(frozen=True)
-class QuadBatch(_Batch):
-    """Scalar quads (X, Γ, A, Γ[X, Γ[X]]), optionally with a second scalar
-    G and Γ[X, G] for conditional expectations."""
-
-    x: np.ndarray
-    gamma: np.ndarray
-    a: np.ndarray
-    gamma_x_gammax: np.ndarray
-    g: Optional[np.ndarray] = None
-    gamma_x_g: Optional[np.ndarray] = None
-    invalid_count: int = 0
-    quad, d = True, 1
-
-    def __post_init__(self):
-        if (self.g is None) != (self.gamma_x_g is None):
-            raise ValueError("g and gamma_x_g must be supplied together")
-        rows = np.shape(self.x)[:1]
-        for name in ("x", "gamma", "a", "gamma_x_gammax", "g", "gamma_x_g"):
-            if getattr(self, name) is not None:
-                arr = np.asarray(getattr(self, name), dtype=float)
-                object.__setattr__(self, name, arr)
-                if arr.ndim != 1 or arr.shape != rows:
-                    raise ValueError(f"{name} must be one-dimensional with as many rows as x")
-
-    @property
-    def has_aux(self) -> bool:
-        return self.g is not None
-
-    def triple_batch(self) -> TripleBatch:
-        return TripleBatch(self.x, self.gamma, self.a, invalid_count=self.invalid_count)
+TripleBatch = QuadBatch
 
 
 @dataclass
@@ -168,9 +141,6 @@ class SampleStream:
     n: int = 0
     invalid_count: int = 0
     d = 1  # every scenario draws scalars
-
-    def _block(self, cols):
-        return (QuadBatch if self.quad else TripleBatch)(*cols)
 
 
 @dataclass(frozen=True)
@@ -335,8 +305,8 @@ class _Cutter:
     merged partial}), which share per block a dict: "buf" holds the pass's
     scratch (see _scratch), other keys the block's set-ups."""
 
-    def __init__(self, src, buf, split, end):
-        self.src, self.buf, self.split, self.end = src, buf, split, end
+    def __init__(self, buf, split, end):
+        self.buf, self.split, self.end = buf, split, end
         self.slots, self.half, self.held, self.have = [], 0, [], 0
 
     def push(self, start: int, cols: tuple) -> None:
@@ -356,7 +326,7 @@ class _Cutter:
         or, at drawn rows, snapshot each reducer that asks for one there."""
         slots = [s for s in self.slots if drawn is None or drawn in s[1]]
         if self.held and slots:
-            blk, shared = self.src._block(_joined(self.held)), {"buf": self.buf}
+            blk, shared = QuadBatch(*_joined(self.held)), {"buf": self.buf}
         for r, _, snaps in slots:
             part = r.part(blk, self.half, shared) if self.held else None
             snaps[drawn] = _add(snaps.get(None), part)
@@ -390,7 +360,7 @@ def run_pass(src, reducers) -> list[dict]:
             raise ValueError("batch too small to split")
         split = end // 2 if r.halves else None
         slots.append((r, sizes, {}))
-        cutters.setdefault((split, end), _Cutter(src, buf, split, end)).slots.append(slots[-1])
+        cutters.setdefault((split, end), _Cutter(buf, split, end)).slots.append(slots[-1])
         marks.update(sizes, [split] if split else [])
     if stream:
         src.n = src.invalid_count = 0
@@ -470,9 +440,10 @@ def _ldl(entry, d: int):
 
 
 def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: bool):
-    """The number of usable samples in block b (triples, or the triples of
-    quads) and (queries, buffer) ↦ the kernel values g(x - c_n, Σ_n) of a
-    group of queries over them, as a (group, samples) array in the buffer.
+    """The number of usable samples in block b, its x, a and Γ read in place
+    as (N, d) and (N, d, d) views, and (queries, buffer) ↦ the kernel values
+    g(x - c_n, Σ_n) of a group of queries over them, as a (group, samples)
+    array in the buffer.
 
     c_n = X_n + εA_n with the A-shift, else X_n; Σ_n = εΓ_n, or εI with
     identity_cov.  A sample is usable when c_n is finite, every pivot of
@@ -483,16 +454,15 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
     For d = 1, D_0 is the variance and L is empty, so the values are
     (x - c_n)²·(-½/var_n) times the normaliser.
     """
-    if b.quad:
-        b = b.triple_batch()
     d = b.d
-    center = [np.ascontiguousarray(b.x[:, i] + epsilon * b.a[:, i] if shift else b.x[:, i])
+    x, a, gamma = b.x.reshape(-1, d), b.a.reshape(-1, d), b.gamma.reshape(-1, d, d)
+    center = [np.ascontiguousarray(x[:, i] + epsilon * a[:, i] if shift else x[:, i])
               for i in range(d)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if identity_cov:
             piv, low = [float(epsilon)] * d, [[]] * d
         else:
-            piv, low = _ldl(lambda i, j: epsilon * b.gamma[:, i, j], d)
+            piv, low = _ldl(lambda i, j: epsilon * gamma[:, i, j], d)
         det = reduce(np.multiply, piv)
         # the last pivot is > 0 when the others are and det ≥ DEGENERATE_DET
         if not (_sums_finite(*center, det) and np.min(det) >= DEGENERATE_DET
@@ -870,8 +840,8 @@ def run_estimator(name: str, batch, epsilon: Optional[float], xs, scenario: str 
     the scenario's stream; with reducer, the Reducer it would run instead,
     for a pass shared with others.
 
-    Kernels take the triples of quad data; the other estimators need quad
-    data, and the error for triple data names scenario.  An estimator that
+    Kernels read (X, Γ, A) of any batch; the other estimators need quad
+    data, and the error for a batch without it names scenario.  An estimator that
     takes ε and is given None is a ValueError naming it; the others ignore
     epsilon.
     """

@@ -101,9 +101,10 @@ def law_integral(
     return float(np.sum(wts * np.asarray(vals, dtype=float)))
 
 
-def normal_pdf(y: np.ndarray, var: float = 1.0) -> np.ndarray:
+def normal_pdf(y: np.ndarray) -> np.ndarray:
+    """The standard normal density at y."""
     y = np.asarray(y, dtype=float)
-    return np.exp(-0.5 * y * y / var) / math.sqrt(2.0 * math.pi * var)
+    return np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
 
 
 class UnresolvedKernelError(ValueError):

@@ -13,14 +13,14 @@ from the calculus silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .coords import unit_a, unit_gamma
-from .estimators import QuadBatch, SampleStream, TripleBatch
+from .estimators import QuadBatch, SampleStream
 from .poisson import LAMBDA as _POISSON_LAMBDA, sample_poisson_arrays
 from .quadrature import law_integral, normal_pdf, quadrature_expectation  # noqa: F401  (perfbench wraps it here)
 from .streams import iter_chunks, sample_chunked
@@ -42,7 +42,7 @@ class Scenario:
     description: str
     kind: str  # "quad" or "triple"
     draw: Callable[[np.random.Generator, int], tuple[np.ndarray, ...]]
-    build: Optional[Callable[[int, int, int], QuadBatch | TripleBatch]] = None  # default: from draw
+    build: Optional[Callable[[int, int, int], QuadBatch]] = None  # default: from draw
     exact_density: Optional[Density] = None
     support: tuple[float, float] = (-math.inf, math.inf)
     mass_bounds: Optional[tuple[float, float]] = None
@@ -52,11 +52,11 @@ class Scenario:
     default_points: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        # The default build is remade from this draw and kind, so that it
-        # follows them through dataclasses.replace; a build given explicitly
-        # is kept as it is.
+        # The default build is remade from this draw, so that it follows
+        # the draw through dataclasses.replace; a build given explicitly is
+        # kept as it is.
         if self.build is None or (isinstance(self.build, partial) and self.build.func is _build):
-            object.__setattr__(self, "build", partial(_build, self.kind, self.draw))
+            object.__setattr__(self, "build", partial(_build, self.draw))
 
     def stream(self, n: int, seed: int, workers: int) -> SampleStream:
         """The samples build(n, seed, workers) would hold, drawn chunk by
@@ -67,21 +67,20 @@ class Scenario:
     def has_reduced_form(self) -> bool:
         return self.gamma_of_x is not None and self.a_of_x is not None
 
-    def check_mass(self, tol: float = 1e-4) -> float:
-        """Exact densities must integrate to one over their support."""
+    def check_mass(self) -> float:
+        """Exact densities must integrate to one over their support, to 1e-4."""
         if self.exact_density is None:
             raise ValueError(f"scenario {self.name} has no exact density")
         lo, hi = self.mass_bounds if self.mass_bounds else self.support
         mass = law_integral(self.exact_density, lo, hi, panels=512, order=12)
-        if abs(mass - 1.0) > tol:
+        if abs(mass - 1.0) > 1e-4:
             raise ValueError(f"exact density of {self.name} integrates to {mass:.6f}")
         return mass
 
 
-def _build(kind: str, draw, n: int, seed: int, workers: int) -> QuadBatch | TripleBatch:
+def _build(draw, n: int, seed: int, workers: int) -> QuadBatch:
     """The whole batch of n samples of draw, gathered by sample_chunked."""
-    cls = QuadBatch if kind == "quad" else TripleBatch
-    return cls.from_raw(*sample_chunked(n, seed, draw, workers))
+    return QuadBatch.from_raw(*sample_chunked(n, seed, draw, workers))
 
 
 # -- per-chunk draws ---------------------------------------------------------
@@ -329,16 +328,13 @@ def at_points(fn: Density, points) -> list[float]:
 
 
 def get_scenario(name: str) -> Scenario:
-    try:
-        return SCENARIOS[name]
-    except KeyError:
+    """The scenario of name; an unknown name is a ValueError listing the known ones."""
+    if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
-        raise KeyError(f"unknown scenario {name!r}; known scenarios: {known}") from None
+        raise ValueError(f"unknown scenario {name!r}; known scenarios: {known}")
+    return SCENARIOS[name]
 
 
 def corrupt_quad_batch(b: QuadBatch, a_shift: float) -> QuadBatch:
     """Shift A by a constant: the negative control that breaks centering."""
-    return QuadBatch(
-        b.x, b.gamma, b.a + a_shift, b.gamma_x_gammax, b.g, b.gamma_x_g,
-        invalid_count=b.invalid_count,
-    )
+    return replace(b, a=b.a + a_shift)

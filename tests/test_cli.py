@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dirichlet_mc import cli
+from dirichlet_mc import cli, streams
 from dirichlet_mc.cli import (
     BIAS_SLOPE_WINDOWS,
     EXIT_OK,
@@ -61,10 +61,21 @@ class TestValidation:
         assert rc == EXIT_VALIDATION
         assert "--samples must be positive" in capsys.readouterr().err
 
-    def test_zero_workers_exits_2(self, capsys):
-        rc = cli_main(["density", "--scenario", "gaussian", "--samples", "2000", "--workers", "0"])
-        assert rc == EXIT_VALIDATION
-        assert "--workers" in capsys.readouterr().err
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("workers", ["0", "65"])
+    def test_workers_outside_1_to_64_exits_2(self, workers, how, tmp_path, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a rejected worker count must not reach the pool")
+
+        monkeypatch.setattr(streams, "ThreadPoolExecutor", no_pool)
+        argv = ["density", "--scenario", "gaussian", "--samples", "100000"]
+        if how == "flag":
+            argv += ["--workers", workers]
+        else:
+            (tmp_path / "run.cfg").write_text(f"workers = {workers}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert cli_main(argv) == EXIT_VALIDATION
+        assert f"--workers must be in 1..64, got {workers}" in capsys.readouterr().err
 
     def test_unparsable_config_value_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -19,7 +19,7 @@ from dirichlet_mc.estimators import (
     shifted_kernel_density,
     shifted_kernel_variance,
 )
-from dirichlet_mc.scenarios import get_scenario
+from dirichlet_mc.scenarios import corrupt_quad_batch, get_scenario
 from dirichlet_mc.streams import chunk_rng
 
 from oracles import (
@@ -127,7 +127,7 @@ class TestKernelEstimators:
             plain_kernel_density(tb, 1.0, [0.0], variant="typo")
 
     def test_estimate_mass_integrates_to_one_gaussian(self):
-        b = gaussian_quads(4000, 1).triple_batch()
+        b = gaussian_quads(4000, 1)
         eps = 0.05
         xs = np.linspace(-6.0, 6.0, 4001)
         vals = [e.value for e in shifted_kernel_density(b, eps, xs)]
@@ -443,7 +443,7 @@ class TestSignReductions:
             with pytest.raises(ValueError, match="not finite"):
                 direct_density(b, xs)
             with pytest.raises(ValueError, match="not finite"):
-                shifted_kernel_density(b.triple_batch(), 0.1, xs)
+                shifted_kernel_density(b, 0.1, xs)
 
 
 class TestKernel2d:
@@ -478,11 +478,9 @@ class TestEstimatorTable:
     """run_estimator is the named function applied to the batch, bit for bit."""
 
     _DIRECT = {
-        "shifted": lambda b, eps, xs: shifted_kernel_density(b.triple_batch(), eps, xs),
-        "plain_gamma": lambda b, eps, xs: plain_kernel_density(
-            b.triple_batch(), eps, xs, variant="gamma_cov"),
-        "plain_id": lambda b, eps, xs: plain_kernel_density(
-            b.triple_batch(), eps, xs, variant="identity_cov"),
+        "shifted": shifted_kernel_density,
+        "plain_gamma": lambda b, eps, xs: plain_kernel_density(b, eps, xs, variant="gamma_cov"),
+        "plain_id": lambda b, eps, xs: plain_kernel_density(b, eps, xs, variant="identity_cov"),
         "direct": lambda b, eps, xs: direct_density(b, xs),
         "regularized": regularized_density,
         "centered": lambda b, eps, xs: centered_direct_density(b, xs),
@@ -554,16 +552,62 @@ class TestBatches:
     def test_triple_from_raw_counts_invalid(self):
         tb = TripleBatch.from_raw(np.array([0.0, 1.0, 2.0]), np.array([1.0, math.inf, 1.0]),
                                   np.array([math.nan, 0.0, 0.0]))
-        assert tb.n == 1 and tb.invalid_count == 2 and tb.x[0, 0] == 2.0
+        assert tb.n == 1 and tb.invalid_count == 2 and tb.x.tolist() == [2.0]
 
-    def test_aux_must_come_in_pairs(self):
-        with pytest.raises(ValueError, match="together"):
-            QuadBatch(np.zeros(2), np.ones(2), np.zeros(2), np.zeros(2), g=np.ones(2))
+    @pytest.mark.parametrize("cols, aux", [
+        ((np.zeros(2), np.ones(2), np.zeros(2), np.zeros(2)), dict(g=np.ones(2))),
+        # blocks rebuild a record from its columns by position, so G needs Γ[X, Γ[X]]
+        ((np.zeros(2), np.ones(2), np.zeros(2)), dict(g=np.ones(2), gamma_x_g=np.zeros(2))),
+    ], ids=["g_alone", "without_quad"])
+    def test_aux_must_come_in_pairs_with_quad_data(self, cols, aux):
+        with pytest.raises(ValueError, match="together, with gamma_x_gammax"):
+            QuadBatch(*cols, **aux)
 
-    def test_triple_batch_shapes(self):
-        b = gaussian_quads(10, 0)
-        tb = b.triple_batch()
-        assert tb.x.shape == (10, 1) and tb.gamma.shape == (10, 1, 1)
+    @pytest.mark.parametrize("kernel", [
+        lambda b, xs: shifted_kernel_density(b, 0.1, xs),
+        lambda b, xs: plain_kernel_density(b, 0.1, xs, variant="gamma_cov"),
+        lambda b, xs: plain_kernel_density(b, 0.1, xs, variant="identity_cov"),
+        lambda b, xs: shifted_kernel_variance(b, 0.1, xs),
+    ], ids=["shifted", "plain_gamma", "plain_id", "shifted_variance"])
+    def test_scalar_columns_match_d1_columns_bit_for_bit(self, kernel):
+        # the kernels read a scalar record through (N, 1) views in place
+        b = lognormal_quads(20_000, 9)
+        as_d1 = TripleBatch(b.x[:, None], b.gamma[:, None, None], b.a[:, None])
+        assert b.x.ndim == 1 and b.d == as_d1.d == 1
+        xs = [0.5, 1.0, 2.0]
+        assert repr(kernel(b, xs)) == repr(kernel(as_d1, xs))
+
+    @pytest.mark.parametrize("cols, extra", [
+        ((np.zeros((3, 2)), np.ones((3, 2, 2)), np.zeros((3, 2))), dict(gamma_x_gammax=np.zeros(3))),
+        ((np.zeros((3, 2)), np.ones((3, 2, 2)), np.zeros((3, 2)), np.zeros((3, 2))), {}),
+        ((np.zeros((3, 2)), np.ones((3, 2, 2)), np.zeros((3, 2))),
+         dict(g=np.ones(3), gamma_x_g=np.zeros(3))),
+        ((np.zeros((3, 2)), np.ones((3, 2)), np.zeros((3, 2))), {}),
+        ((np.zeros((3, 2)), np.ones((3, 3, 3)), np.zeros((3, 2))), {}),
+        ((np.zeros(3), np.ones((3, 1, 1)), np.zeros(3)), {}),
+        ((np.zeros(3), np.ones(3), np.zeros(4)), {}),
+        ((np.zeros(3), np.ones(3), np.zeros(3), np.zeros(2)), {}),
+        ((np.zeros((3, 2, 2)), np.ones(3), np.zeros(3)), {}),
+    ], ids=["quad_with_d2", "quad_positional_with_d2", "aux_with_d2", "gamma_not_square",
+            "gamma_wrong_d", "gamma_not_scalar", "a_wrong_rows", "quad_wrong_rows", "x_3d"])
+    def test_columns_of_the_wrong_shape_rejected(self, cols, extra):
+        with pytest.raises(ValueError):
+            QuadBatch(*cols, **extra)
+
+    def test_one_record_class(self):
+        assert TripleBatch is QuadBatch
+        b = get_scenario("gbm_euler").build(100, 3, 1)
+        assert not b.quad and not b.has_aux and b.x.shape == (100,) and b.gamma_x_gammax is None
+
+    def test_corrupt_quad_batch_shifts_only_a(self):
+        x = np.array([0.0, math.nan, 1.0, 2.0])
+        b = QuadBatch.from_raw(x, np.ones(4), np.zeros(4), np.full(4, 3.0),
+                               g=np.cos(x), gamma_x_g=np.sin(x))
+        c = corrupt_quad_batch(b, 0.25)
+        assert c.invalid_count == b.invalid_count == 1
+        assert c.a.tolist() == [0.25] * 3
+        for name in ("x", "gamma", "gamma_x_gammax", "g", "gamma_x_g"):
+            assert getattr(c, name) is getattr(b, name), name
 
     def test_estimates_deterministic(self):
         a = direct_density(gaussian_quads(50_000, 18), [0.2])[0]

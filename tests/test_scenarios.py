@@ -12,6 +12,13 @@ from dirichlet_mc.estimators import QuadBatch, direct_density, regularized_densi
 from dirichlet_mc.quadrature import normal_pdf, quadrature_expectation
 from dirichlet_mc.scenarios import SCENARIOS, get_scenario, pair_conditional_oracle
 from dirichlet_mc.streams import chunk_rng
+from dirichlet_mc.sweeps import (
+    SweepConfig,
+    compare_estimators,
+    run_bias_sweep,
+    run_identity_suite,
+    run_variance_sweep,
+)
 
 from calculus import BasePoint, jet_const, jet_exp, jet_sin, lift, mc_unit, ou_gaussian, quad_of
 from oracles import triangular_reference
@@ -102,8 +109,15 @@ class TestBuildersAgainstJets:
 
 class TestRegistry:
     def test_unknown_scenario_lists_names(self):
-        with pytest.raises(KeyError, match="known scenarios"):
-            get_scenario("missing")
+        # the rule of get_estimator: a ValueError naming the valid choices
+        calls = [lambda: get_scenario("bogus"),
+                 lambda: compare_estimators("bogus", ["direct"], [1000], []),
+                 lambda: run_identity_suite("bogus", 1000, 0),
+                 lambda: run_bias_sweep(SweepConfig("bogus", "shifted", (0.1,))),
+                 lambda: run_variance_sweep(SweepConfig("bogus", "shifted", (0.1,)))]
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown scenario 'bogus'; known scenarios"):
+                call()
 
     def test_exact_densities_have_unit_mass(self):
         for name, sc in SCENARIOS.items():
