@@ -46,6 +46,13 @@ that a change of the quadrature grid shows by name,
 
     <repr of the moments>  -  lib  moments_<scenario>_<kernel>_eps<ε>
 
+and at order 10 on lognormal and gbm_exact over the ε = 0.2·2⁻ᵏ, k = 0…7,
+of the oracles benchmark workload: a quadrature bias sweep integrates each
+(x, ε) at orders 16 and 10, and their difference decides which ε it
+fits,
+
+    <repr of the moments>  -  lib  moments_<scenario>_<kernel>_eps<ε>_order10
+
 Two trees produce the same outputs exactly when their outputs diff empty:
 
     PYTHONPATH=src python scripts/csv_digest.py > new.txt
@@ -296,13 +303,22 @@ MOMENT_KERNELS = {"shifted": (True, False), "plain_gamma": (False, False),
 GAUSSIAN_EPSILONS = (1e-6, 1e-4, 1e-2, 0.2, 10.0, 100.0, 1e3, 1e4)
 
 
+# the ε of the oracles benchmark workload's quadrature bias sweeps
+ORACLES_EPSILONS = tuple(0.2 * 2.0**-k for k in range(8))
+
+
 def moment_lines():
-    """(repr of (m1, m2) per query point, tag) per (scenario, kernel, ε)."""
-    cases = [("gaussian", est, eps, (0.0, 1.0, 3.0))
+    """(repr of (m1, m2) per query point, tag) per (scenario, kernel, ε),
+    at the default order, and at order 10, the coarse rule a quadrature
+    bias sweep checks each ε against."""
+    cases = [("gaussian", est, eps, (0.0, 1.0, 3.0), 16)
              for est in ("shifted", "plain_gamma") for eps in GAUSSIAN_EPSILONS]
-    cases += [(name, est, 1e-6, SCENARIOS[name].default_points)
+    cases += [(name, est, 1e-6, SCENARIOS[name].default_points, 16)
               for name in ("lognormal", "gbm_exact") for est in MOMENT_KERNELS]
-    for name, est, eps, points in cases:
+    cases += [(name, est, eps, SCENARIOS[name].default_points, 10)
+              for name in ("lognormal", "gbm_exact") for est in MOMENT_KERNELS
+              for eps in ORACLES_EPSILONS]
+    for name, est, eps, points, order in cases:
         sc = SCENARIOS[name]
         shift, identity_cov = MOMENT_KERNELS[est]
         got = []
@@ -310,10 +326,11 @@ def moment_lines():
             try:
                 got.append(kernel_moment_integral(
                     x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support,
-                    shift=shift, identity_cov=identity_cov, power=(1, 2)))
+                    shift=shift, identity_cov=identity_cov, power=(1, 2), order=order))
             except ValueError as exc:
                 got.append(type(exc).__name__)
-        yield repr(tuple(got)), f"moments_{name}_{est}_eps{eps:g}"
+        yield repr(tuple(got)), f"moments_{name}_{est}_eps{eps:g}" + (
+            "" if order == 16 else f"_order{order}")
 
 
 def digest(argv: list[str], workdir: str) -> tuple[str, int]:

@@ -508,6 +508,12 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
 
 
+def _check_quad(b) -> None:
+    """A ValueError naming Γ[X, Γ[X]] unless the record or stream b carries it."""
+    if not b.quad:
+        raise ValueError("the sign formulas need Γ[X, Γ[X]] (quad data); this draw has none")
+
+
 def _kernel_reducer(d: int, epsilon: float, xs, shift: bool, identity_cov: bool,
                     finish=_estimates, fourth: bool = False) -> Reducer:
     """Per query, the moments of the kernel values over the usable samples
@@ -712,6 +718,7 @@ def direct_density(b: QuadBatch, xs):
     excluded and visible through n_used (use regularized_density when the
     law of Γ touches 0).
     """
+    _check_quad(b)
     return _sign_density(_direct_columns, xs)
 
 
@@ -719,6 +726,7 @@ def direct_density(b: QuadBatch, xs):
 def regularized_density(b: QuadBatch, epsilon: float, xs):
     """Monotone-in-ε lower approximation; no positivity needed on Γ."""
     check_epsilon(epsilon)
+    _check_quad(b)
 
     def columns(blk):
         w = regularized_weights(blk, epsilon)
@@ -735,6 +743,8 @@ def conditional_expectation(b: QuadBatch, xs):
     carries a delta-method standard error and is flagged unreliable when
     the denominator is within two standard errors of zero.
     """
+    _check_quad(b)
+
     def columns(blk):
         wn, usable = conditional_weights(blk)
         wd, _ = direct_weights(blk)
@@ -775,6 +785,8 @@ def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None):
     on half 2).  Both halves are reduced in one pass over b, so a stream
     is drawn once; each half is blocked from its own first row.
     """
+    _check_quad(b)
+
     def squares(blk):
         w, _ = direct_weights(blk)
         return 0, (w * w,)
@@ -888,6 +900,8 @@ def identity_z_scores(b: QuadBatch):
     Per block, φ'(X) and φ''(X) are evaluated once per φ, and ε + Γ and
     W_ε once per ε, and every statistic shares them.
     """
+    _check_quad(b)
+
     def part(blk, half, shared) -> dict[str, Moments]:
         gam = {eps: eps + blk.gamma for eps in _IBP_EPSILONS}
         w_eps = {eps: _weight(blk, g) for eps, g in gam.items()}

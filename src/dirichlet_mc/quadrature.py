@@ -15,8 +15,9 @@ Two instruments:
   law of X directly, on a grid graded towards the kernel: panels half a
   kernel width wide around its centre, and a fixed 256 panels across the
   window elsewhere.  Each Gauss-Legendre rule is built once per order per
-  process and shared read-only; several kernel powers share one
-  evaluation of the grid, each still summed on its own.
+  process and shared read-only.  A kernel moment evaluates its integrand
+  once, on the nodes of all its segments, and several kernel powers share
+  that evaluation; each power and segment is still summed on its own.
 """
 from __future__ import annotations
 
@@ -76,29 +77,41 @@ def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _composite_rule(segments, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the order-point Gauss-Legendre rule on each of
+    the n equal panels of every (lo, hi, n) segment, left to right.  The
+    panel edges are np.linspace(lo, hi, n + 1), in its arithmetic."""
+    x, w = _legendre(order)
+    left, right = [], []
+    for lo, hi, n in segments:
+        edges = np.arange(n + 1.0)
+        edges *= (hi - lo) / n
+        edges += lo
+        edges[-1] = hi
+        left.append(edges[:-1])
+        right.append(edges[1:])
+    left, right = np.concatenate(left), np.concatenate(right)
+    half, mid = 0.5 * (right - left), 0.5 * (right + left)
+    pts = np.multiply.outer(half, x)
+    pts += mid[:, None]
+    return pts.ravel(), np.multiply.outer(half, w).ravel()
+
+
 def law_integral(
-    fn: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
+    fn: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     panels: int = 256,
     order: int = 12,
-) -> float | tuple[float, ...]:
-    """∫_lo^hi fn(y) dy by composite Gauss-Legendre panels.
-
-    fn may return a tuple of arrays for several integrands on one grid;
-    the result is then one integral per entry, each summed on its own."""
+) -> float:
+    """∫_lo^hi fn(y) dy by composite Gauss-Legendre panels."""
     if not hi > lo:
         raise ValueError("empty integration interval")
-    x, w = _legendre(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    vals = fn(pts)
-    if isinstance(vals, tuple):
-        return tuple(float(np.sum(wts * np.asarray(v, dtype=float))) for v in vals)
-    return float(np.sum(wts * np.asarray(vals, dtype=float)))
+    pts, wts = _composite_rule([(lo, hi, panels)], order)
+    vals = np.asarray(fn(pts), dtype=float)
+    if vals.shape != pts.shape:
+        raise ValueError("fn must return one value per quadrature node")
+    return float(np.sum(wts * vals))
 
 
 def normal_pdf(y: np.ndarray) -> np.ndarray:
@@ -162,9 +175,9 @@ def kernel_moment_integral(
     """E[g(x - X - εa(X), εγ(X))^power] for scenarios where (Γ, A) are
     deterministic functions γ(X), a(X) of the value.
 
-    A tuple of powers gives one moment per power from one evaluation of
-    γ, a, g and the density per segment, each with the bits of its
-    single-power call.
+    A tuple of powers gives one moment per power from the same evaluation
+    of γ, a, g and the density, each with the bits of its single-power
+    call.
 
     The integral runs over the window [lo, hi] = x ± (60√ε + 10) within
     the support, on a graded grid (see _kernel_centre for the kernel's
@@ -175,15 +188,45 @@ def kernel_moment_integral(
     * the far field, the rest of the window, with panels (hi - lo)/256 wide;
     * the panel touching a finite end of the support, split in eight.
 
-    Each segment is one law_integral call, added left to right; the node
-    count stays bounded as ε falls.  Two kernels are an
-    UnresolvedKernelError, not a result: one whose width is below 1e12
-    float64 spacings at its near field (see RESOLUTION; on lognormal at
-    x = 1, ε below 4.93e-8), and one whose window is so wide that the far
-    field has fewer than four nodes per unit (see MAX_FAR_SPACING).  A
+    The integrand is evaluated once, on the nodes of every segment
+    together; each segment is summed on its own and the segment sums are
+    added left to right, so a moment has the bits of one law_integral call
+    per segment.  The node count stays bounded as ε falls.  Two kernels
+    are an UnresolvedKernelError, not a result: one whose width is below
+    1e12 float64 spacings at its near field (see RESOLUTION; on lognormal
+    at x = 1, ε below 4.93e-8), and one whose window is so wide that the
+    far field has fewer than four nodes per unit (see MAX_FAR_SPACING).  A
     window without float64 width inside the support (x outside it, or
     too large) is a ValueError naming x and ε.
     """
+    segments = _kernel_segments(x, epsilon, gamma_fn, a_fn, support, shift, identity_cov, order)
+    y, wts = _composite_rule(segments, order)
+    var = max(epsilon, 1e-300) if identity_cov else np.maximum(epsilon * gamma_fn(y), 1e-300)
+    offset = x - y
+    if shift:
+        offset -= epsilon * a_fn(y)
+    g = -0.5 * offset
+    g *= offset
+    g /= var
+    np.exp(g, out=g)
+    g /= np.sqrt(2.0 * math.pi * var)
+    f = density(y)
+    moments = []
+    for p in power if isinstance(power, tuple) else (power,):
+        vals = (g if p == 1 else g**p) * f
+        vals *= wts
+        total, lo = 0.0, 0
+        for *_, n in segments:
+            total += float(vals[lo:lo + n * order].sum())
+            lo += n * order
+        moments.append(total)
+    return tuple(moments) if isinstance(power, tuple) else moments[0]
+
+
+def _kernel_segments(x, epsilon, gamma_fn, a_fn, support, shift, identity_cov,
+                     order) -> list[tuple[float, float, int]]:
+    """kernel_moment_integral's graded grid, as (start, end, panel count)
+    left to right; raises its errors for a window or kernel it cannot resolve."""
     pad = 60.0 * math.sqrt(max(epsilon, 1e-12)) + 10.0
     lo, hi = max(support[0], x - pad), min(support[1], x + pad)
     if not hi > lo:
@@ -207,17 +250,6 @@ def kernel_moment_integral(
             f"{far / order:.3g}, above {MAX_FAR_SPACING:g} of the unit scale the window "
             "takes for the density, so the quadrature cannot resolve it")
     near = min(0.5 * width, far)
-    powers = power if isinstance(power, tuple) else (power,)
-
-    def integrand(y: np.ndarray) -> tuple[np.ndarray, ...]:
-        var = epsilon * (np.ones_like(y) if identity_cov else gamma_fn(y))
-        var = np.maximum(var, 1e-300)
-        offset = x - y - (epsilon * a_fn(y) if shift else 0.0)
-        g = np.exp(-0.5 * offset * offset / var) / np.sqrt(2.0 * math.pi * var)
-        f = density(y)
-        return tuple(g**p * f for p in powers)
-
-    # (start, end, panel count) left to right
     segments = [(a, b, math.ceil((b - a) / h)) for a, b, h in (
         (lo, near_lo, far), (near_lo, near_hi, near), (near_hi, hi, far)) if b > a]
     # a density may be flat to all orders at a finite end of its support (the
@@ -230,8 +262,4 @@ def kernel_moment_integral(
         a, b, n = segments.pop()
         cut = b - (b - a) / n
         segments += ([(a, cut, n - 1)] if n > 1 else []) + [(cut, b, EDGE_PANELS)]
-    moments = (0.0,) * len(powers)
-    for a, b, n in segments:
-        seg = law_integral(integrand, a, b, panels=n, order=order)
-        moments = tuple(m + v for m, v in zip(moments, seg))
-    return moments if isinstance(power, tuple) else moments[0]
+    return segments

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -505,6 +506,20 @@ class TestEstimatorTable:
         with pytest.raises(ValueError, match="scenario 'gbm_euler' provides no quad data; "
                                              "'direct' needs it"):
             run_estimator("direct", tb, None, [1.0], "gbm_euler")
+
+    @pytest.mark.parametrize("source", ["build", "stream"])
+    @pytest.mark.parametrize("call", [
+        lambda b: direct_density(b, [1.0]),
+        lambda b: regularized_density(b, 0.1, [1.0]),
+        lambda b: centered_direct_density(b, [1.0]),
+        lambda b: conditional_expectation(b, [1.0]),
+        identity_z_scores,
+    ], ids=["direct_density", "regularized_density", "centered_direct_density",
+            "conditional_expectation", "identity_z_scores"])
+    def test_sign_formulas_name_missing_quad_data(self, call, source):
+        draw = getattr(get_scenario("gbm_euler"), source)(1000, 1, 1)
+        with pytest.raises(ValueError, match=re.escape("need Γ[X, Γ[X]] (quad data)")):
+            call(draw)
 
     @pytest.mark.parametrize("name", [n for n, e in ESTIMATORS.items() if e.takes_epsilon])
     def test_missing_epsilon_names_the_estimator(self, name):

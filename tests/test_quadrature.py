@@ -79,6 +79,10 @@ class TestLawIntegrals:
         with pytest.raises(ValueError):
             law_integral(lambda y: y, 1.0, 1.0)
 
+    def test_one_value_per_node_required(self):
+        with pytest.raises(ValueError, match="one value per quadrature node"):
+            law_integral(lambda y: (3 * y**2, np.cos(y)), 0.0, 2.0, panels=8, order=6)
+
     def test_normal_mass(self):
         assert law_integral(normal_pdf, -9.0, 9.0, panels=64, order=12) == pytest.approx(
             1.0, abs=1e-12
@@ -146,28 +150,23 @@ class TestLegendreRuleCache:
         for _ in range(2):
             assert law_integral(fn, 0.0, 5.0, panels=32, order=12) == ref
 
-    def test_tuple_integrand_gives_one_integral_each(self):
-        got = law_integral(lambda y: (3 * y**2, np.cos(y)), 0.0, 2.0, panels=8, order=6)
-        assert got == (
-            law_integral(lambda y: 3 * y**2, 0.0, 2.0, panels=8, order=6),
-            law_integral(np.cos, 0.0, 2.0, panels=8, order=6),
-        )
-
 
 # every (shift, identity_cov) a kernel sweep integrates
 KERNEL_VARIANTS = [(True, False), (False, False), (False, True), (True, True)]
 
 
-def recording_law_integral(monkeypatch) -> list:
-    """Record (lo, hi, panels, order) of every law_integral call the
-    kernel oracle makes, in call order."""
+def recording_segments(monkeypatch) -> list:
+    """Record (lo, hi, panels, order) of every segment the kernel oracle
+    integrates, in call order and left to right."""
     calls = []
+    plan = quadrature._kernel_segments
 
-    def recording(fn, lo, hi, panels, order):
-        calls.append((lo, hi, panels, order))
-        return law_integral(fn, lo, hi, panels=panels, order=order)
+    def recording(*args):
+        segments = plan(*args)
+        calls.extend((lo, hi, panels, args[-1]) for lo, hi, panels in segments)
+        return segments
 
-    monkeypatch.setattr(quadrature, "law_integral", recording)
+    monkeypatch.setattr(quadrature, "_kernel_segments", recording)
     return calls
 
 
@@ -179,7 +178,7 @@ class TestKernelMomentPowers:
     def test_power_tuple_equals_single_powers_bit_for_bit(
         self, name, eps, shift, identity_cov, monkeypatch
     ):
-        calls = recording_law_integral(monkeypatch)
+        calls = recording_segments(monkeypatch)
         sc = get_scenario(name)
         for x in sc.default_points:
             args = (x, eps, sc.exact_density, sc.gamma_of_x, sc.a_of_x, sc.support)
@@ -198,7 +197,7 @@ class TestKernelMomentPowers:
             assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
 
             # each moment is the one-power integrand summed on a fresh rule
-            # per segment, the segments added in call order
+            # per segment, the segments added left to right
             def integrand(y, p):
                 var = eps * (np.ones_like(y) if identity_cov else sc.gamma_of_x(y))
                 var = np.maximum(var, 1e-300)
@@ -215,13 +214,30 @@ class TestKernelMomentPowers:
             assert [v.hex() for v in both] == [v.hex() for v in refs], (x, both, refs)
             calls.clear()
 
+    @pytest.mark.parametrize("power", [1, (1, 2)])
+    def test_integrand_is_evaluated_once_per_call(self, power, monkeypatch):
+        # γ and a are also read at the kernel's centre, on 1 and 3 points
+        calls = recording_segments(monkeypatch)
+        sc = get_scenario("lognormal")
+        sizes = {"density": [], "gamma": [], "a": []}
+
+        def counted(name, fn):
+            return lambda y: sizes[name].append(y.size) or fn(y)
+
+        kernel_moment_integral(1.0, 1e-3, counted("density", sc.exact_density),
+                               counted("gamma", sc.gamma_of_x), counted("a", sc.a_of_x),
+                               sc.support, power=power)
+        nodes = sum(panels * order for *_, panels, order in calls)
+        assert len(calls) == 3  # the edge panel, the near field, the far field
+        assert sizes == {"density": [nodes], "gamma": [1, nodes], "a": [3, nodes]}
+
 
 class TestGradedGrid:
     @pytest.mark.parametrize("shift,identity_cov", KERNEL_VARIANTS)
     def test_near_field_panels_are_half_a_kernel_width(self, shift, identity_cov, monkeypatch):
         # lognormal at x = 1, ε = 1e-6: γ(1) = 1 and a′(1) = 0, so every
         # kernel is centred within 1e-6 of 1 with width 1e-3 in y
-        calls = recording_law_integral(monkeypatch)
+        calls = recording_segments(monkeypatch)
         sc = get_scenario("lognormal")
         kernel_moment_integral(1.0, 1e-6, sc.exact_density, sc.gamma_of_x, sc.a_of_x,
                                sc.support, shift=shift, identity_cov=identity_cov)
@@ -240,7 +256,7 @@ class TestGradedGrid:
     def test_shift_moves_the_near_field_to_the_kernel(self, monkeypatch):
         # gaussian, A = -y/2: the shifted kernel is g(x - (1 - ε/2)y, ε), in
         # y centred at x/(1 - ε/2) with width √ε/(1 - ε/2)
-        calls = recording_law_integral(monkeypatch)
+        calls = recording_segments(monkeypatch)
         eps, x = 0.2, 2.0
         kernel_moment_integral(x, eps, normal_pdf, lambda y: np.ones_like(y),
                                lambda y: -0.5 * y, (-math.inf, math.inf))
