@@ -8,7 +8,7 @@ uniform law and the error structure of weight
 The weight vanishes at both endpoints, which is what closes the structure
 on [0,1].  The triangular scenario is built on two such coordinates and
 the Poisson scenario lifts the structure to the point process; both
-read it from here.  The functions accept scalars or numpy arrays.
+read it from unit_terms, which computes γ and a from one u(1-u).
 
 fd_mismatch probes a stated derivative against a central difference; the
 SDE coefficients of wiener run it at construction, and so does the test
@@ -18,17 +18,21 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-
-def unit_gamma(u):
-    return (u * (1.0 - u)) ** 2
+import numpy as np
 
 
-def unit_gamma_prime(u):
-    return 2.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
-
-
-def unit_a(u):
-    return u * (1.0 - u) * (1.0 - 2.0 * u)
+def unit_terms(u: np.ndarray, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """γ(u) and a(u) of an array u, from one t = u(1-u): γ = t² and
+    a = t(1-2u); γ' = 2a exactly, since scaling by 2 is exact.  They are
+    written into the arrays of out, each shaped like u or None for a new
+    one; out[1] may be u itself, which is read before it is written."""
+    gam, a = (np.empty_like(u) if o is None else o for o in out)
+    np.subtract(1.0, u, out=gam)
+    np.multiply(u, gam, out=gam)
+    np.multiply(2.0, u, out=a)
+    np.subtract(1.0, a, out=a)
+    np.multiply(gam, a, out=a)
+    return np.multiply(gam, gam, out=gam), a
 
 
 # -- finite-difference check of stated derivatives ---------------------------

@@ -70,10 +70,6 @@ def _finite_rows(cols: tuple) -> tuple[tuple, int]:
     return (tuple(c[ok] for c in cols) if bad else cols), bad
 
 
-def _joined(parts: list[tuple]) -> tuple:
-    return parts[0] if len(parts) == 1 else tuple(np.concatenate(c) for c in zip(*parts))
-
-
 @dataclass(frozen=True)
 class QuadBatch:
     """A draw of N samples: X, Γ[X] and A[X]; for the sign formulas also
@@ -303,11 +299,15 @@ class _Cutter:
     from each half's first row and reduces them with the reducers of its
     slots, (reducer, sizes, {drawn rows, or None for the running total:
     merged partial}), which share per block a dict: "buf" holds the pass's
-    scratch (see _scratch), other keys the block's set-ups."""
+    scratch (see _scratch), other keys the block's set-ups.  A block held
+    in several pieces is joined into the cutter's column buffers, allocated
+    at its first join; no reducer keeps a block's columns past reduce (its
+    set-ups go with the dict, a partial holds sums and moments), so the
+    next block reuses them."""
 
     def __init__(self, buf, split, end):
         self.buf, self.split, self.end = buf, split, end
-        self.slots, self.half, self.held, self.have = [], 0, [], 0
+        self.slots, self.half, self.held, self.have, self.joins = [], 0, [], 0, None
 
     def push(self, start: int, cols: tuple) -> None:
         half = int(self.split is not None and start >= self.split)
@@ -326,12 +326,20 @@ class _Cutter:
         or, at drawn rows, snapshot each reducer that asks for one there."""
         slots = [s for s in self.slots if drawn is None or drawn in s[1]]
         if self.held and slots:
-            blk, shared = QuadBatch(*_joined(self.held)), {"buf": self.buf}
+            blk, shared = QuadBatch(*self._joined()), {"buf": self.buf}
         for r, _, snaps in slots:
             part = r.part(blk, self.half, shared) if self.held else None
             snaps[drawn] = _add(snaps.get(None), part)
         if drawn is None:
             self.held, self.have = [], 0
+
+    def _joined(self) -> tuple:
+        if len(self.held) == 1:
+            return self.held[0]
+        if self.joins is None:
+            self.joins = [np.empty((CHUNK_SIZE, *c.shape[1:])) for c in self.held[0]]
+        return tuple(np.concatenate(parts, out=buf[:self.have])
+                     for parts, buf in zip(zip(*self.held), self.joins))
 
 
 def _scratch(shared, size: int) -> np.ndarray:
@@ -589,23 +597,27 @@ _SIGN = np.array([1.0, 0.0, -1.0])
 _HALF_SIGN = 0.5 * _SIGN
 
 
-def _positive_gamma(b: QuadBatch) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The Γ > 0 mask, Γ with 1 on the masked-out samples, and whether
-    every sample is usable (then Γ itself is returned, not a copy)."""
+def _positive_gamma(b: QuadBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The Γ > 0 mask, Γ with 1 on the masked-out samples (Γ itself, not a
+    copy, when every sample is usable), its square, and whether every
+    sample is usable."""
     usable = b.gamma > 0.0
     every = bool(usable.all())
-    return usable, (b.gamma if every else np.where(usable, b.gamma, 1.0)), every
+    gam = b.gamma if every else np.where(usable, b.gamma, 1.0)
+    return usable, gam, gam * gam, every
 
 
-def _weight(b: QuadBatch, gam: np.ndarray) -> np.ndarray:
-    """-Γ[X,Γ[X]]/gam² + 2A/gam, for gam = Γ or ε + Γ."""
-    return -b.gamma_x_gammax / gam**2 + 2.0 * b.a / gam
+def _weight(b: QuadBatch, gam: np.ndarray, gam2: Optional[np.ndarray] = None) -> np.ndarray:
+    """-Γ[X,Γ[X]]/gam² + 2A/gam, for gam = Γ or ε + Γ; gam2 is gam² when
+    the caller has it."""
+    return -b.gamma_x_gammax / (gam * gam if gam2 is None else gam2) + 2.0 * b.a / gam
 
 
-def direct_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
-    """W = -Γ[X,Γ[X]]/Γ² + 2A/Γ and the Γ > 0 usability mask."""
-    usable, gam, every = _positive_gamma(b)
-    w = _weight(b, gam)
+def direct_weights(b: QuadBatch, positive=None) -> tuple[np.ndarray, np.ndarray]:
+    """W = -Γ[X,Γ[X]]/Γ² + 2A/Γ and the Γ > 0 usability mask; positive is
+    _positive_gamma(b), when the caller has it."""
+    usable, gam, gam2, every = _positive_gamma(b) if positive is None else positive
+    w = _weight(b, gam, gam2)
     return (w if every else np.where(usable, w, 0.0)), usable
 
 
@@ -614,15 +626,16 @@ def regularized_weights(b: QuadBatch, epsilon: float) -> np.ndarray:
     return _weight(b, epsilon + b.gamma)
 
 
-def conditional_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator weights Γ[X,G]/Γ - G·Γ[X,Γ[X]]/Γ² + 2·G·A/Γ.
+def conditional_weights(b: QuadBatch, positive=None) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator weights Γ[X,G]/Γ - G·Γ[X,Γ[X]]/Γ² + 2·G·A/Γ and the Γ > 0
+    mask; positive is _positive_gamma(b), when the caller has it.
 
     For G ≡ 1, Γ[X,G] = 0 these reduce term by term to direct_weights.
     """
     if not b.has_aux:
         raise ValueError("batch carries no auxiliary G data")
-    usable, gam, every = _positive_gamma(b)
-    w = b.gamma_x_g / gam - b.g * b.gamma_x_gammax / gam**2 + 2.0 * b.g * b.a / gam
+    usable, gam, gam2, every = _positive_gamma(b) if positive is None else positive
+    w = b.gamma_x_g / gam - b.g * b.gamma_x_gammax / gam2 + 2.0 * b.g * b.a / gam
     return (w if every else np.where(usable, w, 0.0)), usable
 
 
@@ -746,8 +759,9 @@ def conditional_expectation(b: QuadBatch, xs):
     _check_quad(b)
 
     def columns(blk):
-        wn, usable = conditional_weights(blk)
-        wd, _ = direct_weights(blk)
+        positive = _positive_gamma(blk)
+        wn, usable = conditional_weights(blk, positive)
+        wd, _ = direct_weights(blk, positive)
         return int(usable.sum()), (wn, wd, wn * wn, wd * wd, wn * wd)
 
     def finish(queries, sums) -> list[ConditionalEstimate]:

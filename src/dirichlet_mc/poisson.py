@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coords import unit_a, unit_gamma, unit_gamma_prime
+from .coords import unit_terms
+from .streams import thread_scratch
 
 LAMBDA = 3.0
 
@@ -22,28 +23,30 @@ def sample_poisson_arrays(rng: np.random.Generator, n: int):
     """n draws at once: (x, gamma, a, gamma_x_gammax, k) arrays.
 
     All counts are drawn first, then one flat batch of points which is cut
-    into configurations by segment sums.
+    into configurations by segment sums.  The points and their terms take
+    two arrays of per-thread scratch: a(p) and then γ(p)γ'(p) = γ(p)·2a(p)
+    overwrite the points, and the other array holds γ(p).
     """
-    ks = rng.poisson(LAMBDA, size=n).astype(np.int64)
-    pts = rng.uniform(0.0, 1.0, size=int(ks.sum()))
+    ks = rng.poisson(LAMBDA, size=n).astype(np.int64, copy=False)
+    total = int(ks.sum())
+    pts, spare = thread_scratch("poisson", 2, total)
+    rng.random(out=pts)  # the stream and the values of uniform(0.0, 1.0, total)
     offsets = np.zeros(n, dtype=np.int64)
     np.cumsum(ks[:-1], out=offsets[1:])
 
     # reduceat over the nonempty segments only: their offsets are strictly
     # increasing and in range, which sidesteps reduceat's empty-slice quirk
     nonempty = np.flatnonzero(ks > 0)
+    starts = offsets[nonempty]
 
     def seg_sum(vals: np.ndarray) -> np.ndarray:
         out = np.zeros(n)
         if nonempty.size:
-            out[nonempty] = np.add.reduceat(vals, offsets[nonempty])
+            out[nonempty] = np.add.reduceat(vals, starts)
         return out
 
-    # each column's temporaries are freed before the next column's: holding
-    # γ(p) for reuse in the last column read about 1 MB higher peak RSS on
-    # the benchmark's two-worker Poisson identity run
     x = seg_sum(pts)
-    g = seg_sum(unit_gamma(pts))
-    a = seg_sum(unit_a(pts))
-    q = seg_sum(unit_gamma(pts) * unit_gamma_prime(pts))
-    return x, g, a, q, ks
+    gam, a = unit_terms(pts, out=(spare, pts))
+    g, a_sum = seg_sum(gam), seg_sum(a)
+    q = seg_sum(np.multiply(gam, np.multiply(a, 2.0, out=a), out=a))
+    return x, g, a_sum, q, ks

@@ -6,9 +6,12 @@ carries an exact density, the deterministic reduced forms γ(x), a(x) used
 by the kernel sweeps, and a conditional-expectation oracle.  Draws are
 vectorised closed forms of the functional calculus, the extended Euler
 recursion or the Poisson point sums; a build holds the batch, a stream a
-few chunks in flight.  The test suite re-derives the closed forms through
-its jet calculus (tests/calculus.py) on subsamples, so a draw cannot drift
-from the calculus silently.
+few chunks in flight.  A closed form evaluates each column from the terms
+it already holds (Γ[X, Γ[X]] from Γ, cos² once), with no cube.  The
+test suite feeds each closed-form draw a generator whose stream it
+replays and re-derives every column from the drawn base coordinates
+through its jet calculus (tests/calculus.py), so a draw cannot drift from
+the calculus silently; the Euler and Poisson draws have their own oracles.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coords import unit_a, unit_gamma
+from .coords import unit_terms
 from .estimators import QuadBatch, SampleStream
 from .poisson import LAMBDA as _POISSON_LAMBDA, sample_poisson_arrays
 from .quadrature import law_integral, normal_pdf, quadrature_expectation  # noqa: F401  (perfbench wraps it here)
@@ -93,23 +96,24 @@ def _draw_gaussian(rng, k):
 def _draw_lognormal(rng, k):
     g = rng.normal(size=k)
     x = np.exp(g)
-    # X = e^u: Γ = X², A = X(1-u)/2, Γ[X,Γ[X]] = 2X³
-    return x, x * x, 0.5 * x * (1.0 - g), 2.0 * x**3
+    # X = e^u: Γ = X², A = X(1-u)/2, Γ[X,Γ[X]] = 2X³ = 2X·Γ
+    gam = x * x
+    return x, gam, 0.5 * x * (1.0 - g), 2.0 * x * gam
 
 
 def _draw_gaussian_pair(rng, k):
     z = rng.normal(size=(k, 2))
     g1, g2 = np.ascontiguousarray(z.T)
     c, s = np.cos(g2), np.sin(g2)
-    # Γ-field = 1 + cos²(u₂): ∂₂Γ = -sin(2u₂), so Γ[X,Γ[X]] = cos(u₂)·(-sin 2u₂)
-    return (g1 + s, 1.0 + c * c, -0.5 * g1 - 0.5 * g2 * c - 0.5 * s,
-            -c * np.sin(2.0 * g2), s, c * c)
+    # Γ = 1 + cos²u₂ and ∂₂Γ = -2 sin u₂ cos u₂, so Γ[X,Γ[X]] = cos u₂·∂₂Γ
+    # = -2 sin u₂ cos²u₂; G = sin u₂ has Γ[X,G] = cos²u₂
+    c2 = c * c
+    return (g1 + s, 1.0 + c2, -0.5 * g1 - 0.5 * g2 * c - 0.5 * s, -2.0 * s * c2, s, c2)
 
 
 def _triangular_terms(u):
     # per coordinate of the unit structure: γ, a, and γ·γ' with γ' = 2a
-    gam = unit_gamma(u)
-    a = unit_a(u)
+    gam, a = unit_terms(u)
     return gam, a, (2.0 * a) * gam
 
 
@@ -129,10 +133,10 @@ def _draw_gbm_exact(rng, k):
     vol, drift, T, x0 = _GBM_VOL, _GBM_DRIFT, _GBM_T, _GBM_X0
     bt = rng.normal(0.0, math.sqrt(T), size=k)
     x = x0 * np.exp((drift - 0.5 * vol**2) * T + vol * bt)
+    # Γ = σ²TX², so Γ[X,Γ[X]] = 2σ⁴T²X³ = 2σ²T·X·Γ
     gam = vol**2 * x**2 * T
     a = -0.5 * vol * x * bt + 0.5 * vol**2 * x * T
-    gxx = 2.0 * T**2 * vol**4 * x**3
-    return x, gam, a, gxx
+    return x, gam, a, 2.0 * vol**2 * T * x * gam
 
 
 def _euler_draw(coeffs):

@@ -9,10 +9,13 @@ number of workers or the order in which chunks finish.
 iter_chunks is the one pool loop: it yields the chunks in order with at
 most 2·workers in flight, so a consumer that reduces each chunk as it
 arrives holds O(workers·CHUNK_SIZE) rows whatever the sample count;
-sample_chunked places them into arrays allocated once.
+sample_chunked places them into arrays allocated once.  A draw keeps its
+per-chunk temporaries in thread_scratch, so a chunk does not fault in
+fresh arrays.
 """
 from __future__ import annotations
 
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, TypeAlias
@@ -86,3 +89,18 @@ def sample_chunked(
             dst[lo:hi] = p
         lo = hi
     return tuple(out)
+
+
+_SCRATCH = threading.local()
+
+
+def thread_scratch(owner: str, count: int, size: int) -> list[np.ndarray]:
+    """count float64 arrays of size entries, kept for owner in the calling
+    thread across calls and grown when size exceeds them.  They are the
+    caller's until its next call from this thread; a result that outlives
+    the call must not be one of them."""
+    bufs = getattr(_SCRATCH, owner, None)
+    if bufs is None or bufs[0].shape[0] < size:
+        bufs = [np.empty(size) for _ in range(count)]
+        setattr(_SCRATCH, owner, bufs)
+    return [b[:size] for b in bufs]

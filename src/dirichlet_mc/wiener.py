@@ -29,13 +29,13 @@ coefficient should return the bare scalar, which costs no array per step.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .coords import fd_mismatch
+from .streams import thread_scratch
 
 CoefFn = Callable[[float, float], float]
 
@@ -99,10 +99,6 @@ def _mesh(T: float, n: int) -> float:
     return T / n
 
 
-# per thread, _euler's scratch, reused so chunks do not fault in fresh arrays
-_SCRATCH = threading.local()
-
-
 def _euler(
     x0: float,
     h: float,
@@ -124,10 +120,7 @@ def _euler(
     x_next = np.empty(n_paths)
     g = np.zeros(n_paths)
     a = np.zeros(n_paths)
-    bufs = getattr(_SCRATCH, "bufs", None)
-    if bufs is None or bufs[0].shape[0] < n_paths:
-        bufs = _SCRATCH.bufs = [np.empty(n_paths) for _ in range(5)]
-    lin, u, v, w, dbuf = (b[:n_paths] for b in bufs)
+    lin, u, v, w, dbuf = thread_scratch("euler", 5, n_paths)
     t = 0.0
     # overflow surfaces in the finite mask, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):

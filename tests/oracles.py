@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from dirichlet_mc.coords import fd_mismatch, unit_a, unit_gamma, unit_gamma_prime
+from dirichlet_mc.coords import fd_mismatch
 from dirichlet_mc.estimators import (
     DEGENERATE_DET,
     DensityEstimate,
@@ -56,7 +56,7 @@ from dirichlet_mc.wiener import (
     zero_noise_coefficients,
 )
 
-from calculus import BasePoint, ErrorQuad, ErrorTriple
+from calculus import BasePoint, ErrorQuad, ErrorTriple, mc_unit
 
 FD_STEP = 1e-4
 
@@ -412,17 +412,18 @@ def sample_poisson_lift(spec: PoissonFunctionalSpec, rng: np.random.Generator, n
 
 def poisson_mc_unit(lam: float) -> PoissonFunctionalSpec:
     """X = N(identity) for the uniform intensity λ·dp on [0,1] over the
-    unit-interval structure of coords: the package's Poisson scenario at
-    λ = poisson.LAMBDA."""
+    unit-interval structure, as the reference calculus states it: the
+    package's Poisson scenario at λ = poisson.LAMBDA."""
+    unit = mc_unit()
     return PoissonFunctionalSpec(
         total_mass=float(lam),
         point_sampler=lambda rng, k: rng.uniform(0.0, 1.0, size=k),
         h=lambda p: np.asarray(p, dtype=float),
         h1=lambda p: np.ones_like(np.asarray(p, dtype=float)),
         h2=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-        base_gamma=unit_gamma,
-        base_gamma_prime=unit_gamma_prime,
-        base_a=unit_a,
+        base_gamma=unit.gamma,
+        base_gamma_prime=unit.gamma_prime,
+        base_a=unit.gen_a,
     )
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_mc.coords import unit_a, unit_gamma, unit_gamma_prime
+from dirichlet_mc.coords import unit_terms
 from dirichlet_mc.quadrature import quadrature_expectation
 from dirichlet_mc.streams import chunk_rng, sample_chunked
 
@@ -82,15 +82,17 @@ class TestCoordinateSpecs:
 
 class TestUnitStructure:
     def test_package_formulas_equal_the_oracle_bit_for_bit(self):
-        # the triangular and Poisson draws read coords; the oracle
-        # states the same structure on its own
-        u = np.concatenate([np.linspace(0.0, 1.0, 1025), chunk_rng(9, 0).uniform(size=4096)])
+        # the triangular and Poisson draws read unit_terms, into new arrays
+        # and in place over u; the oracle states the same structure on its own
+        u = np.concatenate([np.linspace(0.0, 1.0, 1025), chunk_rng(9, 0).uniform(size=4096),
+                            [2.0**-53, 1.0 - 2.0**-53]])
         ref = mc_unit()
-        for got, want in ((unit_gamma(u), ref.gamma(u)),
-                          (unit_gamma_prime(u), ref.gamma_prime(u)),
-                          (unit_a(u), ref.gen_a(u))):
-            assert got.dtype == want.dtype == np.float64
-            assert got.tobytes() == want.tobytes()
+        spare, over = np.empty_like(u), u.copy()
+        for gam, a in (unit_terms(u), unit_terms(over, out=(spare, over))):
+            for got, want in ((gam, ref.gamma(u)), (2.0 * a, ref.gamma_prime(u)),
+                              (a, ref.gen_a(u))):
+                assert got.dtype == want.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
 
 
 class TestBasePoint:

@@ -16,6 +16,7 @@ import pytest
 
 from dirichlet_mc.estimators import (
     ESTIMATORS,
+    Reducer,
     identity_z_scores,
     run_estimator,
     run_pass,
@@ -131,6 +132,25 @@ def test_one_pass_over_a_stream_equals_one_pass_over_the_batch(scenario):
     alone = [run_pass(batch, [r])[0] for r in reducers(batch)]
     assert together == alone
     assert (stream.n, stream.invalid_count) == (batch.n, batch.invalid_count)
+
+
+def test_straddling_blocks_are_joined_into_one_set_of_buffers():
+    """A split at N // 2 inside a chunk makes every full block of the second
+    half straddle a chunk boundary; each is joined into the same column
+    buffers of CHUNK_SIZE rows, which the cutter allocates once."""
+    n = 4 * CHUNK_SIZE + 2
+    stream = SCENARIOS["gaussian_pair"].stream(n, 5, 1)
+    seen = []
+
+    def part(blk, half, shared):
+        seen.append((half, blk.n, [c.base for c in (blk.x, blk.gamma_x_g)]))
+
+    run_pass(stream, [Reducer(part, lambda total: None, halves=True)])
+    assert [(half, rows) for half, rows, _ in seen] == [
+        (0, CHUNK_SIZE), (0, CHUNK_SIZE), (0, 1), (1, CHUNK_SIZE), (1, CHUNK_SIZE), (1, 1)]
+    (_, _, first), (_, _, second) = seen[3:5]
+    assert all(a is b and a.shape == (CHUNK_SIZE,) for a, b in zip(first, second))
+    assert not any(a is b for a, b in zip(first, seen[5][2]))
 
 
 def test_compare_rows_are_the_per_size_library_calls():

@@ -1,5 +1,5 @@
-"""Scenario registry checks: every fast vectorised builder is re-derived
-through the jet calculus on shared coordinate draws, exact densities carry
+"""Scenario registry checks: every closed-form draw is re-derived through
+the jet calculus on the base coordinates it drew, exact densities carry
 unit mass, and every scenario with an exact density is hit by a sign
 estimator within Monte Carlo error."""
 import dataclasses
@@ -25,86 +25,51 @@ from oracles import triangular_reference
 
 N_CHECK = 300
 
+_GBM_VOL, _GBM_DRIFT, _GBM_T, _GBM_X0 = 0.3, 0.05, 1.0, 1.0
 
-def _assert_quad_matches(batch_fn, jet_route, specs, seed=404):
-    """Shared draws through the closed-form arrays and through quad_of."""
-    rng = chunk_rng(seed, 0)
-    for _ in range(N_CHECK):
-        u = np.array([s.sample(rng) for s in specs])
-        base = BasePoint(u, specs)
-        jx, jg = jet_route(base)
-        q = quad_of(jx, base, jg)
-        x, gam, a, gxx, g, gxg = batch_fn(u)
-        assert q.x == pytest.approx(x, rel=1e-12, abs=1e-12)
-        assert q.gamma == pytest.approx(gam, rel=1e-12, abs=1e-12)
-        assert q.a == pytest.approx(a, rel=1e-12, abs=1e-12)
-        assert q.gamma_x_gammax == pytest.approx(gxx, rel=1e-12, abs=1e-12)
-        if g is not None:
-            assert q.aux[0] == pytest.approx(g, rel=1e-12, abs=1e-12)
-            assert q.aux[1] == pytest.approx(gxg, rel=1e-12, abs=1e-12)
+
+def _pair_jets(base):
+    return lift(base, 1) + jet_sin(lift(base, 2)), jet_sin(lift(base, 2))
+
+
+def _gbm_jets(base):
+    s = jet_const((_GBM_DRIFT - _GBM_VOL**2 / 2) * _GBM_T, 1) + _GBM_VOL * lift(base, 1)
+    return _GBM_X0 * jet_exp(s), None
+
+
+# Every scenario whose draw is a closed form: its base coordinates, the
+# draw's reading of them from its generator (replayed on a second generator
+# of the same key, as an (N, coordinates) array) and the jets of X and of G
+# (None without G).
+CLOSED_FORMS = {
+    "gaussian": ((ou_gaussian(1.0),), lambda rng, k: rng.normal(size=(k, 1)),
+                 lambda base: (lift(base, 1), None)),
+    "lognormal": ((ou_gaussian(1.0),), lambda rng, k: rng.normal(size=(k, 1)),
+                  lambda base: (jet_exp(lift(base, 1)), None)),
+    "gaussian_pair": ((ou_gaussian(1.0), ou_gaussian(1.0)),
+                      lambda rng, k: rng.normal(size=(k, 2)), _pair_jets),
+    "triangular": ((mc_unit(), mc_unit()), lambda rng, k: rng.uniform(size=(k, 2)),
+                   lambda base: (lift(base, 1) + lift(base, 2), None)),
+    "gbm_exact": ((ou_gaussian(_GBM_T),),
+                  lambda rng, k: rng.normal(0.0, math.sqrt(_GBM_T), size=(k, 1)), _gbm_jets),
+}
 
 
 class TestBuildersAgainstJets:
-    def test_gaussian(self):
-        def arrays(u):
-            return u[0], 1.0, -u[0] / 2, 0.0, None, None
-
-        _assert_quad_matches(
-            arrays, lambda b: (lift(b, 1), None), (ou_gaussian(1.0),)
-        )
-
-    def test_lognormal(self):
-        def arrays(u):
-            x = math.exp(u[0])
-            return x, x * x, 0.5 * x * (1 - u[0]), 2 * x**3, None, None
-
-        _assert_quad_matches(
-            arrays, lambda b: (jet_exp(lift(b, 1)), None), (ou_gaussian(1.0),)
-        )
-
-    def test_gaussian_pair_with_aux(self):
-        def arrays(u):
-            c, s = math.cos(u[1]), math.sin(u[1])
-            x = u[0] + s
-            gam = 1 + c * c
-            a = -u[0] / 2 - u[1] * c / 2 - s / 2
-            gxx = -c * math.sin(2 * u[1])
-            return x, gam, a, gxx, s, c * c
-
-        def jets(base):
-            jx = lift(base, 1) + jet_sin(lift(base, 2))
-            return jx, jet_sin(lift(base, 2))
-
-        _assert_quad_matches(arrays, jets, (ou_gaussian(1.0), ou_gaussian(1.0)))
-
-    def test_triangular(self):
-        def arrays(u):
-            gam_i = (u * (1 - u)) ** 2
-            a_i = u * (1 - u) * (1 - 2 * u)
-            return (
-                float(u.sum()), float(gam_i.sum()), float(a_i.sum()),
-                float((2 * a_i * gam_i).sum()), None, None,
-            )
-
-        _assert_quad_matches(
-            arrays, lambda b: (lift(b, 1) + lift(b, 2), None), (mc_unit(), mc_unit())
-        )
-
-    def test_gbm_exact(self):
-        vol, drift, T, x0 = 0.3, 0.05, 1.0, 1.0
-
-        def arrays(u):
-            x = x0 * math.exp((drift - vol**2 / 2) * T + vol * u[0])
-            return (
-                x, vol**2 * x * x * T, -0.5 * vol * x * u[0] + 0.5 * vol**2 * x * T,
-                2 * T**2 * vol**4 * x**3, None, None,
-            )
-
-        def jets(base):
-            s = jet_const((drift - vol**2 / 2) * T, 1) + vol * lift(base, 1)
-            return x0 * jet_exp(s), None
-
-        _assert_quad_matches(arrays, jets, (ou_gaussian(T),))
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_draw_equals_the_calculus(self, name):
+        # the scenario's own draw and quad_of on the base coordinates it drew
+        specs, replay, jets = CLOSED_FORMS[name]
+        cols = get_scenario(name).draw(chunk_rng(404, 0), N_CHECK)
+        coords = replay(chunk_rng(404, 0), N_CHECK)
+        for i in range(N_CHECK):
+            base = BasePoint(coords[i], specs)
+            jx, jg = jets(base)
+            q = quad_of(jx, base, jg)
+            want = (q.x, q.gamma, q.a, q.gamma_x_gammax) + (q.aux if jg is not None else ())
+            assert len(cols) == len(want)
+            for col, w in zip(cols, want):
+                assert col[i] == pytest.approx(w, rel=1e-12, abs=1e-12)
 
 
 class TestRegistry:

@@ -76,3 +76,19 @@ def test_command_layer_defers_to_the_owners(module):
             func = node.func
             called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             assert called != "exact_density", f"{module}:{node.lineno} calls exact_density"
+
+
+def test_every_closed_form_draw_has_a_calculus_case():
+    # a draw that runs neither the Euler recursion nor the Poisson point
+    # sums is a closed form, and test_scenarios re-derives it through the
+    # jet calculus (the other two have their own oracles, in test_wiener
+    # and test_poisson); a new closed-form scenario cannot skip the check
+    from dirichlet_mc.scenarios import SCENARIOS
+    from test_scenarios import CLOSED_FORMS
+
+    def own_oracle(draw):
+        names = set(draw.__code__.co_names)
+        return bool(names & {"simulate_triple_batch", "sample_poisson_arrays"})
+
+    closed = {name for name, sc in SCENARIOS.items() if not own_oracle(sc.draw)}
+    assert closed == set(CLOSED_FORMS)
