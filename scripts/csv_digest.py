@@ -4,7 +4,8 @@
 The list holds the criterion-10 commands of the acceptance suite, `density`
 for every scenario × estimator, `compare`, `density` and `check-identities`
 at sizes that cross reduction-block boundaries (every estimator, and the
-centered split at N // 2 inside a chunk), `compare` over unsorted and
+centered split at N // 2 inside a chunk; `check-identities` on every quad
+scenario, gaussian_pair also with `--corrupt-a 0.1`), `compare` over unsorted and
 repeated sizes that cross block boundaries, the quadrature and
 Monte Carlo `sweep-bias`/`sweep-variance` runs (N = 50 001 among them), the quadrature sweeps
 of the `oracles` benchmark workload down to its smallest ε, and the
@@ -227,6 +228,16 @@ def commands() -> dict[str, list[str]]:
     cmds["compare_strict"] = ["compare", "--estimators", "direct", "--strict", "--samples", "2000"]
     cmds["density_epsilon_alias"] = [
         "density", "--estimator", "regularized", "--epsilon", "0.1", "--samples", "2000"]
+    # the identity suite on the quad scenarios the lines above leave out,
+    # gaussian_pair among them (its draw carries G and Γ[X, G], which the
+    # suite does not read), three blocks plus a partial one, and a finite
+    # negative control on the pair
+    for sc in ("gaussian_pair", "triangular", "gbm_exact"):
+        cmds[f"identities_{sc}_50001"] = [
+            "check-identities", "--scenario", sc, "--samples", "50001", "--seed", "7"]
+    cmds["identities_gaussian_pair_corrupt_a_0.1"] = [
+        "check-identities", "--scenario", "gaussian_pair", "--samples", "50001", "--seed", "7",
+        "--corrupt-a", "0.1"]
     # a non-finite negative control exits 2 instead of passing on NaN z-scores
     for value in ("nan", "inf"):
         cmds[f"identities_corrupt_a_{value}"] = [
