@@ -610,7 +610,16 @@ def _positive_gamma(b: QuadBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray, b
 def _weight(b: QuadBatch, gam: np.ndarray, gam2: Optional[np.ndarray] = None) -> np.ndarray:
     """-Γ[X,Γ[X]]/gam² + 2A/gam, for gam = Γ or ε + Γ; gam2 is gam² when
     the caller has it."""
-    return -b.gamma_x_gammax / (gam * gam if gam2 is None else gam2) + 2.0 * b.a / gam
+    return _weight_terms(b.gamma_x_gammax, 2.0 * b.a, gam, gam * gam if gam2 is None else gam2)
+
+
+def _weight_terms(q, two_a, gam, gam2, out=None, tmp=None) -> np.ndarray:
+    """two_a/gam - q/gam2, the weight from q = Γ[X,Γ[X]] and 2A (the same
+    bits as -q/gam2 + two_a/gam); into out, with tmp (which may be gam2)
+    as scratch, when they are given."""
+    w = np.divide(two_a, gam, out=out)
+    w -= np.divide(q, gam2, out=tmp)
+    return w
 
 
 def direct_weights(b: QuadBatch, positive=None) -> tuple[np.ndarray, np.ndarray]:
@@ -642,6 +651,9 @@ def conditional_weights(b: QuadBatch, positive=None) -> tuple[np.ndarray, np.nda
 # sorted distinct queries a block is compared with at once: the (group,
 # block) comparisons take ≤ CHUNK_SIZE·_BIN_GROUP bytes (512 KiB) of scratch
 _BIN_GROUP = 32
+# up to this many distinct queries, a block's bins count X > q and X ≥ q
+# in one group of both comparisons, which beats the tie gather there
+_TWO_COUNT = 16
 
 
 def _side_sums(xs, finish, *columns) -> Reducer:
@@ -658,28 +670,39 @@ def _side_sums(xs, finish, *columns) -> Reducer:
     index counts the queries below X by broadcast comparisons, _BIN_GROUP
     queries against the whole block at a time, summed over the group in
     uint8 (uint16 above 255 distinct queries): O(N·Q) SIMD compares and no
-    Python loop per query.  Each column takes one bincount per block;
+    Python loop per query.  Up to _TWO_COUNT queries it is #(q < X) +
+    #(q ≤ X), both comparisons summed at once, with no gather of the tie.
+    Each column takes one bincount per block;
     running sums over the bins from either end give the two sides, neither
     formed by cancellation.
     """
     queries = _as_queries(xs, 1)
     grid, pos = np.unique(queries[:, 0], return_inverse=True)
     k, ends, key = grid.shape[0], np.append(grid, np.nan), ("bins", grid.tobytes())
-    need = -(-min(k, _BIN_GROUP) * CHUNK_SIZE // 8)  # float64s holding the bool compares
+    two = k <= _TWO_COUNT
+    # float64s holding one group of bool compares
+    need = -(-min(2 * k if two else k, _BIN_GROUP) * CHUNK_SIZE // 8)
 
     def part(blk, half, shared):
         if key not in shared:
-            below = np.zeros(blk.n, dtype=np.min_scalar_type(k))
             above = _scratch(shared, need).view(np.bool_)
-            for lo in range(0, k, _BIN_GROUP):
-                q = grid[lo:lo + _BIN_GROUP, None]
-                gt = np.greater(blk.x, q, out=above[:q.size * blk.n].reshape(q.size, blk.n))
-                below += np.add.reduce(gt.view(np.uint8), axis=0, dtype=below.dtype)
-            bins = below.astype(np.intp)
-            tie = ends[bins] == blk.x
-            bins *= 2
-            bins += tie
-            shared[key] = bins
+            if two:
+                cmp = above[:2 * k * blk.n].reshape(2, k, blk.n)
+                np.greater(blk.x, grid[:, None], out=cmp[0])
+                np.greater_equal(blk.x, grid[:, None], out=cmp[1])
+                counts = cmp.view(np.uint8).reshape(2 * k, blk.n)
+                shared[key] = np.add.reduce(counts, axis=0, dtype=np.uint8).astype(np.intp)
+            else:
+                below = np.zeros(blk.n, dtype=np.min_scalar_type(k))
+                for lo in range(0, k, _BIN_GROUP):
+                    q = grid[lo:lo + _BIN_GROUP, None]
+                    gt = np.greater(blk.x, q, out=above[:q.size * blk.n].reshape(q.size, blk.n))
+                    below += np.add.reduce(gt.view(np.uint8), axis=0, dtype=below.dtype)
+                bins = below.astype(np.intp)
+                tie = ends[bins] == blk.x
+                bins *= 2
+                bins += tie
+                shared[key] = bins
         used, cols = columns[half](blk)
         sums = np.stack([np.bincount(shared[key], col, 2 * k + 1) for col in cols])
         return tuple((used, sums) if h == half else None for h in range(len(columns)))
@@ -886,14 +909,12 @@ def run_estimator(name: str, batch, epsilon: Optional[float], xs, scenario: str 
 
 # -- identity statistics ----------------------------------------------------
 
-# test functions φ of the identity suite, as (φ', φ'')
-_PHIS = {
-    "x": (lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
-    "x2": (lambda x: 2.0 * x, lambda x: 2.0 * np.ones_like(x)),
-    "cos": (lambda x: -np.sin(x), lambda x: -np.cos(x)),
-}
-_IBP_PHIS = ("cos", "x2")
+# the statistics of the identity suite that read φ, in report order: the
+# generator applied to φ ∈ {x, x², cos}, then the regularised
+# integration-by-parts residual of φ ∈ {cos, x²} at each ε
 _IBP_EPSILONS = (0.5, 0.1)
+_PHI_STATS = ("generator_x", "generator_x2", "generator_cos",
+              *(f"ibp_{name}_eps{eps:g}" for name in ("cos", "x2") for eps in _IBP_EPSILONS))
 
 
 @_estimator
@@ -911,28 +932,48 @@ def identity_z_scores(b: QuadBatch):
       configurations at Γ = 0 (e.g. the empty-configuration atom of point
       process functionals) carry zero weight and are excluded.
 
-    Per block, φ'(X) and φ''(X) are evaluated once per φ, and ε + Γ and
-    W_ε once per ε, and every statistic shares them.
+    The suite reads X, Γ, A and Γ[X, Γ[X]] only.  Per block, the seven φ
+    statistics are the rows of one (7, block) array in the pass's scratch,
+    reduced by one _moments call; φ'(X) and φ''(X)·Γ of cos, 2A, and ε + Γ
+    and W_ε per ε are evaluated once, into the same scratch, and shared by
+    every row that reads them.
     """
     _check_quad(b)
+    k = len(_PHI_STATS)
 
-    def part(blk, half, shared) -> dict[str, Moments]:
-        gam = {eps: eps + blk.gamma for eps in _IBP_EPSILONS}
-        w_eps = {eps: _weight(blk, g) for eps, g in gam.items()}
-        d = {name: (p1(blk.x), p2(blk.x)) for name, (p1, p2) in _PHIS.items()}
-        out = {f"generator_{name}": _moments(d1 * blk.a + 0.5 * d2 * blk.gamma)
-               for name, (d1, d2) in d.items()}
-        for name in _IBP_PHIS:
-            d1, d2 = d[name]
-            for eps, g in gam.items():
-                out[f"ibp_{name}_eps{eps:g}"] = _moments(d2 * blk.gamma / g + d1 * w_eps[eps])
-        w, usable = direct_weights(blk)
-        out["weight_centering"] = _moments(w if usable.all() else w[usable])
-        return out
+    def part(blk, half, shared) -> tuple[Moments, Moments]:
+        n, x, gamma, a = blk.n, blk.x, blk.gamma, blk.a
+        rows, temps = np.split(_scratch(shared, (k + 6) * n)[:(k + 6) * n].reshape(k + 6, n), [k])
+        d1_cos, d2g_cos, two_a, g, w, tmp = temps
+        stat = dict(zip(_PHI_STATS, rows))
+        # φ = x has φ' = 1 and φ'' = 0: its generator statistic is A
+        np.copyto(stat["generator_x"], a)
+        # φ'(X) and φ''(X)·Γ.  The x² rows are those of φ = x²/2, (x, Γ):
+        # halving a statistic, a power of two, halves its mean and standard
+        # error exactly, so its z-score keeps every bit
+        np.negative(np.sin(x, out=d1_cos), out=d1_cos)
+        np.negative(np.cos(x, out=d2g_cos), out=d2g_cos)
+        d2g_cos *= gamma
+        d = {"x2": (x, gamma), "cos": (d1_cos, d2g_cos)}
+        for name, (d1, d2g) in d.items():
+            row = np.multiply(d1, a, out=stat[f"generator_{name}"])
+            row += np.multiply(0.5, d2g, out=tmp)
+        np.multiply(2.0, a, out=two_a)
+        for eps in _IBP_EPSILONS:
+            np.add(eps, gamma, out=g)
+            _weight_terms(blk.gamma_x_gammax, two_a, g, np.multiply(g, g, out=tmp), out=w, tmp=tmp)
+            for name, (d1, d2g) in d.items():
+                row = np.divide(d2g, g, out=stat[f"ibp_{name}_eps{eps:g}"])
+                row += np.multiply(d1, w, out=tmp)
+        wc, usable = direct_weights(blk)
+        return _moments(rows), _moments(wc if usable.all() else wc[usable])
 
     def finish(total) -> dict[str, float]:
-        if total is None or total["weight_centering"].n < 2:
+        if total is None or total[1].n < 2:
             raise NoUsableSamplesError("not enough samples with positive square field")
-        return {key: _z(m) for key, m in total.items()}
+        phi, weight = total
+        mean, se = _mean_se(phi)
+        return {**dict(zip(_PHI_STATS, map(z_score, mean.tolist(), se.tolist()))),
+                "weight_centering": _z(weight)}
 
     return Reducer(part, finish)

@@ -12,7 +12,7 @@ integration-by-parts residual, and the centering of the direct weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Sequence
 
@@ -281,16 +281,20 @@ def run_identity_suite(
 ) -> IdentityReport:
     """The identity z-scores (see identity_z_scores) of a fresh batch.
 
-    corrupt_a shifts every A by a finite constant; any nonzero shift must
-    blow the generator-centering z-scores up, which is the negative control
-    proving the suite has power.
+    The batch holds the four columns the suite reads, X, Γ, A and
+    Γ[X, Γ[X]]: it is built from the scenario's draw cut to them, so G and
+    Γ[X, G] are never kept; a build given explicitly stays the one that
+    runs.  corrupt_a shifts every A by a finite constant; any nonzero shift
+    must blow the generator-centering z-scores up, which is the negative
+    control proving the suite has power.
     """
     sc = get_scenario(scenario)
     if sc.kind != "quad":
         raise ValueError(f"scenario {scenario!r} does not provide quad batches")
     if not math.isfinite(corrupt_a):
         raise ValueError(f"corrupt_a must be finite, got {corrupt_a!r}")
-    b = sc.build(sample_count(n), seed, workers)
+    quad = replace(sc, draw=lambda rng, k: sc.draw(rng, k)[:4])
+    b = quad.build(sample_count(n), seed, workers)
     if corrupt_a != 0.0:
         b = corrupt_quad_batch(b, corrupt_a)
     return IdentityReport(scenario, int(n), identity_z_scores(b))

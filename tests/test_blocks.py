@@ -106,12 +106,13 @@ def many_queries(q: int) -> np.ndarray:
     return xs
 
 
-# every size with three queries, and four blocks with many: the queries are
-# binned in groups against each block, so these cross group boundaries and
-# counts past uint8, with unsorted and repeated points and ties past the
-# first group
+# every size with three queries, and four blocks with many: up to 16
+# distinct queries a block is binned by two counts, above by groups of
+# comparisons, so these cross both routes, group boundaries and counts past
+# uint8, with unsorted and repeated points and ties past the first group
 SIGN_CASES = [pytest.param(n, QUERIES, id=str(n)) for n in SIZES] + [
-    pytest.param(3 * C + 7, many_queries(q), id=f"{3 * C + 7}-q{q}") for q in (1, 64, 65, 300)]
+    pytest.param(3 * C + 7, many_queries(q), id=f"{3 * C + 7}-q{q}")
+    for q in (1, 16, 17, 64, 65, 300)]
 
 
 @pytest.mark.parametrize("n,xs", SIGN_CASES)

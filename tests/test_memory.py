@@ -62,6 +62,37 @@ def test_peak_rss_grows_with_the_batch_only():
     assert ratio <= 1.5, (ratio, peak_small, peak_large, batch_small, batch_large)
 
 
+PAIR_IDENTITIES_CHILD = r"""
+import contextlib, io, json, os, resource, tempfile
+from dirichlet_mc.cli import cli_main
+
+peaks = []
+with tempfile.TemporaryDirectory() as tmp:
+    for n in (100_000, 1_000_000):
+        argv = ["check-identities", "--scenario", "gaussian_pair", "--samples", str(n),
+                "--seed", "1", "--out", os.path.join(tmp, "out.csv")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(argv) == 0, argv
+        peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
+print(json.dumps(peaks))
+"""
+
+
+def test_identity_suite_holds_four_columns():
+    """check-identities holds X, Γ, A and Γ[X, Γ[X]] only, 32 B per sample,
+    also for gaussian_pair, whose draw carries G and Γ[X, G] as well (a
+    batch of all six columns is 48 B per sample).  So going from N = 10⁵ to
+    10⁶ grows peak RSS by at most 1.25 × 32 B per added sample."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env.pop("DIRICHLET_MC_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", PAIR_IDENTITIES_CHILD], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    small, large = json.loads(proc.stdout)
+    per_sample = (large - small) / 900_000
+    assert per_sample <= 1.25 * 32, (per_sample, small, large)
+
+
 STREAM_CHILD = r"""
 import contextlib, io, json, os, resource, sys, tempfile
 from dirichlet_mc.cli import cli_main

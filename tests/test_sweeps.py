@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_mc import sweeps
+from dirichlet_mc import scenarios, sweeps
 from dirichlet_mc.estimators import QuadBatch, shifted_kernel_variance
 from dirichlet_mc.quadrature import kernel_moment_integral
 from dirichlet_mc.scenarios import Scenario, corrupt_quad_batch, get_scenario
@@ -272,6 +272,26 @@ class TestIdentitySuite:
     def test_triple_scenario_rejected(self):
         with pytest.raises(ValueError, match="quad"):
             run_identity_suite("gbm_euler", 1000, seed=0)
+
+    def test_explicit_build_is_the_one_that_runs(self, monkeypatch):
+        # the suite builds its four columns through Scenario.build: a
+        # scenario registered with an explicit build that shifts A fails it
+        # as --corrupt-a does, and one that keeps the pair's six columns is
+        # reduced as given
+        sc = get_scenario("gaussian_pair")
+        calls = []
+
+        def shifted(n, seed, workers):
+            calls.append(n)
+            return corrupt_quad_batch(sc.build(n, seed, workers), 0.1)
+
+        monkeypatch.setitem(scenarios.SCENARIOS, "shifted_pair",
+                            dataclasses.replace(sc, name="shifted_pair", build=shifted))
+        rep = run_identity_suite("shifted_pair", 40_000, seed=11)
+        assert calls == [40_000] and not rep.passed
+        assert abs(rep.z_scores["generator_x"]) > IDENTITY_Z_THRESHOLD
+        assert rep.z_scores == run_identity_suite("gaussian_pair", 40_000, seed=11,
+                                                  corrupt_a=0.1).z_scores
 
     @pytest.mark.parametrize("corrupt_a", [math.nan, math.inf, -math.inf])
     def test_non_finite_corrupt_a_rejected(self, corrupt_a):
