@@ -943,8 +943,8 @@ def identity_z_scores(b: QuadBatch):
 
     def part(blk, half, shared) -> tuple[Moments, Moments]:
         n, x, gamma, a = blk.n, blk.x, blk.gamma, blk.a
-        rows, temps = np.split(_scratch(shared, (k + 6) * n)[:(k + 6) * n].reshape(k + 6, n), [k])
-        d1_cos, d2g_cos, two_a, g, w, tmp = temps
+        buf = _scratch(shared, (k + 6) * n)[:(k + 6) * n].reshape(k + 6, n)
+        rows, (d1_cos, d2g_cos, two_a, g, w, tmp) = buf[:k], buf[k:]
         stat = dict(zip(_PHI_STATS, rows))
         # φ = x has φ' = 1 and φ'' = 0: its generator statistic is A
         np.copyto(stat["generator_x"], a)
