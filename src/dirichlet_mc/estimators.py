@@ -610,14 +610,15 @@ def _positive_gamma(b: QuadBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray, b
 def _weight(b: QuadBatch, gam: np.ndarray, gam2: Optional[np.ndarray] = None) -> np.ndarray:
     """-Γ[X,Γ[X]]/gam² + 2A/gam, for gam = Γ or ε + Γ; gam2 is gam² when
     the caller has it."""
-    return _weight_terms(b.gamma_x_gammax, 2.0 * b.a, gam, gam * gam if gam2 is None else gam2)
+    return _weight_terms(b.gamma_x_gammax, b.a, gam, gam * gam if gam2 is None else gam2)
 
 
-def _weight_terms(q, two_a, gam, gam2, out=None, tmp=None) -> np.ndarray:
-    """two_a/gam - q/gam2, the weight from q = Γ[X,Γ[X]] and 2A (the same
-    bits as -q/gam2 + two_a/gam); into out, with tmp (which may be gam2)
-    as scratch, when they are given."""
-    w = np.divide(two_a, gam, out=out)
+def _weight_terms(q, a, gam, gam2, out=None, tmp=None) -> np.ndarray:
+    """2·(a/gam) - q/gam2, the weight from q = Γ[X,Γ[X]] and A (the same
+    bits as -q/gam2 + 2a/gam); into out, with tmp (which may be gam2) as
+    scratch, when they are given."""
+    w = np.divide(a, gam, out=out)
+    w *= 2.0
     w -= np.divide(q, gam2, out=tmp)
     return w
 
@@ -934,8 +935,8 @@ def identity_z_scores(b: QuadBatch):
 
     The suite reads X, Γ, A and Γ[X, Γ[X]] only.  Per block, the seven φ
     statistics are the rows of one (7, block) array in the pass's scratch,
-    reduced by one _moments call; φ'(X) and φ''(X)·Γ of cos, 2A, and ε + Γ
-    and W_ε per ε are evaluated once, into the same scratch, and shared by
+    reduced by one _moments call; φ'(X) and φ''(X)·Γ of cos, and ε + Γ and
+    W_ε per ε, are evaluated once, into the same scratch, and shared by
     every row that reads them.
     """
     _check_quad(b)
@@ -943,8 +944,8 @@ def identity_z_scores(b: QuadBatch):
 
     def part(blk, half, shared) -> tuple[Moments, Moments]:
         n, x, gamma, a = blk.n, blk.x, blk.gamma, blk.a
-        buf = _scratch(shared, (k + 6) * n)[:(k + 6) * n].reshape(k + 6, n)
-        rows, (d1_cos, d2g_cos, two_a, g, w, tmp) = buf[:k], buf[k:]
+        buf = _scratch(shared, (k + 5) * n)[:(k + 5) * n].reshape(k + 5, n)
+        rows, (d1_cos, d2g_cos, g, w, tmp) = buf[:k], buf[k:]
         stat = dict(zip(_PHI_STATS, rows))
         # φ = x has φ' = 1 and φ'' = 0: its generator statistic is A
         np.copyto(stat["generator_x"], a)
@@ -958,10 +959,9 @@ def identity_z_scores(b: QuadBatch):
         for name, (d1, d2g) in d.items():
             row = np.multiply(d1, a, out=stat[f"generator_{name}"])
             row += np.multiply(0.5, d2g, out=tmp)
-        np.multiply(2.0, a, out=two_a)
         for eps in _IBP_EPSILONS:
             np.add(eps, gamma, out=g)
-            _weight_terms(blk.gamma_x_gammax, two_a, g, np.multiply(g, g, out=tmp), out=w, tmp=tmp)
+            _weight_terms(blk.gamma_x_gammax, a, g, np.multiply(g, g, out=tmp), out=w, tmp=tmp)
             for name, (d1, d2g) in d.items():
                 row = np.divide(d2g, g, out=stat[f"ibp_{name}_eps{eps:g}"])
                 row += np.multiply(d1, w, out=tmp)
