@@ -12,7 +12,8 @@ of the `oracles` benchmark workload down to its smallest ε, and the
 command layer's input rules (a `1e4` sample count against `10000`, a
 fractional count, an empty `--points` list and the option spellings no
 command reads, and an `--estimators` list separated by spaces as well as
-commas), a non-finite `--corrupt-a`, a Monte Carlo bias sweep on a
+commas), a non-finite `--corrupt-a`, `check-identities` on the Euler
+draws, which carry no Γ[X, Γ[X]], a Monte Carlo bias sweep on a
 scenario without an exact density, quadrature sweeps at ε around and
 below what the grid resolves, `density` and `compare` at a query point of
 1e300, where every kernel term and reference is exactly 0, and `density`
@@ -243,6 +244,10 @@ def commands() -> dict[str, list[str]]:
         cmds[f"identities_corrupt_a_{value}"] = [
             "check-identities", "--scenario", "gaussian", "--samples", "1000",
             "--corrupt-a", value, "--strict"]
+    # the identity suite on draws without Γ[X, Γ[X]] exits 2: it needs quad data
+    for sc in ("gbm_euler", "zero_noise"):
+        cmds[f"identities_{sc}_no_quad"] = [
+            "check-identities", "--scenario", sc, "--samples", "2000", "--seed", "7"]
     # a Monte Carlo bias sweep without an exact density exits 2 before drawing
     cmds["sweep_bias_gbm_euler_monte_carlo"] = [
         "sweep-bias", "--scenario", "gbm_euler", "--estimator", "shifted",
