@@ -283,12 +283,10 @@ class Reducer(NamedTuple):
 
 
 def _add(a, b):
-    """Partial a merged with the next partial b, entry by entry in a dict
-    or tuple; None is the empty partial."""
+    """Partial a merged with the next partial b, entry by entry in a tuple;
+    None is the empty partial."""
     if a is None or b is None:
         return b if a is None else a
-    if isinstance(a, dict):
-        return {k: _add(v, b[k]) for k, v in a.items()}
     if isinstance(a, tuple):
         return tuple(map(_add, a, b))
     return _merge(a, b) if isinstance(a, Moments) else a + b
@@ -464,9 +462,11 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
     """
     d = b.d
     x, a, gamma = b.x.reshape(-1, d), b.a.reshape(-1, d), b.gamma.reshape(-1, d, d)
-    center = [np.ascontiguousarray(x[:, i] + epsilon * a[:, i] if shift else x[:, i])
-              for i in range(d)]
+    # an overflow (a centre, a pivot, det or the normaliser past 1e308)
+    # leaves the sample unusable or its terms exactly 0, without a warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        center = [np.ascontiguousarray(x[:, i] + epsilon * a[:, i] if shift else x[:, i])
+                  for i in range(d)]
         if identity_cov:
             piv, low = [float(epsilon)] * d, [[]] * d
         else:
@@ -487,8 +487,8 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
             center = [keep(v) for v in center]
             piv, det = [keep(p) for p in piv], keep(det)
             low = [[keep(v) for v in row] for row in low]
-    neg_half_prec = [-0.5 / p for p in piv]
-    norm = 1.0 / np.sqrt((2.0 * math.pi) ** d * det)
+        neg_half_prec = [-0.5 / p for p in piv]
+        norm = 1.0 / np.sqrt((2.0 * math.pi) ** d * det)
     n = center[0].shape[0]
 
     def values(q: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -597,56 +597,53 @@ _SIGN = np.array([1.0, 0.0, -1.0])
 _HALF_SIGN = 0.5 * _SIGN
 
 
-def _positive_gamma(b: QuadBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """The Γ > 0 mask, Γ with 1 on the masked-out samples (Γ itself, not a
-    copy, when every sample is usable), its square, and whether every
-    sample is usable."""
-    usable = b.gamma > 0.0
-    every = bool(usable.all())
-    gam = b.gamma if every else np.where(usable, b.gamma, 1.0)
-    return usable, gam, gam * gam, every
-
-
-def _weight(b: QuadBatch, gam: np.ndarray, gam2: Optional[np.ndarray] = None) -> np.ndarray:
-    """-Γ[X,Γ[X]]/gam² + 2A/gam, for gam = Γ or ε + Γ; gam2 is gam² when
-    the caller has it."""
-    return _weight_terms(b.gamma_x_gammax, b.a, gam, gam * gam if gam2 is None else gam2)
-
-
 def _weight_terms(q, a, gam, gam2, out=None, tmp=None) -> np.ndarray:
     """2·(a/gam) - q/gam2, the weight from q = Γ[X,Γ[X]] and A (the same
-    bits as -q/gam2 + 2a/gam); into out, with tmp (which may be gam2) as
-    scratch, when they are given."""
+    bits as -q/gam2 + 2a/gam), for gam = Γ or ε + Γ; into out, with tmp
+    (which may be gam2) as scratch, when they are given.  Where gam2 has
+    underflowed to 0 (gam below about 1.5e-162) and q is 0, as on the
+    empty Poisson configuration, the q term is 0, not 0/0."""
     w = np.divide(a, gam, out=out)
     w *= 2.0
-    w -= np.divide(q, gam2, out=tmp)
+    w -= np.divide(q, gam2 if gam2.all() else np.where(q == 0.0, 1.0, gam2), out=tmp)
     return w
 
 
-def direct_weights(b: QuadBatch, positive=None) -> tuple[np.ndarray, np.ndarray]:
-    """W = -Γ[X,Γ[X]]/Γ² + 2A/Γ and the Γ > 0 usability mask; positive is
-    _positive_gamma(b), when the caller has it."""
-    usable, gam, gam2, every = _positive_gamma(b) if positive is None else positive
-    w = _weight(b, gam, gam2)
-    return (w if every else np.where(usable, w, 0.0)), usable
+def direct_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray]:
+    """W = -Γ[X,Γ[X]]/Γ² + 2A/Γ, 0 where Γ ≤ 0, and the Γ > 0 usability mask."""
+    usable = b.gamma > 0.0
+    if usable.all():
+        return _weight_terms(b.gamma_x_gammax, b.a, b.gamma, b.gamma * b.gamma), usable
+    gam = np.where(usable, b.gamma, 1.0)
+    return np.where(usable, _weight_terms(b.gamma_x_gammax, b.a, gam, gam * gam), 0.0), usable
 
 
 def regularized_weights(b: QuadBatch, epsilon: float) -> np.ndarray:
-    """W_ε = -Γ[X,Γ[X]]/(ε+Γ)² + 2A/(ε+Γ); defined for every sample."""
-    return _weight(b, epsilon + b.gamma)
+    """W_ε = -Γ[X,Γ[X]]/(ε+Γ)² + 2A/(ε+Γ); defined for every sample.  An
+    (ε+Γ)² past 1e308 is inf, and its term 0, without a warning."""
+    gam = epsilon + b.gamma
+    with np.errstate(over="ignore"):
+        return _weight_terms(b.gamma_x_gammax, b.a, gam, gam * gam)
 
 
-def conditional_weights(b: QuadBatch, positive=None) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator weights Γ[X,G]/Γ - G·Γ[X,Γ[X]]/Γ² + 2·G·A/Γ and the Γ > 0
-    mask; positive is _positive_gamma(b), when the caller has it.
+def conditional_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numerator weights Γ[X,G]/Γ - G·Γ[X,Γ[X]]/Γ² + 2·G·A/Γ, the direct
+    weights W and the Γ > 0 mask, both weights 0 where Γ ≤ 0; Γ's mask and
+    Γ² are formed once for both.
 
-    For G ≡ 1, Γ[X,G] = 0 these reduce term by term to direct_weights.
+    For G ≡ 1, Γ[X,G] = 0 the numerator reduces term by term to W.
     """
     if not b.has_aux:
         raise ValueError("batch carries no auxiliary G data")
-    usable, gam, gam2, every = _positive_gamma(b) if positive is None else positive
-    w = b.gamma_x_g / gam - b.g * b.gamma_x_gammax / gam2 + 2.0 * b.g * b.a / gam
-    return (w if every else np.where(usable, w, 0.0)), usable
+    usable = b.gamma > 0.0
+    every = bool(usable.all())
+    gam = b.gamma if every else np.where(usable, b.gamma, 1.0)
+    gam2 = gam * gam
+    wn = b.gamma_x_g / gam - b.g * b.gamma_x_gammax / gam2 + 2.0 * b.g * b.a / gam
+    wd = _weight_terms(b.gamma_x_gammax, b.a, gam, gam2)
+    if not every:
+        wn, wd = np.where(usable, wn, 0.0), np.where(usable, wd, 0.0)
+    return wn, wd, usable
 
 
 # sorted distinct queries a block is compared with at once: the (group,
@@ -783,9 +780,7 @@ def conditional_expectation(b: QuadBatch, xs):
     _check_quad(b)
 
     def columns(blk):
-        positive = _positive_gamma(blk)
-        wn, usable = conditional_weights(blk, positive)
-        wd, _ = direct_weights(blk, positive)
+        wn, wd, usable = conditional_weights(blk)
         return int(usable.sum()), (wn, wd, wn * wn, wd * wd, wn * wd)
 
     def finish(queries, sums) -> list[ConditionalEstimate]:
@@ -813,15 +808,14 @@ def conditional_expectation(b: QuadBatch, xs):
 
 
 @_estimator
-def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None):
+def centered_direct_density(b: QuadBatch, xs):
     """Split-sample control variate on the centered weight.
 
     Half 1 fits the per-x constant c*(x) = Σ sign(x-X)W² / Σ W² (the
     variance minimiser of (sign - c)W when E[W] = 0); half 2 averages
     ½(sign(x-X) - c*)W.  Keeping the halves disjoint keeps the estimator
-    unbiased.  force_c pins the constant (c = 0 reproduces direct_density
-    on half 2).  Both halves are reduced in one pass over b, so a stream
-    is drawn once; each half is blocked from its own first row.
+    unbiased.  Both halves are reduced in one pass over b, so a stream is
+    drawn once; each half is blocked from its own first row.
     """
     _check_quad(b)
 
@@ -834,9 +828,7 @@ def centered_direct_density(b: QuadBatch, xs, force_c: Optional[float] = None):
         if n == 0:
             raise NoUsableSamplesError("no usable samples in the estimation half")
         c = np.zeros(queries.shape[0])
-        if force_c is not None:
-            c[:] = float(force_c)
-        elif fit is not None:
+        if fit is not None:
             denom = fit[0].sum(axis=1)
             np.divide(fit[0][:, 0] - fit[0][:, 2], denom, out=c, where=denom > 0)
         return _estimates(queries, _side_moments(0.5 * (_SIGN - c[:, None]), *sums, n))
@@ -956,16 +948,19 @@ def identity_z_scores(b: QuadBatch):
         np.negative(np.cos(x, out=d2g_cos), out=d2g_cos)
         d2g_cos *= gamma
         d = {"x2": (x, gamma), "cos": (d1_cos, d2g_cos)}
-        for name, (d1, d2g) in d.items():
-            row = np.multiply(d1, a, out=stat[f"generator_{name}"])
-            row += np.multiply(0.5, d2g, out=tmp)
-        for eps in _IBP_EPSILONS:
-            np.add(eps, gamma, out=g)
-            _weight_terms(blk.gamma_x_gammax, a, g, np.multiply(g, g, out=tmp), out=w, tmp=tmp)
+        # an A near 1e308 (a --corrupt-a control) overflows the rows and W
+        # to inf or NaN, which fails its z-score, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
             for name, (d1, d2g) in d.items():
-                row = np.divide(d2g, g, out=stat[f"ibp_{name}_eps{eps:g}"])
-                row += np.multiply(d1, w, out=tmp)
-        wc, usable = direct_weights(blk)
+                row = np.multiply(d1, a, out=stat[f"generator_{name}"])
+                row += np.multiply(0.5, d2g, out=tmp)
+            for eps in _IBP_EPSILONS:
+                np.add(eps, gamma, out=g)
+                _weight_terms(blk.gamma_x_gammax, a, g, np.multiply(g, g, out=tmp), out=w, tmp=tmp)
+                for name, (d1, d2g) in d.items():
+                    row = np.divide(d2g, g, out=stat[f"ibp_{name}_eps{eps:g}"])
+                    row += np.multiply(d1, w, out=tmp)
+            wc, usable = direct_weights(blk)
         return _moments(rows), _moments(wc if usable.all() else wc[usable])
 
     def finish(total) -> dict[str, float]:

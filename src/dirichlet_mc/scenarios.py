@@ -6,8 +6,10 @@ carries an exact density, the deterministic reduced forms γ(x), a(x) used
 by the kernel sweeps, and a conditional-expectation oracle.  Draws are
 vectorised closed forms of the functional calculus, the extended Euler
 recursion or the Poisson point sums; a build holds the batch, a stream a
-few chunks in flight.  A closed form evaluates each column from the terms
-it already holds (Γ[X, Γ[X]] from Γ, cos² once), with no cube.  The
+few chunks in flight.  Whether a scenario has quad data (the fourth
+column, Γ[X, Γ[X]], which the sign formulas need) is read off its draw.
+A closed form evaluates each column from the terms it already holds
+(Γ[X, Γ[X]] from Γ, cos² once), with no cube.  The
 test suite feeds each closed-form draw a generator whose stream it
 replays and re-derives every column from the drawn base coordinates
 through its jet calculus (tests/calculus.py), so a draw cannot drift from
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,11 +41,11 @@ Density = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named law together with everything the harness can know about it."""
+    """A named law together with everything the harness can know about it;
+    quad, whether its draw carries Γ[X, Γ[X]], is read off the draw."""
 
     name: str
     description: str
-    kind: str  # "quad" or "triple"
     draw: Callable[[np.random.Generator, int], tuple[np.ndarray, ...]]
     build: Optional[Callable[[int, int, int], QuadBatch]] = None  # default: from draw
     exact_density: Optional[Density] = None
@@ -64,7 +66,15 @@ class Scenario:
     def stream(self, n: int, seed: int, workers: int) -> SampleStream:
         """The samples build(n, seed, workers) would hold, drawn chunk by
         chunk each time an estimator walks them."""
-        return SampleStream(lambda: iter_chunks(n, seed, self.draw, workers), n, self.kind == "quad")
+        return SampleStream(lambda: iter_chunks(n, seed, self.draw, workers), n, self.quad)
+
+    @cached_property
+    def quad(self) -> bool:
+        """Whether the draw carries Γ[X, Γ[X]]: four columns or more in the
+        empty chunk of iter_chunks(0, …), probed on first use (at import it
+        would set up numpy.random in every run); a replaced draw is probed
+        again."""
+        return len(next(iter_chunks(0, 0, self.draw))) >= 4
 
     @property
     def has_reduced_form(self) -> bool:
@@ -141,7 +151,7 @@ def _draw_gbm_exact(rng, k):
 
 def _euler_draw(coeffs):
     def draw(rng, k):
-        return simulate_triple_batch(_GBM_X0, _GBM_T, _GBM_STEPS, coeffs, k, rng)[:3]
+        return simulate_triple_batch(_GBM_X0, _GBM_T, _GBM_STEPS, coeffs, k, rng)
 
     return draw
 
@@ -230,7 +240,6 @@ def _register(s: Scenario) -> Scenario:
 _register(Scenario(
     name="gaussian",
     description="X = U for one standard Gaussian coordinate; Γ = 1, A = -U/2",
-    kind="quad",
     draw=_draw_gaussian,
     exact_density=normal_pdf,
     mass_bounds=(-10.0, 10.0),
@@ -242,7 +251,6 @@ _register(Scenario(
 _register(Scenario(
     name="lognormal",
     description="X = exp(U) for one standard Gaussian coordinate",
-    kind="quad",
     draw=_draw_lognormal,
     exact_density=_lognormal_density,
     support=(0.0, math.inf),
@@ -255,7 +263,6 @@ _register(Scenario(
 _register(Scenario(
     name="gaussian_pair",
     description="X = U₁ + sin(U₂) with tracked G = sin(U₂); nondegenerate (Γ, A) given X",
-    kind="quad",
     draw=_draw_gaussian_pair,
     exact_density=lambda x: _pair_moments(x)[0],
     mass_bounds=(-12.0, 12.0),
@@ -266,7 +273,6 @@ _register(Scenario(
 _register(Scenario(
     name="triangular",
     description="X = U₀ + U₁ on the unit-square structure; Γ degenerates at the corners",
-    kind="quad",
     draw=_draw_triangular,
     exact_density=_triangular_density,
     support=(0.0, 2.0),
@@ -276,7 +282,6 @@ _register(Scenario(
 _register(Scenario(
     name="gbm_exact",
     description="terminal value of geometric Brownian motion built in closed form",
-    kind="quad",
     draw=_draw_gbm_exact,
     exact_density=lambda x: _lognormal_density(x, _GBM_MU, _GBM_SIG),
     support=(0.0, math.inf),
@@ -290,7 +295,6 @@ _register(Scenario(
     name="gbm_euler",
     description=f"extended Euler triple of the same GBM at n = {_GBM_STEPS} steps; "
     "its law differs from the exact one at O(1/n), so no exact density is attached",
-    kind="triple",
     draw=_euler_draw(gbm_coefficients(_GBM_VOL, _GBM_DRIFT)),
     support=(0.0, math.inf),
     default_points=(0.8, 1.0, 1.3),
@@ -299,7 +303,6 @@ _register(Scenario(
 _register(Scenario(
     name="additive_euler",
     description="extended Euler triple with state-independent noise and linear drift",
-    kind="triple",
     draw=_euler_draw(additive_coefficients()),
     default_points=(0.8, 1.1, 1.4),
 ))
@@ -307,7 +310,6 @@ _register(Scenario(
 _register(Scenario(
     name="zero_noise",
     description="σ = 0 degenerate case: X deterministic, Γ = A = 0",
-    kind="triple",
     draw=_euler_draw(zero_noise_coefficients()),
     default_points=(math.e,),
 ))
@@ -316,7 +318,6 @@ _register(Scenario(
     name="poisson_mc_unit",
     description=f"X = N(identity) for a Poisson process of mean {_POISSON_LAMBDA:g} uniform "
     "points; the empty configuration is an atom, so density formulas are out of scope",
-    kind="quad",
     draw=_draw_poisson,
     support=(0.0, math.inf),
     default_points=(1.0, 1.5, 2.0),

@@ -289,7 +289,7 @@ def run_identity_suite(
     control proving the suite has power.
     """
     sc = get_scenario(scenario)
-    if sc.kind != "quad":
+    if not sc.quad:
         raise ValueError(f"scenario {scenario!r} does not provide quad batches")
     if not math.isfinite(corrupt_a):
         raise ValueError(f"corrupt_a must be finite, got {corrupt_a!r}")

@@ -106,7 +106,7 @@ def _euler(
     c: SdeCoefficients,
     n_paths: int,
     draw: Callable[[int, np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n extended Euler steps of mesh h over n_paths paths from (x0, 0, 0).
 
     draw(k, out) returns the k-th Brownian increments, one per path, in out
@@ -114,7 +114,9 @@ def _euler(
     each update in the operand order of the formulas in the module
     docstring, so the result does not depend on whether a coefficient
     returns a scalar or an array.  X is double-buffered because a
-    coefficient may return x itself.  No scratch array is returned.
+    coefficient may return x itself.  No scratch array is returned; an
+    overflowed path ends in inf or NaN, which QuadBatch.from_raw and
+    run_pass drop as non-finite rows.
     """
     x = np.full(n_paths, float(x0))
     x_next = np.empty(n_paths)
@@ -122,7 +124,7 @@ def _euler(
     a = np.zeros(n_paths)
     lin, u, v, w, dbuf = thread_scratch("euler", 5, n_paths)
     t = 0.0
-    # overflow surfaces in the finite mask, not as warnings
+    # overflow surfaces as inf or NaN entries, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             db = draw(k, dbuf)
@@ -156,8 +158,7 @@ def _euler(
             np.add(g, _mul(_mul(sig, sig, u), h, u), out=g)
             x, x_next = x_next, x
             t += h
-    finite = np.isfinite(x) & np.isfinite(g) & np.isfinite(a)
-    return x, g, a, finite
+    return x, g, a
 
 
 def simulate_triple_batch(
@@ -167,12 +168,12 @@ def simulate_triple_batch(
     c: SdeCoefficients,
     n_paths: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extended Euler over n_paths paths; db_k ~ N(0, T/n) drawn step by step.
 
-    Returns (x, gamma, a, finite_mask) arrays of length n_paths.  The k-th
-    increment of every path is drawn in one batch, so path j here follows
-    a different increment stream than j calls of simulate_triple.
+    Returns (x, gamma, a) arrays of length n_paths.  The k-th increment of
+    every path is drawn in one batch, so path j here follows a different
+    increment stream than j calls of the test oracle simulate_triple.
     """
     h = _mesh(T, n)
     sqh = math.sqrt(h)
@@ -183,11 +184,11 @@ def simulate_triple_batch(
 
 def euler_triple_paths(
     x0: float, T: float, n: int, c: SdeCoefficients, increments: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extended Euler driven by given increments of shape (n, n_paths).
 
-    Returns (x, gamma, a, finite_mask) like simulate_triple_batch; the same
-    recursion, so an oracle can replay any of its paths.
+    Returns (x, gamma, a) like simulate_triple_batch; the same recursion,
+    so an oracle can replay any of its paths.
     """
     h = _mesh(T, n)
     increments = np.asarray(increments, dtype=float)

@@ -217,8 +217,7 @@ def regularized_loop(b, epsilon: float, xs) -> list[DensityEstimate]:
 
 def conditional_loop(b, xs) -> list[tuple[DensityEstimate, DensityEstimate, float, float]]:
     """(numerator, denominator, ratio, ratio_std_error) per query point."""
-    wn, usable = conditional_weights(b)
-    wd, _ = direct_weights(b)
+    wn, wd, usable = conditional_weights(b)
     n_used = int(usable.sum())
     out = []
     for x in np.atleast_1d(xs):
@@ -246,7 +245,7 @@ def halves(b: QuadBatch) -> tuple[QuadBatch, QuadBatch]:
     return rows(slice(0, b.n // 2)), rows(slice(b.n // 2, None))
 
 
-def centered_loop(b, xs, force_c=None, parts=None) -> list[DensityEstimate]:
+def centered_loop(b, xs, parts=None) -> list[DensityEstimate]:
     """The centered estimate on halves(b), or on the two batches in parts."""
     h1, h2 = parts or halves(b)
     w1, u1 = direct_weights(h1)
@@ -254,11 +253,8 @@ def centered_loop(b, xs, force_c=None, parts=None) -> list[DensityEstimate]:
     out = []
     for x in np.atleast_1d(xs):
         x = float(x)
-        if force_c is not None:
-            c = float(force_c)
-        else:
-            denom = float(np.sum(w1[u1] ** 2))
-            c = float(np.sum(np.sign(x - h1.x[u1]) * w1[u1] ** 2)) / denom if denom > 0 else 0.0
+        denom = float(np.sum(w1[u1] ** 2))
+        c = float(np.sum(np.sign(x - h1.x[u1]) * w1[u1] ** 2)) / denom if denom > 0 else 0.0
         vals = 0.5 * (np.sign(x - h2.x[u2]) - c) * w2[u2]
         n_used = int(u2.sum())
         se = float(np.std(vals, ddof=1)) / math.sqrt(n_used) if n_used > 1 else float("inf")
@@ -271,7 +267,7 @@ def euler_batch_reference(x0: float, T: float, n: int, c, n_paths: int, rng):
 
     Every coefficient is broadcast to a full array (constants as v·1), so
     this is the vectorised scheme with no scalar shortcut and no buffer
-    reuse.  Returns (x, gamma, a, finite_mask).
+    reuse.  Returns (x, gamma, a).
     """
 
     def full(f):
@@ -301,8 +297,7 @@ def euler_batch_reference(x0: float, T: float, n: int, c, n_paths: int, rng):
                 a + (-0.5 * sig + 0.5 * sig2 * g + sig1 * a) * db + (0.5 * r2 * g + r1 * a) * h,
             )
             t += h
-    finite = np.isfinite(x) & np.isfinite(g) & np.isfinite(a)
-    return x, g, a, finite
+    return x, g, a
 
 
 def simulate_triple(
@@ -320,8 +315,8 @@ def simulate_triple(
     triple None with the increments still reported.
     """
     increments = rng.normal(0.0, math.sqrt(_mesh(T, n)), size=n)
-    x, g, a, finite = euler_triple_paths(x0, T, n, c, increments[:, None])
-    if not finite[0]:
+    x, g, a = euler_triple_paths(x0, T, n, c, increments[:, None])
+    if not np.isfinite([x[0], g[0], a[0]]).all():
         return None, increments
     return ErrorTriple(x, g[:, None], a), increments
 

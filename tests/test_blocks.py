@@ -132,8 +132,6 @@ class TestSignFormulas:
             return
         # at n = 3C + 7 the split n // 2 = C + 8195 falls inside a block
         _assert_same(centered_direct_density(b, xs), centered_loop(b, xs))
-        _assert_same(centered_direct_density(b, xs, force_c=0.3),
-                     centered_loop(b, xs, force_c=0.3))
 
     def test_conditional(self, n, xs):
         b = quads(n)

@@ -424,6 +424,36 @@ class TestFarPoints:
         assert "STRICT: at x = 1e+300 the estimate deviates inf" in capsys.readouterr().out
 
 
+class TestNoWarningsAtExtremeInputs:
+    """An overflow whose result already surfaces as 0, inf or a failing z
+    prints no numpy warning, and the exit code stays what it is: a kernel
+    at ε = 1e308 (its normaliser, and on lognormal and gaussian_pair the
+    centre X + εA), (ε + Γ)² at ε = 1e200, compare and the Monte Carlo
+    sweeps at ε = 1e308, and the identity suite with A shifted by 1e308."""
+
+    @pytest.mark.parametrize("argv, rc", [
+        (["density", "--scenario", "lognormal", "--estimator", "shifted",
+          "--epsilons", "1e308"], EXIT_OK),
+        (["density", "--scenario", "gaussian_pair", "--estimator", "plain_gamma",
+          "--epsilons", "1e308"], EXIT_OK),
+        (["density", "--scenario", "gaussian", "--estimator", "regularized",
+          "--epsilons", "1e200"], EXIT_OK),
+        (["compare", "--scenario", "lognormal", "--epsilons", "1e308"], EXIT_OK),
+        (["sweep-bias", "--scenario", "lognormal", "--epsilons", "1e308,1e307"], EXIT_OK),
+        (["sweep-variance", "--scenario", "lognormal", "--epsilons", "1e308,1e307"],
+         EXIT_VALIDATION),
+        (["check-identities", "--scenario", "poisson_mc_unit", "--corrupt-a", "1e308"], EXIT_OK),
+    ], ids=["shifted", "plain_gamma", "regularized", "compare", "sweep_bias", "sweep_variance",
+            "check_identities"])
+    def test_no_runtime_warning(self, argv, rc, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = cli_main(argv + ["--samples", "2000", "--out", str(tmp_path / "out.csv")])
+        assert got == rc
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "Warning" not in capsys.readouterr().err
+
+
 class TestEstimatorNames:
     def test_unknown_name_message_is_shared(self, capsys):
         messages = []

@@ -248,6 +248,17 @@ class TestRegularizedDensity:
         with pytest.raises(ValueError):
             regularized_density(gaussian_quads(10, 0), 0.0, [0.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_epsilon_whose_square_underflows_keeps_the_bits(self):
+        # on the empty Poisson configuration Γ = A = Γ[X, Γ[X]] = 0, and
+        # below ε ≈ 1.5e-162 (ε + Γ)² underflows to 0; the Γ[X, Γ[X]] term
+        # is then 0, not 0/0, and the estimate is that of ε = 1e-150
+        b = get_scenario("poisson_mc_unit").build(20_000, 0, 1)
+        assert (b.gamma == 0.0).any()
+        tiny, small = (regularized_density(b, eps, [0.5, 1.5]) for eps in (1e-300, 1e-150))
+        assert all(math.isfinite(e.value) and math.isfinite(e.std_error) for e in tiny)
+        assert [(e.value, e.std_error) for e in tiny] == [(e.value, e.std_error) for e in small]
+
 
 class TestConditionalExpectation:
     def _pair_batch(self, n, seed):
@@ -288,10 +299,14 @@ class TestConditionalExpectation:
 
 
 class TestCenteredDirect:
-    def test_forced_zero_matches_direct_on_second_half(self):
-        b = lognormal_quads(20_000, 9)
-        _, h2 = halves(b)
-        cd = centered_direct_density(b, [1.0], force_c=0.0)[0]
+    def test_zero_fit_matches_direct_on_second_half(self):
+        # a first half with Γ = 0 throughout has no usable sample, so it
+        # fits c = 0, and half 2 averages ½ sign(x - X)·W as direct does
+        h1, h2 = halves(lognormal_quads(20_000, 9))
+        b = QuadBatch(*(np.concatenate([c1, c2]) for c1, c2 in zip(
+            (h1.x, np.zeros(h1.n), h1.a, h1.gamma_x_gammax),
+            (h2.x, h2.gamma, h2.a, h2.gamma_x_gammax))))
+        cd = centered_direct_density(b, [1.0])[0]
         dd = direct_density(h2, [1.0])[0]
         assert cd.value == dd.value and cd.std_error == dd.std_error
 
@@ -410,8 +425,6 @@ class TestSignReductions:
     def test_centered(self, queries):
         b = self._batch()
         self._assert_same(centered_direct_density(b, queries), centered_loop(b, queries))
-        self._assert_same(centered_direct_density(b, queries, force_c=0.3),
-                          centered_loop(b, queries, force_c=0.3))
 
     @pytest.mark.parametrize("queries", [QUERIES, [1.0]], ids=["mixed", "single"])
     def test_conditional(self, queries):

@@ -115,7 +115,7 @@ def test_one_pass_over_a_stream_equals_one_pass_over_the_batch(scenario):
     points = list(sc.default_points)
     # conditional needs the tracked G, which only gaussian_pair draws
     names = [name for name, e in ESTIMATORS.items()
-             if (sc.kind == "quad" or not e.needs_quad)
+             if (sc.quad or not e.needs_quad)
              and (name != "conditional" or scenario == "gaussian_pair")]
 
     def reducers(src):
@@ -123,7 +123,7 @@ def test_one_pass_over_a_stream_equals_one_pass_over_the_batch(scenario):
                for name in names for eps in (EPSILON, 0.2)]
         out.append(run_estimator("shifted", src, EPSILON, points[:1], scenario, reducer=True))
         out.append(shifted_kernel_variance.reducer(src, EPSILON, points))
-        if sc.kind == "quad":
+        if sc.quad:
             out.append(identity_z_scores.reducer(src))
         return [_caught(r) for r in out]
 

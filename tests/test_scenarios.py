@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from dirichlet_mc.cli import EXIT_VALIDATION, cli_main
 from dirichlet_mc.estimators import QuadBatch, direct_density, regularized_density
 from dirichlet_mc.quadrature import normal_pdf, quadrature_expectation
 from dirichlet_mc.scenarios import SCENARIOS, get_scenario, pair_conditional_oracle
@@ -133,6 +134,28 @@ class TestRegistry:
         assert replaced.build is build
         # and survives a later replace of the draw
         assert dataclasses.replace(replaced, draw=sc.draw).build is build
+
+
+class TestQuadDataFromTheDraw:
+    """Whether a scenario has Γ[X, Γ[X]] is stated once, by its draw's
+    columns; a replaced draw brings its own answer."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_quad_is_the_draws_column_count(self, name):
+        sc = SCENARIOS[name]
+        assert sc.quad == (len(sc.draw(chunk_rng(1, 0), 5)) >= 4)
+
+    def test_draw_cut_to_three_columns_is_rejected_by_name(self, monkeypatch, capsys):
+        sc = get_scenario("lognormal")
+        cut = dataclasses.replace(sc, name="lognormal_cut", draw=lambda rng, k: sc.draw(rng, k)[:3])
+        monkeypatch.setitem(SCENARIOS, cut.name, cut)
+        rc = cli_main(["density", "--scenario", cut.name, "--estimator", "direct",
+                       "--samples", "2000"])
+        assert rc == EXIT_VALIDATION
+        assert "'lognormal_cut' provides no quad data" in capsys.readouterr().err
+        rc = cli_main(["check-identities", "--scenario", cut.name, "--samples", "2000"])
+        assert rc == EXIT_VALIDATION
+        assert "'lognormal_cut'" in capsys.readouterr().err
 
 
 class TestDensityRecovery:

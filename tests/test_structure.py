@@ -2,6 +2,7 @@
 calculus lives in tests/calculus.py, with its own coordinates, and imports
 nothing from the package it checks."""
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -92,3 +93,16 @@ def test_every_closed_form_draw_has_a_calculus_case():
 
     closed = {name for name, sc in SCENARIOS.items() if not own_oracle(sc.draw)}
     assert closed == set(CLOSED_FORMS)
+
+
+def test_estimators_take_only_what_run_estimator_passes():
+    # run_estimator calls each estimator with (b, [epsilon,] xs[, variant]);
+    # a further parameter would be an option only a library caller or a
+    # test could set, which the program never reads
+    from dirichlet_mc import estimators
+
+    for name, entry in estimators.ESTIMATORS.items():
+        params = list(inspect.signature(getattr(estimators, entry.function)).parameters)
+        want = ["b", *(["epsilon"] if entry.takes_epsilon else []), "xs",
+                *(["variant"] if entry.kernel and not entry.kernel[0] else [])]
+        assert params == want, name

@@ -87,12 +87,16 @@ def _exploding(k=5.0, vol=2.0):
     )
 
 
+def _finite(x, g, a):
+    """The paths whose (X, Γ, A) are all finite."""
+    return np.isfinite(x) & np.isfinite(g) & np.isfinite(a)
+
+
 class TestEulerStep:
     def test_single_step_linear_sigma(self):
         # from (1, 0, 0) with h = 1 and increment b: (1+b, 1, -b/2)
         b = np.array([-0.7, 0.0, 0.4, 2.0])
-        x, g, a, ok = euler_triple_paths(1.0, 1.0, 1, _linear_sigma(), b[None, :])
-        assert ok.all()
+        x, g, a = euler_triple_paths(1.0, 1.0, 1, _linear_sigma(), b[None, :])
         np.testing.assert_allclose(x, 1.0 + b, rtol=1e-15)
         np.testing.assert_allclose(g, 1.0, rtol=1e-15)
         np.testing.assert_allclose(a, -b / 2.0, rtol=1e-15)
@@ -100,7 +104,7 @@ class TestEulerStep:
     def test_zero_noise_is_deterministic_euler(self):
         h = 0.25
         inc = np.full((4, 1), 0.33)  # increments must not matter
-        x, g, a, _ = euler_triple_paths(1.0, 1.0, 4, zero_noise_coefficients(drift=1.0), inc)
+        x, g, a = euler_triple_paths(1.0, 1.0, 4, zero_noise_coefficients(drift=1.0), inc)
         assert g[0] == 0.0 and a[0] == 0.0
         assert x[0] == pytest.approx((1 + h) ** 4)
 
@@ -108,7 +112,7 @@ class TestEulerStep:
         c = additive_coefficients(vol=1.0, drift=0.0)
         h = 0.125
         inc = 0.1 * np.arange(8.0)[:, None]
-        _, g, _, _ = euler_triple_paths(0.0, 1.0, 8, c, inc)
+        _, g, _ = euler_triple_paths(0.0, 1.0, 8, c, inc)
         assert g[0] == pytest.approx(8 * h)
 
     def test_bad_step_size(self):
@@ -140,7 +144,7 @@ class TestSimulateTriple:
         c = gbm_coefficients()
         triple, inc = simulate_triple(1.0, 1.0, 16, c, chunk_rng(4, 0))
         others = chunk_rng(4, 1).normal(0.0, 0.25, size=(16, 7))
-        x, g, a, _ = euler_triple_paths(1.0, 1.0, 16, c, np.column_stack([others, inc]))
+        x, g, a = euler_triple_paths(1.0, 1.0, 16, c, np.column_stack([others, inc]))
         assert (triple.x[0], triple.gamma[0, 0], triple.a[0]) == (x[-1], g[-1], a[-1])
 
     def test_non_finite_path_yields_none(self):
@@ -168,11 +172,11 @@ class TestSimulateTriple:
     def test_batch_matches_invariants(self):
         # Γ = lin²·Γ + σ²h stays ≥ 0 on every finite path, for every preset
         for name, make in COEFFICIENT_SETS.items():
-            x, g, a, ok = simulate_triple_batch(1.0, 1.0, 16, make(), 2000, chunk_rng(2, 0))
-            assert ok.all(), name
+            x, g, a = simulate_triple_batch(1.0, 1.0, 16, make(), 2000, chunk_rng(2, 0))
+            assert _finite(x, g, a).all(), name
             assert (g >= 0).all(), name
-        _, g, _, ok = simulate_triple_batch(1.0, 1.0, 16, _exploding(), 2000, chunk_rng(2, 0))
-        assert (g[ok] >= 0).all()
+        x, g, a = simulate_triple_batch(1.0, 1.0, 16, _exploding(), 2000, chunk_rng(2, 0))
+        assert (g[_finite(x, g, a)] >= 0).all()
 
 
 class TestBitwiseReference:
@@ -186,11 +190,11 @@ class TestBitwiseReference:
         c = make()
         got = simulate_triple_batch(1.0, 1.0, 16, c, n_paths, chunk_rng(77, 3))
         want = euler_batch_reference(1.0, 1.0, 16, c, n_paths, chunk_rng(77, 3))
-        for name, u, v in zip(("x", "gamma", "a", "finite"), got, want):
+        for name, u, v in zip(("x", "gamma", "a"), got, want):
             assert np.array_equal(u, v, equal_nan=True), name
             assert np.array_equal(np.signbit(u), np.signbit(v)), name
         if make is _exploding and n_paths > 1:
-            assert 0 < got[3].sum() < n_paths  # both finite and overflowed paths
+            assert 0 < _finite(*got).sum() < n_paths  # both finite and overflowed paths
 
 
 class TestScratchReuse:
@@ -212,7 +216,7 @@ class TestScratchReuse:
         c = gbm_coefficients()
 
         def draw(rng, k):
-            return simulate_triple_batch(1.0, 1.0, 16, c, k, rng)[:3]
+            return simulate_triple_batch(1.0, 1.0, 16, c, k, rng)
 
         n = 9 * CHUNK_SIZE + 5
         want = sample_chunked(n, 3, draw, 1)
@@ -253,8 +257,8 @@ class TestJetOracleCommutation:
         rng = chunk_rng(31, 0)
         for n in (1, 4, 16, 32):
             inc = rng.normal(0.0, math.sqrt(1.0 / n), size=(n, 64))
-            x, g, a, ok = euler_triple_paths(1.0, 1.0, n, coeffs, inc)
-            assert ok.all()
+            x, g, a = euler_triple_paths(1.0, 1.0, n, coeffs, inc)
+            assert _finite(x, g, a).all()
             for j in range(64):
                 o = jet_oracle_triple(1.0, 1.0, n, coeffs, inc[:, j])
                 assert _rel(x[j], o.x[0]) < 1e-10
