@@ -13,7 +13,8 @@ command layer's input rules (a `1e4` sample count against `10000`, a
 fractional count, an empty `--points` list and the option spellings no
 command reads, and an `--estimators` list separated by spaces as well as
 commas), a non-finite `--corrupt-a`, `check-identities` on the Euler
-draws, which carry no Γ[X, Γ[X]], a Monte Carlo bias sweep on a
+draws, which carry no Γ[X, Γ[X]], the three kernels on gaussian at
+ε = 3e307, where (2π)·εΓ overflows, a Monte Carlo bias sweep on a
 scenario without an exact density, quadrature sweeps at ε around and
 below what the grid resolves, `density` and `compare` at a query point of
 1e300, where every kernel term and reference is exactly 0, and `density`
@@ -248,6 +249,13 @@ def commands() -> dict[str, list[str]]:
     for sc in ("gbm_euler", "zero_noise"):
         cmds[f"identities_{sc}_no_quad"] = [
             "check-identities", "--scenario", sc, "--samples", "2000", "--seed", "7"]
+    # kernels at ε = 3e307, where (2π)·εΓ overflows though εΓ does not: the
+    # normaliser is formed from separate roots, so the plain kernels read
+    # about 7.3e-155 rather than 0
+    for est in KERNEL_NAMES:
+        cmds[f"kernel_normaliser_overflow_{est}"] = [
+            "density", "--scenario", "gaussian", "--estimator", est, "--points", "0",
+            "--samples", "2000", "--seed", "1", "--epsilons", "3e307"]
     # a Monte Carlo bias sweep without an exact density exits 2 before drawing
     cmds["sweep_bias_gbm_euler_monte_carlo"] = [
         "sweep-bias", "--scenario", "gbm_euler", "--estimator", "shifted",

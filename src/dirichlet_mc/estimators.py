@@ -340,14 +340,15 @@ class _Cutter:
                      for parts, buf in zip(zip(*self.held), self.joins))
 
 
-def _scratch(shared, size: int) -> np.ndarray:
-    """The pass's one scratch array of float64, grown to at least size
-    entries, so that a reducer's per-block temporaries are not allocated
-    anew for each block."""
+def _scratch(shared, size: int, key=None) -> np.ndarray:
+    """The pass's scratch array of float64 for key, grown to at least size
+    entries: key None names the one array the reducers' per-block
+    temporaries share, a kernel key the rows its set-up is written into,
+    so that neither is allocated anew for each block."""
     buf = shared["buf"]
-    if buf[0].size < size:
-        buf[0] = np.empty(size)
-    return buf[0]
+    if key not in buf or buf[key].size < size:
+        buf[key] = np.empty(size)
+    return buf[key]
 
 
 def run_pass(src, reducers) -> list[dict]:
@@ -358,7 +359,7 @@ def run_pass(src, reducers) -> list[dict]:
     blocks before n with the partial of the cut block's rows up to n; the
     running total still reduces that block whole."""
     total, stream, lo = src.requested, isinstance(src, SampleStream), 0
-    buf, cutters, slots, marks = [np.empty(0)], {}, [], {total}
+    buf, cutters, slots, marks = {}, {}, [], {total}
     for r in reducers:
         sizes = r.sizes or (total,)
         end = max(sizes) if r.halves else total
@@ -418,15 +419,17 @@ def _cut_exp(z: np.ndarray) -> np.ndarray:
 _GROUP = 8
 
 
-def _ldl(entry, d: int):
+def _ldl(entry, d: int, rows, tmp):
     """Square-root-free Cholesky Σ = L D Lᵀ, L unit lower triangular, of
     every sample's covariance at once (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 10).
 
-    entry(i, j), i ≥ j, is Σ_ij with one value per sample.  The loops run
-    over the d × d entries; each operation is one pass over the samples.
-    Returns the pivots D_i and the rows [L_i0, …, L_i,i-1] of L.  A
-    covariance that is not positive definite has a pivot ≤ 0 or NaN.
+    entry(i, j, out), i ≥ j, writes Σ_ij, one value per sample, into out.
+    The loops run over the d × d entries; each operation is one pass over
+    the samples, written in place into an array taken from the iterator
+    rows per entry, with tmp as scratch.  Returns the pivots D_i and the
+    rows [L_i0, …, L_i,i-1] of L.  A covariance that is not positive
+    definite has a pivot ≤ 0 or NaN.
     """
     piv: list = []
     low: list[list] = []
@@ -434,18 +437,20 @@ def _ldl(entry, d: int):
         row: list = []
         for j in range(i + 1):
             other = row if j == i else low[j]
-            s = entry(i, j)
+            s = entry(i, j, next(rows))
             for k in range(j):
-                s = s - row[k] * other[k] * piv[k]
+                np.multiply(row[k], other[k], out=tmp)
+                np.subtract(s, np.multiply(tmp, piv[k], out=tmp), out=s)
             if j == i:
                 piv.append(s)
             else:
-                row.append(s / piv[j])
+                row.append(np.divide(s, piv[j], out=s))
         low.append(row)
     return piv, low
 
 
-def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: bool):
+def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: bool,
+                  scratch: np.ndarray):
     """The number of usable samples in block b, its x, a and Γ read in place
     as (N, d) and (N, d, d) views, and (queries, buffer) ↦ the kernel values
     g(x - c_n, Σ_n) of a group of queries over them, as a (group, samples)
@@ -455,26 +460,40 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
     identity_cov.  A sample is usable when c_n is finite, every pivot of
     Σ_n is > 0 and det Σ_n = Π D_i ≥ DEGENERATE_DET; the usable rows are
     copied out only when some sample is not.  The factors, -½/D_i and the
-    normaliser are computed once, so a query costs the forward
-    substitution r = L⁻¹(x - c_n), Σ r_i²·(-½/D_i) and one exp per sample.
-    For d = 1, D_0 is the variance and L is empty, so the values are
-    (x - c_n)²·(-½/var_n) times the normaliser.
+    normaliser 1/√((2π)^d·det) are computed once, so a query costs the
+    forward substitution r = L⁻¹(x - c_n), Σ r_i²·(-½/D_i) and one exp per
+    sample.  For d = 1, D_0 is the variance and L is empty, so the values
+    are (x - c_n)²·(-½/var_n) times the normaliser.  The set-up is written
+    into N-entry rows cut from the front of scratch, one per CHUNK_SIZE
+    entries, which every block of the key reuses; -½/D_i overwrites D_i.
     """
-    d = b.d
+    d, n = b.d, b.n
     x, a, gamma = b.x.reshape(-1, d), b.a.reshape(-1, d), b.gamma.reshape(-1, d, d)
+    rows = iter(scratch[:scratch.size // CHUNK_SIZE * n].reshape(-1, n))
+    two_pi_d = (2.0 * math.pi) ** d
     # an overflow (a centre, a pivot, det or the normaliser past 1e308)
     # leaves the sample unusable or its terms exactly 0, without a warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        center = [np.ascontiguousarray(x[:, i] + epsilon * a[:, i] if shift else x[:, i])
-                  for i in range(d)]
+        center = [x[:, i] for i in range(d)]
+        if shift:
+            for i in range(d):
+                c = np.multiply(epsilon, a[:, i], out=next(rows))
+                center[i] = np.add(x[:, i], c, out=c)
         if identity_cov:
-            piv, low = [float(epsilon)] * d, [[]] * d
+            piv, low, out = [float(epsilon)] * d, [[]] * d, None
         else:
-            piv, low = _ldl(lambda i, j: epsilon * gamma[:, i, j], d)
-        det = reduce(np.multiply, piv)
+            # one row is the factorisation's temporary, then det (d ≥ 2),
+            # then (2π)^d·det
+            out = next(rows)
+            piv, low = _ldl(lambda i, j, out: np.multiply(epsilon, gamma[:, i, j], out=out),
+                            d, rows, out)
+        det = reduce(lambda u, v: np.multiply(u, v, out=out), piv)
         # the last pivot is > 0 when the others are and det ≥ DEGENERATE_DET
-        if not (_sums_finite(*center, det) and np.min(det) >= DEGENERATE_DET
-                and all(np.min(p) > 0 for p in piv[:-1])):
+        ok = np.min(det) >= DEGENERATE_DET and all(np.min(p) > 0 for p in piv[:-1])
+        # finite where det is, up to where the product overflows
+        norm = np.multiply(two_pi_d, det, out=out)
+        if not (ok and _sums_finite(*center, norm)):
+            det = reduce(np.multiply, piv)
             usable = np.isfinite(det) & (det >= DEGENERATE_DET)
             for v in center:
                 usable &= np.isfinite(v)
@@ -485,10 +504,16 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
                 return v[usable] if np.ndim(v) else v
 
             center = [keep(v) for v in center]
-            piv, det = [keep(p) for p in piv], keep(det)
+            piv, det, norm = [keep(p) for p in piv], keep(det), keep(norm)
             low = [[keep(v) for v in row] for row in low]
-        neg_half_prec = [-0.5 / p for p in piv]
-        norm = 1.0 / np.sqrt((2.0 * math.pi) ** d * det)
+            # past about 1.8e308 the product overflows where det, finite on
+            # every usable row, does not (εΓ ≳ 2.8e307 for d = 1): there the
+            # normaliser is formed from the two roots apart
+            norm = np.where(np.isinf(norm), 1.0 / (math.sqrt(two_pi_d) * np.sqrt(det)),
+                            1.0 / np.sqrt(norm))
+        else:
+            norm = np.divide(1.0, np.sqrt(norm, out=out), out=out)
+        neg_half_prec = [np.divide(-0.5, p, out=None if identity_cov else p) for p in piv]
     n = center[0].shape[0]
 
     def values(q: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -496,7 +521,9 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
         for i in range(d):
             np.subtract(q[:, i, None], center[i], out=r[i])
             for k, lik in enumerate(low[i]):
-                r[i] -= lik * r[k]
+                # query by query: the product is one row, not a (group, block) array
+                for ri, rk in zip(r[i], r[k]):
+                    ri -= lik * rk
         z = r[0]
         # a far query squares to inf: its exponent is -inf, its term exactly 0
         with np.errstate(over="ignore"):
@@ -532,10 +559,12 @@ def _kernel_reducer(d: int, epsilon: float, xs, shift: bool, identity_cov: bool,
     queries = _as_queries(xs, d)
     nq, key = queries.shape[0], (epsilon, shift, identity_cov)
     need = d * min(nq, _GROUP) * CHUNK_SIZE
+    # the set-up's rows: centres, the entries of L D Lᵀ and the normaliser
+    setup = (d * (d + 3) // 2 + 1) * CHUNK_SIZE
 
     def part(blk, half, shared):
         if key not in shared:
-            shared[key] = _kernel_block(blk, *key)
+            shared[key] = _kernel_block(blk, *key, _scratch(shared, setup, key))
         n, values = shared[key]
         if not n:
             return None

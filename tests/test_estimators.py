@@ -1,9 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dirichlet_mc import estimators
 from dirichlet_mc.estimators import (
     ESTIMATORS,
     NoUsableSamplesError,
@@ -21,7 +23,7 @@ from dirichlet_mc.estimators import (
     shifted_kernel_variance,
 )
 from dirichlet_mc.scenarios import corrupt_quad_batch, get_scenario
-from dirichlet_mc.streams import chunk_rng
+from dirichlet_mc.streams import CHUNK_SIZE, chunk_rng
 
 from oracles import (
     DegenerateCovarianceError,
@@ -188,6 +190,50 @@ class TestKernelEstimators:
         got = plain_kernel_density(TripleBatch(x, gam, a), 0.3, xs, variant="identity_cov")
         ref = plain_kernel_density(TripleBatch(x, np.ones(500), a), 0.3, xs, variant="gamma_cov")
         assert got == ref and got[0].n_used == 499
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("variant", ["shifted", "gamma_cov", "identity_cov"])
+    def test_kernel_set_up_allocates_no_block_sized_array(self, d, variant, monkeypatch):
+        # a block's set-up (centres, factors, -½/D, det and the normaliser)
+        # is written into the pass's scratch for its key, so over three
+        # blocks and a part no set-up allocates an array of a block's rows
+        rng = chunk_rng(21, 0)
+        n = 3 * CHUNK_SIZE + 5
+        m = rng.normal(size=(n, d, d))
+        tb = TripleBatch(rng.normal(size=(n, d)), m @ m.transpose(0, 2, 1) + 0.1 * np.eye(d),
+                         rng.normal(size=(n, d)))
+        grown, setup = [], estimators._kernel_block
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = setup(*args)
+            grown.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setattr(estimators, "_kernel_block", traced)
+        tracemalloc.start()
+        try:
+            if variant == "shifted":
+                shifted_kernel_density(tb, 0.1, np.zeros((2, d)))
+            else:
+                plain_kernel_density(tb, 0.1, np.zeros((2, d)), variant=variant)
+        finally:
+            tracemalloc.stop()
+        assert len(grown) == 4 and max(grown) < CHUNK_SIZE * 8, grown
+
+    @pytest.mark.filterwarnings("error")
+    def test_normaliser_past_the_overflow_of_its_product(self):
+        # (2π)·εΓ overflows at εΓ = 3e307 though εΓ does not: that row's
+        # normaliser is 1/(√(2π)·√(εΓ)), not 0, while the row at εΓ = 1e306
+        # keeps 1/√((2π)·εΓ); X = A = 0 and x = 0 make each value the normaliser
+        tb = TripleBatch(np.zeros(2), np.array([0.1, 3.0]), np.zeros(2))
+        est = plain_kernel_density(tb, 1e307, [0.0])[0]
+        norms = [1.0 / np.sqrt(2.0 * math.pi * 1e306),
+                 1.0 / (math.sqrt(2.0 * math.pi) * math.sqrt(3e307))]
+        assert est.n_used == 2 and est.value == (norms[0] + norms[1]) / 2
+        ident = plain_kernel_density(tb, 3e307, [0.0], variant="identity_cov")[0]
+        assert ident.value == norms[1] and ident.n_used == 2
 
     def test_vectorised_matches_scalar_kernel(self):
         rng = chunk_rng(12, 0)
