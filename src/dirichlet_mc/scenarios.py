@@ -6,7 +6,9 @@ carries an exact density, the deterministic reduced forms γ(x), a(x) used
 by the kernel sweeps, and a conditional-expectation oracle.  Draws are
 vectorised closed forms of the functional calculus, the extended Euler
 recursion or the Poisson point sums; a build holds the batch, a stream a
-few chunks in flight.  Whether a scenario has quad data (the fourth
+few chunks in flight.  Every command streams; a build runs only where a
+scenario is given one explicitly (is_default_build tells the two apart),
+and for tests.  Whether a scenario has quad data (the fourth
 column, Γ[X, Γ[X]], which the sign formulas need) is read off its draw.
 A closed form evaluates each column from the terms it already holds
 (Γ[X, Γ[X]] from Γ, cos² once), with no cube.  The
@@ -60,7 +62,7 @@ class Scenario:
         # The default build is remade from this draw, so that it follows
         # the draw through dataclasses.replace; a build given explicitly is
         # kept as it is.
-        if self.build is None or (isinstance(self.build, partial) and self.build.func is _build):
+        if is_default_build(self.build):
             object.__setattr__(self, "build", partial(_build, self.draw))
 
     def stream(self, n: int, seed: int, workers: int) -> SampleStream:
@@ -94,6 +96,12 @@ class Scenario:
 def _build(draw, n: int, seed: int, workers: int) -> QuadBatch:
     """The whole batch of n samples of draw, gathered by sample_chunked."""
     return QuadBatch.from_raw(*sample_chunked(n, seed, draw, workers))
+
+
+def is_default_build(build) -> bool:
+    """Whether build is a scenario's default, the batch of its draw (None
+    until the scenario is made), rather than one given explicitly."""
+    return build is None or isinstance(build, partial) and build.func is _build
 
 
 # -- per-chunk draws ---------------------------------------------------------

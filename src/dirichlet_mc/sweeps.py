@@ -28,7 +28,7 @@ from .estimators import (
     shifted_kernel_variance,
 )
 from .quadrature import UnresolvedKernelError, kernel_moment_integral
-from .scenarios import Scenario, at_points, corrupt_quad_batch, get_scenario
+from .scenarios import Scenario, at_points, corrupt_quad_batch, get_scenario, is_default_build
 
 IDENTITY_Z_THRESHOLD = 4.0
 # the one estimator a variance sweep measures: shifted_kernel_variance's kernel
@@ -279,25 +279,35 @@ def run_identity_suite(
     workers: int = 1,
     corrupt_a: float = 0.0,
 ) -> IdentityReport:
-    """The identity z-scores (see identity_z_scores) of a fresh batch.
+    """The identity z-scores (see identity_z_scores) of n fresh samples.
 
-    The batch holds the four columns the suite reads, X, Γ, A and
-    Γ[X, Γ[X]]: it is built from the scenario's draw cut to them, so G and
-    Γ[X, G] are never kept; a build given explicitly stays the one that
-    runs.  corrupt_a shifts every A by a finite constant; any nonzero shift
-    must blow the generator-centering z-scores up, which is the negative
-    control proving the suite has power.
+    The suite reads X, Γ, A and Γ[X, Γ[X]] only, so it runs on the
+    scenario's draw cut to them.  With the default build that is one pass
+    over the draw's stream, a few chunks held whatever n; a build given
+    explicitly stays the one that runs, on its whole batch.  corrupt_a
+    shifts every A by a finite constant; any nonzero shift must blow the
+    generator-centering z-scores up, which is the negative control proving
+    the suite has power.  The stream shifts A in the draw, before rows with
+    a non-finite entry are dropped: that is the built batch's shift on
+    every row whose A + corrupt_a is finite.
     """
     sc = get_scenario(scenario)
     if not sc.quad:
         raise ValueError(f"scenario {scenario!r} does not provide quad batches")
     if not math.isfinite(corrupt_a):
         raise ValueError(f"corrupt_a must be finite, got {corrupt_a!r}")
-    quad = replace(sc, draw=lambda rng, k: sc.draw(rng, k)[:4])
-    b = quad.build(sample_count(n), seed, workers)
-    if corrupt_a != 0.0:
-        b = corrupt_quad_batch(b, corrupt_a)
-    return IdentityReport(scenario, int(n), identity_z_scores(b))
+    n = sample_count(n)
+    if is_default_build(sc.build):
+        def draw(rng, k):
+            x, gamma, a, q = sc.draw(rng, k)[:4]
+            return x, gamma, a + corrupt_a if corrupt_a != 0.0 else a, q
+
+        src = replace(sc, draw=draw).stream(n, seed, workers)
+    else:
+        src = sc.build(n, seed, workers)
+        if corrupt_a != 0.0:
+            src = corrupt_quad_batch(src, corrupt_a)
+    return IdentityReport(scenario, n, identity_z_scores(src))
 
 
 @dataclass(frozen=True)

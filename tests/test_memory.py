@@ -63,14 +63,14 @@ def test_peak_rss_grows_with_the_batch_only():
 
 
 PAIR_IDENTITIES_CHILD = r"""
-import contextlib, io, json, os, resource, tempfile
+import contextlib, io, json, os, resource, sys, tempfile
 from dirichlet_mc.cli import cli_main
 
 peaks = []
 with tempfile.TemporaryDirectory() as tmp:
-    for n in (100_000, 1_000_000):
+    for n in (100_000, 4_000_000):
         argv = ["check-identities", "--scenario", "gaussian_pair", "--samples", str(n),
-                "--seed", "1", "--out", os.path.join(tmp, "out.csv")]
+                "--seed", "1", "--workers", sys.argv[1], "--out", os.path.join(tmp, "out.csv")]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_main(argv) == 0, argv
         peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
@@ -78,19 +78,20 @@ print(json.dumps(peaks))
 """
 
 
-def test_identity_suite_holds_four_columns():
-    """check-identities holds X, Γ, A and Γ[X, Γ[X]] only, 32 B per sample,
-    also for gaussian_pair, whose draw carries G and Γ[X, G] as well (a
-    batch of all six columns is 48 B per sample).  So going from N = 10⁵ to
-    10⁶ grows peak RSS by at most 1.25 × 32 B per added sample."""
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_identity_suite_peak_rss_does_not_grow_with_n(workers):
+    """check-identities reduces the stream of the draw cut to X, Γ, A and
+    Γ[X, Γ[X]] as it is drawn, also for gaussian_pair, whose draw carries
+    G and Γ[X, G] as well.  So going from N = 10⁵ to 4·10⁶ pair samples
+    (a 122 MB batch of its four 32 B columns) grows peak RSS by less than
+    16 chunks of rows, as for a streamed density."""
     env = dict(os.environ, PYTHONPATH=str(SRC), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env.pop("DIRICHLET_MC_SEED", None)
-    proc = subprocess.run([sys.executable, "-c", PAIR_IDENTITIES_CHILD], env=env,
+    proc = subprocess.run([sys.executable, "-c", PAIR_IDENTITIES_CHILD, workers], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     small, large = json.loads(proc.stdout)
-    per_sample = (large - small) / 900_000
-    assert per_sample <= 1.25 * 32, (per_sample, small, large)
+    assert large - small < 16 * CHUNK_SIZE * 32, (small, large)
 
 
 STREAM_CHILD = r"""

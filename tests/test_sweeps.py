@@ -293,6 +293,44 @@ class TestIdentitySuite:
         assert rep.z_scores == run_identity_suite("gaussian_pair", 40_000, seed=11,
                                                   corrupt_a=0.1).z_scores
 
+    @pytest.mark.parametrize("name", QUAD_SCENARIOS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("corrupt_a", [0.0, 0.1])
+    def test_stream_equals_the_built_batch(self, name, workers, corrupt_a, monkeypatch):
+        # with the default build the suite is one pass over the stream, which
+        # builds no batch and cuts the kept rows into the blocks the built
+        # batch is cut into: every z-score keeps every bit
+        b = get_scenario(name).build(50_001, 7, workers)
+        if corrupt_a:
+            b = corrupt_quad_batch(b, corrupt_a)
+        want = identity_z_scores(b)
+
+        def must_not_run(*args):
+            raise AssertionError("the suite built a batch")
+
+        monkeypatch.setattr(scenarios, "sample_chunked", must_not_run)
+        rep = run_identity_suite(name, 50_001, 7, workers, corrupt_a)
+        assert rep.n == 50_001 and repr(rep.z_scores) == repr(want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stream_drops_the_rows_the_build_drops(self, workers, monkeypatch):
+        # every 997th drawn row carries a NaN: the stream drops it chunk by
+        # chunk, the build from the whole batch, and both reduce the same
+        # blocks of kept rows
+        sc = get_scenario("lognormal")
+
+        def draw(rng, k):
+            x, gamma, a, q = sc.draw(rng, k)
+            a[::997] = math.nan
+            return x, gamma, a, q
+
+        monkeypatch.setitem(scenarios.SCENARIOS, "holed", dataclasses.replace(
+            sc, name="holed", draw=draw))
+        b = get_scenario("holed").build(50_001, 7, workers)
+        assert b.invalid_count > 0
+        rep = run_identity_suite("holed", 50_001, 7, workers, 0.1)
+        assert repr(rep.z_scores) == repr(identity_z_scores(corrupt_quad_batch(b, 0.1)))
+
     @pytest.mark.parametrize("corrupt_a", [math.nan, math.inf, -math.inf])
     def test_non_finite_corrupt_a_rejected(self, corrupt_a):
         with pytest.raises(ValueError, match="corrupt_a must be finite"):
