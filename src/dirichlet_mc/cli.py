@@ -232,9 +232,13 @@ def _cmd_density(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             rows = [(ce.x, ce.ratio, ce.ratio_std_error,
                      sc.cond_oracle(ce.x) if sc.cond_oracle is not None else None) for ce in ests]
-    # |z| per point with a reference; a NaN (a NaN reference or estimate, an
-    # infinite error) ranks above every number and fails --strict
-    zs = [(abs(z_score(value - ref, se)), x) for x, value, se, ref in rows if ref is not None]
+    # |z| per point against its reference; at a point without one, NaN for
+    # a non-finite estimate or error and 0 otherwise.  A NaN (a NaN
+    # reference or estimate, an infinite error) ranks above every number
+    # and fails --strict
+    zs = [(abs(z_score(value - ref, se)) if ref is not None
+           else 0.0 if math.isfinite(value) and math.isfinite(se) else math.nan, x)
+          for x, value, se, ref in rows]
     worst_z, worst_x = max(zs, key=lambda zx: (math.isnan(zx[0]), zx[0]), default=(0.0, None))
     used = min(e.n_used if density else e.numerator.n_used for e in ests)
 
@@ -246,8 +250,11 @@ def _cmd_density(args) -> int:
            if ref_fn is not None or not density else "(no reference)")
     )
     if args.strict and not worst_z <= 4.0:
-        print(f"STRICT: at x = {worst_x!r} the estimate deviates {worst_z:.2f} standard errors "
-              "(> 4 or not a number) from reference")
+        if ref_fn is None and density:
+            print(f"STRICT: at x = {worst_x!r} the estimate or its standard error is not finite")
+        else:
+            print(f"STRICT: at x = {worst_x!r} the estimate deviates {worst_z:.2f} standard "
+                  "errors (> 4 or not a number) from reference")
         return EXIT_THRESHOLD
     return EXIT_OK
 

@@ -154,6 +154,26 @@ class TestDensityCommand:
         ])
         assert rc == EXIT_OK
 
+    def test_non_finite_estimate_without_reference_fails_strict(self, monkeypatch, capsys):
+        # no exact density, and a finite draw whose weight 2A/Γ overflows to
+        # inf on every row, so the sign formula reads inf - inf = NaN: with
+        # no reference to measure it against, --strict still exits 3 naming
+        # the point, while a finite estimate without a reference passes
+        def draw(rng, k):
+            return rng.normal(size=k), np.full(k, 1e-10), np.full(k, 1e308), np.zeros(k)
+
+        monkeypatch.setitem(SCENARIOS, "overflowing", Scenario("overflowing", "W is inf", draw))
+        argv = ["density", "--scenario", "overflowing", "--estimator", "direct", "--points", "0.5",
+                "--samples", "2000", "--seed", "1"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(argv) == EXIT_OK
+            assert cli_main(argv + ["--strict"]) == EXIT_THRESHOLD
+        out = capsys.readouterr().out
+        assert "(no reference)" in out
+        assert "STRICT: at x = 0.5 the estimate or its standard error is not finite" in out
+        assert cli_main(["density", "--scenario", "gbm_euler", "--estimator", "shifted",
+                         "--epsilons", "0.05", "--samples", "2000", "--strict"]) == EXIT_OK
+
     def test_conditional_estimator(self, tmp_path):
         out = tmp_path / "c.csv"
         rc = cli_main([
