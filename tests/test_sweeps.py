@@ -314,9 +314,9 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_stream_drops_the_rows_the_build_drops(self, workers, monkeypatch):
-        # every 997th drawn row carries a NaN: the stream drops it chunk by
-        # chunk, the build from the whole batch, and both reduce the same
-        # blocks of kept rows
+        # every 997th row of each chunk carries a NaN: the stream drops it
+        # chunk by chunk, the build from the whole batch, and both reduce
+        # the same blocks of kept rows
         sc = get_scenario("lognormal")
 
         def draw(rng, k):
