@@ -19,7 +19,8 @@ scenario without an exact density, quadrature sweeps at ε around and
 below what the grid resolves, `density` and `compare` at a query point of
 1e300, where every kernel term and reference is exactly 0, and `density`
 for each sign formula at 300 unsorted points, 270 of them distinct, which
-it bins in several groups with counts past 255.  Each command
+it bins in several groups with counts past 255, and `density` on each
+Euler scenario at N = 81 923, five full chunks plus 3 rows.  Each command
 runs in-process at `--workers 1` and `--workers 2`; a line reads
 
     <sha256 of the CSV, or "-" when none was written>  <exit code>  w<workers>  <tag>
@@ -268,6 +269,13 @@ def commands() -> dict[str, list[str]]:
     for eps in ("1e-7,5e-8", "1e-8,5e-9", "1e-10,5e-11"):
         cmds[f"sweep_variance_tiny_eps_{eps.split(',')[0]}_quadrature"] = [
             "sweep-variance", "--scenario", "lognormal", "--points", "1.0", "--epsilons", eps]
+    # the Euler draws at five full chunks plus 3 rows: at two workers more
+    # chunks than the pool keeps in flight, and a last chunk of 3 paths
+    for sc, est in (("gbm_euler", "shifted"), ("additive_euler", "plain_gamma"),
+                    ("zero_noise", "plain_id")):
+        cmds[f"euler_chunks_{sc}_{est}_81923"] = [
+            "density", "--scenario", sc, "--estimator", est, "--epsilons", "0.05",
+            "--samples", "81923", "--seed", "7"]
     return cmds
 
 
