@@ -1,9 +1,11 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from dirichlet_mc import streams
 from dirichlet_mc.streams import CHUNK_SIZE, chunk_rng, sample_chunked
 from dirichlet_mc.wiener import (
     SdeCoefficients,
@@ -180,27 +182,45 @@ class TestSimulateTriple:
 
 
 class TestBitwiseReference:
-    """The in-place recursion against the expression-form batch, bit for bit."""
+    """The in-place recursion against the expression-form batch, bit for bit.
 
-    @pytest.mark.parametrize("n_paths", [1, 16384])
+    The recursion draws its increments a group of steps at a time, 4 steps
+    at a chunk of 16 384 paths and one step past 4·16 384 paths, so the
+    step counts put group boundaries inside, at the end of and past the
+    scheme, and the reference draws them step by step."""
+
+    @pytest.mark.parametrize("n_paths", [1, CHUNK_SIZE, 4 * CHUNK_SIZE + 1])
+    @pytest.mark.parametrize("n", [1, 4, 5, 16, 17])
     @pytest.mark.parametrize("make", [
         gbm_coefficients, additive_coefficients, zero_noise_coefficients, _aliasing, _exploding,
     ])
-    def test_matches_expression_form(self, make, n_paths):
+    def test_matches_expression_form(self, make, n, n_paths):
         c = make()
-        got = simulate_triple_batch(1.0, 1.0, 16, c, n_paths, chunk_rng(77, 3))
-        want = euler_batch_reference(1.0, 1.0, 16, c, n_paths, chunk_rng(77, 3))
+        got = simulate_triple_batch(1.0, 1.0, n, c, n_paths, chunk_rng(77, 3))
+        want = euler_batch_reference(1.0, 1.0, n, c, n_paths, chunk_rng(77, 3))
         for name, u, v in zip(("x", "gamma", "a"), got, want):
             assert np.array_equal(u, v, equal_nan=True), name
             assert np.array_equal(np.signbit(u), np.signbit(v)), name
-        if make is _exploding and n_paths > 1:
+        if make is _exploding and n == 16 and n_paths > 1:
             assert 0 < _finite(*got).sum() < n_paths  # both finite and overflowed paths
+
+    @pytest.mark.parametrize("n_paths", [3, CHUNK_SIZE, 4 * CHUNK_SIZE + 1])
+    @pytest.mark.parametrize("n", [1, 5, 17])
+    def test_generator_consumed_as_step_by_step(self, n, n_paths):
+        # the grouped draw leaves the generator where n draws of n_paths
+        # standard normals each leave its twin
+        rng, twin = chunk_rng(78, 1), chunk_rng(78, 1)
+        simulate_triple_batch(1.0, 1.0, n, gbm_coefficients(), n_paths, rng)
+        for _ in range(n):
+            twin.standard_normal(n_paths)
+        assert rng.random() == twin.random()
 
 
 class TestScratchReuse:
     """The recursion keeps its scratch per thread from call to call; the
-    arrays a call returns stay its own, and chunks drawn concurrently on
-    more threads than cores are the same bits as on one."""
+    arrays a call returns stay its own, the increments scratch stays within
+    the group rule's bound, and chunks drawn concurrently on more threads
+    than cores are the same bits as on one."""
 
     def test_returned_arrays_outlive_later_calls(self):
         c = gbm_coefficients()
@@ -212,8 +232,30 @@ class TestScratchReuse:
         again = simulate_triple_batch(1.0, 1.0, 16, c, 1000, chunk_rng(5, 0))
         assert all(np.array_equal(u, v) for u, v in zip(again, kept))
 
-    def test_chunks_on_more_threads_than_cores(self):
-        c = gbm_coefficients()
+    def test_increments_scratch_is_bounded(self):
+        # read in a fresh thread, so no earlier call of this process has
+        # grown the thread's scratch
+        n_paths = 100_000
+        held = {}
+
+        def call():
+            simulate_triple_batch(1.0, 1.0, 16, gbm_coefficients(), n_paths, chunk_rng(8, 0))
+            held["increments"] = [b.size for b in streams._SCRATCH.euler_increments]
+            held["euler"] = len(streams._SCRATCH.euler)
+
+        worker = threading.Thread(target=call)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(held["increments"]) == 1
+        assert held["increments"][0] <= max(n_paths, 4 * CHUNK_SIZE)
+        assert held["euler"] == 4
+
+    @pytest.mark.parametrize("make", [
+        gbm_coefficients, additive_coefficients, zero_noise_coefficients,
+    ])
+    def test_chunks_on_more_threads_than_cores(self, make):
+        c = make()
 
         def draw(rng, k):
             return simulate_triple_batch(1.0, 1.0, 16, c, k, rng)
