@@ -184,10 +184,10 @@ class TestSimulateTriple:
 class TestBitwiseReference:
     """The in-place recursion against the expression-form batch, bit for bit.
 
-    The recursion draws its increments a group of steps at a time, 4 steps
-    at a chunk of 16 384 paths and one step past 4·16 384 paths, so the
-    step counts put group boundaries inside, at the end of and past the
-    scheme, and the reference draws them step by step."""
+    The recursion draws its increments a group of steps at a time: 4 steps
+    at 16 384 paths, 1 step past 4·16 384 paths, all n steps at 1 path.
+    The step counts end the scheme on a group boundary and inside a group;
+    the reference draws step by step."""
 
     @pytest.mark.parametrize("n_paths", [1, CHUNK_SIZE, 4 * CHUNK_SIZE + 1])
     @pytest.mark.parametrize("n", [1, 4, 5, 16, 17])
