@@ -216,22 +216,16 @@ def _cmd_list_scenarios(args) -> int:
 
 def _cmd_density(args) -> int:
     sc, points, eps_list = _resolve(args)
-    density = get_estimator(args.estimator).density
     n = _sample_count(args)
     stream = sc.stream(n, args.seed, args.workers)
     ests = run_estimator(args.estimator, stream, min(eps_list, default=None), list(points),
                          sc.name)
 
-    # conditional rows hold the ratio E[G | X = x] against the conditional oracle
-    ref_fn = sc.exact_density
-    if density:
-        refs = at_points(ref_fn, points) if ref_fn is not None else [None] * len(ests)
-        rows = [(e.x, e.value, e.std_error, ref) for e, ref in zip(ests, refs)]
-    else:
-        # a far point overflows the oracle to 0/0: its reference reads NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = [(ce.x, ce.ratio, ce.ratio_std_error,
-                     sc.cond_oracle(ce.x) if sc.cond_oracle is not None else None) for ce in ests]
+    # a density is checked against the exact density, conditional's
+    # E[G | X = x] against the conditional oracle
+    ref_fn = sc.exact_density if get_estimator(args.estimator).density else sc.cond_oracle
+    refs = at_points(ref_fn, points) if ref_fn is not None else [None] * len(ests)
+    rows = [(e.x, e.value, e.std_error, ref) for e, ref in zip(ests, refs)]
     # |z| per point against its reference; at a point without one, NaN for
     # a non-finite estimate or error and 0 otherwise.  A NaN (a NaN
     # reference or estimate, an infinite error) ranks above every number
@@ -240,17 +234,17 @@ def _cmd_density(args) -> int:
            else 0.0 if math.isfinite(value) and math.isfinite(se) else math.nan, x)
           for x, value, se, ref in rows]
     worst_z, worst_x = max(zs, key=lambda zx: (math.isnan(zx[0]), zx[0]), default=(0.0, None))
-    used = min(e.n_used if density else e.numerator.n_used for e in ests)
+    used = min(e.n_used for e in ests)
 
     _write_csv(args.out, ("x", "estimate", "std_error", "reference"), rows)
     print(
         f"density {sc.name}/{args.estimator}: n={n} kept={stream.n} "
         f"dropped={stream.invalid_count} excluded={stream.n - used} points={len(points)} "
-        + (f"worst |estimate-reference|/se = {worst_z:.2f}"
-           if ref_fn is not None or not density else "(no reference)")
+        + (f"worst |estimate-reference|/se = {worst_z:.2f}" if ref_fn is not None
+           else "(no reference)")
     )
     if args.strict and not worst_z <= 4.0:
-        if ref_fn is None and density:
+        if ref_fn is None:
             print(f"STRICT: at x = {worst_x!r} the estimate or its standard error is not finite")
         else:
             print(f"STRICT: at x = {worst_x!r} the estimate deviates {worst_z:.2f} standard "

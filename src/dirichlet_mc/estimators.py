@@ -128,15 +128,20 @@ TripleBatch = QuadBatch
 @dataclass
 class SampleStream:
     """The batch a scenario would build, drawn while run_pass reduces it:
-    chunks() draws the chunks' quad (or (X, Γ, A)) columns afresh each
-    time; run_pass sets n and invalid_count, the kept and dropped rows."""
+    chunks() draws the chunks' columns afresh each time; empty, the
+    batch of the draw's columns at 0 rows, states quad, has_aux and d
+    before anything is drawn; run_pass sets n and invalid_count, the kept
+    and dropped rows."""
 
     chunks: Callable[[], Iterable[tuple]]
     requested: int
-    quad: bool
+    empty: QuadBatch
     n: int = 0
     invalid_count: int = 0
-    d = 1  # every scenario draws scalars
+
+    quad = property(lambda self: self.empty.quad)
+    has_aux = property(lambda self: self.empty.has_aux)
+    d = property(lambda self: self.empty.d)
 
 
 @dataclass(frozen=True)
@@ -152,14 +157,18 @@ class DensityEstimate:
 
 @dataclass(frozen=True)
 class ConditionalEstimate:
-    """Ratio estimate f(x)E[G|X=x] / f(x) with delta-method error bars."""
+    """Ratio estimate value = f(x)E[G|X=x] / f(x) of E[G | X = x], with its
+    delta-method std_error; n_used is the numerator's count, so the
+    estimate reads like a DensityEstimate."""
 
     x: float
     numerator: DensityEstimate
     denominator: DensityEstimate
-    ratio: float
-    ratio_std_error: float
+    value: float
+    std_error: float
     reliable: bool
+
+    n_used = property(lambda self: self.numerator.n_used)
 
 
 # -- Gaussian kernel -------------------------------------------------------
@@ -274,7 +283,8 @@ class Reducer(NamedTuple):
     """A statistic: part(block, half, shared) → partial, merged in block
     order by _add; finish(total) → result, total None if no block fed it.
     run_pass snapshots it at each of sizes, counts of drawn rows (default:
-    all); with halves it reads the n = max(sizes) rows as halves 0 and 1."""
+    all); with halves it reads the first n rows as halves 0 and 1, split at
+    n // 2 for each size n."""
 
     part: Callable
     finish: Callable
@@ -355,20 +365,22 @@ def run_pass(src, reducers) -> list[dict]:
     """Walk src once, a built batch or a SampleStream (drawn here, its n and
     invalid_count set), feeding each block to every reducer; per reducer,
     {n: its result on the first n drawn rows} for each of its sizes.
-    Reducers without halves share one cutter.  A snapshot at n merges the
-    blocks before n with the partial of the cut block's rows up to n; the
-    running total still reduces that block whole."""
+    Reducers without halves share one cutter; one with halves has a slot
+    per size n, in the cutter that splits the first n rows.  A snapshot at
+    n merges the blocks before n with the partial of the cut block's rows
+    up to n; the running total still reduces that block whole."""
     total, stream, lo = src.requested, isinstance(src, SampleStream), 0
     buf, cutters, slots, marks = {}, {}, [], {total}
-    for r in reducers:
+    for i, r in enumerate(reducers):
         sizes = r.sizes or (total,)
-        end = max(sizes) if r.halves else total
-        if r.halves and end < 2:
-            raise ValueError("batch too small to split")
-        split = end // 2 if r.halves else None
-        slots.append((r, sizes, {}))
-        cutters.setdefault((split, end), _Cutter(buf, split, end)).slots.append(slots[-1])
-        marks.update(sizes, [split] if split else [])
+        for grid in [(n,) for n in sizes] if r.halves else [sizes]:
+            end = grid[0] if r.halves else total
+            if r.halves and end < 2:
+                raise ValueError("batch too small to split")
+            split = end // 2 if r.halves else None
+            slots.append((i, (r, grid, {})))
+            cutters.setdefault((split, end), _Cutter(buf, split, end)).slots.append(slots[-1][1])
+            marks.update(grid, [split] if split else [])
     if stream:
         src.n = src.invalid_count = 0
     for cols in src.chunks():
@@ -385,7 +397,10 @@ def run_pass(src, reducers) -> list[dict]:
                 cut.reduce(stop)
             start = stop
         lo = hi
-    return [{n: r.finish(t) for n, t in snaps.items() if n is not None} for r, _, snaps in slots]
+    out = [{} for _ in reducers]
+    for i, (r, _, snaps) in slots:
+        out[i].update((n, r.finish(t)) for n, t in snaps.items() if n is not None)
+    return out
 
 
 def _estimator(reducer: Callable) -> Callable:
@@ -662,8 +677,6 @@ def conditional_weights(b: QuadBatch) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     For G ≡ 1, Γ[X,G] = 0 the numerator reduces term by term to W.
     """
-    if not b.has_aux:
-        raise ValueError("batch carries no auxiliary G data")
     usable = b.gamma > 0.0
     every = bool(usable.all())
     gam = b.gamma if every else np.where(usable, b.gamma, 1.0)
@@ -807,6 +820,9 @@ def conditional_expectation(b: QuadBatch, xs):
     the denominator is within two standard errors of zero.
     """
     _check_quad(b)
+    if not b.has_aux:
+        raise ValueError("the conditional expectation needs auxiliary G data (G and Γ[X, G]); "
+                         "this draw has none")
 
     def columns(blk):
         wn, wd, usable = conditional_weights(blk)
@@ -873,28 +889,30 @@ class Estimator:
 
     function(b, [ε,] xs[, variant=…]) is a public estimator of this module,
     looked up when it is called, so a wrapper set on the module attribute
-    sees every call.  needs_quad: it reads Γ[X, Γ[X]] (quad data); takes_epsilon: it
-    needs ε.  A kernel estimator has kernel, its (A-shift, identity
-    covariance) pair, and bias_order, the order in ε of its bias.
-    density: it estimates f(x), where conditional estimates E[G | X = x].
+    sees every call.  takes_epsilon: it needs ε.  A kernel estimator has
+    kernel, its (A-shift, identity covariance) pair, and bias_order, the
+    order in ε of its bias; every other estimator is a sign formula and
+    reads Γ[X, Γ[X]] (needs_quad).  density: it estimates f(x), where
+    conditional estimates E[G | X = x] and so reads G and Γ[X, G].
     """
 
     function: str
-    needs_quad: bool
     takes_epsilon: bool
     kernel: Optional[tuple[bool, bool]] = None
     bias_order: Optional[int] = None
     density: bool = True
 
+    needs_quad = property(lambda self: self.kernel is None)
+
 
 ESTIMATORS: dict[str, Estimator] = {
-    "shifted": Estimator("shifted_kernel_density", False, True, (True, False), 2),
-    "plain_gamma": Estimator("plain_kernel_density", False, True, (False, False), 1),
-    "plain_id": Estimator("plain_kernel_density", False, True, (False, True), 1),
-    "direct": Estimator("direct_density", True, False),
-    "regularized": Estimator("regularized_density", True, True),
-    "centered": Estimator("centered_direct_density", True, False),
-    "conditional": Estimator("conditional_expectation", True, False, density=False),
+    "shifted": Estimator("shifted_kernel_density", True, (True, False), 2),
+    "plain_gamma": Estimator("plain_kernel_density", True, (False, False), 1),
+    "plain_id": Estimator("plain_kernel_density", True, (False, True), 1),
+    "direct": Estimator("direct_density", False),
+    "regularized": Estimator("regularized_density", True),
+    "centered": Estimator("centered_direct_density", False),
+    "conditional": Estimator("conditional_expectation", False, density=False),
 }
 
 
@@ -912,13 +930,15 @@ def run_estimator(name: str, batch, epsilon: Optional[float], xs, scenario: str 
     for a pass shared with others.
 
     Kernels read (X, Γ, A) of any batch; the other estimators need quad
-    data, and the error for a batch without it names scenario.  An estimator that
-    takes ε and is given None is a ValueError naming it; the others ignore
-    epsilon.
+    data, and conditional also G; the error for a batch without them names
+    scenario, before anything is drawn.  An estimator that takes ε and is
+    given None is a ValueError naming it; the others ignore epsilon.
     """
     entry = get_estimator(name)
     if entry.needs_quad and not batch.quad:
         raise ValueError(f"scenario {scenario!r} provides no quad data; {name!r} needs it")
+    if not entry.density and not batch.has_aux:
+        raise ValueError(f"scenario {scenario!r} provides no auxiliary G data; {name!r} needs it")
     if entry.takes_epsilon and epsilon is None:
         raise ValueError(f"estimator {name!r} needs an epsilon")
     fn = globals()[entry.function]

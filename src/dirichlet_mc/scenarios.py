@@ -3,13 +3,15 @@
 Each scenario has a per-chunk draw, from which it builds a batch or opens
 a stream (drawn chunk by chunk as an estimator reduces it), and optionally
 carries an exact density, the deterministic reduced forms γ(x), a(x) used
-by the kernel sweeps, and a conditional-expectation oracle.  Draws are
+by the kernel sweeps, and a conditional-expectation oracle E[G | X = x].  Draws are
 vectorised closed forms of the functional calculus, the extended Euler
 recursion or the Poisson point sums; a build holds the batch, a stream a
 few chunks in flight.  Every command streams; a build runs only where a
 scenario is given one explicitly (is_default_build tells the two apart),
 and for tests.  Whether a scenario has quad data (the fourth
-column, Γ[X, Γ[X]], which the sign formulas need) is read off its draw.
+column, Γ[X, Γ[X]], which the sign formulas need), G and Γ[X, G] (the
+fifth and sixth, which conditional reads) and its dimension are read off
+its draw.
 A closed form evaluates each column from the terms it already holds
 (Γ[X, Γ[X]] from Γ, cos² once), with no cube.  The
 test suite feeds each closed-form draw a generator whose stream it
@@ -44,7 +46,9 @@ Density = Callable[[np.ndarray], np.ndarray]
 @dataclass(frozen=True)
 class Scenario:
     """A named law together with everything the harness can know about it;
-    quad, whether its draw carries Γ[X, Γ[X]], is read off the draw."""
+    empty, the batch of its draw's columns at 0 rows, says whether the
+    draw carries Γ[X, Γ[X]] (quad) and G (has_aux), and in what dimension.
+    exact_density and cond_oracle map an array of points to an array."""
 
     name: str
     description: str
@@ -55,7 +59,7 @@ class Scenario:
     mass_bounds: Optional[tuple[float, float]] = None
     gamma_of_x: Optional[Density] = None
     a_of_x: Optional[Density] = None
-    cond_oracle: Optional[Callable[[float], float]] = None
+    cond_oracle: Optional[Density] = None
     default_points: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
@@ -68,15 +72,17 @@ class Scenario:
     def stream(self, n: int, seed: int, workers: int) -> SampleStream:
         """The samples build(n, seed, workers) would hold, drawn chunk by
         chunk each time an estimator walks them."""
-        return SampleStream(lambda: iter_chunks(n, seed, self.draw, workers), n, self.quad)
+        return SampleStream(lambda: iter_chunks(n, seed, self.draw, workers), n, self.empty)
 
     @cached_property
-    def quad(self) -> bool:
-        """Whether the draw carries Γ[X, Γ[X]]: four columns or more in the
-        empty chunk of iter_chunks(0, …), probed on first use (at import it
-        would set up numpy.random in every run); a replaced draw is probed
-        again."""
-        return len(next(iter_chunks(0, 0, self.draw))) >= 4
+    def empty(self) -> QuadBatch:
+        """The batch of the empty chunk of iter_chunks(0, …), probed on
+        first use (at import it would set up numpy.random in every run); a
+        replaced draw is probed again.  Four columns or more carry
+        Γ[X, Γ[X]], six also G and Γ[X, G]."""
+        return QuadBatch(*next(iter_chunks(0, 0, self.draw)))
+
+    quad = property(lambda self: self.empty.quad)
 
     @property
     def has_reduced_form(self) -> bool:
@@ -205,10 +211,16 @@ def _pair_moments(x) -> tuple[np.ndarray, np.ndarray]:
     return (w * phi).sum(axis=1), (w * (sin_u * phi)).sum(axis=1)
 
 
-def pair_conditional_oracle(x: float) -> float:
-    """E[sin(U₂) | U₁ + sin(U₂) = x] for independent standard Gaussians."""
+def _pair_conditional(x) -> np.ndarray:
+    """E[sin(U₂) | U₁ + sin(U₂) = x] at every x, for independent standard
+    Gaussians; a far x, where both moments underflow, reads NaN."""
     density, numerator = _pair_moments(x)
-    return float(numerator[0] / density[0])
+    return numerator / density
+
+
+def pair_conditional_oracle(x: float) -> float:
+    """E[sin(U₂) | U₁ + sin(U₂) = x] at one point x."""
+    return float(_pair_conditional(x)[0])
 
 
 def _lognormal_gamma(x):
@@ -274,7 +286,7 @@ _register(Scenario(
     draw=_draw_gaussian_pair,
     exact_density=lambda x: _pair_moments(x)[0],
     mass_bounds=(-12.0, 12.0),
-    cond_oracle=pair_conditional_oracle,
+    cond_oracle=_pair_conditional,
     default_points=(-0.5, 0.0, 0.5),
 ))
 
@@ -333,9 +345,9 @@ _register(Scenario(
 
 
 def at_points(fn: Density, points) -> list[float]:
-    """A scenario function (an exact density, γ(x) or a(x)) at each query
-    point; a far point that overflows reads ±inf, 0 or NaN without a numpy
-    warning, for the caller's check to name it."""
+    """A scenario function (an exact density, the conditional oracle, γ(x)
+    or a(x)) at each query point; a far point that overflows reads ±inf, 0
+    or NaN without a numpy warning, for the caller's check to name it."""
     with np.errstate(over="ignore", invalid="ignore"):
         return [float(v) for v in fn(np.asarray(points, dtype=float))]
 

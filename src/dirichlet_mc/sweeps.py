@@ -357,15 +357,13 @@ def compare_estimators(
     sizes = [sample_count(n) for n in sample_sizes]
     stream = sc.stream(max(sizes), seed, workers)
     nested = tuple(sorted(set(sizes)))
-    # one reducer per (estimator, ε), snapshotted at every size; centered
-    # splits each size's own rows, so it has one reducer per size.  Without
+    # one reducer per (estimator, ε), snapshotted at every size.  Without
     # ε, run_estimator rejects the estimators that need one.
     smallest, plan = min(epsilons, default=None), []
     for i, (name, entry) in enumerate(zip(estimators, entries)):
         for eps in (epsilons or [None]) if entry.kernel else [smallest]:
             r = run_estimator(name, stream, eps, list(points), scenario, reducer=True)
-            for grid in [(n,) for n in nested] if r.halves else [nested]:
-                plan.append((i, r._replace(sizes=grid)))
+            plan.append((i, r._replace(sizes=nested)))
     found: dict = {}
     for (i, _), res in zip(plan, run_pass(stream, [r for _, r in plan])):
         for n, ests in res.items():

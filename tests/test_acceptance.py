@@ -224,18 +224,18 @@ def test_criterion_9_conditional_expectation():
     batch = sc.build(100_000, 9009, 1)
     ce = conditional_expectation(batch, [0.0])[0]
     oracle = pair_conditional_oracle(0.0)
-    z = abs(ce.ratio - oracle) / ce.ratio_std_error
+    z = abs(ce.value - oracle) / ce.std_error
     # constant-G reduction must reproduce the direct estimator bit for bit
     ones = QuadBatch(batch.x, batch.gamma, batch.a, batch.gamma_x_gammax,
                      g=np.ones(batch.n), gamma_x_g=np.zeros(batch.n))
     red = conditional_expectation(ones, [0.3])[0]
     dd = direct_density(ones, [0.3])[0]
     bitwise = (red.numerator.value == dd.value and red.numerator.std_error == dd.std_error
-               and red.ratio == 1.0)
+               and red.value == 1.0)
     elapsed = time.perf_counter() - t0
     ok = z < 4.0 and bitwise
     _report(9, "conditional expectation", ok,
-            f"E[G|X=0]: ratio {ce.ratio:.4f} vs oracle {oracle:.2e} (z = {z:.2f}); "
+            f"E[G|X=0]: ratio {ce.value:.4f} vs oracle {oracle:.2e} (z = {z:.2f}); "
             f"G==1 reduction bitwise: {bitwise}", elapsed, None)
     assert z < 4.0
     assert bitwise

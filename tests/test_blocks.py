@@ -143,8 +143,8 @@ class TestSignFormulas:
         assert len(got) == len(xs)
         for ce, (num, den, ratio, se_r) in zip(got, conditional_loop(b, xs)):
             _assert_same([ce.numerator, ce.denominator], [num, den])
-            assert _close(ce.ratio, ratio)
-            assert _close(ce.ratio_std_error, se_r, rel=1e-12 * max(_cond(num), _cond(den)))
+            assert _close(ce.value, ratio)
+            assert _close(ce.std_error, se_r, rel=1e-12 * max(_cond(num), _cond(den)))
 
 
 # d = 3: three full covariances, then rank one and rank two.  Their entries

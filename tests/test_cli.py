@@ -761,8 +761,7 @@ class TestDensityCounts:
         assert counts["dropped"] == (4 if poison else 0)
         ests = run_estimator(estimator, sc.stream(n, 2, 1), 0.05, points)
         for e in ests:
-            used = e.numerator.n_used if estimator == "conditional" else e.n_used
-            assert used + counts["excluded"] == counts["kept"]
+            assert e.n_used + counts["excluded"] == counts["kept"]
         if scenario == "poisson_mc_unit":
             assert counts["excluded"] > 0
 

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,7 +324,7 @@ class TestConditionalExpectation:
         dd = direct_density(b1, [0.3])[0]
         assert ce.numerator.value == dd.value
         assert ce.numerator.std_error == dd.std_error
-        assert ce.ratio == 1.0
+        assert ce.value == 1.0
 
     def test_conditional_mean_of_x_given_x(self):
         # G = X: the ratio estimates E[X | X = x] = x
@@ -333,7 +334,7 @@ class TestConditionalExpectation:
         )
         ce = conditional_expectation(with_aux, [1.0])[0]
         assert ce.reliable
-        assert abs(ce.ratio - 1.0) < 4 * ce.ratio_std_error
+        assert abs(ce.value - 1.0) < 4 * ce.std_error
 
     def test_missing_aux_rejected(self):
         with pytest.raises(ValueError, match="auxiliary"):
@@ -478,7 +479,7 @@ class TestSignReductions:
         for ce, (num, den, ratio, se_r) in zip(conditional_expectation(b, queries),
                                                conditional_loop(b, queries)):
             self._assert_same([ce.numerator, ce.denominator], [num, den])
-            assert _close(ce.ratio, ratio) and _close(ce.ratio_std_error, se_r)
+            assert _close(ce.value, ratio) and _close(ce.std_error, se_r)
 
     def test_large_n_centered_weight_against_exact_sums(self):
         # W = -U is centered, so in the tails the signed terms cancel down to
@@ -579,6 +580,25 @@ class TestEstimatorTable:
         draw = getattr(get_scenario("gbm_euler"), source)(1000, 1, 1)
         with pytest.raises(ValueError, match=re.escape("need Γ[X, Γ[X]] (quad data)")):
             call(draw)
+
+    def test_missing_g_is_named_before_anything_is_drawn(self):
+        """conditional reads G: a stream without it is rejected, naming the
+        scenario, before its first chunk; the draw is called only for the
+        empty chunk that states its columns."""
+        drawn = []
+
+        def counted(rng, k):
+            drawn.append(k)
+            return get_scenario("gaussian").draw(rng, k)
+
+        stream = replace(get_scenario("gaussian"), draw=counted).stream(50_000, 3, 2)
+        assert (stream.quad, stream.has_aux, stream.d) == (True, False, 1)
+        with pytest.raises(ValueError, match="scenario 'gaussian' provides no auxiliary G data; "
+                                             "'conditional' needs it"):
+            run_estimator("conditional", stream, None, [0.0], "gaussian")
+        with pytest.raises(ValueError, match="auxiliary G data"):
+            conditional_expectation(stream, [0.0])
+        assert drawn == [0]
 
     @pytest.mark.parametrize("name", [n for n, e in ESTIMATORS.items() if e.takes_epsilon])
     def test_missing_epsilon_names_the_estimator(self, name):

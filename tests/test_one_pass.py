@@ -5,9 +5,10 @@ snapshot at n merges the blocks before n with the partial of the cut
 block's rows up to n, so it must equal the library call on
 `Scenario.build(n, ...)` bit for bit, for every estimator, the kernel
 variance and the identity statistics, at sizes on both sides of a block
-boundary.  `centered` splits each n's own rows at n // 2, so it takes one
-reducer per n.  Reducers that share a pass share kernel set-ups and
-sign-formula bins, which must not change a bit either.
+boundary.  For `centered`, run_pass splits each n's own rows at n // 2,
+so one reducer serves every n as it serves the others.  Reducers that
+share a pass share kernel set-ups and sign-formula bins, which must not
+change a bit either.
 """
 import math
 
@@ -72,11 +73,9 @@ def test_every_snapshot_equals_the_built_batch(scenario, workers):
     library = _library(sc)
     plan = []
     for name in library:
-        r = _caught(_reducer(sc, name, stream))
-        if r.halves:  # one reducer per size, each splitting its own rows
-            plan += [(name, r._replace(sizes=(n,))) for n in SIZES if n >= 2]
-        else:
-            plan.append((name, r._replace(sizes=SIZES)))
+        # a split of one row is rejected before the draw (test below)
+        sizes = tuple(n for n in SIZES if n >= 2 or name != "centered")
+        plan.append((name, _caught(_reducer(sc, name, stream))._replace(sizes=sizes)))
     got = {}
     for (name, _), res in zip(plan, run_pass(stream, [r for _, r in plan])):
         for n, outcome in res.items():
@@ -102,6 +101,20 @@ def test_a_split_too_small_is_rejected_before_the_draw():
     with pytest.raises(ValueError, match="too small"):
         run_pass(stream, [run_estimator("direct", stream, None, [1.0], reducer=True), r])
     assert drawn == []
+
+
+@pytest.mark.parametrize("sizes", [(30_000, 40_000), (10_000, 40_000)])
+def test_centered_splits_each_size_at_its_own_half(sizes):
+    """One centered reducer snapshotted at several sizes equals its own
+    one-size pass at each: a size's halves are its own first n // 2 rows
+    and the next n - n // 2, not a split of the largest size."""
+    stream = SCENARIOS["lognormal"].stream(max(sizes), 3, 1)
+    r = run_estimator("centered", stream, None, [0.5, 1.0, 2.0], reducer=True)
+    [got] = run_pass(stream, [r._replace(sizes=sizes)])
+    for n in sizes:
+        [alone] = run_pass(stream, [r._replace(sizes=(n,))])
+        assert repr(got[n]) == repr(alone[n])
+        assert all(e.n_used == n - n // 2 for e in got[n])
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

@@ -23,7 +23,7 @@ from dirichlet_mc.estimators import (
     centered_direct_density,
     run_estimator,
 )
-from dirichlet_mc.scenarios import SCENARIOS
+from dirichlet_mc.scenarios import SCENARIOS, Scenario
 from dirichlet_mc.streams import CHUNK_SIZE, iter_chunks, sample_chunked
 
 from oracles import centered_loop
@@ -79,10 +79,15 @@ def _poisoned_draw(rng, k):
     return tuple(cols)
 
 
+def _poisoned_stream(workers):
+    return Scenario("poisoned", "lognormal quads with non-finite rows", _poisoned_draw).stream(
+        N_BAD, 3, workers)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_dropped_rows_are_counted_and_cut_like_the_batch(workers):
     batch = QuadBatch.from_raw(*sample_chunked(N_BAD, 3, _poisoned_draw, workers))
-    stream = SampleStream(lambda: iter_chunks(N_BAD, 3, _poisoned_draw, workers), N_BAD, True)
+    stream = _poisoned_stream(workers)
     assert batch.invalid_count == len(BAD)
     points = [0.5, 1.0, 2.0]
     for name in ESTIMATORS:
@@ -102,7 +107,7 @@ def test_centered_stream_splits_at_half_the_drawn_rows(workers):
     h1 = QuadBatch.from_raw(*(c[:m] for c in cols))
     h2 = QuadBatch.from_raw(*(c[m:] for c in cols))
     assert (h1.invalid_count, h2.invalid_count) == (5, 4)
-    stream = SampleStream(lambda: iter_chunks(N_BAD, 3, _poisoned_draw, workers), N_BAD, True)
+    stream = _poisoned_stream(workers)
     points = [0.5, 1.0, 2.0]
     got = centered_direct_density(stream, points)
     want = centered_loop(None, points, parts=(h1, h2))
@@ -172,6 +177,6 @@ def test_a_streamed_estimate_holds_a_bounded_number_of_chunks():
         return cols
 
     n = 20 * C
-    stream = SampleStream(lambda: iter_chunks(n, 5, counted, 2), n, True)
+    stream = SampleStream(lambda: iter_chunks(n, 5, counted, 2), n, SCENARIOS["lognormal"].empty)
     run_estimator("direct", stream, None, [1.0])
     assert stream.n == n and peak <= 2 * 2 + 2, peak
