@@ -475,7 +475,8 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
     identity_cov.  A sample is usable when c_n is finite, every pivot of
     Σ_n is > 0 and det Σ_n = Π D_i ≥ DEGENERATE_DET; the usable rows are
     copied out only when some sample is not.  The factors, -½/D_i and the
-    normaliser 1/√((2π)^d·det) are computed once, so a query costs the
+    normaliser (1/√((2π)^d)) / √det, finite wherever det is, are computed
+    once, so a query costs the
     forward substitution r = L⁻¹(x - c_n), Σ r_i²·(-½/D_i) and one exp per
     sample.  For d = 1, D_0 is the variance and L is empty, so the values
     are (x - c_n)²·(-½/var_n) times the normaliser.  The set-up is written
@@ -485,9 +486,9 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
     d, n = b.d, b.n
     x, a, gamma = b.x.reshape(-1, d), b.a.reshape(-1, d), b.gamma.reshape(-1, d, d)
     rows = iter(scratch[:scratch.size // CHUNK_SIZE * n].reshape(-1, n))
-    two_pi_d = (2.0 * math.pi) ** d
-    # an overflow (a centre, a pivot, det or the normaliser past 1e308)
-    # leaves the sample unusable or its terms exactly 0, without a warning
+    inv_root = 1.0 / math.sqrt((2.0 * math.pi) ** d)
+    # an overflow (a centre, a pivot or det past 1e308) leaves the sample
+    # unusable, without a warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         center = [x[:, i] for i in range(d)]
         if shift:
@@ -498,16 +499,14 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
             piv, low, out = [float(epsilon)] * d, [[]] * d, None
         else:
             # one row is the factorisation's temporary, then det (d ≥ 2),
-            # then (2π)^d·det
+            # then the normaliser
             out = next(rows)
             piv, low = _ldl(lambda i, j, out: np.multiply(epsilon, gamma[:, i, j], out=out),
                             d, rows, out)
         det = reduce(lambda u, v: np.multiply(u, v, out=out), piv)
         # the last pivot is > 0 when the others are and det ≥ DEGENERATE_DET
         ok = np.min(det) >= DEGENERATE_DET and all(np.min(p) > 0 for p in piv[:-1])
-        # finite where det is, up to where the product overflows
-        norm = np.multiply(two_pi_d, det, out=out)
-        if not (ok and _sums_finite(*center, norm)):
+        if not (ok and _sums_finite(*center, det)):
             det = reduce(np.multiply, piv)
             usable = np.isfinite(det) & (det >= DEGENERATE_DET)
             for v in center:
@@ -519,15 +518,10 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
                 return v[usable] if np.ndim(v) else v
 
             center = [keep(v) for v in center]
-            piv, det, norm = [keep(p) for p in piv], keep(det), keep(norm)
+            piv, det = [keep(p) for p in piv], keep(det)
             low = [[keep(v) for v in row] for row in low]
-            # past about 1.8e308 the product overflows where det, finite on
-            # every usable row, does not (εΓ ≳ 2.8e307 for d = 1): there the
-            # normaliser is formed from the two roots apart
-            norm = np.where(np.isinf(norm), 1.0 / (math.sqrt(two_pi_d) * np.sqrt(det)),
-                            1.0 / np.sqrt(norm))
-        else:
-            norm = np.divide(1.0, np.sqrt(norm, out=out), out=out)
+            out = None
+        norm = np.divide(inv_root, np.sqrt(det, out=out), out=out)
         neg_half_prec = [np.divide(-0.5, p, out=None if identity_cov else p) for p in piv]
     n = center[0].shape[0]
 

@@ -167,7 +167,7 @@ def kernel_moments_per_query(tb, epsilon: float, xs, shift: bool, identity_cov: 
 
     Per CHUNK_SIZE-row block: the rows with finite centre and
     var ≥ DEGENERATE_DET, then per query (x - c)²·(-½/var), exp cut to 0
-    below -700, times 1/√(2π var), and two-pass moments; the blocks are
+    below -700, times (1/√(2π))/√var, and two-pass moments; the blocks are
     merged in order by the estimators' own merge.  The same arithmetic in
     the same order, so the grouped kernel must match it bit for bit.
     """
@@ -187,7 +187,7 @@ def kernel_moments_per_query(tb, epsilon: float, xs, shift: bool, identity_cov: 
             y = q - center
             z = y * y * (-0.5 / var)
             vals = np.where(z >= -700.0, np.exp(np.maximum(z, -700.0)), 0.0)
-            vals = vals * (1.0 / np.sqrt(2.0 * math.pi * var))
+            vals = vals * ((1.0 / math.sqrt(2.0 * math.pi)) / np.sqrt(var))
             mean = vals.sum() / n
             dev = vals - mean
             sq = dev * dev
