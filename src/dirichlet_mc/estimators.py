@@ -128,10 +128,8 @@ TripleBatch = QuadBatch
 @dataclass
 class SampleStream:
     """The batch a scenario would build, drawn while run_pass reduces it:
-    chunks() draws the chunks' columns afresh each time; empty, the
-    batch of the draw's columns at 0 rows, states quad, has_aux and d
-    before anything is drawn; run_pass sets n and invalid_count, the kept
-    and dropped rows."""
+    chunks() draws its chunks afresh each time, empty (0 rows) states their
+    columns; run_pass sets n and invalid_count, the kept and dropped rows."""
 
     chunks: Callable[[], Iterable[tuple]]
     requested: int
@@ -157,9 +155,8 @@ class DensityEstimate:
 
 @dataclass(frozen=True)
 class ConditionalEstimate:
-    """Ratio estimate value = f(x)E[G|X=x] / f(x) of E[G | X = x], with its
-    delta-method std_error; n_used is the numerator's count, so the
-    estimate reads like a DensityEstimate."""
+    """Ratio estimate value = f(x)E[G|X=x] / f(x) with its delta-method
+    std_error, and n_used, the numerator's, as in a DensityEstimate."""
 
     x: float
     numerator: DensityEstimate
@@ -283,8 +280,7 @@ class Reducer(NamedTuple):
     """A statistic: part(block, half, shared) → partial, merged in block
     order by _add; finish(total) → result, total None if no block fed it.
     run_pass snapshots it at each of sizes, counts of drawn rows (default:
-    all); with halves it reads the first n rows as halves 0 and 1, split at
-    n // 2 for each size n."""
+    all); with halves, each n's rows split at n // 2 into halves 0 and 1."""
 
     part: Callable
     finish: Callable
@@ -365,20 +361,19 @@ def run_pass(src, reducers) -> list[dict]:
     """Walk src once, a built batch or a SampleStream (drawn here, its n and
     invalid_count set), feeding each block to every reducer; per reducer,
     {n: its result on the first n drawn rows} for each of its sizes.
-    Reducers without halves share one cutter; one with halves has a slot
-    per size n, in the cutter that splits the first n rows.  A snapshot at
-    n merges the blocks before n with the partial of the cut block's rows
-    up to n; the running total still reduces that block whole."""
+    Reducers share the cutter of their split, none or n // 2 per size n.  A
+    snapshot at n merges the blocks before n with the partial of the cut
+    block's rows up to n; the running total still reduces that block whole."""
     total, stream, lo = src.requested, isinstance(src, SampleStream), 0
-    buf, cutters, slots, marks = {}, {}, [], {total}
-    for i, r in enumerate(reducers):
+    buf, cutters, slots, marks, out = {}, {}, [], {total}, [{} for _ in reducers]
+    for r, res in zip(reducers, out):
         sizes = r.sizes or (total,)
         for grid in [(n,) for n in sizes] if r.halves else [sizes]:
             end = grid[0] if r.halves else total
             if r.halves and end < 2:
                 raise ValueError("batch too small to split")
             split = end // 2 if r.halves else None
-            slots.append((i, (r, grid, {})))
+            slots.append((res, (r, grid, {})))
             cutters.setdefault((split, end), _Cutter(buf, split, end)).slots.append(slots[-1][1])
             marks.update(grid, [split] if split else [])
     if stream:
@@ -397,9 +392,8 @@ def run_pass(src, reducers) -> list[dict]:
                 cut.reduce(stop)
             start = stop
         lo = hi
-    out = [{} for _ in reducers]
-    for i, (r, _, snaps) in slots:
-        out[i].update((n, r.finish(t)) for n, t in snaps.items() if n is not None)
+    for res, (r, _, snaps) in slots:
+        res.update((n, r.finish(t)) for n, t in snaps.items() if n is not None)
     return out
 
 
@@ -475,9 +469,8 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
     identity_cov.  A sample is usable when c_n is finite, every pivot of
     Σ_n is > 0 and det Σ_n = Π D_i ≥ DEGENERATE_DET; the usable rows are
     copied out only when some sample is not.  The factors, -½/D_i and the
-    normaliser (1/√((2π)^d)) / √det, finite wherever det is, are computed
-    once, so a query costs the
-    forward substitution r = L⁻¹(x - c_n), Σ r_i²·(-½/D_i) and one exp per
+    normaliser (1/√((2π)^d)) / √det are computed once, so a query costs
+    the forward substitution r = L⁻¹(x - c_n), Σ r_i²·(-½/D_i) and one exp per
     sample.  For d = 1, D_0 is the variance and L is empty, so the values
     are (x - c_n)²·(-½/var_n) times the normaliser.  The set-up is written
     into N-entry rows cut from the front of scratch, one per CHUNK_SIZE
@@ -815,8 +808,7 @@ def conditional_expectation(b: QuadBatch, xs):
     """
     _check_quad(b)
     if not b.has_aux:
-        raise ValueError("the conditional expectation needs auxiliary G data (G and Γ[X, G]); "
-                         "this draw has none")
+        raise ValueError("conditional needs auxiliary G data, G and Γ[X, G]; this draw has none")
 
     def columns(blk):
         wn, wd, usable = conditional_weights(blk)
@@ -885,9 +877,8 @@ class Estimator:
     looked up when it is called, so a wrapper set on the module attribute
     sees every call.  takes_epsilon: it needs ε.  A kernel estimator has
     kernel, its (A-shift, identity covariance) pair, and bias_order, the
-    order in ε of its bias; every other estimator is a sign formula and
-    reads Γ[X, Γ[X]] (needs_quad).  density: it estimates f(x), where
-    conditional estimates E[G | X = x] and so reads G and Γ[X, G].
+    order in ε of its bias; the others read Γ[X, Γ[X]] (needs_quad).
+    density: it estimates f(x), where conditional estimates E[G | X = x].
     """
 
     function: str

@@ -3,15 +3,13 @@
 Each scenario has a per-chunk draw, from which it builds a batch or opens
 a stream (drawn chunk by chunk as an estimator reduces it), and optionally
 carries an exact density, the deterministic reduced forms γ(x), a(x) used
-by the kernel sweeps, and a conditional-expectation oracle E[G | X = x].  Draws are
+by the kernel sweeps, and a conditional-expectation oracle.  Draws are
 vectorised closed forms of the functional calculus, the extended Euler
 recursion or the Poisson point sums; a build holds the batch, a stream a
 few chunks in flight.  Every command streams; a build runs only where a
 scenario is given one explicitly (is_default_build tells the two apart),
 and for tests.  Whether a scenario has quad data (the fourth
-column, Γ[X, Γ[X]], which the sign formulas need), G and Γ[X, G] (the
-fifth and sixth, which conditional reads) and its dimension are read off
-its draw.
+column, Γ[X, Γ[X]], which the sign formulas need), G and d is read off its draw.
 A closed form evaluates each column from the terms it already holds
 (Γ[X, Γ[X]] from Γ, cos² once), with no cube.  The
 test suite feeds each closed-form draw a generator whose stream it
@@ -46,9 +44,7 @@ Density = Callable[[np.ndarray], np.ndarray]
 @dataclass(frozen=True)
 class Scenario:
     """A named law together with everything the harness can know about it;
-    empty, the batch of its draw's columns at 0 rows, says whether the
-    draw carries Γ[X, Γ[X]] (quad) and G (has_aux), and in what dimension.
-    exact_density and cond_oracle map an array of points to an array."""
+    quad, G and d are read off the draw (empty); the oracles take arrays."""
 
     name: str
     description: str
@@ -76,10 +72,10 @@ class Scenario:
 
     @cached_property
     def empty(self) -> QuadBatch:
-        """The batch of the empty chunk of iter_chunks(0, …), probed on
-        first use (at import it would set up numpy.random in every run); a
-        replaced draw is probed again.  Four columns or more carry
-        Γ[X, Γ[X]], six also G and Γ[X, G]."""
+        """The batch of the empty chunk of iter_chunks(0, …): with four
+        columns or more it has quad data, with six G.  Probed on first use
+        (at import it would set up numpy.random in every run), and again
+        for a replaced draw."""
         return QuadBatch(*next(iter_chunks(0, 0, self.draw)))
 
     quad = property(lambda self: self.empty.quad)
@@ -212,8 +208,7 @@ def _pair_moments(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_conditional(x) -> np.ndarray:
-    """E[sin(U₂) | U₁ + sin(U₂) = x] at every x, for independent standard
-    Gaussians; a far x, where both moments underflow, reads NaN."""
+    """E[sin(U₂) | U₁ + sin(U₂) = x] at every x, for independent standard Gaussians."""
     density, numerator = _pair_moments(x)
     return numerator / density
 
