@@ -19,7 +19,10 @@ compare the densities, sweep-bias the kernels, each with the strict window
 bias order ± 0.3.  --samples is one count
 (compare: a list; the sweeps: or 'quadrature'), an integer or a float
 literal with an integral value below 2**53, never truncated.  A list option
-given empty is an error; long options are never abbreviated.
+given empty is an error; long options are never abbreviated.  --workers
+is the number of pool threads that draw the next chunks while the calling
+thread reduces the current one, one such thread at --workers 1; no output
+depends on it.
 
 Exit codes: 0 success, 2 validation error (among them --workers outside
 1..64), 3 threshold failure under --strict.

@@ -303,11 +303,11 @@ class _Cutter:
     from each half's first row and reduces them with the reducers of its
     slots, (reducer, sizes, {drawn rows, or None for the running total:
     merged partial}), which share per block a dict: "buf" holds the pass's
-    scratch (see _scratch), other keys the block's set-ups.  A block held
-    in several pieces is joined into the cutter's column buffers, allocated
-    at its first join; no reducer keeps a block's columns past reduce (its
-    set-ups go with the dict, a partial holds sums and moments), so the
-    next block reuses them."""
+    scratch (see _scratch), other keys the block's set-ups ("kernel" the
+    latest kernel key's).  A block held in several pieces is joined into
+    the cutter's column buffers, allocated at its first join; no reducer
+    keeps a block's columns past reduce (its set-ups go with the dict, a
+    partial holds sums and moments), so the next block reuses them."""
 
     def __init__(self, buf, split, end):
         self.buf, self.split, self.end = buf, split, end
@@ -349,8 +349,8 @@ class _Cutter:
 def _scratch(shared, size: int, key=None) -> np.ndarray:
     """The pass's scratch array of float64 for key, grown to at least size
     entries: key None names the one array the reducers' per-block
-    temporaries share, a kernel key the rows its set-up is written into,
-    so that neither is allocated anew for each block."""
+    temporaries share, "kernel" the rows every kernel set-up is written
+    into, so that neither is allocated anew for each block or key."""
     buf = shared["buf"]
     if key not in buf or buf[key].size < size:
         buf[key] = np.empty(size)
@@ -371,7 +371,7 @@ def run_pass(src, reducers) -> list[dict]:
         for grid in [(n,) for n in sizes] if r.halves else [sizes]:
             end = grid[0] if r.halves else total
             if r.halves and end < 2:
-                raise ValueError("batch too small to split")
+                raise ValueError(f"batch too small to split: {end} row(s), need at least 2")
             split = end // 2 if r.halves else None
             slots.append((res, (r, grid, {})))
             cutters.setdefault((split, end), _Cutter(buf, split, end)).slots.append(slots[-1][1])
@@ -423,8 +423,9 @@ def _cut_exp(z: np.ndarray) -> np.ndarray:
     return np.multiply(z, keep, out=z)
 
 
-# queries whose kernel values a block evaluates together: scratch stays
-# O(CHUNK_SIZE·_GROUP·d)
+# coordinates of queries whose kernel values a block evaluates together:
+# max(1, _GROUP // d) queries, so the value scratch stays _GROUP·CHUNK_SIZE
+# doubles for every d ≤ _GROUP
 _GROUP = 8
 
 
@@ -474,7 +475,7 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
     sample.  For d = 1, D_0 is the variance and L is empty, so the values
     are (x - c_n)²·(-½/var_n) times the normaliser.  The set-up is written
     into N-entry rows cut from the front of scratch, one per CHUNK_SIZE
-    entries, which every block of the key reuses; -½/D_i overwrites D_i.
+    entries, which every block and every key reuses; -½/D_i overwrites D_i.
     """
     d, n = b.d, b.n
     x, a, gamma = b.x.reshape(-1, d), b.a.reshape(-1, d), b.gamma.reshape(-1, d, d)
@@ -555,27 +556,31 @@ def _kernel_reducer(d: int, epsilon: float, xs, shift: bool, identity_cov: bool,
                     finish=_estimates, fourth: bool = False) -> Reducer:
     """Per query, the moments of the kernel values over the usable samples
     for finish(queries, moments, ε).  A block evaluates its queries in
-    groups of _GROUP, one (group, block) array at a time in the pass's
-    scratch, sharing its set-up with the reducers of the same key."""
+    groups of max(1, _GROUP // d), one (group, block) array at a time in
+    the pass's scratch.  The block's set-up is shared with the reducers of
+    the same key that follow; all keys write it into one scratch region,
+    so a block recomputes it whenever the key changes."""
     check_epsilon(epsilon)
     queries = _as_queries(xs, d)
-    nq, key = queries.shape[0], (epsilon, shift, identity_cov)
-    need = d * min(nq, _GROUP) * CHUNK_SIZE
+    nq, key, group = queries.shape[0], (epsilon, shift, identity_cov), max(1, _GROUP // d)
+    need = d * min(nq, group) * CHUNK_SIZE
     # the set-up's rows: centres, the entries of L D Lᵀ and the normaliser
     setup = (d * (d + 3) // 2 + 1) * CHUNK_SIZE
 
     def part(blk, half, shared):
-        if key not in shared:
-            shared[key] = _kernel_block(blk, *key, _scratch(shared, setup, key))
-        n, values = shared[key]
+        if shared.get("kernel", (None,))[0] != key:
+            # the last key's set-up (its usable rows' copies) goes before this one is made
+            shared.pop("kernel", None)
+            shared["kernel"] = (key, *_kernel_block(blk, *key, _scratch(shared, setup, "kernel")))
+        _, n, values = shared["kernel"]
         if not n:
             return None
         buf = _scratch(shared, need)
         cols = [np.empty(nq) for _ in range(4 if fourth else 2)]
-        for lo in range(0, nq, _GROUP):
-            m = _moments(values(queries[lo:lo + _GROUP], buf), fourth)
+        for lo in range(0, nq, group):
+            m = _moments(values(queries[lo:lo + group], buf), fourth)
             for col, v in zip(cols, (m.mean, m.m2, m.m3, m.m4)):
-                col[lo:lo + _GROUP] = v
+                col[lo:lo + group] = v
         return Moments(n, *cols)
 
     def done(total):

@@ -6,12 +6,13 @@ handed to workers, so the set of streams, and therefore every drawn
 number, depends only on the seed and the chunk layout, never on the
 number of workers or the order in which chunks finish.
 
-iter_chunks is the one pool loop: it yields the chunks in order with at
-most 2·workers in flight, so a consumer that reduces each chunk as it
-arrives holds O(workers·CHUNK_SIZE) rows whatever the sample count;
-sample_chunked places them into arrays allocated once.  A draw keeps its
-per-chunk temporaries in thread_scratch, so a chunk does not fault in
-fresh arrays.
+iter_chunks is the one pool loop: from workers = 1 up, a pool of workers
+threads draws the next chunks while the caller reduces the current one,
+and the chunks come back in order with at most 2·workers in flight, so a
+consumer that reduces each chunk as it arrives holds O(workers·CHUNK_SIZE)
+rows whatever the sample count; sample_chunked places them into arrays
+allocated once.  A draw keeps its per-chunk temporaries in thread_scratch,
+so a chunk does not fault in fresh arrays.
 """
 from __future__ import annotations
 
@@ -46,10 +47,13 @@ def iter_chunks(
     draw(rng, count) produces one chunk as an array, or a tuple of arrays
     that share the leading axis.  Every chunk holds CHUNK_SIZE samples but
     the last, and the layout is never materialised, so its cost does not
-    grow with n.  Several workers draw on a thread pool; a chunk is
-    submitted only while fewer than 2·workers are in flight, the one being
-    consumed included.  n = 0 yields one empty chunk, so the shapes are
-    known.
+    grow with n.  A pool of workers threads draws while the caller consumes,
+    one worker included, so chunk i + 1 is drawn while chunk i is reduced; a
+    chunk is submitted only while fewer than 2·workers are in flight, the
+    one being consumed included.  A stream of one chunk is drawn in the
+    calling thread, as nothing would overlap it.  Closing the generator
+    cancels the draws not yet started and waits for the running ones.  n = 0
+    yields one empty chunk, so the shapes are known.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -59,18 +63,19 @@ def iter_chunks(
         out = draw(chunk_rng(seed, i), min(CHUNK_SIZE, n - i * CHUNK_SIZE))
         return out if isinstance(out, tuple) else (out,)
 
-    if workers <= 1 or count == 1:
-        for i in range(count):
-            yield one(i)
+    if count == 1:
+        yield one(0)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
+    pool, pending = ThreadPoolExecutor(max_workers=workers), deque()
+    try:
         for i in range(count):
             if len(pending) == 2 * workers:
                 yield pending.popleft().result()
             pending.append(pool.submit(one, i))
         while pending:
             yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def sample_chunked(

@@ -338,7 +338,8 @@ def compare_estimators(
     size; the other estimators report as-is, at the smallest ε if they
     take one.  conditional estimates no density and is rejected before
     anything is sampled, as is an estimator that needs ε when none is
-    given.  Every size is a prefix of one stream of the largest, reduced
+    given, or one that splits its rows in two halves when a size is
+    below 2.  Every size is a prefix of one stream of the largest, reduced
     in one pass.  No pass/fail is attached.
     """
     if not estimators or not sample_sizes:
@@ -363,6 +364,9 @@ def compare_estimators(
     for i, (name, entry) in enumerate(zip(estimators, entries)):
         for eps in (epsilons or [None]) if entry.kernel else [smallest]:
             r = run_estimator(name, stream, eps, list(points), scenario, reducer=True)
+            if r.halves and nested[0] < 2:
+                raise ValueError(f"estimator {name!r} splits each sample size in two halves;"
+                                 f" n = {nested[0]} is too small to split")
             plan.append((i, r._replace(sizes=nested)))
     found: dict = {}
     for (i, _), res in zip(plan, run_pass(stream, [r for _, r in plan])):

@@ -11,20 +11,25 @@ share a pass share kernel set-ups and sign-formula bins, which must not
 change a bit either.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dirichlet_mc import sweeps
 from dirichlet_mc.estimators import (
     ESTIMATORS,
     Reducer,
+    TripleBatch,
     identity_z_scores,
+    plain_kernel_density,
     run_estimator,
     run_pass,
+    shifted_kernel_density,
     shifted_kernel_variance,
 )
 from dirichlet_mc.scenarios import SCENARIOS
-from dirichlet_mc.streams import CHUNK_SIZE
+from dirichlet_mc.streams import CHUNK_SIZE, chunk_rng
 from dirichlet_mc.sweeps import compare_estimators
 
 SIZES = (1, 1000, CHUNK_SIZE, CHUNK_SIZE + 1, 50001)
@@ -98,9 +103,15 @@ def test_a_split_too_small_is_rejected_before_the_draw():
     chunks = stream.chunks
     stream.chunks = lambda: (drawn.append(c) or c for c in chunks())
     r = run_estimator("centered", stream, None, [1.0], reducer=True)._replace(sizes=(1,))
-    with pytest.raises(ValueError, match="too small"):
+    with pytest.raises(ValueError, match="too small to split: 1 row"):
         run_pass(stream, [run_estimator("direct", stream, None, [1.0], reducer=True), r])
     assert drawn == []
+
+
+def test_compare_names_the_estimator_and_the_size_too_small_to_split(monkeypatch):
+    monkeypatch.setattr(sweeps, "run_pass", lambda *a: pytest.fail("the stream was reduced"))
+    with pytest.raises(ValueError, match="estimator 'centered' .* n = 1 is too small"):
+        compare_estimators("lognormal", ["direct", "centered"], [1, 1000], [], [1.0])
 
 
 @pytest.mark.parametrize("sizes", [(30_000, 40_000), (10_000, 40_000)])
@@ -203,3 +214,54 @@ def test_kernel_rows_keep_the_epsilon_of_least_error():
         return math.sqrt(float(np.mean([(est.value - ref) ** 2 for est, ref in zip(ests, refs)])))
 
     assert rows[0].epsilon == min(eps, key=rmse)
+
+
+def _kernel_batch(d: int, n: int = 2 * CHUNK_SIZE + 7) -> TripleBatch:
+    """(X, Γ, A) in dimension d with correlated Γ and one degenerate row."""
+    rng = chunk_rng(17, d)
+    root = rng.normal(size=(n, d, d))
+    gamma = root @ root.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    gamma[5] = 0.0
+    return TripleBatch(rng.normal(size=(n, d)), gamma, rng.normal(size=(n, d)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_interleaved_kernel_keys_equal_their_own_passes(d):
+    """All kernel keys write their set-up into one scratch region, so a
+    key that comes back after another within a block recomputes it; the
+    results equal one pass per reducer, and one query per reducer, bit
+    for bit."""
+    tb = _kernel_batch(d)
+    xs = chunk_rng(18, d).normal(size=(9, d))
+    plan = [shifted_kernel_density.reducer(tb, 0.1, xs),
+            plain_kernel_density.reducer(tb, 0.2, xs, "gamma_cov"),
+            shifted_kernel_density.reducer(tb, 0.1, xs)]
+    together = run_pass(tb, plan)
+    for r, got in zip(plan, together):
+        assert repr(got) == repr(run_pass(tb, [r])[0])
+    alone = [run_pass(tb, [shifted_kernel_density.reducer(tb, 0.1, x[None])])[0][tb.n][0]
+             for x in xs]
+    assert repr(together[0][tb.n]) == repr(alone)
+
+
+def test_kernel_keys_share_one_set_up_scratch():
+    """Fifteen kernel keys in one pass, as a compare over three kernels and
+    five ε runs them, allocate less than one more set-up than one key."""
+    tb = _kernel_batch(1)
+    xs = [0.0, 0.5, 1.0]
+    keys = [(f, eps) for f in (shifted_kernel_density.reducer,
+                               lambda b, e, x: plain_kernel_density.reducer(b, e, x, "gamma_cov"),
+                               lambda b, e, x: plain_kernel_density.reducer(b, e, x, "identity_cov"))
+            for eps in (0.05, 0.1, 0.2, 0.4, 0.8)]
+
+    def peak(plan):
+        tracemalloc.start()
+        try:
+            run_pass(tb, [f(tb, eps, xs) for f, eps in plan])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(keys[:1])
+    one_setup = 3 * CHUNK_SIZE * 8
+    assert peak(keys) - peak(keys[:1]) < one_setup

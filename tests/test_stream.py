@@ -8,6 +8,7 @@ boundary, for any worker count and when non-finite rows are dropped.  The
 one stated exception is `centered`, which splits a stream at N // 2 drawn
 rows.
 """
+import itertools
 import math
 import threading
 import time
@@ -180,3 +181,61 @@ def test_a_streamed_estimate_holds_a_bounded_number_of_chunks():
     stream = SampleStream(lambda: iter_chunks(n, 5, counted, 2), n, SCENARIOS["lognormal"].empty)
     run_estimator("direct", stream, None, [1.0])
     assert stream.n == n and peak <= 2 * 2 + 2, peak
+
+
+def test_one_worker_draws_the_next_chunk_while_the_consumer_holds_one():
+    """At workers = 1 the draw of chunk 1 runs on a pool thread and starts
+    before the consumer lets go of chunk 0."""
+    order, threads, second = itertools.count(), {}, threading.Event()
+
+    def draw(rng, k):
+        i = next(order)
+        threads[i] = threading.get_ident()
+        if i == 1:
+            second.set()
+        return rng.normal(size=k)
+
+    chunks = iter_chunks(3 * C, 8, draw, 1)
+    (first,) = next(chunks)
+    assert second.wait(timeout=10), "chunk 1 was not drawn while chunk 0 was held"
+    assert threads[1] != threading.get_ident()
+    rest = [part for (part,) in chunks]
+    assert np.array_equal(np.concatenate([first, *rest]), sample_chunked(3 * C, 8, draw, 2)[0])
+
+
+def _pool_threads(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_closing_the_stream_early_leaves_no_pool_thread(workers):
+    before = set(threading.enumerate())
+    seen = set()
+
+    def draw(rng, k):
+        seen.add(threading.get_ident())
+        return rng.normal(size=k)
+
+    chunks = iter_chunks(10 * C, 3, draw, workers)
+    next(chunks)
+    assert _pool_threads(before), "the chunks are not drawn on a pool"
+    chunks.close()
+    assert _pool_threads(before) == []
+    assert threading.get_ident() not in seen
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_draw_reaches_the_consumer(workers):
+    before = set(threading.enumerate())
+
+    def draw(rng, k):
+        if k < C:
+            raise RuntimeError("draw failed")
+        return rng.normal(size=k)
+
+    got = []
+    with pytest.raises(RuntimeError, match="draw failed"):
+        for (part,) in iter_chunks(4 * C + 5, 3, draw, workers):
+            got.append(part)
+    assert len(got) == 4
+    assert _pool_threads(before) == []

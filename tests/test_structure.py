@@ -106,3 +106,17 @@ def test_estimators_take_only_what_run_estimator_passes():
         want = ["b", *(["epsilon"] if entry.takes_epsilon else []), "xs",
                 *(["variant"] if entry.kernel and not entry.kernel[0] else [])]
         assert params == want, name
+
+
+def test_only_iter_chunks_starts_threads():
+    # streams.iter_chunks is the one pool loop: no other code in the
+    # package names a thread, a pool or a process to start one
+    spawners = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread", "Process", "Pool"}
+    users = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                if name in spawners:
+                    users.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert users == {"streams.iter_chunks"}
