@@ -128,10 +128,11 @@ TripleBatch = QuadBatch
 @dataclass
 class SampleStream:
     """The batch a scenario would build, drawn while run_pass reduces it:
-    chunks() draws its chunks afresh each time, empty (0 rows) states their
-    columns; run_pass sets n and invalid_count, the kept and dropped rows."""
+    chunks(lend) draws its chunks afresh each time, lending its draw pool
+    as lend["pool"] while open; empty (0 rows) states their columns;
+    run_pass sets n and invalid_count, the kept and dropped rows."""
 
-    chunks: Callable[[], Iterable[tuple]]
+    chunks: Callable[..., Iterable[tuple]]
     requested: int
     empty: QuadBatch
     n: int = 0
@@ -303,14 +304,16 @@ class _Cutter:
     from each half's first row and reduces them with the reducers of its
     slots, (reducer, sizes, {drawn rows, or None for the running total:
     merged partial}), which share per block a dict: "buf" holds the pass's
-    scratch (see _scratch), other keys the block's set-ups ("kernel" the
-    latest kernel key's).  A block held in several pieces is joined into
+    scratch (see _scratch), "pool" the stream's draw pool while it lends
+    one (else None), other keys the block's set-ups ("kernel" the latest
+    kernel key's).  A reducer that hands work to the pool waits for it
+    before it returns.  A block held in several pieces is joined into
     the cutter's column buffers, allocated at its first join; no reducer
     keeps a block's columns past reduce (its set-ups go with the dict, a
     partial holds sums and moments), so the next block reuses them."""
 
-    def __init__(self, buf, split, end):
-        self.buf, self.split, self.end = buf, split, end
+    def __init__(self, buf, lend, split, end):
+        self.buf, self.lend, self.split, self.end = buf, lend, split, end
         self.slots, self.half, self.held, self.have, self.joins = [], 0, [], 0, None
 
     def push(self, start: int, cols: tuple) -> None:
@@ -330,7 +333,8 @@ class _Cutter:
         or, at drawn rows, snapshot each reducer that asks for one there."""
         slots = [s for s in self.slots if drawn is None or drawn in s[1]]
         if self.held and slots:
-            blk, shared = QuadBatch(*self._joined()), {"buf": self.buf}
+            blk = QuadBatch(*self._joined())
+            shared = {"buf": self.buf, "pool": self.lend.get("pool")}
         for r, _, snaps in slots:
             part = r.part(blk, self.half, shared) if self.held else None
             snaps[drawn] = _add(snaps.get(None), part)
@@ -350,7 +354,8 @@ def _scratch(shared, size: int, key=None) -> np.ndarray:
     """The pass's scratch array of float64 for key, grown to at least size
     entries: key None names the one array the reducers' per-block
     temporaries share, "kernel" the rows every kernel set-up is written
-    into, so that neither is allocated anew for each block or key."""
+    into, "helper" the kernel values a lent pool thread evaluates, so that
+    none is allocated anew for each block or key."""
     buf = shared["buf"]
     if key not in buf or buf[key].size < size:
         buf[key] = np.empty(size)
@@ -359,13 +364,15 @@ def _scratch(shared, size: int, key=None) -> np.ndarray:
 
 def run_pass(src, reducers) -> list[dict]:
     """Walk src once, a built batch or a SampleStream (drawn here, its n and
-    invalid_count set), feeding each block to every reducer; per reducer,
+    invalid_count set, its draw pool lent to the reducers while it is
+    open), feeding each block to every reducer; per reducer,
     {n: its result on the first n drawn rows} for each of its sizes.
     Reducers share the cutter of their split, none or n // 2 per size n.  A
     snapshot at n merges the blocks before n with the partial of the cut
     block's rows up to n; the running total still reduces that block whole."""
     total, stream, lo = src.requested, isinstance(src, SampleStream), 0
-    buf, cutters, slots, marks, out = {}, {}, [], {total}, [{} for _ in reducers]
+    buf, lend, cutters, slots, marks = {}, {}, {}, [], {total}
+    out = [{} for _ in reducers]
     for r, res in zip(reducers, out):
         sizes = r.sizes or (total,)
         for grid in [(n,) for n in sizes] if r.halves else [sizes]:
@@ -374,11 +381,12 @@ def run_pass(src, reducers) -> list[dict]:
                 raise ValueError(f"batch too small to split: {end} row(s), need at least 2")
             split = end // 2 if r.halves else None
             slots.append((res, (r, grid, {})))
-            cutters.setdefault((split, end), _Cutter(buf, split, end)).slots.append(slots[-1][1])
+            cut = cutters.setdefault((split, end), _Cutter(buf, lend, split, end))
+            cut.slots.append(slots[-1][1])
             marks.update(grid, [split] if split else [])
     if stream:
         src.n = src.invalid_count = 0
-    for cols in src.chunks():
+    for cols in src.chunks(lend) if stream else src.chunks():
         start, hi = lo, lo + cols[0].shape[0]
         for stop in [m for m in sorted(marks) if lo < m < hi] + [hi]:
             piece = tuple(c[start - lo:stop - lo] for c in cols)
@@ -425,7 +433,8 @@ def _cut_exp(z: np.ndarray) -> np.ndarray:
 
 # coordinates of queries whose kernel values a block evaluates together:
 # max(1, _GROUP // d) queries, so the value scratch stays _GROUP·CHUNK_SIZE
-# doubles for every d ≤ _GROUP
+# doubles for every d ≤ _GROUP, and as much again for a lent pool thread
+# that evaluates groups of the same block
 _GROUP = 8
 
 
@@ -468,8 +477,10 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
 
     c_n = X_n + εA_n with the A-shift, else X_n; Σ_n = εΓ_n, or εI with
     identity_cov.  A sample is usable when c_n is finite, every pivot of
-    Σ_n is > 0 and det Σ_n = Π D_i ≥ DEGENERATE_DET; the usable rows are
-    copied out only when some sample is not.  The factors, -½/D_i and the
+    Σ_n is > 0 and det Σ_n = Π D_i ≥ DEGENERATE_DET; when some sample is
+    not, the usable rows are moved to the front of the set-up's own rows
+    (the centres of an unshifted kernel to rows of their own, as they are
+    views of x), in order.  The factors, -½/D_i and the
     normaliser (1/√((2π)^d)) / √det are computed once, so a query costs
     the forward substitution r = L⁻¹(x - c_n), Σ r_i²·(-½/D_i) and one exp per
     sample.  For d = 1, D_0 is the variance and L is empty, so the values
@@ -501,20 +512,25 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
         # the last pivot is > 0 when the others are and det ≥ DEGENERATE_DET
         ok = np.min(det) >= DEGENERATE_DET and all(np.min(p) > 0 for p in piv[:-1])
         if not (ok and _sums_finite(*center, det)):
-            det = reduce(np.multiply, piv)
             usable = np.isfinite(det) & (det >= DEGENERATE_DET)
             for v in center:
                 usable &= np.isfinite(v)
             for p in piv[:-1]:
                 usable &= p > 0
+            k = np.count_nonzero(usable)
 
-            def keep(v):
-                return v[usable] if np.ndim(v) else v
+            def keep(v, dst=None):
+                if not np.ndim(v):
+                    return v
+                dst = v if dst is None else dst
+                dst[:k] = v[usable]
+                return dst[:k]
 
-            center = [keep(v) for v in center]
-            piv, det = [keep(p) for p in piv], keep(det)
+            center = [keep(v, None if shift else next(rows)) for v in center]
+            piv = [keep(p) for p in piv]
             low = [[keep(v) for v in row] for row in low]
-            out = None
+            out = None if out is None else out[:k]
+            det = reduce(lambda u, v: np.multiply(u, v, out=out), piv)
         norm = np.divide(inv_root, np.sqrt(det, out=out), out=out)
         neg_half_prec = [np.divide(-0.5, p, out=None if identity_cov else p) for p in piv]
     n = center[0].shape[0]
@@ -557,9 +573,14 @@ def _kernel_reducer(d: int, epsilon: float, xs, shift: bool, identity_cov: bool,
     """Per query, the moments of the kernel values over the usable samples
     for finish(queries, moments, ε).  A block evaluates its queries in
     groups of max(1, _GROUP // d), one (group, block) array at a time in
-    the pass's scratch.  The block's set-up is shared with the reducers of
-    the same key that follow; all keys write it into one scratch region,
-    so a block recomputes it whenever the key changes."""
+    the pass's scratch.  With a lent draw pool and more than one group, a
+    task on the pool claims groups from the caller's iterator into a
+    second value buffer of the pass (_scratch key "helper"); part cancels
+    it if no thread has started it, else waits for it, so the set-up and
+    both buffers are free when part returns.  Each query's row is reduced
+    alone, so no bit depends on the thread.  The block's set-up is shared
+    with the reducers of the same key that follow; all keys write it into
+    one scratch region, so a block recomputes it whenever the key changes."""
     check_epsilon(epsilon)
     queries = _as_queries(xs, d)
     nq, key, group = queries.shape[0], (epsilon, shift, identity_cov), max(1, _GROUP // d)
@@ -567,20 +588,34 @@ def _kernel_reducer(d: int, epsilon: float, xs, shift: bool, identity_cov: bool,
     # the set-up's rows: centres, the entries of L D Lᵀ and the normaliser
     setup = (d * (d + 3) // 2 + 1) * CHUNK_SIZE
 
+    def run(values, cols, groups, buf):
+        for lo in groups:
+            m = _moments(values(queries[lo:lo + group], buf), fourth)
+            for col, v in zip(cols, (m.mean, m.m2, m.m3, m.m4)):
+                col[lo:lo + group] = v
+
     def part(blk, half, shared):
         if shared.get("kernel", (None,))[0] != key:
-            # the last key's set-up (its usable rows' copies) goes before this one is made
+            # the last key's set-up goes before this one is made
             shared.pop("kernel", None)
             shared["kernel"] = (key, *_kernel_block(blk, *key, _scratch(shared, setup, "kernel")))
         _, n, values = shared["kernel"]
         if not n:
             return None
-        buf = _scratch(shared, need)
         cols = [np.empty(nq) for _ in range(4 if fourth else 2)]
-        for lo in range(0, nq, group):
-            m = _moments(values(queries[lo:lo + group], buf), fourth)
-            for col, v in zip(cols, (m.mean, m.m2, m.m3, m.m4)):
-                col[lo:lo + group] = v
+        pool = shared["pool"] if nq > group else None
+        if pool is None:
+            run(values, cols, range(0, nq, group), _scratch(shared, need))
+            return Moments(n, *cols)
+        # next() on a range iterator is one C call under the GIL, so each
+        # group goes to exactly one of the two threads
+        groups = iter(range(0, nq, group))
+        helper = pool.submit(run, values, cols, groups, _scratch(shared, need, "helper"))
+        try:
+            run(values, cols, groups, _scratch(shared, need))
+        finally:
+            if not helper.cancel():
+                helper.result()
         return Moments(n, *cols)
 
     def done(total):

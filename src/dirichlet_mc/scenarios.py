@@ -68,7 +68,8 @@ class Scenario:
     def stream(self, n: int, seed: int, workers: int) -> SampleStream:
         """The samples build(n, seed, workers) would hold, drawn chunk by
         chunk each time an estimator walks them."""
-        return SampleStream(lambda: iter_chunks(n, seed, self.draw, workers), n, self.empty)
+        return SampleStream(lambda lend=None: iter_chunks(n, seed, self.draw, workers, lend),
+                            n, self.empty)
 
     @cached_property
     def empty(self) -> QuadBatch:

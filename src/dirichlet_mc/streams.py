@@ -11,8 +11,11 @@ threads draws the next chunks while the caller reduces the current one,
 and the chunks come back in order with at most 2·workers in flight, so a
 consumer that reduces each chunk as it arrives holds O(workers·CHUNK_SIZE)
 rows whatever the sample count; sample_chunked places them into arrays
-allocated once.  A draw keeps its per-chunk temporaries in thread_scratch,
-so a chunk does not fault in fresh arrays.
+allocated once.  While the stream is open it lends its pool to the
+consumer through a dict the consumer hands in (lend["pool"]), so run_pass
+can give an idle draw thread a share of a block's kernel queries; no other
+pool or thread is started.  A draw keeps its per-chunk temporaries in
+thread_scratch, so a chunk does not fault in fresh arrays.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def iter_chunks(
-    n: int, seed: int, draw: Draw, workers: int = 1
+    n: int, seed: int, draw: Draw, workers: int = 1, lend: dict | None = None
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Each chunk of n samples as a tuple of arrays, in chunk order.
 
@@ -53,7 +56,9 @@ def iter_chunks(
     one being consumed included.  A stream of one chunk is drawn in the
     calling thread, as nothing would overlap it.  Closing the generator
     cancels the draws not yet started and waits for the running ones.  n = 0
-    yields one empty chunk, so the shapes are known.
+    yields one empty chunk, so the shapes are known.  While the pool is
+    open, lend["pool"] holds it (when lend is given), so the consumer can
+    submit work of its own between draws; a one-chunk stream lends none.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -67,6 +72,8 @@ def iter_chunks(
         yield one(0)
         return
     pool, pending = ThreadPoolExecutor(max_workers=workers), deque()
+    lend = {} if lend is None else lend
+    lend["pool"] = pool
     try:
         for i in range(count):
             if len(pending) == 2 * workers:
@@ -75,6 +82,7 @@ def iter_chunks(
         while pending:
             yield pending.popleft().result()
     finally:
+        del lend["pool"]
         pool.shutdown(cancel_futures=True)
 
 

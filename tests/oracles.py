@@ -161,33 +161,66 @@ def gaussian_kernel(y, cov):
 
 
 def kernel_moments_per_query(tb, epsilon: float, xs, shift: bool, identity_cov: bool) -> list[Moments]:
-    """Per query, the Moments (count, mean, M2, M3, M4) of the 1-d kernel
-    values g(x - c_n, var_n) over the usable samples, one pass over a
-    block's samples per query.
+    """Per query, the Moments (count, mean, M2, M3, M4) of the kernel
+    values g(x - c_n, Σ_n) over the usable samples, in dimension d, one
+    pass over a block's samples per query.
 
-    Per CHUNK_SIZE-row block: the rows with finite centre and
-    var ≥ DEGENERATE_DET, then per query (x - c)²·(-½/var), exp cut to 0
-    below -700, times (1/√(2π))/√var, and two-pass moments; the blocks are
-    merged in order by the estimators' own merge.  The same arithmetic in
-    the same order, so the grouped kernel must match it bit for bit.
+    Per CHUNK_SIZE-row block: Σ = εΓ factored as L D Lᵀ by the textbook
+    recurrence L_ij = (Σ_ij - Σ_{k<j} L_ik L_jk D_k) / D_j,
+    D_i = Σ_ii - Σ_{k<i} L_ik² D_k (D_i = ε and no L with identity_cov);
+    the rows with finite centre, every D_i > 0 and det = Π D_i ≥
+    DEGENERATE_DET; then per query r = L⁻¹(x - c) by forward substitution,
+    Σ r_i²·(-½/D_i), exp cut to 0 below -700, times (1/√((2π)^d))/√det, and
+    two-pass moments; the blocks are merged in order by the estimators' own
+    merge.  For d = 1 that is (x - c)²·(-½/var) times (1/√(2π))/√var.  The
+    same arithmetic in the same order, so the grouped kernel must match it
+    bit for bit.
     """
+    d = tb.d
+    x, a, gamma = tb.x.reshape(-1, d), tb.a.reshape(-1, d), tb.gamma.reshape(-1, d, d)
     out = []
-    for q in np.atleast_1d(np.asarray(xs, dtype=float)):
+    for q in np.asarray(xs, dtype=float).reshape(-1, d):
         total = Moments()
         for lo in range(0, tb.n, CHUNK_SIZE):
             rows = slice(lo, min(lo + CHUNK_SIZE, tb.n))
-            center = tb.x[rows, 0] + epsilon * tb.a[rows, 0] if shift else tb.x[rows, 0]
-            var = (np.full(center.shape, float(epsilon)) if identity_cov
-                   else epsilon * tb.gamma[rows, 0, 0])
-            usable = np.isfinite(var) & np.isfinite(center) & (var >= DEGENERATE_DET)
-            center, var = center[usable], var[usable]
-            n = center.shape[0]
+            center = [x[rows, i] + epsilon * a[rows, i] if shift else x[rows, i]
+                      for i in range(d)]
+            piv, low = [], []
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for i in range(d):
+                    if identity_cov:
+                        piv.append(np.full(center[0].shape, float(epsilon)))
+                        low.append([])
+                        continue
+                    li = []
+                    for j in range(i + 1):
+                        s = epsilon * gamma[rows, i, j]
+                        for k in range(j):
+                            s = s - li[k] * (li if j == i else low[j])[k] * piv[k]
+                        if j < i:
+                            li.append(s / piv[j])
+                    piv.append(s)
+                    low.append(li)
+                det = piv[0]
+                for p in piv[1:]:
+                    det = det * p
+            usable = np.isfinite(det) & (det >= DEGENERATE_DET)
+            for i in range(d):
+                usable &= np.isfinite(center[i]) & (piv[i] > 0)
+            n = int(usable.sum())
             if n == 0:
                 continue
-            y = q - center
-            z = y * y * (-0.5 / var)
+            r = []
+            for i in range(d):
+                ri = q[i] - center[i][usable]
+                for k in range(len(low[i])):
+                    ri = ri - low[i][k][usable] * r[k]
+                r.append(ri)
+            z = r[0] * r[0] * (-0.5 / piv[0][usable])
+            for i in range(1, d):
+                z = z + r[i] * r[i] * (-0.5 / piv[i][usable])
             vals = np.where(z >= -700.0, np.exp(np.maximum(z, -700.0)), 0.0)
-            vals = vals * ((1.0 / math.sqrt(2.0 * math.pi)) / np.sqrt(var))
+            vals = vals * ((1.0 / math.sqrt((2.0 * math.pi) ** d)) / np.sqrt(det[usable]))
             mean = vals.sum() / n
             dev = vals - mean
             sq = dev * dev

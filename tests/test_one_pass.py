@@ -32,6 +32,8 @@ from dirichlet_mc.scenarios import SCENARIOS
 from dirichlet_mc.streams import CHUNK_SIZE, chunk_rng
 from dirichlet_mc.sweeps import compare_estimators
 
+from oracles import kernel_moments_per_query
+
 SIZES = (1, 1000, CHUNK_SIZE, CHUNK_SIZE + 1, 50001)
 EPSILON = 0.05
 
@@ -265,3 +267,34 @@ def test_kernel_keys_share_one_set_up_scratch():
     peak(keys[:1])
     one_setup = 3 * CHUNK_SIZE * 8
     assert peak(keys) - peak(keys[:1]) < one_setup
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("shift", [True, False])
+def test_a_degenerate_row_is_dropped_inside_the_set_up_scratch(d, shift):
+    """A block with an unusable row moves its usable rows to the front of
+    the set-up's own rows (an unshifted kernel's centres to rows of their
+    own): one degenerate row peaks within one set-up row of the clean
+    pass, and the estimates keep the bits of one pass per query."""
+    bad = _kernel_batch(d)
+    gamma = bad.gamma.copy()
+    gamma[5] = gamma[6]
+    clean = TripleBatch(bad.x, gamma, bad.a)
+    xs = chunk_rng(19, d).normal(size=(3, d))
+    reducer = (shifted_kernel_density.reducer if shift else
+               lambda b, e, x: plain_kernel_density.reducer(b, e, x, "gamma_cov"))
+
+    def peak(tb):
+        tracemalloc.start()
+        try:
+            got = run_pass(tb, [reducer(tb, 0.1, xs)])[0][tb.n]
+            return tracemalloc.get_traced_memory()[1], got
+        finally:
+            tracemalloc.stop()
+
+    peak(clean)
+    (clean_peak, _), (bad_peak, got) = peak(clean), peak(bad)
+    assert bad_peak - clean_peak < CHUNK_SIZE * 8, (bad_peak, clean_peak)
+    refs = kernel_moments_per_query(bad, 0.1, xs, shift, False)
+    assert [(e.n_used, e.value) for e in got] == [(m.n, m.mean) for m in refs]
+    assert got[0].n_used == bad.n - 1

@@ -10,6 +10,7 @@ rows.
 """
 import itertools
 import math
+import sys
 import threading
 import time
 import weakref
@@ -17,17 +18,21 @@ import weakref
 import numpy as np
 import pytest
 
+from dirichlet_mc import estimators, streams
 from dirichlet_mc.estimators import (
     ESTIMATORS,
     QuadBatch,
+    Reducer,
     SampleStream,
     centered_direct_density,
     run_estimator,
+    run_pass,
+    shifted_kernel_density,
 )
 from dirichlet_mc.scenarios import SCENARIOS, Scenario
 from dirichlet_mc.streams import CHUNK_SIZE, iter_chunks, sample_chunked
 
-from oracles import centered_loop
+from oracles import centered_loop, kernel_moments_per_query
 
 C = CHUNK_SIZE
 SIZES = [2, C - 1, C, C + 1, 3 * C + 7]
@@ -178,7 +183,8 @@ def test_a_streamed_estimate_holds_a_bounded_number_of_chunks():
         return cols
 
     n = 20 * C
-    stream = SampleStream(lambda: iter_chunks(n, 5, counted, 2), n, SCENARIOS["lognormal"].empty)
+    stream = SampleStream(lambda lend: iter_chunks(n, 5, counted, 2, lend), n,
+                          SCENARIOS["lognormal"].empty)
     run_estimator("direct", stream, None, [1.0])
     assert stream.n == n and peak <= 2 * 2 + 2, peak
 
@@ -239,3 +245,174 @@ def test_a_failing_draw_reaches_the_consumer(workers):
             got.append(part)
     assert len(got) == 4
     assert _pool_threads(before) == []
+
+
+# -- kernel query groups on the stream's draw pool ---------------------------
+
+N_KERNEL = 2 * C + 7
+
+
+def _kernel_draw(d):
+    """Centred Gaussian (X, Γ, A) in dimension d with full covariances,
+    one of them zero in every chunk, as (N, d), (N, d, d) and (N, d)."""
+    def draw(rng, k):
+        m = rng.normal(size=(k, d, d))
+        gamma = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(d)
+        gamma[k // 2:k // 2 + 1] = 0.0
+        return rng.normal(size=(k, d)), gamma, rng.normal(size=(k, d))
+
+    return draw
+
+
+def _kernel_stream(draw, d):
+    """N_KERNEL rows of draw on a one-worker stream: three chunks, so the
+    stream lends its pool while each is reduced."""
+    empty = QuadBatch(np.empty((0, d)), np.empty((0, d, d)), np.empty((0, d)))
+    return SampleStream(lambda lend: iter_chunks(N_KERNEL, 11, draw, 1, lend), N_KERNEL, empty)
+
+
+def _kernel_queries(d):
+    """Two full query groups of max(1, 8 // d) and three more queries."""
+    return np.random.default_rng(d).normal(size=(2 * max(1, 8 // d) + 3, d))
+
+
+def _equal_the_oracle(got, batch, xs):
+    refs = kernel_moments_per_query(batch, EPSILON, xs, True, False)
+    assert len(got) == len(refs) == len(xs)
+    for g, m in zip(got, refs):
+        assert g.n_used == m.n
+        assert g.value == m.mean and g.std_error == math.sqrt(m.m2 / (m.n - 1)) / math.sqrt(m.n)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_an_idle_draw_thread_takes_kernel_query_groups(d, monkeypatch):
+    """One stream pass at Q over three query groups equals one pass per
+    query bit for bit, whether the draw thread takes groups of a block or
+    is busy drawing the next chunk, so that the caller takes them all."""
+    draw, xs = _kernel_draw(d), _kernel_queries(d)
+    batch = QuadBatch(*sample_chunked(N_KERNEL, 11, draw))
+    caller, helped, log, waiting = threading.get_ident(), threading.Event(), [], [True]
+    real = estimators._moments
+
+    def moments(vals, fourth=False):
+        log.append(threading.get_ident())
+        if log[-1] != caller:
+            helped.set()
+        elif waiting:
+            # the caller's first group waits until a pool thread has taken one
+            waiting.clear()
+            helped.wait(timeout=10)
+        return real(vals, fourth)
+
+    monkeypatch.setattr(estimators, "_moments", moments)
+    stream = _kernel_stream(draw, d)
+    got = run_pass(stream, [shifted_kernel_density.reducer(stream, EPSILON, xs)])[0]
+    assert set(log) - {caller}, "no group ran on the draw thread"
+    _equal_the_oracle(got[N_KERNEL], batch, xs)
+
+    # the draw of chunk i + 1 waits until block i is reduced, so the pool's
+    # one thread is busy while the caller reduces blocks 0 and 1
+    released = [threading.Event() for _ in range(3)]
+    released[0].set()
+    opened = []
+
+    def held(rng, k):
+        chunk = int(rng.bit_generator.state["state"]["key"][1])
+        opened.append(released[chunk].wait(timeout=10))
+        return draw(rng, k)
+
+    def release(blk, half, shared):
+        log.append("block")
+        if log.count("block") < 3:
+            released[log.count("block")].set()
+
+    log.clear()
+    stream = _kernel_stream(held, d)
+    plan = [shifted_kernel_density.reducer(stream, EPSILON, xs), Reducer(release, lambda t: None)]
+    got = run_pass(stream, plan)[0]
+    assert opened == [True] * 3
+    first_two = log[:[i for i, e in enumerate(log) if e == "block"][1]]
+    groups = -(-len(xs) // max(1, 8 // d))
+    assert first_two.count(caller) == len(first_two) - 1 == 2 * groups
+    _equal_the_oracle(got[N_KERNEL], batch, xs)
+
+
+def test_a_group_that_fails_on_the_draw_thread_reaches_the_caller(monkeypatch):
+    before = set(threading.enumerate())
+    caller, failed, waiting = threading.get_ident(), threading.Event(), [True]
+    real = estimators._moments
+
+    def moments(vals, fourth=False):
+        if threading.get_ident() != caller:
+            failed.set()
+            raise RuntimeError("group failed")
+        if waiting:
+            waiting.clear()
+            failed.wait(timeout=10)
+        return real(vals, fourth)
+
+    monkeypatch.setattr(estimators, "_moments", moments)
+    stream, xs = _kernel_stream(_kernel_draw(1), 1), _kernel_queries(1)
+    with pytest.raises(RuntimeError, match="group failed"):
+        run_pass(stream, [shifted_kernel_density.reducer(stream, EPSILON, xs)])
+    assert _pool_threads(before) == []
+
+
+def test_a_built_batch_or_one_query_group_gives_the_pool_no_work(monkeypatch):
+    """Only the draws are submitted to the stream's pool when each block
+    has one query group (8 at d = 1, 4 at d = 2), and a built batch has no
+    pool, however many groups."""
+    submitted, pools = [], []
+
+    class Recording(streams.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn.__name__)
+            return super().submit(fn, *args, **kwargs)
+
+    def seen(blk, half, shared):
+        pools.append(shared.get("pool"))
+
+    monkeypatch.setattr(streams, "ThreadPoolExecutor", Recording)
+    for d in (1, 2):
+        draw, xs = _kernel_draw(d), _kernel_queries(d)
+        batch = QuadBatch(*sample_chunked(N_KERNEL, 11, draw))
+        one_group = xs[:max(1, 8 // d)]
+        stream = _kernel_stream(draw, d)
+        submitted.clear()
+        got = run_pass(stream, [shifted_kernel_density.reducer(stream, EPSILON, one_group),
+                                Reducer(seen, lambda t: None)])[0]
+        assert submitted == ["one"] * 3
+        assert len(pools) == 3 and all(isinstance(p, Recording) for p in pools)
+        _equal_the_oracle(got[N_KERNEL], batch, one_group)
+        pools.clear()
+        submitted.clear()
+        got = run_pass(batch, [shifted_kernel_density.reducer(batch, EPSILON, xs),
+                               Reducer(seen, lambda t: None)])[0]
+        assert submitted == [] and pools == [None] * 3
+        _equal_the_oracle(got[N_KERNEL], batch, xs)
+        pools.clear()
+
+
+def test_each_query_group_is_reduced_once_under_thread_switching(monkeypatch):
+    """Three draw threads on two cores, switching every microsecond: every
+    group of every block is claimed by exactly one thread, so the pass
+    makes one _moments call per (block, group) and equals the built batch."""
+    draw, xs = _kernel_draw(1), np.linspace(-2.0, 2.0, 64)[:, None]
+    batch = QuadBatch(*sample_chunked(N_KERNEL, 11, draw))
+    calls, real = [], estimators._moments
+
+    def moments(vals, fourth=False):
+        calls.append(vals.shape[0])
+        return real(vals, fourth)
+
+    monkeypatch.setattr(estimators, "_moments", moments)
+    empty = QuadBatch(np.empty((0, 1)), np.empty((0, 1, 1)), np.empty((0, 1)))
+    stream = SampleStream(lambda lend: iter_chunks(N_KERNEL, 11, draw, 3, lend), N_KERNEL, empty)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_pass(stream, [shifted_kernel_density.reducer(stream, EPSILON, xs)])[0]
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [8] * 8 * 3
+    _equal_the_oracle(got[N_KERNEL], batch, xs)

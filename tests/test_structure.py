@@ -110,13 +110,20 @@ def test_estimators_take_only_what_run_estimator_passes():
 
 def test_only_iter_chunks_starts_threads():
     # streams.iter_chunks is the one pool loop: no other code in the
-    # package names a thread, a pool or a process to start one
+    # package names a thread, a pool or a process to start one, under its
+    # own name or under a name an import binds it to
     spawners = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread", "Process", "Pool"}
     users = set()
     for path in PACKAGE.glob("*.py"):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set(spawners)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(a.asname for a in node.names
+                             if a.asname and a.name.split(".")[-1] in spawners)
+        for top in tree.body:
             for node in ast.walk(top):
                 name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-                if name in spawners:
+                if name in names:
                     users.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert users == {"streams.iter_chunks"}
