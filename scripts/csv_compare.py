@@ -19,7 +19,6 @@ d ≥ 2 kernels, masses and moments) are not CSVs; diff its output for them.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -37,21 +36,12 @@ def dump() -> None:
     """Print {tag: [exit code, CSV text or null]} of every csv_digest
     command as JSON; run in a child whose path picks the tree."""
     import csv_digest
-    from dirichlet_mc.cli import cli_main
 
     got = {}
     with tempfile.TemporaryDirectory() as workdir:
-        out = os.path.join(workdir, "out.csv")
         for tag, argv in csv_digest.commands().items():
-            if os.path.exists(out):
-                os.remove(out)
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                rc = cli_main(argv + ["--workers", "1", "--out", out])
-            text = None
-            if os.path.exists(out):
-                with open(out, encoding="ascii") as fh:
-                    text = fh.read()
-            got[tag] = [rc, text]
+            rc, text = csv_digest.run_command(argv + ["--workers", "1"], workdir)
+            got[tag] = [rc, None if text is None else text.decode("ascii")]
     json.dump(got, sys.stdout)
 
 

@@ -78,7 +78,7 @@ import tempfile
 import numpy as np
 
 from dirichlet_mc.cli import cli_main
-from dirichlet_mc.estimators import TripleBatch, plain_kernel_density, shifted_kernel_density
+from dirichlet_mc.estimators import QuadBatch, plain_kernel_density, shifted_kernel_density
 from dirichlet_mc.quadrature import kernel_moment_integral
 from dirichlet_mc.scenarios import SCENARIOS
 
@@ -295,7 +295,7 @@ def kernel_batch(d: int, n: int = 20_000, seed: int = 12):
     gamma = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(d)
     v = np.array([1.0, -1.0, 2.0][:d])
     gamma[3] = np.outer(v, v)
-    return TripleBatch(rng.normal(size=(n, d)), gamma, rng.normal(size=(n, d)))
+    return QuadBatch(rng.normal(size=(n, d)), gamma, rng.normal(size=(n, d)))
 
 
 def scalar_batches(n: int = 20_000, seed: int = 13) -> dict:
@@ -304,8 +304,8 @@ def scalar_batches(n: int = 20_000, seed: int = 13) -> dict:
     rng = np.random.default_rng(seed)
     x, gamma, a = rng.normal(size=n), rng.uniform(0.5, 2.0, n), rng.normal(size=n)
     gamma[3] = 0.0
-    return {"1d": TripleBatch(x, gamma, a),
-            "n1": TripleBatch(x[:, None], gamma[:, None, None], a[:, None])}
+    return {"1d": QuadBatch(x, gamma, a),
+            "n1": QuadBatch(x[:, None], gamma[:, None, None], a[:, None])}
 
 
 def library_digests():
@@ -365,16 +365,24 @@ def moment_lines():
             "" if order == 16 else f"_order{order}")
 
 
-def digest(argv: list[str], workdir: str) -> tuple[str, int]:
+def run_command(argv: list[str], workdir: str) -> tuple[int, bytes | None]:
+    """Run the CLI command argv in-process, its output silenced and its CSV
+    written into workdir: its exit code and the CSV's bytes, None when it
+    wrote none."""
     out = os.path.join(workdir, "out.csv")
     if os.path.exists(out):
         os.remove(out)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = cli_main(argv + ["--out", out])
     if not os.path.exists(out):
-        return "-", rc
+        return rc, None
     with open(out, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest(), rc
+        return rc, fh.read()
+
+
+def digest(argv: list[str], workdir: str) -> tuple[str, int]:
+    rc, text = run_command(argv, workdir)
+    return ("-" if text is None else hashlib.sha256(text).hexdigest()), rc
 
 
 def main() -> int:

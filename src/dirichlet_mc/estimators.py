@@ -16,8 +16,8 @@ Two families:
   centered, which both drives the far-tail behaviour and enables a
   split-sample control variate.
 
-One record, QuadBatch (also named TripleBatch), holds a draw, quad data
-or not; the kernels read its columns in place through (N, d) views.
+One record, QuadBatch, holds a draw, quad data or not; the kernels read
+its columns in place through (N, d) views.
 
 One pass, many statistics.  Every statistic is a Reducer: block →
 partial, merged in block order (the sign formulas add per-side bin sums,
@@ -76,7 +76,7 @@ class QuadBatch:
     Γ[X, Γ[X]] (quad data), and G with Γ[X, G] for conditional expectations.
     Scalar draws have 1-d columns; a draw in dimension d has x (N, d),
     gamma (N, d, d) and a (N, d) only.  from_raw drops non-finite rows and
-    keeps their count.  TripleBatch names it where only (X, Γ, A) is read."""
+    keeps their count."""
 
     x: np.ndarray
     gamma: np.ndarray
@@ -116,12 +116,15 @@ class QuadBatch:
         kept, bad = _finite_rows(tuple(given.values()))
         return cls(**dict(zip(given, kept)), invalid_count=bad)
 
-    def chunks(self) -> list[tuple]:
-        """The batch as a source of run_pass: one chunk of its columns."""
+    def chunks(self, lend=None) -> list[tuple]:
+        """The batch as a source of run_pass: one chunk of its columns; a
+        built batch has no draw pool to lend, so lend is left as it is."""
         fields = (getattr(self, f.name) for f in dataclasses.fields(self))
         return [tuple(v for v in fields if isinstance(v, np.ndarray))]
 
 
+# an old second name, kept only because the benchmark's kernel_2d op
+# (perfbench/workloads.py) imports it; the next benchmark change drops it
 TripleBatch = QuadBatch
 
 
@@ -305,12 +308,12 @@ class _Cutter:
     slots, (reducer, sizes, {drawn rows, or None for the running total:
     merged partial}), which share per block a dict: "buf" holds the pass's
     scratch (see _scratch), "pool" the stream's draw pool while it lends
-    one (else None), other keys the block's set-ups ("kernel" the latest
-    kernel key's).  A reducer that hands work to the pool waits for it
-    before it returns.  A block held in several pieces is joined into
-    the cutter's column buffers, allocated at its first join; no reducer
-    keeps a block's columns past reduce (its set-ups go with the dict, a
-    partial holds sums and moments), so the next block reuses them."""
+    one (else None), other keys the sign formulas' bins of the block.  A
+    reducer that hands work to the pool waits for it before it returns.
+    A block held in several pieces is joined into the cutter's column
+    buffers, allocated at its first join; no reducer keeps a block's
+    columns past reduce (the bins go with the dict, a partial holds sums
+    and moments), so the next block reuses them."""
 
     def __init__(self, buf, lend, split, end):
         self.buf, self.lend, self.split, self.end = buf, lend, split, end
@@ -353,9 +356,10 @@ class _Cutter:
 def _scratch(shared, size: int, key=None) -> np.ndarray:
     """The pass's scratch array of float64 for key, grown to at least size
     entries: key None names the one array the reducers' per-block
-    temporaries share, "kernel" the rows every kernel set-up is written
-    into, "helper" the kernel values a lent pool thread evaluates, so that
-    none is allocated anew for each block or key."""
+    temporaries share, "kernel" the rows each kernel reducer writes its
+    block's set-up into, one reducer after another, "helper" the kernel
+    values a lent pool thread evaluates, so that none is allocated anew
+    for each block or reducer."""
     buf = shared["buf"]
     if key not in buf or buf[key].size < size:
         buf[key] = np.empty(size)
@@ -386,7 +390,7 @@ def run_pass(src, reducers) -> list[dict]:
             marks.update(grid, [split] if split else [])
     if stream:
         src.n = src.invalid_count = 0
-    for cols in src.chunks(lend) if stream else src.chunks():
+    for cols in src.chunks(lend):
         start, hi = lo, lo + cols[0].shape[0]
         for stop in [m for m in sorted(marks) if lo < m < hi] + [hi]:
             piece = tuple(c[start - lo:stop - lo] for c in cols)
@@ -468,7 +472,7 @@ def _ldl(entry, d: int, rows, tmp):
     return piv, low
 
 
-def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: bool,
+def _kernel_block(b: QuadBatch, epsilon: float, shift: bool, identity_cov: bool,
                   scratch: np.ndarray):
     """The number of usable samples in block b, its x, a and Γ read in place
     as (N, d) and (N, d, d) views, and (queries, buffer) ↦ the kernel values
@@ -486,7 +490,7 @@ def _kernel_block(b: TripleBatch, epsilon: float, shift: bool, identity_cov: boo
     sample.  For d = 1, D_0 is the variance and L is empty, so the values
     are (x - c_n)²·(-½/var_n) times the normaliser.  The set-up is written
     into N-entry rows cut from the front of scratch, one per CHUNK_SIZE
-    entries, which every block and every key reuses; -½/D_i overwrites D_i.
+    entries, which every block and every reducer reuses; -½/D_i overwrites D_i.
     """
     d, n = b.d, b.n
     x, a, gamma = b.x.reshape(-1, d), b.a.reshape(-1, d), b.gamma.reshape(-1, d, d)
@@ -578,12 +582,12 @@ def _kernel_reducer(d: int, epsilon: float, xs, shift: bool, identity_cov: bool,
     second value buffer of the pass (_scratch key "helper"); part cancels
     it if no thread has started it, else waits for it, so the set-up and
     both buffers are free when part returns.  Each query's row is reduced
-    alone, so no bit depends on the thread.  The block's set-up is shared
-    with the reducers of the same key that follow; all keys write it into
-    one scratch region, so a block recomputes it whenever the key changes."""
+    alone, so no bit depends on the thread.  Each reducer makes its own
+    set-up of each block, into the one scratch region (_scratch key
+    "kernel") that every kernel reducer of the pass writes in turn."""
     check_epsilon(epsilon)
     queries = _as_queries(xs, d)
-    nq, key, group = queries.shape[0], (epsilon, shift, identity_cov), max(1, _GROUP // d)
+    nq, group = queries.shape[0], max(1, _GROUP // d)
     need = d * min(nq, group) * CHUNK_SIZE
     # the set-up's rows: centres, the entries of L D Lᵀ and the normaliser
     setup = (d * (d + 3) // 2 + 1) * CHUNK_SIZE
@@ -595,26 +599,21 @@ def _kernel_reducer(d: int, epsilon: float, xs, shift: bool, identity_cov: bool,
                 col[lo:lo + group] = v
 
     def part(blk, half, shared):
-        if shared.get("kernel", (None,))[0] != key:
-            # the last key's set-up goes before this one is made
-            shared.pop("kernel", None)
-            shared["kernel"] = (key, *_kernel_block(blk, *key, _scratch(shared, setup, "kernel")))
-        _, n, values = shared["kernel"]
+        n, values = _kernel_block(blk, epsilon, shift, identity_cov,
+                                  _scratch(shared, setup, "kernel"))
         if not n:
             return None
         cols = [np.empty(nq) for _ in range(4 if fourth else 2)]
-        pool = shared["pool"] if nq > group else None
-        if pool is None:
-            run(values, cols, range(0, nq, group), _scratch(shared, need))
-            return Moments(n, *cols)
         # next() on a range iterator is one C call under the GIL, so each
         # group goes to exactly one of the two threads
         groups = iter(range(0, nq, group))
-        helper = pool.submit(run, values, cols, groups, _scratch(shared, need, "helper"))
+        pool = shared["pool"] if nq > group else None
+        helper = None if pool is None else pool.submit(
+            run, values, cols, groups, _scratch(shared, need, "helper"))
         try:
             run(values, cols, groups, _scratch(shared, need))
         finally:
-            if not helper.cancel():
+            if helper is not None and not helper.cancel():
                 helper.result()
         return Moments(n, *cols)
 
@@ -627,13 +626,13 @@ def _kernel_reducer(d: int, epsilon: float, xs, shift: bool, identity_cov: bool,
 
 
 @_estimator
-def shifted_kernel_density(b: TripleBatch, epsilon: float, xs):
+def shifted_kernel_density(b: QuadBatch, epsilon: float, xs):
     """Bias-reduced kernel estimate: mean of g(x - X_n - εA_n, εΓ_n)."""
     return _kernel_reducer(b.d, epsilon, xs, True, False)
 
 
 @_estimator
-def plain_kernel_density(b: TripleBatch, epsilon: float, xs, variant: str = "gamma_cov"):
+def plain_kernel_density(b: QuadBatch, epsilon: float, xs, variant: str = "gamma_cov"):
     """Baselines without the A-shift: g(x - X_n, εI) or g(x - X_n, εΓ_n)."""
     if variant not in ("identity_cov", "gamma_cov"):
         raise ValueError("variant must be 'identity_cov' or 'gamma_cov'")
@@ -650,7 +649,7 @@ def _variance(queries, m: Moments, epsilon) -> list[tuple[float, float, int]]:
 
 
 @_estimator
-def shifted_kernel_variance(b: TripleBatch, epsilon: float, xs):
+def shifted_kernel_variance(b: QuadBatch, epsilon: float, xs):
     """Sample variance s² of the shifted-kernel values per query, its
     standard error and the number of samples used.
 

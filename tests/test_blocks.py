@@ -18,7 +18,6 @@ import pytest
 from dirichlet_mc.estimators import (
     NoUsableSamplesError,
     QuadBatch,
-    TripleBatch,
     centered_direct_density,
     conditional_expectation,
     direct_density,
@@ -182,10 +181,10 @@ def triples(n: int, d: int):
     x, a = rng.normal(size=(n, d)), rng.normal(size=(n, d))
     if n >= 3:
         x[n - 1, 0] = math.inf
-    return TripleBatch(x, np.stack(covs)[which], a), covs, which
+    return QuadBatch(x, np.stack(covs)[which], a), covs, which
 
 
-def kernel_reference(tb: TripleBatch, covs, which, eps: float, q, shift: bool, identity_cov: bool,
+def kernel_reference(tb: QuadBatch, covs, which, eps: float, q, shift: bool, identity_cov: bool,
                      skip=()):
     """Count, mean, standard error, s² and the fourth central moment of the
     kernel values at q, from the vectorised oracle per covariance and exact
@@ -290,7 +289,7 @@ def test_not_positive_definite_rows_are_excluded(kernel, d):
     which[::100] = 1
     which[50::100] = 2
     rng = chunk_rng(42, d)
-    tb = TripleBatch(rng.normal(size=(n, d)), np.stack(covs)[which], rng.normal(size=(n, d)))
+    tb = QuadBatch(rng.normal(size=(n, d)), np.stack(covs)[which], rng.normal(size=(n, d)))
     for cov in bad:
         assert np.linalg.det(cov) > 0
         with pytest.raises(ValueError, match="positive semidefinite"):

@@ -11,7 +11,6 @@ from dirichlet_mc.estimators import (
     ESTIMATORS,
     NoUsableSamplesError,
     QuadBatch,
-    TripleBatch,
     centered_direct_density,
     conditional_expectation,
     direct_density,
@@ -91,19 +90,19 @@ class TestGaussianKernel:
 
 class TestKernelEstimators:
     def test_single_sample_spot_value(self):
-        tb = TripleBatch(np.array([0.0]), np.array([1.0]), np.array([0.0]))
+        tb = QuadBatch(np.array([0.0]), np.array([1.0]), np.array([0.0]))
         assert shifted_kernel_density(tb, 1.0, [0.0])[0].value == pytest.approx(
             0.3989422804014327
         )
 
     def test_shift_cancels_offset(self):
-        tb = TripleBatch(np.array([0.0]), np.array([1.0]), np.array([1.0]))
+        tb = QuadBatch(np.array([0.0]), np.array([1.0]), np.array([1.0]))
         est = shifted_kernel_density(tb, 0.01, [0.01])[0]
         assert est.value == pytest.approx(gaussian_kernel(0.0, 0.01), rel=1e-14)
 
     def test_zero_shift_matches_gamma_baseline_exactly(self):
         g = chunk_rng(0, 0).normal(size=500)
-        tb = TripleBatch(g, np.full(500, 1.3), np.zeros(500))
+        tb = QuadBatch(g, np.full(500, 1.3), np.zeros(500))
         a = shifted_kernel_density(tb, 0.2, [0.1, 0.4])
         b = plain_kernel_density(tb, 0.2, [0.1, 0.4], variant="gamma_cov")
         assert all(x.value == y.value and x.std_error == y.std_error for x, y in zip(a, b))
@@ -112,7 +111,7 @@ class TestKernelEstimators:
         rng = chunk_rng(12, 0)
         x, g, a = rng.normal(size=300), rng.uniform(0.5, 2.0, 300), rng.normal(size=300)
         eps, q = 0.05, 0.3
-        ((var, se, n),) = shifted_kernel_variance(TripleBatch(x, g, a), eps, [q])
+        ((var, se, n),) = shifted_kernel_variance(QuadBatch(x, g, a), eps, [q])
         vals = np.array([gaussian_kernel(q - xi - eps * ai, eps * gi) for xi, gi, ai in zip(x, g, a)])
         s2 = float(np.var(vals, ddof=1))
         m4 = float(np.mean((vals - vals.mean()) ** 4))
@@ -121,12 +120,12 @@ class TestKernelEstimators:
         assert se == pytest.approx(math.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n), rel=1e-10)
 
     def test_identity_cov_spot_value(self):
-        tb = TripleBatch(np.array([0.0]), np.array([2.0]), np.array([5.0]))
+        tb = QuadBatch(np.array([0.0]), np.array([2.0]), np.array([5.0]))
         est = plain_kernel_density(tb, 1.0, [0.0], variant="identity_cov")[0]
         assert est.value == pytest.approx(0.3989422804014327)
 
     def test_unknown_variant_rejected(self):
-        tb = TripleBatch(np.array([0.0]), np.array([1.0]), np.array([0.0]))
+        tb = QuadBatch(np.array([0.0]), np.array([1.0]), np.array([0.0]))
         with pytest.raises(ValueError, match="variant"):
             plain_kernel_density(tb, 1.0, [0.0], variant="typo")
 
@@ -141,7 +140,7 @@ class TestKernelEstimators:
         # restrict to a sub-batch whose kernel widths the grid resolves
         full = lognormal_quads(4000, 1)
         keep = (full.x > 0.2) & (full.x < 5.0)
-        b = TripleBatch(full.x[keep], full.gamma[keep], full.a[keep])
+        b = QuadBatch(full.x[keep], full.gamma[keep], full.a[keep])
         eps = 0.05
         xs = np.linspace(-2.0, 9.0, 8001)
         vals = [e.value for e in shifted_kernel_density(b, eps, xs)]
@@ -150,12 +149,12 @@ class TestKernelEstimators:
     def test_degenerate_samples_skipped_and_counted(self):
         x = np.array([0.0, 1.0, 2.0])
         gam = np.array([1.0, 0.0, 1.0])  # middle sample has zero covariance
-        tb = TripleBatch(x, gam, np.zeros(3))
+        tb = QuadBatch(x, gam, np.zeros(3))
         est = shifted_kernel_density(tb, 0.5, [0.5])[0]
         assert est.n_used == 2
 
     def test_all_degenerate_is_an_error(self):
-        tb = TripleBatch(np.zeros(4), np.zeros(4), np.zeros(4))
+        tb = QuadBatch(np.zeros(4), np.zeros(4), np.zeros(4))
         with pytest.raises(NoUsableSamplesError):
             shifted_kernel_density(tb, 0.5, [0.0])
 
@@ -172,8 +171,8 @@ class TestKernelEstimators:
         keep = np.ones(400, dtype=bool)
         keep[[7, 250]] = False
         xs = [-0.5, 0.0, 1.2]
-        got = kernel(TripleBatch(x, gam, a), xs)
-        ref = kernel(TripleBatch(x[keep], gam[keep], a[keep]), xs)
+        got = kernel(QuadBatch(x, gam, a), xs)
+        ref = kernel(QuadBatch(x[keep], gam[keep], a[keep]), xs)
         assert got == ref
         assert got[0].n_used == 398
 
@@ -184,12 +183,12 @@ class TestKernelEstimators:
         x, gam, a = rng.normal(size=500), rng.uniform(0.5, 2.0, 500), rng.normal(size=500)
         xs = [-1.0, 0.3, 2.0]
         for eps in (0.3, 1e-3, 7.0):
-            got = plain_kernel_density(TripleBatch(x, gam, a), eps, xs, variant="identity_cov")
-            ref = plain_kernel_density(TripleBatch(x, np.ones(500), a), eps, xs, variant="gamma_cov")
+            got = plain_kernel_density(QuadBatch(x, gam, a), eps, xs, variant="identity_cov")
+            ref = plain_kernel_density(QuadBatch(x, np.ones(500), a), eps, xs, variant="gamma_cov")
             assert got == ref
         x[3] = math.inf  # and through the masked route
-        got = plain_kernel_density(TripleBatch(x, gam, a), 0.3, xs, variant="identity_cov")
-        ref = plain_kernel_density(TripleBatch(x, np.ones(500), a), 0.3, xs, variant="gamma_cov")
+        got = plain_kernel_density(QuadBatch(x, gam, a), 0.3, xs, variant="identity_cov")
+        ref = plain_kernel_density(QuadBatch(x, np.ones(500), a), 0.3, xs, variant="gamma_cov")
         assert got == ref and got[0].n_used == 499
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -201,7 +200,7 @@ class TestKernelEstimators:
         rng = chunk_rng(21, 0)
         n = 3 * CHUNK_SIZE + 5
         m = rng.normal(size=(n, d, d))
-        tb = TripleBatch(rng.normal(size=(n, d)), m @ m.transpose(0, 2, 1) + 0.1 * np.eye(d),
+        tb = QuadBatch(rng.normal(size=(n, d)), m @ m.transpose(0, 2, 1) + 0.1 * np.eye(d),
                          rng.normal(size=(n, d)))
         grown, setup = [], estimators._kernel_block
 
@@ -228,7 +227,7 @@ class TestKernelEstimators:
         # (2π)·εΓ overflows at εΓ = 3e307 though εΓ does not: that row's
         # normaliser is 1/(√(2π)·√(εΓ)), not 0, while the row at εΓ = 1e306
         # keeps 1/√((2π)·εΓ); X = A = 0 and x = 0 make each value the normaliser
-        tb = TripleBatch(np.zeros(2), np.array([0.1, 3.0]), np.zeros(2))
+        tb = QuadBatch(np.zeros(2), np.array([0.1, 3.0]), np.zeros(2))
         est = plain_kernel_density(tb, 1e307, [0.0])[0]
         norms = [1.0 / np.sqrt(2.0 * math.pi * 1e306),
                  1.0 / (math.sqrt(2.0 * math.pi) * math.sqrt(3e307))]
@@ -241,7 +240,7 @@ class TestKernelEstimators:
         x = rng.normal(size=50)
         gam = rng.uniform(0.5, 2.0, size=50)
         a = rng.normal(size=50)
-        tb = TripleBatch(x, gam, a)
+        tb = QuadBatch(x, gam, a)
         eps, q = 0.3, 0.7
         est = shifted_kernel_density(tb, eps, [q])[0]
         ref = np.mean([gaussian_kernel(q - xi - eps * ai, eps * gi) for xi, gi, ai in zip(x, gam, a)])
@@ -516,7 +515,7 @@ class TestKernel2d:
         m = rng.normal(size=(n, 2, 2))
         gam = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(2)
         gam[7] = np.diag([1.3, 0.0])  # rank one: determinant below the threshold
-        return TripleBatch(rng.normal(size=(n, 2)), gam, rng.normal(size=(n, 2)))
+        return QuadBatch(rng.normal(size=(n, 2)), gam, rng.normal(size=(n, 2)))
 
     def test_matches_scalar_kernel(self):
         tb = self._batch()
@@ -557,7 +556,7 @@ class TestEstimatorTable:
 
     def test_kernels_take_triple_batches(self):
         tb = get_scenario("gbm_euler").build(2000, 3, 1)
-        assert isinstance(tb, TripleBatch)
+        assert isinstance(tb, QuadBatch)
         got = run_estimator("plain_id", tb, 0.1, [1.0])
         assert repr(got) == repr(plain_kernel_density(tb, 0.1, [1.0], variant="identity_cov"))
 
@@ -625,7 +624,7 @@ class TestBatches:
         qb = QuadBatch.from_raw(*cols, g=np.ones(4), gamma_x_g=np.zeros(4))
         assert all(got is given for got, given in zip((qb.x, qb.gamma, qb.a, qb.gamma_x_gammax), cols))
         assert qb.invalid_count == 0 and qb.has_aux
-        tb = TripleBatch.from_raw(*cols[:3])
+        tb = QuadBatch.from_raw(*cols[:3])
         assert all(np.shares_memory(got, given) for got, given in zip((tb.x, tb.gamma, tb.a), cols))
         assert tb.invalid_count == 0
 
@@ -634,7 +633,7 @@ class TestBatches:
         x = np.array([1e308, 1e308])
         qb = QuadBatch.from_raw(x, np.ones(2), np.zeros(2), np.zeros(2))
         assert qb.invalid_count == 0 and qb.x is x
-        tb = TripleBatch.from_raw(x, np.array([1e308, 1e308]), np.zeros(2))
+        tb = QuadBatch.from_raw(x, np.array([1e308, 1e308]), np.zeros(2))
         assert tb.invalid_count == 0 and tb.n == 2
 
     def test_from_raw_drops_one_nan_row(self):
@@ -644,7 +643,7 @@ class TestBatches:
         assert qb.invalid_count == 1 and qb.x.tolist() == [0.0, 1.0, 3.0, 4.0]
 
     def test_triple_from_raw_counts_invalid(self):
-        tb = TripleBatch.from_raw(np.array([0.0, 1.0, 2.0]), np.array([1.0, math.inf, 1.0]),
+        tb = QuadBatch.from_raw(np.array([0.0, 1.0, 2.0]), np.array([1.0, math.inf, 1.0]),
                                   np.array([math.nan, 0.0, 0.0]))
         assert tb.n == 1 and tb.invalid_count == 2 and tb.x.tolist() == [2.0]
 
@@ -666,7 +665,7 @@ class TestBatches:
     def test_scalar_columns_match_d1_columns_bit_for_bit(self, kernel):
         # the kernels read a scalar record through (N, 1) views in place
         b = lognormal_quads(20_000, 9)
-        as_d1 = TripleBatch(b.x[:, None], b.gamma[:, None, None], b.a[:, None])
+        as_d1 = QuadBatch(b.x[:, None], b.gamma[:, None, None], b.a[:, None])
         assert b.x.ndim == 1 and b.d == as_d1.d == 1
         xs = [0.5, 1.0, 2.0]
         assert repr(kernel(b, xs)) == repr(kernel(as_d1, xs))
@@ -689,8 +688,8 @@ class TestBatches:
             QuadBatch(*cols, **extra)
 
     def test_one_record_class(self):
-        assert TripleBatch is QuadBatch
         b = get_scenario("gbm_euler").build(100, 3, 1)
+        assert type(b) is QuadBatch
         assert not b.quad and not b.has_aux and b.x.shape == (100,) and b.gamma_x_gammax is None
 
     def test_corrupt_quad_batch_shifts_only_a(self):

@@ -7,8 +7,8 @@ block's rows up to n, so it must equal the library call on
 variance and the identity statistics, at sizes on both sides of a block
 boundary.  For `centered`, run_pass splits each n's own rows at n // 2,
 so one reducer serves every n as it serves the others.  Reducers that
-share a pass share kernel set-ups and sign-formula bins, which must not
-change a bit either.
+share a pass share sign-formula bins and the kernels' one set-up scratch
+region, which must not change a bit either.
 """
 import math
 import tracemalloc
@@ -19,8 +19,8 @@ import pytest
 from dirichlet_mc import sweeps
 from dirichlet_mc.estimators import (
     ESTIMATORS,
+    QuadBatch,
     Reducer,
-    TripleBatch,
     identity_z_scores,
     plain_kernel_density,
     run_estimator,
@@ -218,24 +218,26 @@ def test_kernel_rows_keep_the_epsilon_of_least_error():
     assert rows[0].epsilon == min(eps, key=rmse)
 
 
-def _kernel_batch(d: int, n: int = 2 * CHUNK_SIZE + 7) -> TripleBatch:
+def _kernel_batch(d: int, n: int = 2 * CHUNK_SIZE + 7) -> QuadBatch:
     """(X, Γ, A) in dimension d with correlated Γ and one degenerate row."""
     rng = chunk_rng(17, d)
     root = rng.normal(size=(n, d, d))
     gamma = root @ root.transpose(0, 2, 1) + 0.1 * np.eye(d)
     gamma[5] = 0.0
-    return TripleBatch(rng.normal(size=(n, d)), gamma, rng.normal(size=(n, d)))
+    return QuadBatch(rng.normal(size=(n, d)), gamma, rng.normal(size=(n, d)))
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_interleaved_kernel_keys_equal_their_own_passes(d):
-    """All kernel keys write their set-up into one scratch region, so a
-    key that comes back after another within a block recomputes it; the
-    results equal one pass per reducer, and one query per reducer, bit
-    for bit."""
+    """Every kernel reducer writes its own set-up of a block into the one
+    set-up scratch region, over the last reducer's: with the plan A, A, B,
+    A, the second A follows a reducer of its own key (ε, shift,
+    identity_cov) and the last A one of another.  The results equal one
+    pass per reducer, and one query per reducer, bit for bit."""
     tb = _kernel_batch(d)
     xs = chunk_rng(18, d).normal(size=(9, d))
     plan = [shifted_kernel_density.reducer(tb, 0.1, xs),
+            shifted_kernel_density.reducer(tb, 0.1, xs),
             plain_kernel_density.reducer(tb, 0.2, xs, "gamma_cov"),
             shifted_kernel_density.reducer(tb, 0.1, xs)]
     together = run_pass(tb, plan)
@@ -243,7 +245,8 @@ def test_interleaved_kernel_keys_equal_their_own_passes(d):
         assert repr(got) == repr(run_pass(tb, [r])[0])
     alone = [run_pass(tb, [shifted_kernel_density.reducer(tb, 0.1, x[None])])[0][tb.n][0]
              for x in xs]
-    assert repr(together[0][tb.n]) == repr(alone)
+    for i in (0, 1, 3):
+        assert repr(together[i][tb.n]) == repr(alone)
 
 
 def test_kernel_keys_share_one_set_up_scratch():
@@ -279,7 +282,7 @@ def test_a_degenerate_row_is_dropped_inside_the_set_up_scratch(d, shift):
     bad = _kernel_batch(d)
     gamma = bad.gamma.copy()
     gamma[5] = gamma[6]
-    clean = TripleBatch(bad.x, gamma, bad.a)
+    clean = QuadBatch(bad.x, gamma, bad.a)
     xs = chunk_rng(19, d).normal(size=(3, d))
     reducer = (shifted_kernel_density.reducer if shift else
                lambda b, e, x: plain_kernel_density.reducer(b, e, x, "gamma_cov"))

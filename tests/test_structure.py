@@ -127,3 +127,12 @@ def test_only_iter_chunks_starts_threads():
                 if name in names:
                     users.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert users == {"streams.iter_chunks"}
+
+
+def test_every_public_name_is_its_own_object():
+    # a second name for one object is one more spelling every caller,
+    # test and document must keep in step; __all__ exports each once
+    import dirichlet_mc
+
+    objects = [getattr(dirichlet_mc, name) for name in dirichlet_mc.__all__]
+    assert len({id(o) for o in objects}) == len(objects), dirichlet_mc.__all__
