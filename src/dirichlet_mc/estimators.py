@@ -116,7 +116,7 @@ class QuadBatch:
         kept, bad = _finite_rows(tuple(given.values()))
         return cls(**dict(zip(given, kept)), invalid_count=bad)
 
-    def chunks(self, lend: dict) -> list[tuple]:
+    def chunks(self, lend=None) -> list[tuple]:
         """The batch as a source of run_pass: one chunk of its columns; a
         built batch has no draw pool to lend, so lend is left as it is."""
         fields = (getattr(self, f.name) for f in dataclasses.fields(self))
