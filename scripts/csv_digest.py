@@ -20,7 +20,11 @@ below what the grid resolves, `density` and `compare` at a query point of
 1e300, where every kernel term and reference is exactly 0, and `density`
 for each sign formula at 300 unsorted points, 270 of them distinct, which
 it bins in several groups with counts past 255, and `density` on each
-Euler scenario at N = 81 923, five full chunks plus 3 rows.  Each command
+Euler scenario at N = 81 923, five full chunks plus 3 rows, and the
+kernel grids: `compare` over nine ε at five points and N = 32 775, a Monte
+Carlo `sweep-variance` over five ε, `compare` on triangular and
+gbm_exact, and `compare` at ε = 1e-29, where ε decides which rows a
+block keeps.  Each command
 runs in-process at `--workers 1` and `--workers 2`; a line reads
 
     <sha256 of the CSV, or "-" when none was written>  <exit code>  w<workers>  <tag>
@@ -35,7 +39,8 @@ rank-one row, one line each,
 and the same three on one seeded scalar (X, Γ, A) record with one zero Γ,
 passed once as 1-d columns and once as (N, 1) and (N, 1, 1) columns, so
 that both layouts print one hash (tags kernel_scalar_1d_* and
-kernel_scalar_n1_*),
+kernel_scalar_n1_*), and the three over three ε at four queries on the
+d = 2 batch (tags kernel_d2_grid_*),
 
 the mass `check_mass()` integrates for each exact density, printed
 as its repr,
@@ -276,6 +281,25 @@ def commands() -> dict[str, list[str]]:
         cmds[f"euler_chunks_{sc}_{est}_81923"] = [
             "density", "--scenario", sc, "--estimator", est, "--epsilons", "0.05",
             "--samples", "81923", "--seed", "7"]
+    # kernel grids: one compare over nine ε at five points, two blocks plus
+    # 7 rows; a Monte Carlo variance sweep over five ε at three points; the
+    # compare table on triangular and gbm_exact; and ε = 1e-29, where the
+    # lognormal rows with Γ < 0.1 have εΓ below DEGENERATE_DET, so ε
+    # decides which rows a block keeps
+    cmds["compare_lognormal_nine_eps"] = [
+        "compare", "--scenario", "lognormal", "--estimators", "shifted,plain_gamma,plain_id",
+        "--epsilons", ",".join(repr(0.4 * 2.0**-k) for k in range(9)),
+        "--points", "0.25,0.5,1.0,2.0,4.0", "--samples", "1000,32775", "--seed", "12"]
+    cmds["sweep_variance_five_eps_50001"] = [
+        "sweep-variance", "--scenario", "lognormal", "--points", "0.5,1.0,2.0",
+        "--epsilons", "0.2,0.1,0.05,0.025,0.0125", "--samples", "50001", "--seed", "6"]
+    for sc in ("triangular", "gbm_exact"):
+        cmds[f"compare_{sc}_kernels_direct"] = compare + [
+            "--scenario", sc, "--estimators", "shifted,plain_gamma,plain_id,direct"]
+    cmds["compare_lognormal_eps_decides_usable"] = [
+        "compare", "--scenario", "lognormal", "--estimators", "shifted,plain_gamma,plain_id",
+        "--epsilons", "0.1,1e-29", "--points", "0.5,1.0,2.0", "--samples", "1000,32775",
+        "--seed", "12"]
     return cmds
 
 
@@ -321,6 +345,24 @@ def library_digests():
         for name, call in LIBRARY_KERNELS.items():
             got = repr(call(tb, 0.1, xs))
             yield hashlib.sha256(got.encode()).hexdigest(), f"kernel_{tag}_{name}"
+
+
+GRID_EPSILONS = (0.4, 0.1, 0.025)
+
+
+def grid_digests():
+    """(sha256 of the repr of the per-ε estimates, tag) per library kernel
+    over three ε at four queries on the d = 2 batch: one call over the
+    grid, or on a tree whose kernels take one ε per call (a grid is a
+    TypeError there), one call per ε, which must print the same hash."""
+    tb = kernel_batch(2)
+    xs = np.array([[0.0, 0.0], [0.5, -0.5], [-1.5, 1.0], [1.0, 1.0]])
+    for name, call in LIBRARY_KERNELS.items():
+        try:
+            got = call(tb, GRID_EPSILONS, xs)
+        except TypeError:
+            got = [call(tb, eps, xs) for eps in GRID_EPSILONS]
+        yield hashlib.sha256(repr(got).encode()).hexdigest(), f"kernel_d2_grid_{name}"
 
 
 def mass_lines():
@@ -392,6 +434,8 @@ def main() -> int:
                 sha, rc = digest(argv + ["--workers", workers], workdir)
                 print(f"{sha}  {rc}  w{workers}  {tag}", flush=True)
     for sha, tag in library_digests():
+        print(f"{sha}  -  lib  {tag}", flush=True)
+    for sha, tag in grid_digests():
         print(f"{sha}  -  lib  {tag}", flush=True)
     for mass, tag in mass_lines():
         print(f"{mass}  -  lib  {tag}", flush=True)
