@@ -472,90 +472,103 @@ def _ldl(entry, d: int, rows, tmp):
     return piv, low
 
 
-def _kernel_block(b: QuadBatch, epsilon: float, shift: bool, identity_cov: bool,
+def _kernel_block(b: QuadBatch, epsilons, shift: bool, identity_cov: bool,
                   scratch: np.ndarray):
     """The number of usable samples in block b, its x, a and Γ read in place
-    as (N, d) and (N, d, d) views, and (queries, buffer) ↦ the kernel values
-    g(x - c_n, Σ_n) of a group of queries over them, as a (group, samples)
-    array in the buffer.
+    as (N, d) and (N, d, d) views, and (ε rows, queries, buffer) ↦ the
+    kernel values g(x - c_n, Σ_n) of every (ε, query) pair of a group over
+    them, as a (pairs, samples) array in the buffer; None when the usable
+    samples differ between the E ε of the grid.
 
     c_n = X_n + εA_n with the A-shift, else X_n; Σ_n = εΓ_n, or εI with
     identity_cov.  A sample is usable when c_n is finite, every pivot of
     Σ_n is > 0 and det Σ_n = Π D_i ≥ DEGENERATE_DET; when some sample is
-    not, the usable rows are moved to the front of the set-up's own rows
-    (the centres of an unshifted kernel to rows of their own, as they are
-    views of x), in order.  The factors, -½/D_i and the
-    normaliser (1/√((2π)^d)) / √det are computed once, so a query costs
-    the forward substitution r = L⁻¹(x - c_n), Σ r_i²·(-½/D_i) and one exp per
-    sample.  For d = 1, D_0 is the variance and L is empty, so the values
-    are (x - c_n)²·(-½/var_n) times the normaliser.  The set-up is written
-    into N-entry rows cut from the front of scratch, one per CHUNK_SIZE
-    entries, which every block and every reducer reuses; -½/D_i overwrites D_i.
+    not, at any ε, and every ε keeps the same samples, the usable rows are
+    moved to the front of the set-up's own rows (the centres of an
+    unshifted kernel, views of x shared by every ε, to a row of their own),
+    in order.  The factors, -½/D_i and the normaliser (1/√((2π)^d)) / √det
+    are computed once per ε, each entry as a grid of one computes it, so a
+    query costs the forward substitution r = L⁻¹(x - c_n), Σ r_i²·(-½/D_i)
+    and one exp per sample.  For d = 1, D_0 is the variance and L is empty,
+    so the values are (x - c_n)²·(-½/var_n) times the normaliser.  The
+    set-up is written into (E, N) rows cut from the front of scratch, one
+    per E·CHUNK_SIZE entries, which every block and every reducer reuses;
+    -½/D_i overwrites D_i.
     """
-    d, n = b.d, b.n
+    d, n, ne = b.d, b.n, len(epsilons)
     x, a, gamma = b.x.reshape(-1, d), b.a.reshape(-1, d), b.gamma.reshape(-1, d, d)
-    rows = iter(scratch[:scratch.size // CHUNK_SIZE * n].reshape(-1, n))
+    rows = iter(scratch[:scratch.size // (ne * CHUNK_SIZE) * ne * n].reshape(-1, ne, n))
+    eps = np.array(epsilons, dtype=float)[:, None]
     inv_root = 1.0 / math.sqrt((2.0 * math.pi) ** d)
     # an overflow (a centre, a pivot or det past 1e308) leaves the sample
     # unusable, without a warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        center = [x[:, i] for i in range(d)]
+        center = [x[None, :, i] for i in range(d)]
         if shift:
             for i in range(d):
-                c = np.multiply(epsilon, a[:, i], out=next(rows))
+                c = np.multiply(eps, a[:, i], out=next(rows))
                 center[i] = np.add(x[:, i], c, out=c)
         if identity_cov:
-            piv, low, out = [float(epsilon)] * d, [[]] * d, None
+            piv, low, out = [eps] * d, [[]] * d, None
         else:
             # one row is the factorisation's temporary, then det (d ≥ 2),
             # then the normaliser
             out = next(rows)
-            piv, low = _ldl(lambda i, j, out: np.multiply(epsilon, gamma[:, i, j], out=out),
+            piv, low = _ldl(lambda i, j, out: np.multiply(eps, gamma[:, i, j], out=out),
                             d, rows, out)
         det = reduce(lambda u, v: np.multiply(u, v, out=out), piv)
         # the last pivot is > 0 when the others are and det ≥ DEGENERATE_DET
         ok = np.min(det) >= DEGENERATE_DET and all(np.min(p) > 0 for p in piv[:-1])
         if not (ok and _sums_finite(*center, det)):
+            # (E, N) masks; not in place, as det and the centres may be
+            # one column or one row shared by every ε
             usable = np.isfinite(det) & (det >= DEGENERATE_DET)
             for v in center:
-                usable &= np.isfinite(v)
+                usable = usable & np.isfinite(v)
             for p in piv[:-1]:
-                usable &= p > 0
+                usable = usable & (p > 0)
+            if (usable[1:] != usable[0]).any():
+                return None
+            usable = usable[0]
             k = np.count_nonzero(usable)
 
             def keep(v, dst=None):
-                if not np.ndim(v):
-                    return v
-                dst = v if dst is None else dst
-                dst[:k] = v[usable]
-                return dst[:k]
+                # row by row, so no temporary holds more than one row
+                dst = v if dst is None else dst[:v.shape[0]]
+                for src, row in zip(v, dst):
+                    row[:k] = src[usable]
+                return dst[:, :k]
 
             center = [keep(v, None if shift else next(rows)) for v in center]
-            piv = [keep(p) for p in piv]
-            low = [[keep(v) for v in row] for row in low]
-            out = None if out is None else out[:k]
+            if not identity_cov:
+                piv = [keep(p) for p in piv]
+                low = [[keep(v) for v in row] for row in low]
+                out = out[:, :k]
             det = reduce(lambda u, v: np.multiply(u, v, out=out), piv)
         norm = np.divide(inv_root, np.sqrt(det, out=out), out=out)
         neg_half_prec = [np.divide(-0.5, p, out=None if identity_cov else p) for p in piv]
-    n = center[0].shape[0]
+    n = center[0].shape[1]
+    center = [np.broadcast_to(c, (ne, n)) for c in center]
 
-    def values(q: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        r = buf[:d * q.shape[0] * n].reshape(d, q.shape[0], n)
+    def values(e: slice, q: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        ke = norm[e].shape[0]
+        r = buf[:d * ke * q.shape[0] * n].reshape(d, ke, q.shape[0], n)
         for i in range(d):
-            np.subtract(q[:, i, None], center[i], out=r[i])
+            np.subtract(q[:, i, None], center[i][e, None], out=r[i])
             for k, lik in enumerate(low[i]):
-                # query by query: the product is one row, not a (group, block) array
-                for ri, rk in zip(r[i], r[k]):
-                    ri -= lik * rk
+                # pair by pair: the product is one row, not a (group, block) array
+                for ri, rk, l in zip(r[i], r[k], lik[e]):
+                    for rij, rkj in zip(ri, rk):
+                        rij -= l * rkj
         z = r[0]
         # a far query squares to inf: its exponent is -inf, its term exactly 0
         with np.errstate(over="ignore"):
             for i in range(d):
                 np.multiply(r[i], r[i], out=r[i])
-                np.multiply(r[i], neg_half_prec[i], out=r[i])
+                np.multiply(r[i], neg_half_prec[i][e, None], out=r[i])
                 if i:
                     z += r[i]
-        return np.multiply(_cut_exp(z), norm, out=z)
+        return np.multiply(_cut_exp(z), norm[e, None], out=z).reshape(-1, n)
 
     return n, values
 
@@ -572,55 +585,85 @@ def _check_quad(b) -> None:
         raise ValueError("the sign formulas need Γ[X, Γ[X]] (quad data); this draw has none")
 
 
-def _kernel_reducer(d: int, epsilon: float, xs, shift: bool, identity_cov: bool,
+def _kernel_reducer(d: int, epsilon, xs, shift: bool, identity_cov: bool,
                     finish=_estimates, fourth: bool = False) -> Reducer:
-    """Per query, the moments of the kernel values over the usable samples
-    for finish(queries, moments, ε).  A block evaluates its queries in
-    groups of max(1, _GROUP // d), one (group, block) array at a time in
-    the pass's scratch.  With a lent draw pool and more than one group, a
-    task on the pool claims groups from the caller's iterator into a
-    second value buffer of the pass (_scratch key "helper"); part cancels
-    it if no thread has started it, else waits for it, so the set-up and
-    both buffers are free when part returns.  Each query's row is reduced
-    alone, so no bit depends on the thread.  Each reducer makes its own
-    set-up of each block, into the one scratch region (_scratch key
-    "kernel") that every kernel reducer of the pass writes in turn."""
-    check_epsilon(epsilon)
+    """Per (ε, query), the moments of the kernel values over the usable
+    samples for finish(queries, moments, ε); epsilon is one ε, or a grid
+    of them, whose result is the list of the per-ε results.
+
+    A block's rows are the (ε, query) pairs, evaluated in groups of at
+    most max(1, _GROUP // d) pairs, one (group, block) array at a time in
+    the pass's scratch: max(1, group // Q) whole ε when the Q queries fit
+    in a group, else one ε and a share of its queries.  With a lent draw
+    pool and more than one group, a task on the pool claims groups from
+    the caller's iterator into a second value buffer of the pass (_scratch
+    key "helper"); part cancels it if no thread has started it, else waits
+    for it, so the set-up and both buffers are free when part returns.
+    Each pair's row is reduced alone, so no bit depends on the thread or
+    the grid.  The reducer makes one set-up of each block for the whole
+    grid, into the one scratch region (_scratch key "kernel") that every
+    kernel reducer of the pass writes in turn; a block whose usable
+    samples differ between ε is set up and evaluated one ε at a time, as
+    a grid of one.  The partial holds one Moments per ε."""
+    grid = [epsilon] if np.ndim(epsilon) == 0 else list(epsilon)
+    for eps in grid:
+        check_epsilon(eps)
     queries = _as_queries(xs, d)
     nq, group = queries.shape[0], max(1, _GROUP // d)
-    need = d * min(nq, group) * CHUNK_SIZE
-    # the set-up's rows: centres, the entries of L D Lᵀ and the normaliser
-    setup = (d * (d + 3) // 2 + 1) * CHUNK_SIZE
+    per = max(1, group // nq)
 
-    def run(values, cols, groups, buf):
-        for lo in groups:
-            m = _moments(values(queries[lo:lo + group], buf), fourth)
+    def groups(ne):
+        """(ε slice, query slice) of each group of a grid of ne ε."""
+        if nq <= group:
+            return [(slice(e, e + per), slice(0, nq)) for e in range(0, ne, per)]
+        return [(slice(e, e + 1), slice(q, q + group))
+                for e in range(ne) for q in range(0, nq, group)]
+
+    plans = {ne: groups(ne) for ne in {len(grid), 1}}
+    need = d * min(len(grid) * nq, per * nq if nq <= group else group) * CHUNK_SIZE
+    # the set-up's rows per ε: centres, the entries of L D Lᵀ and the normaliser
+    setup = len(grid) * (d * (d + 3) // 2 + 1) * CHUNK_SIZE
+
+    def run(values, cols, todo, buf):
+        for e, q in todo:
+            m = _moments(values(e, queries[q], buf), fourth)
             for col, v in zip(cols, (m.mean, m.m2, m.m3, m.m4)):
-                col[lo:lo + group] = v
+                col[e, q] = v.reshape(col[e, q].shape)
 
-    def part(blk, half, shared):
-        n, values = _kernel_block(blk, epsilon, shift, identity_cov,
-                                  _scratch(shared, setup, "kernel"))
+    def evaluate(block, ne, shared):
+        n, values = block
         if not n:
-            return None
-        cols = [np.empty(nq) for _ in range(4 if fourth else 2)]
-        # next() on a range iterator is one C call under the GIL, so each
+            return (None,) * ne
+        cols = [np.empty((ne, nq)) for _ in range(4 if fourth else 2)]
+        # next() on a list iterator is one C call under the GIL, so each
         # group goes to exactly one of the two threads
-        groups = iter(range(0, nq, group))
-        pool = shared["pool"] if nq > group else None
+        todo = iter(plans[ne])
+        pool = shared["pool"] if len(plans[ne]) > 1 else None
         helper = None if pool is None else pool.submit(
-            run, values, cols, groups, _scratch(shared, need, "helper"))
+            run, values, cols, todo, _scratch(shared, need, "helper"))
         try:
-            run(values, cols, groups, _scratch(shared, need))
+            run(values, cols, todo, _scratch(shared, need))
         finally:
             if helper is not None and not helper.cancel():
                 helper.result()
-        return Moments(n, *cols)
+        return tuple(Moments(n, *(c[e] for c in cols)) for e in range(ne))
+
+    def part(blk, half, shared):
+        scratch = _scratch(shared, setup, "kernel")
+        block = _kernel_block(blk, grid, shift, identity_cov, scratch)
+        if block is not None:
+            return evaluate(block, len(grid), shared)
+        # ε decides which samples are usable: one ε at a time
+        return sum((evaluate(_kernel_block(blk, [eps], shift, identity_cov, scratch), 1, shared)
+                    for eps in grid), ())
 
     def done(total):
-        if total is None:
-            raise NoUsableSamplesError("no usable samples")
-        return finish(queries, total, epsilon)
+        out = []
+        for eps, m in zip(grid, total or [None] * len(grid)):
+            if m is None:
+                raise NoUsableSamplesError("no usable samples")
+            out.append(finish(queries, m, eps))
+        return out if np.ndim(epsilon) else out[0]
 
     return Reducer(part, done)
 

@@ -103,10 +103,10 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
 
 
 def _monte_carlo(sc: Scenario, cfg: SweepConfig, points, reducer) -> list:
-    """Per ε, reducer(stream, ε, points)'s result on one stream drawn once."""
+    """Per ε, the result of the one kernel reducer(stream, ε grid, points)
+    over the sweep's whole ε grid, on one stream drawn once."""
     stream = sc.stream(cfg.sample_size, cfg.seed, cfg.workers)
-    passes = run_pass(stream, [reducer(stream, eps, points) for eps in cfg.epsilons])
-    return [res[stream.requested] for res in passes]
+    return run_pass(stream, [reducer(stream, cfg.epsilons, points)])[0][stream.requested]
 
 
 def _require_reduced(sc: Scenario, purpose: str) -> None:
@@ -340,7 +340,9 @@ def compare_estimators(
     anything is sampled, as is an estimator that needs ε when none is
     given, or one that splits its rows in two halves when a size is
     below 2.  Every size is a prefix of one stream of the largest, reduced
-    in one pass.  No pass/fail is attached.
+    in one pass by one reducer per estimator; a kernel's serves its whole
+    ε grid, so the idle draw thread can take (ε, query) groups of each
+    block.  No pass/fail is attached.
     """
     if not estimators or not sample_sizes:
         raise ValueError("compare needs at least one estimator and one sample size")
@@ -358,20 +360,21 @@ def compare_estimators(
     sizes = [sample_count(n) for n in sample_sizes]
     stream = sc.stream(max(sizes), seed, workers)
     nested = tuple(sorted(set(sizes)))
-    # one reducer per (estimator, ε), snapshotted at every size.  Without
-    # ε, run_estimator rejects the estimators that need one.
+    # one reducer per estimator, a kernel's over the whole ε grid,
+    # snapshotted at every size.  Without ε, run_estimator rejects the
+    # estimators that need one.
     smallest, plan = min(epsilons, default=None), []
-    for i, (name, entry) in enumerate(zip(estimators, entries)):
-        for eps in (epsilons or [None]) if entry.kernel else [smallest]:
-            r = run_estimator(name, stream, eps, list(points), scenario, reducer=True)
-            if r.halves and nested[0] < 2:
-                raise ValueError(f"estimator {name!r} splits each sample size in two halves;"
-                                 f" n = {nested[0]} is too small to split")
-            plan.append((i, r._replace(sizes=nested)))
-    found: dict = {}
-    for (i, _), res in zip(plan, run_pass(stream, [r for _, r in plan])):
-        for n, ests in res.items():
-            found.setdefault((i, n), []).append(ests)
+    for name, entry in zip(estimators, entries):
+        eps = (tuple(epsilons) or None) if entry.kernel else smallest
+        r = run_estimator(name, stream, eps, list(points), scenario, reducer=True)
+        if r.halves and nested[0] < 2:
+            raise ValueError(f"estimator {name!r} splits each sample size in two halves;"
+                             f" n = {nested[0]} is too small to split")
+        plan.append(r._replace(sizes=nested))
+    # per (estimator, size), the estimates at each of its ε
+    found = {(i, n): ests if entry.kernel else [ests]
+             for i, (entry, res) in enumerate(zip(entries, run_pass(stream, plan)))
+             for n, ests in res.items()}
     out: list[CompareRow] = []
     for n in sizes:
         for i, name in enumerate(estimators):
