@@ -357,9 +357,9 @@ def _scratch(shared, size: int, key=None) -> np.ndarray:
     """The pass's scratch array of float64 for key, grown to at least size
     entries: key None names the one array the reducers' per-block
     temporaries share, "kernel" the rows each kernel reducer writes its
-    block's set-up into, one reducer after another, "helper" the kernel
-    values a lent pool thread evaluates, so that none is allocated anew
-    for each block or reducer."""
+    block's set-up into, E rows per set-up row for its grid of E ε, one
+    reducer after another, "helper" the kernel values a lent pool thread
+    evaluates, so that none is allocated anew for each block or reducer."""
     buf = shared["buf"]
     if key not in buf or buf[key].size < size:
         buf[key] = np.empty(size)
@@ -435,10 +435,10 @@ def _cut_exp(z: np.ndarray) -> np.ndarray:
     return np.multiply(z, keep, out=z)
 
 
-# coordinates of queries whose kernel values a block evaluates together:
-# max(1, _GROUP // d) queries, so the value scratch stays _GROUP·CHUNK_SIZE
-# doubles for every d ≤ _GROUP, and as much again for a lent pool thread
-# that evaluates groups of the same block
+# coordinates of (ε, query) pairs whose kernel values a block evaluates
+# together: max(1, _GROUP // d) pairs, so the value scratch stays
+# _GROUP·CHUNK_SIZE doubles for every d ≤ _GROUP, and as much again for a
+# lent pool thread that evaluates groups of the same block
 _GROUP = 8
 
 
@@ -606,6 +606,8 @@ def _kernel_reducer(d: int, epsilon, xs, shift: bool, identity_cov: bool,
     samples differ between ε is set up and evaluated one ε at a time, as
     a grid of one.  The partial holds one Moments per ε."""
     grid = [epsilon] if np.ndim(epsilon) == 0 else list(epsilon)
+    if not grid:
+        raise ValueError("an epsilon grid needs at least one epsilon")
     for eps in grid:
         check_epsilon(eps)
     queries = _as_queries(xs, d)
@@ -999,7 +1001,9 @@ def run_estimator(name: str, batch, epsilon: Optional[float], xs, scenario: str 
     Kernels read (X, Γ, A) of any batch; the other estimators need quad
     data, and conditional also G; the error for a batch without them names
     scenario, before anything is drawn.  An estimator that takes ε and is
-    given None is a ValueError naming it; the others ignore epsilon.
+    given None is a ValueError naming it; the others ignore epsilon.  A
+    kernel also takes a grid of ε, one reducer for all of them, and gives
+    the list of its per-ε results.
     """
     entry = get_estimator(name)
     if entry.needs_quad and not batch.quad:

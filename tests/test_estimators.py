@@ -191,12 +191,14 @@ class TestKernelEstimators:
         ref = plain_kernel_density(QuadBatch(x, np.ones(500), a), 0.3, xs, variant="gamma_cov")
         assert got == ref and got[0].n_used == 499
 
+    @pytest.mark.parametrize("epsilon", [0.1, (0.4, 0.2, 0.1, 0.05, 0.025)])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("variant", ["shifted", "gamma_cov", "identity_cov"])
-    def test_kernel_set_up_allocates_no_block_sized_array(self, d, variant, monkeypatch):
-        # a block's set-up (centres, factors, -½/D, det and the normaliser)
-        # is written into the pass's scratch for its key, so over three
-        # blocks and a part no set-up allocates an array of a block's rows
+    def test_kernel_set_up_allocates_no_block_sized_array(self, d, variant, epsilon, monkeypatch):
+        # a block's set-up (centres, factors, -½/D, det and the normaliser),
+        # for one ε or E of them, is written into the pass's scratch, so
+        # over three blocks and a part no set-up allocates an array of a
+        # block's rows
         rng = chunk_rng(21, 0)
         n = 3 * CHUNK_SIZE + 5
         m = rng.normal(size=(n, d, d))
@@ -215,9 +217,9 @@ class TestKernelEstimators:
         tracemalloc.start()
         try:
             if variant == "shifted":
-                shifted_kernel_density(tb, 0.1, np.zeros((2, d)))
+                shifted_kernel_density(tb, epsilon, np.zeros((2, d)))
             else:
-                plain_kernel_density(tb, 0.1, np.zeros((2, d)), variant=variant)
+                plain_kernel_density(tb, epsilon, np.zeros((2, d)), variant=variant)
         finally:
             tracemalloc.stop()
         assert len(grown) == 4 and max(grown) < CHUNK_SIZE * 8, grown
@@ -604,6 +606,13 @@ class TestEstimatorTable:
         batch = get_scenario("lognormal").build(2000, 3, 1)
         with pytest.raises(ValueError, match=f"estimator '{name}' needs an epsilon"):
             run_estimator(name, batch, None, [1.0])
+
+    @pytest.mark.parametrize("grid, match", [([], "at least one epsilon"),
+                                             ([0.1, 0.0], "finite and > 0, got 0.0")])
+    def test_a_kernel_grid_is_checked_before_the_pass(self, grid, match):
+        batch = get_scenario("lognormal").build(2000, 3, 1)
+        with pytest.raises(ValueError, match=match):
+            shifted_kernel_density(batch, grid, [1.0])
 
     def test_table_states_each_kernel_and_its_bias_order(self):
         kernels = {n: (e.kernel, e.bias_order) for n, e in ESTIMATORS.items() if e.kernel}

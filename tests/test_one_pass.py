@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dirichlet_mc import sweeps
+from dirichlet_mc import estimators, sweeps
 from dirichlet_mc.estimators import (
     ESTIMATORS,
     QuadBatch,
@@ -301,3 +301,109 @@ def test_a_degenerate_row_is_dropped_inside_the_set_up_scratch(d, shift):
     refs = kernel_moments_per_query(bad, 0.1, xs, shift, False)
     assert [(e.n_used, e.value) for e in got] == [(m.n, m.mean) for m in refs]
     assert got[0].n_used == bad.n - 1
+
+
+# -- one kernel reducer per ε grid -------------------------------------------
+
+GRID = (0.4, 0.2, 0.1, 0.05, 0.025)
+KERNELS = {"shifted": (True, False), "plain_gamma": (False, False), "plain_id": (False, True)}
+
+
+def _grid_reducer(d, epsilon, xs, kernel, fourth):
+    """The kernel reducer of (ε or ε grid, queries), finishing to the
+    per-query moments themselves when fourth, else to the estimates."""
+    finish = (lambda queries, m, eps: m) if fourth else estimators._estimates
+    return estimators._kernel_reducer(d, epsilon, xs, *KERNELS[kernel], finish, fourth)
+
+
+@pytest.mark.parametrize("fourth", [False, True])
+@pytest.mark.parametrize("nq", [3, 9])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_a_grid_equals_one_pass_per_epsilon(kernel, d, nq, fourth):
+    """One reducer over five ε gives, per ε, the bits of that ε's own
+    reducer, mean and M2 or all four moments: with 3 queries a group holds
+    whole ε, with 9 one ε and a share of its queries."""
+    tb = _kernel_batch(d)
+    xs = chunk_rng(22, d).normal(size=(nq, d))
+    got = run_pass(tb, [_grid_reducer(d, GRID, xs, kernel, fourth)])[0][tb.n]
+    alone = [run_pass(tb, [_grid_reducer(d, eps, xs, kernel, fourth)])[0][tb.n] for eps in GRID]
+    assert len(got) == len(GRID)
+    assert repr(got) == repr(alone)
+
+
+def _tiny_gamma_batch(d: int) -> tuple[QuadBatch, tuple]:
+    """_kernel_batch with row 7's Γ = c·I so small that ε·c, hence det εΓ,
+    falls below DEGENERATE_DET at the grid's smallest ε only."""
+    tb = _kernel_batch(d)
+    gamma = tb.gamma.copy()
+    gamma[7] = (1e-28 if d == 1 else 1e-13) * np.eye(d)
+    return QuadBatch(tb.x, gamma, tb.a), (0.5, 0.05, 1e-3)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kernel", ["shifted", "plain_gamma"])
+def test_a_row_usable_only_at_the_large_epsilon_is_set_up_per_epsilon(kernel, d, monkeypatch):
+    """A row with 0 < εΓ < DEGENERATE_DET at the small ε only: its block is
+    set up once for the grid, then once per ε, and each ε's estimates and
+    n_used equal its own pass."""
+    tb, grid = _tiny_gamma_batch(d)
+    xs = chunk_rng(23, d).normal(size=(3, d))
+    calls, real = [], estimators._kernel_block
+
+    def block(b, epsilons, *args):
+        out = real(b, epsilons, *args)
+        calls.append((len(epsilons), out is None))
+        return out
+
+    monkeypatch.setattr(estimators, "_kernel_block", block)
+    got = run_pass(tb, [_grid_reducer(d, grid, xs, kernel, False)])[0][tb.n]
+    # the first block holds row 7; the other two keep the same rows at every ε
+    assert calls == [(3, True), (1, False), (1, False), (1, False), (3, False), (3, False)]
+    calls.clear()
+    alone = [run_pass(tb, [_grid_reducer(d, eps, xs, kernel, False)])[0][tb.n] for eps in grid]
+    assert repr(got) == repr(alone)
+    assert [ests[0].n_used for ests in got] == [tb.n - 1, tb.n - 1, tb.n - 2]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_a_zero_gamma_row_takes_the_shared_compaction(kernel, d, monkeypatch):
+    """Γ = 0 (row 5 of _kernel_batch) fails at every ε: each block is set
+    up once for the whole grid, and every ε drops that one row."""
+    tb = _kernel_batch(d)
+    xs = chunk_rng(24, d).normal(size=(3, d))
+    calls, real = [], estimators._kernel_block
+
+    def block(b, epsilons, *args):
+        out = real(b, epsilons, *args)
+        calls.append((len(epsilons), out is None))
+        return out
+
+    monkeypatch.setattr(estimators, "_kernel_block", block)
+    got = run_pass(tb, [_grid_reducer(d, GRID, xs, kernel, False)])[0][tb.n]
+    assert calls == [(len(GRID), False)] * 3
+    alone = [run_pass(tb, [_grid_reducer(d, eps, xs, kernel, False)])[0][tb.n] for eps in GRID]
+    assert repr(got) == repr(alone)
+    # identity_cov reads no Γ, so only the two Γ kernels drop the row
+    dropped = 0 if KERNELS[kernel][1] else 1
+    assert all(e.n_used == tb.n - dropped for ests in got for e in ests)
+
+
+def test_compare_and_the_sweeps_build_one_reducer_per_estimator(monkeypatch):
+    """compare runs one reducer per estimator, a kernel's over its whole ε
+    grid, and a Monte Carlo sweep one kernel reducer for all its ε."""
+    widths, real = [], sweeps.run_pass
+
+    def counted(src, reducers):
+        widths.append(len(reducers))
+        return real(src, reducers)
+
+    monkeypatch.setattr(sweeps, "run_pass", counted)
+    compare_estimators("lognormal", ["shifted", "plain_gamma", "plain_id", "direct"], [2000],
+                       list(GRID), [0.5, 1.0, 2.0])
+    config = dict(scenario="lognormal", epsilons=(0.8, 0.4, 0.2, 0.1, 0.05), sample_size=2000,
+                  query_points=(1.0,))
+    sweeps.run_bias_sweep(sweeps.SweepConfig(estimator="shifted", **config))
+    sweeps.run_variance_sweep(sweeps.SweepConfig(estimator="shifted", **config))
+    assert widths == [4, 1, 1]

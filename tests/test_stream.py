@@ -25,9 +25,11 @@ from dirichlet_mc.estimators import (
     Reducer,
     SampleStream,
     centered_direct_density,
+    plain_kernel_density,
     run_estimator,
     run_pass,
     shifted_kernel_density,
+    shifted_kernel_variance,
 )
 from dirichlet_mc.scenarios import SCENARIOS, Scenario
 from dirichlet_mc.streams import CHUNK_SIZE, iter_chunks, sample_chunked
@@ -264,11 +266,12 @@ def _kernel_draw(d):
     return draw
 
 
-def _kernel_stream(draw, d):
-    """N_KERNEL rows of draw on a one-worker stream: three chunks, so the
-    stream lends its pool while each is reduced."""
+def _kernel_stream(draw, d, workers=1):
+    """N_KERNEL rows of draw on a stream: three chunks, so the stream lends
+    its pool while each is reduced."""
     empty = QuadBatch(np.empty((0, d)), np.empty((0, d, d)), np.empty((0, d)))
-    return SampleStream(lambda lend: iter_chunks(N_KERNEL, 11, draw, 1, lend), N_KERNEL, empty)
+    return SampleStream(lambda lend: iter_chunks(N_KERNEL, 11, draw, workers, lend),
+                        N_KERNEL, empty)
 
 
 def _kernel_queries(d):
@@ -276,20 +279,45 @@ def _kernel_queries(d):
     return np.random.default_rng(d).normal(size=(2 * max(1, 8 // d) + 3, d))
 
 
-def _equal_the_oracle(got, batch, xs):
-    refs = kernel_moments_per_query(batch, EPSILON, xs, True, False)
+# the helper cases: one ε over three query groups, three ε each over three
+# query groups, and nine ε at three queries, a group holding whole ε
+CASES = ("one_eps", "eps_grid", "whole_eps")
+
+
+def _kernel_case(case, d):
+    """(ε or ε grid, queries) of a helper case, and its groups per block."""
+    epsilon, xs = {
+        "one_eps": (EPSILON, _kernel_queries(d)),
+        "eps_grid": ((0.2, EPSILON, 0.01), _kernel_queries(d)),
+        "whole_eps": (tuple(0.4 * 2.0**-k for k in range(9)),
+                      np.random.default_rng(d).normal(size=(3, d))),
+    }[case]
+    ne, nq, group = len(np.atleast_1d(epsilon)), len(xs), max(1, 8 // d)
+    groups = -(-ne // (group // nq)) if nq <= group else ne * -(-nq // group)
+    return epsilon, xs, groups
+
+
+def _equal_the_oracle(got, batch, xs, epsilon=EPSILON):
+    if np.ndim(epsilon):
+        assert len(got) == len(epsilon)
+        for ests, eps in zip(got, epsilon):
+            _equal_the_oracle(ests, batch, xs, eps)
+        return
+    refs = kernel_moments_per_query(batch, epsilon, xs, True, False)
     assert len(got) == len(refs) == len(xs)
     for g, m in zip(got, refs):
-        assert g.n_used == m.n
+        assert g.n_used == m.n and g.epsilon == epsilon
         assert g.value == m.mean and g.std_error == math.sqrt(m.m2 / (m.n - 1)) / math.sqrt(m.n)
 
 
+@pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("d", [1, 2])
-def test_an_idle_draw_thread_takes_kernel_query_groups(d, monkeypatch):
-    """One stream pass at Q over three query groups equals one pass per
-    query bit for bit, whether the draw thread takes groups of a block or
-    is busy drawing the next chunk, so that the caller takes them all."""
-    draw, xs = _kernel_draw(d), _kernel_queries(d)
+def test_an_idle_draw_thread_takes_kernel_query_groups(d, case, monkeypatch):
+    """One stream pass over several (ε, query) groups equals one pass per
+    ε and query bit for bit, whether the draw thread takes groups of a
+    block or is busy drawing the next chunk, so that the caller takes
+    them all."""
+    draw, (epsilon, xs, groups) = _kernel_draw(d), _kernel_case(case, d)
     batch = QuadBatch(*sample_chunked(N_KERNEL, 11, draw))
     caller, helped, log, waiting = threading.get_ident(), threading.Event(), [], [True]
     real = estimators._moments
@@ -306,9 +334,9 @@ def test_an_idle_draw_thread_takes_kernel_query_groups(d, monkeypatch):
 
     monkeypatch.setattr(estimators, "_moments", moments)
     stream = _kernel_stream(draw, d)
-    got = run_pass(stream, [shifted_kernel_density.reducer(stream, EPSILON, xs)])[0]
+    got = run_pass(stream, [shifted_kernel_density.reducer(stream, epsilon, xs)])[0]
     assert set(log) - {caller}, "no group ran on the draw thread"
-    _equal_the_oracle(got[N_KERNEL], batch, xs)
+    _equal_the_oracle(got[N_KERNEL], batch, xs, epsilon)
 
     # the draw of chunk i + 1 waits until block i is reduced, so the pool's
     # one thread is busy while the caller reduces blocks 0 and 1
@@ -328,16 +356,16 @@ def test_an_idle_draw_thread_takes_kernel_query_groups(d, monkeypatch):
 
     log.clear()
     stream = _kernel_stream(held, d)
-    plan = [shifted_kernel_density.reducer(stream, EPSILON, xs), Reducer(release, lambda t: None)]
+    plan = [shifted_kernel_density.reducer(stream, epsilon, xs), Reducer(release, lambda t: None)]
     got = run_pass(stream, plan)[0]
     assert opened == [True] * 3
     first_two = log[:[i for i, e in enumerate(log) if e == "block"][1]]
-    groups = -(-len(xs) // max(1, 8 // d))
     assert first_two.count(caller) == len(first_two) - 1 == 2 * groups
-    _equal_the_oracle(got[N_KERNEL], batch, xs)
+    _equal_the_oracle(got[N_KERNEL], batch, xs, epsilon)
 
 
-def test_a_group_that_fails_on_the_draw_thread_reaches_the_caller(monkeypatch):
+@pytest.mark.parametrize("case", CASES)
+def test_a_group_that_fails_on_the_draw_thread_reaches_the_caller(case, monkeypatch):
     before = set(threading.enumerate())
     caller, failed, waiting = threading.get_ident(), threading.Event(), [True]
     real = estimators._moments
@@ -352,10 +380,30 @@ def test_a_group_that_fails_on_the_draw_thread_reaches_the_caller(monkeypatch):
         return real(vals, fourth)
 
     monkeypatch.setattr(estimators, "_moments", moments)
-    stream, xs = _kernel_stream(_kernel_draw(1), 1), _kernel_queries(1)
+    stream, (epsilon, xs, _) = _kernel_stream(_kernel_draw(1), 1), _kernel_case(case, 1)
     with pytest.raises(RuntimeError, match="group failed"):
-        run_pass(stream, [shifted_kernel_density.reducer(stream, EPSILON, xs)])
+        run_pass(stream, [shifted_kernel_density.reducer(stream, epsilon, xs)])
     assert _pool_threads(before) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_grid_over_a_stream_equals_one_pass_per_epsilon(d, workers):
+    """Each kernel over five ε, mean and M2 or (the variance) the fourth
+    moments, on a stream whose pool takes groups: per ε, the bits of that
+    ε's own pass, and of the built batch."""
+    draw, grid = _kernel_draw(d), (0.4, 0.2, 0.1, 0.05, 0.025)
+    batch = QuadBatch(*sample_chunked(N_KERNEL, 11, draw))
+    xs = np.random.default_rng(d + 5).normal(size=(3, d))
+    kernels = [shifted_kernel_density.reducer, shifted_kernel_variance.reducer,
+               lambda b, e, x: plain_kernel_density.reducer(b, e, x, "gamma_cov"),
+               lambda b, e, x: plain_kernel_density.reducer(b, e, x, "identity_cov")]
+    for reducer in kernels:
+        stream = _kernel_stream(draw, d, workers)
+        got = run_pass(stream, [reducer(stream, grid, xs)])[0][N_KERNEL]
+        assert repr(got) == repr([run_pass(stream, [reducer(stream, eps, xs)])[0][N_KERNEL]
+                                  for eps in grid])
+        assert repr(got) == repr(run_pass(batch, [reducer(batch, grid, xs)])[0][N_KERNEL])
 
 
 def test_a_built_batch_or_one_query_group_gives_the_pool_no_work(monkeypatch):
@@ -393,11 +441,17 @@ def test_a_built_batch_or_one_query_group_gives_the_pool_no_work(monkeypatch):
         pools.clear()
 
 
-def test_each_query_group_is_reduced_once_under_thread_switching(monkeypatch):
+@pytest.mark.parametrize("epsilon, nq, rows", [
+    (EPSILON, 64, [8] * 8),
+    ((0.2, EPSILON, 0.01), 64, [8] * 24),
+    (tuple(0.4 * 2.0**-k for k in range(9)), 3, [6] * 4 + [3]),
+])
+def test_each_query_group_is_reduced_once_under_thread_switching(epsilon, nq, rows, monkeypatch):
     """Three draw threads on two cores, switching every microsecond: every
-    group of every block is claimed by exactly one thread, so the pass
-    makes one _moments call per (block, group) and equals the built batch."""
-    draw, xs = _kernel_draw(1), np.linspace(-2.0, 2.0, 64)[:, None]
+    (ε, query) group of every block is claimed by exactly one thread, so
+    the pass makes one _moments call per (block, group), of the group's
+    rows, and equals the built batch."""
+    draw, xs = _kernel_draw(1), np.linspace(-2.0, 2.0, nq)[:, None]
     batch = QuadBatch(*sample_chunked(N_KERNEL, 11, draw))
     calls, real = [], estimators._moments
 
@@ -411,8 +465,8 @@ def test_each_query_group_is_reduced_once_under_thread_switching(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = run_pass(stream, [shifted_kernel_density.reducer(stream, EPSILON, xs)])[0]
+        got = run_pass(stream, [shifted_kernel_density.reducer(stream, epsilon, xs)])[0]
     finally:
         sys.setswitchinterval(interval)
-    assert calls == [8] * 8 * 3
-    _equal_the_oracle(got[N_KERNEL], batch, xs)
+    assert sorted(calls) == sorted(rows * 3)
+    _equal_the_oracle(got[N_KERNEL], batch, xs, epsilon)
