@@ -23,8 +23,8 @@ it bins in several groups with counts past 255, and `density` on each
 Euler scenario at N = 81 923, five full chunks plus 3 rows, and the
 kernel grids: `compare` over nine ε at five points and N = 32 775, a Monte
 Carlo `sweep-variance` over five ε, `compare` on triangular and
-gbm_exact, and `compare` at ε = 1e-29, where ε decides which rows a
-block keeps.  Each command
+gbm_exact, and `compare` and Monte Carlo `sweep-bias` at ε = 1e-29,
+where ε decides which rows a block keeps.  Each command
 runs in-process at `--workers 1` and `--workers 2`; a line reads
 
     <sha256 of the CSV, or "-" when none was written>  <exit code>  w<workers>  <tag>
@@ -300,6 +300,13 @@ def commands() -> dict[str, list[str]]:
         "compare", "--scenario", "lognormal", "--estimators", "shifted,plain_gamma,plain_id",
         "--epsilons", "0.1,1e-29", "--points", "0.5,1.0,2.0", "--samples", "1000,32775",
         "--seed", "12"]
+    # compare prints only each kernel's best ε; a Monte Carlo bias sweep
+    # prints every ε's rows, 1e-29's usable count among them
+    for est in ("shifted", "plain_gamma"):
+        cmds[f"sweep_bias_{est}_eps_decides_usable"] = [
+            "sweep-bias", "--scenario", "lognormal", "--estimator", est,
+            "--epsilons", "0.8,0.4,1e-29", "--points", "0.5,1.0,2.0", "--samples", "32775",
+            "--seed", "12"]
     return cmds
 
 
