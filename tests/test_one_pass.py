@@ -332,6 +332,19 @@ def test_a_grid_equals_one_pass_per_epsilon(kernel, d, nq, fourth):
     assert repr(got) == repr(alone)
 
 
+def _set_ups(monkeypatch) -> list:
+    """The (grid size, None returned) of each _kernel_block call from now on."""
+    calls, real = [], estimators._kernel_block
+
+    def block(b, epsilons, *args):
+        out = real(b, epsilons, *args)
+        calls.append((len(epsilons), out is None))
+        return out
+
+    monkeypatch.setattr(estimators, "_kernel_block", block)
+    return calls
+
+
 def _tiny_gamma_batch(d: int) -> tuple[QuadBatch, tuple]:
     """_kernel_batch with row 7's Γ = c·I so small that ε·c, hence det εΓ,
     falls below DEGENERATE_DET at the grid's smallest ε only."""
@@ -349,18 +362,10 @@ def test_a_row_usable_only_at_the_large_epsilon_is_set_up_per_epsilon(kernel, d,
     n_used equal its own pass."""
     tb, grid = _tiny_gamma_batch(d)
     xs = chunk_rng(23, d).normal(size=(3, d))
-    calls, real = [], estimators._kernel_block
-
-    def block(b, epsilons, *args):
-        out = real(b, epsilons, *args)
-        calls.append((len(epsilons), out is None))
-        return out
-
-    monkeypatch.setattr(estimators, "_kernel_block", block)
+    calls = _set_ups(monkeypatch)
     got = run_pass(tb, [_grid_reducer(d, grid, xs, kernel, False)])[0][tb.n]
     # the first block holds row 7; the other two keep the same rows at every ε
     assert calls == [(3, True), (1, False), (1, False), (1, False), (3, False), (3, False)]
-    calls.clear()
     alone = [run_pass(tb, [_grid_reducer(d, eps, xs, kernel, False)])[0][tb.n] for eps in grid]
     assert repr(got) == repr(alone)
     assert [ests[0].n_used for ests in got] == [tb.n - 1, tb.n - 1, tb.n - 2]
@@ -373,14 +378,7 @@ def test_a_zero_gamma_row_takes_the_shared_compaction(kernel, d, monkeypatch):
     up once for the whole grid, and every ε drops that one row."""
     tb = _kernel_batch(d)
     xs = chunk_rng(24, d).normal(size=(3, d))
-    calls, real = [], estimators._kernel_block
-
-    def block(b, epsilons, *args):
-        out = real(b, epsilons, *args)
-        calls.append((len(epsilons), out is None))
-        return out
-
-    monkeypatch.setattr(estimators, "_kernel_block", block)
+    calls = _set_ups(monkeypatch)
     got = run_pass(tb, [_grid_reducer(d, GRID, xs, kernel, False)])[0][tb.n]
     assert calls == [(len(GRID), False)] * 3
     alone = [run_pass(tb, [_grid_reducer(d, eps, xs, kernel, False)])[0][tb.n] for eps in GRID]
