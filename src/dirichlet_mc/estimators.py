@@ -548,13 +548,15 @@ def _kernel_block(b: QuadBatch, epsilons, shift: bool, identity_cov: bool,
         norm = np.divide(inv_root, np.sqrt(det, out=out), out=out)
         neg_half_prec = [np.divide(-0.5, p, out=None if identity_cov else p) for p in piv]
     n = center[0].shape[1]
-    center = [np.broadcast_to(c, (ne, n)) for c in center]
 
     def values(e: slice, q: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        ke = norm[e].shape[0]
-        r = buf[:d * ke * q.shape[0] * n].reshape(d, ke, q.shape[0], n)
+        def at(v):
+            # the ε rows e of v, or the one row every ε shares
+            return v[e, None] if len(v) > 1 else v[:, None]
+
+        r = buf[:d * (e.stop - e.start) * q.shape[0] * n].reshape(d, -1, q.shape[0], n)
         for i in range(d):
-            np.subtract(q[:, i, None], center[i][e, None], out=r[i])
+            np.subtract(q[:, i, None], at(center[i]), out=r[i])
             for k, lik in enumerate(low[i]):
                 # pair by pair: the product is one row, not a (group, block) array
                 for ri, rk, l in zip(r[i], r[k], lik[e]):
@@ -565,10 +567,10 @@ def _kernel_block(b: QuadBatch, epsilons, shift: bool, identity_cov: bool,
         with np.errstate(over="ignore"):
             for i in range(d):
                 np.multiply(r[i], r[i], out=r[i])
-                np.multiply(r[i], neg_half_prec[i][e, None], out=r[i])
+                np.multiply(r[i], at(neg_half_prec[i]), out=r[i])
                 if i:
                     z += r[i]
-        return np.multiply(_cut_exp(z), norm[e, None], out=z).reshape(-1, n)
+        return np.multiply(_cut_exp(z), at(norm), out=z).reshape(-1, n)
 
     return n, values
 
@@ -617,8 +619,8 @@ def _kernel_reducer(d: int, epsilon, xs, shift: bool, identity_cov: bool,
     def groups(ne):
         """(ε slice, query slice) of each group of a grid of ne ε."""
         if nq <= group:
-            return [(slice(e, e + per), slice(0, nq)) for e in range(0, ne, per)]
-        return [(slice(e, e + 1), slice(q, q + group))
+            return [(slice(e, min(ne, e + per)), slice(0, nq)) for e in range(0, ne, per)]
+        return [(slice(e, e + 1), slice(q, min(nq, q + group)))
                 for e in range(ne) for q in range(0, nq, group)]
 
     plans = {ne: groups(ne) for ne in {len(grid), 1}}
@@ -630,7 +632,7 @@ def _kernel_reducer(d: int, epsilon, xs, shift: bool, identity_cov: bool,
         for e, q in todo:
             m = _moments(values(e, queries[q], buf), fourth)
             for col, v in zip(cols, (m.mean, m.m2, m.m3, m.m4)):
-                col[e, q] = v.reshape(col[e, q].shape)
+                col[e, q] = v.reshape(e.stop - e.start, -1)
 
     def evaluate(block, ne, shared):
         n, values = block
